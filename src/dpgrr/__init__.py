@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .engine import (  # noqa: F401
     ALGORITHMS,
-    AgentState,
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,

@@ -1,9 +1,10 @@
 """Synchronous epoch engine for the distributed proximal-gradient algorithms.
 
-One epoch of the proximal algorithms has three barrier-separated phases:
+The agents' iterates are the rows of one ``(m, d)`` array.  One epoch of
+the proximal algorithms has three barrier-separated phases:
 
   1. every agent takes n local stochastic gradient steps following its
-     epoch index sequence,
+     epoch index sequence; each step is one vectorized update of all rows,
   2. all agents' phase-1 outputs are mixed through the epoch's consensus
      weights (a product of schedule matrices),
   3. every agent applies the proximal map of the shared penalty.
@@ -13,6 +14,11 @@ this single code path and differ only in the index sequence they draw.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
 step size.
+
+Iterates are checked for finiteness once per phase.  Non-finite entries
+stay non-finite under later gradient steps, so when the local phase ends
+non-finite, replaying the lowest failing agent from its pre-epoch row
+finds the first inner step that overflowed.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import objectives
-from .netgraph import GraphSchedule, StepsMode, ScheduleCursor
-from .objectives import LocalDataset, SmoothLossKind, sample_value_grad
+from .netgraph import GraphSchedule, StepsMode, consensus_weights_for_epoch
+from .objectives import LocalDataset, SmoothLossKind
 from .proxops import NonPositiveStep, Regularizer, prox, subgradient
 from .sampling import Mode, SamplingSchedule, epoch_indices
 
@@ -36,7 +42,6 @@ __all__ = [
     "StepBoundViolation",
     "step_scale_bound",
     "StepRule",
-    "AgentState",
     "ProblemBundle",
     "RunConfig",
     "RunTrace",
@@ -98,6 +103,15 @@ class StepRule:
     def sqrt_horizon(cls, scale: float | None = None) -> "StepRule":
         return cls("sqrt_horizon", scale=None if scale is None else float(scale))
 
+    def bound_violation(self, lipschitz: float, n: int) -> str | None:
+        """Why the rule's scale is inadmissible, or None if it is admissible."""
+        if self.rule != "sqrt_horizon" or self.scale is None:
+            return None
+        bound = step_scale_bound(lipschitz, n)
+        if self.scale > bound * (1.0 + 1e-12):
+            return f"step scale {self.scale:g} exceeds admissible bound {bound:g}"
+        return None
+
     def resolve(
         self, lipschitz: float, n: int, horizon: int, enforce_bound: bool = True
     ) -> float:
@@ -106,23 +120,13 @@ class StepRule:
             return self.gamma
         if horizon < 1:
             raise ValueError("sqrt_horizon rule needs horizon >= 1")
-        bound = step_scale_bound(lipschitz, n)
-        scale = bound if self.scale is None else self.scale
-        if scale > bound * (1.0 + 1e-12):
-            msg = f"step scale {scale:g} exceeds admissible bound {bound:g}"
+        violation = self.bound_violation(lipschitz, n)
+        if violation is not None:
             if enforce_bound:
-                raise StepBoundViolation(msg)
-            warnings.warn(msg, stacklevel=2)
+                raise StepBoundViolation(violation)
+            warnings.warn(violation, stacklevel=2)
+        scale = step_scale_bound(lipschitz, n) if self.scale is None else self.scale
         return scale / math.sqrt(horizon)
-
-
-@dataclass
-class AgentState:
-    """One agent's current iterate, inner-loop iterate, and mixed estimate."""
-
-    x: np.ndarray
-    x_inner: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,62 +209,83 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
-def _check_finite(vec: np.ndarray, agent: int, epoch: int, inner: int | None, phase: str):
-    if not np.all(np.isfinite(vec)):
-        raise NonFiniteIterate(agent, epoch, inner, phase)
+def _inner_step(kind: SmoothLossKind, gamma: float, x, a, y) -> None:
+    """One gradient step of every row of ``x`` on its sample ``(a, y)``, in place."""
+    z = np.einsum("jd,jd->j", a, x)
+    x -= gamma * (objectives.loss_derivative(kind, z, y)[:, None] * a)
+
+
+def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
+    """Replay one agent's local pass from ``x`` to its first non-finite step."""
+    x = x[None, :].copy()
+    for i in range(y.size):
+        _inner_step(kind, gamma, x, a[None, i], y[None, i])
+        if not np.isfinite(x).all():
+            return i
+    return None
+
+
+def _check_phases(t: int, *phases: tuple[str, np.ndarray]) -> None:
+    """Raise for the lowest agent with a non-finite row, naming its first bad phase."""
+    bad = np.stack([~np.isfinite(x).all(axis=1) for _, x in phases])
+    if bad.any():
+        agent = int(np.argmax(bad.any(axis=0)))
+        raise NonFiniteIterate(agent, t, None, phases[int(np.argmax(bad[:, agent]))][0])
 
 
 def run_epoch_dpgrr(
-    states: list[AgentState],
-    datasets: tuple[LocalDataset, ...],
+    x: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
     kind: SmoothLossKind,
     reg: Regularizer,
     gamma: float,
-    cursor: ScheduleCursor,
+    weights: np.ndarray,
     samplers: list[SamplingSchedule],
     t: int,
     record_inner: bool = False,
-) -> np.ndarray | None:
-    """Advance all agents by one proximal epoch; returns inner averages if recorded.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One proximal epoch of all agents from the ``(m, d)`` state ``x``.
 
-    Phase 2 reads every agent's phase-1 output, so states are only
-    published between phases; agents never see each other's mid-phase
-    values, exactly as a barrier-synchronized parallel execution would.
+    ``features`` is ``(m, n, d)`` and ``labels`` ``(m, n)``, agent-major.
+    Returns the next state and, if recorded, the network averages of the
+    n inner iterates.  Phase 2 reads every agent's phase-1 output, exactly
+    as a barrier-synchronized parallel execution would.
     """
     if not gamma > 0.0:
         raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma}")
-    m = len(states)
-    n = datasets[0].n
-    dim = states[0].x.size
-    inner_sum = np.zeros((n, dim)) if record_inner else None
-    for j, (state, ds, sampler) in enumerate(zip(states, datasets, samplers)):
-        x = state.x.copy()
-        for i, sample_idx in enumerate(epoch_indices(sampler, t)):
+    m, n = labels.shape
+    rows = np.arange(m)[:, None]
+    perm = np.stack([epoch_indices(sampler, t) for sampler in samplers])
+    a, y = features[rows, perm], labels[rows, perm]
+    inner = x.copy()
+    inner_sum = np.empty((n, x.shape[1])) if record_inner else None
+    with np.errstate(all="ignore"):
+        for i in range(n):
             if record_inner:
-                inner_sum[i] += x
-            _, grad = sample_value_grad(kind, ds.samples[sample_idx], x)
-            x -= gamma * grad
-            _check_finite(x, j, t, i, "inner")
-        state.x_inner = x
-    weights = cursor.weights_for_epoch(t).weights
-    mixed = weights @ np.stack([s.x_inner for s in states])
-    for j, state in enumerate(states):
-        _check_finite(mixed[j], j, t, None, "mix")
-        state.v = mixed[j]
-        state.x = prox(reg, gamma, mixed[j])
-        _check_finite(state.x, j, t, None, "prox")
-    return inner_sum / m if record_inner else None
+                inner_sum[i] = inner.sum(axis=0)
+            _inner_step(kind, gamma, inner, a[:, i], y[:, i])
+        bad = ~np.isfinite(inner).all(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            step = _first_bad_step(kind, gamma, x[j], a[j], y[j])
+            raise NonFiniteIterate(j, t, step, "inner")
+        mixed = weights @ inner
+        x_next = prox(reg, gamma, mixed)
+    _check_phases(t, ("mix", mixed), ("prox", x_next))
+    return x_next, (inner_sum / m if record_inner else None)
 
 
 def run_epoch_dgm(
-    states: list[AgentState],
-    datasets: tuple[LocalDataset, ...],
+    x: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
     kind: SmoothLossKind,
     reg: Regularizer,
     gamma_t: float,
-    matrix,
+    weights: np.ndarray,
     t: int,
-) -> None:
+) -> np.ndarray:
     """One epoch of the subgradient baseline: mix once, then one local step.
 
     Each agent combines neighbors through the single matrix at the current
@@ -269,50 +294,47 @@ def run_epoch_dgm(
     """
     if not gamma_t > 0.0:
         raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma_t}")
-    weights = matrix.weights
-    mixed = weights @ np.stack([s.x for s in states])
-    for j, (state, ds) in enumerate(zip(states, datasets)):
-        v = mixed[j]
-        _check_finite(v, j, t, None, "mix")
-        grad = subgradient(reg, v)
-        for sample in ds.samples:
-            grad = grad + sample_value_grad(kind, sample, v)[1]
-        state.v = v
-        state.x = v - gamma_t * grad
-        _check_finite(state.x, j, t, None, "step")
+    with np.errstate(all="ignore"):
+        mixed = weights @ x
+        coef = objectives.loss_derivative(
+            kind, np.einsum("jnd,jd->jn", features, mixed), labels
+        )
+        grad = subgradient(reg, mixed) + np.einsum("jn,jnd->jd", coef, features)
+        x_next = mixed - gamma_t * grad
+    _check_phases(t, ("mix", mixed), ("step", x_next))
+    return x_next
 
 
 def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
     """Execute the configured algorithm for ``config.horizon`` epochs.
 
     Fully deterministic given the seed: sampler streams are pre-keyed by
-    (seed, agent, epoch) and every reduction has a fixed order, so serial
-    and agent-parallel executions agree bit for bit.
+    (seed, agent, epoch) and every reduction has a fixed order.
     """
     algo = config.algorithm.lower()
     horizon = config.horizon
     m, n, dim = problem.m, problem.n, problem.dim
-    lipschitz = objectives.lipschitz_constant(problem.datasets, problem.kind)
+    kind, reg = problem.kind, problem.regularizer
+    lipschitz = objectives.lipschitz_constant(problem.datasets, kind)
     gamma = None
     if horizon > 0:
         gamma = config.step.resolve(lipschitz, n, horizon, config.enforce_step_bound)
     if algo == "dgm" and config.step.rule != "constant":
         raise ValueError("the subgradient baseline decays its own step; use a constant rule")
 
-    x0 = np.full(dim, float(config.x0))
-    states = [AgentState(x0.copy(), x0.copy(), x0.copy()) for _ in range(m)]
+    features, labels, _ = objectives.packed_arrays(problem.datasets)
+    agent_features = features.reshape(m, n, dim)
+    agent_labels = labels.reshape(m, n)
+    x = np.full((m, dim), float(config.x0))
 
     sigma_star = None
     if config.record_sigma_star:
         if problem.x_star is None:
             raise ValueError("sigma_star recording needs the reference solution point")
-        sigma_star = metrics_mod.shuffling_variance(
-            problem.datasets, problem.kind, problem.x_star
-        )
+        sigma_star = metrics_mod.shuffling_variance(problem.datasets, kind, problem.x_star)
 
     cadence = config.cadence if config.cadence is not None else default_cadence(horizon)
     designated = problem.schedule.matrix(0)  # fixed matrix keeps rows comparable
-    cursor = ScheduleCursor(problem.schedule, config.steps_mode)
     samplers = None
     if algo != "dgm":
         mode = _SAMPLER_FOR[algo]
@@ -324,30 +346,27 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
         ]
 
     trace = RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={}, gamma=gamma,
-                     x_final=np.stack([s.x for s in states]))
+                     x_final=x.copy())
 
-    def record(epoch: int, stacked: np.ndarray, x_bar: np.ndarray,
+    def objective(point: np.ndarray) -> float:
+        value, _ = objectives.packed_smooth_value_grad(features, labels, m, kind, point)
+        return value + reg.value(point)
+
+    def record(epoch: int, state: np.ndarray, x_bar: np.ndarray,
                x_hat: np.ndarray | None, v_value: float | None) -> None:
-        f_bar = objectives.full_objective(
-            problem.datasets, problem.regularizer, problem.kind, x_bar
-        )
-        f_hat = None
+        f_hat = None if x_hat is None else objective(x_hat)
         subopt = None
-        if x_hat is not None:
-            f_hat = objectives.full_objective(
-                problem.datasets, problem.regularizer, problem.kind, x_hat
-            )
-            if problem.f_star is not None:
-                subopt = f_hat - problem.f_star
+        if f_hat is not None and problem.f_star is not None:
+            subopt = f_hat - problem.f_star
         trace.rows.append(
             metrics_mod.EpochMetrics(
                 epoch=epoch,
-                f_bar=f_bar,
+                f_bar=objective(x_bar),
                 f_hat=f_hat,
                 suboptimality=subopt,
-                disagreement=metrics_mod.consensus_quantity(stacked, designated),
+                disagreement=metrics_mod.consensus_quantity(state, designated),
                 max_consensus_dist=float(
-                    np.linalg.norm(stacked - x_bar[None, :], axis=1).max()
+                    np.linalg.norm(state - x_bar[None, :], axis=1).max()
                 ),
                 sigma_star_sq=sigma_star,
                 forward_deviation=v_value,
@@ -357,34 +376,32 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
         if x_hat is not None:
             trace.x_hat[epoch] = x_hat.copy()
         if config.store_snapshots:
-            trace.snapshots[epoch] = stacked.copy()
+            trace.snapshots[epoch] = state.copy()
 
-    stacked = np.stack([s.x for s in states])
-    record(0, stacked, stacked.mean(axis=0), None, None)
+    record(0, x, x.mean(axis=0), None, None)
 
     x_hat_sum = np.zeros(dim)
     for t in range(horizon):
+        inner_avgs = None
         if algo == "dgm":
-            gamma_t = gamma / math.sqrt(t + 1.0)
-            run_epoch_dgm(
-                states, problem.datasets, problem.kind, problem.regularizer,
-                gamma_t, problem.schedule.matrix(t), t,
+            x = run_epoch_dgm(
+                x, agent_features, agent_labels, kind, reg,
+                gamma / math.sqrt(t + 1.0), problem.schedule.matrix(t).weights, t,
             )
-            inner_avgs = None
         else:
-            inner_avgs = run_epoch_dpgrr(
-                states, problem.datasets, problem.kind, problem.regularizer,
-                gamma, cursor, samplers, t, record_inner=config.record_v,
+            weights = consensus_weights_for_epoch(problem.schedule, t, config.steps_mode)
+            x, inner_avgs = run_epoch_dpgrr(
+                x, agent_features, agent_labels, kind, reg, gamma,
+                weights.weights, samplers, t, record_inner=config.record_v,
             )
-        stacked = np.stack([s.x for s in states])
-        x_bar = stacked.mean(axis=0)
+        x_bar = x.mean(axis=0)
         x_hat_sum += x_bar
         epoch = t + 1
         if epoch % cadence == 0 or epoch == horizon:
             v_value = None
-            if config.record_v and inner_avgs is not None:
+            if inner_avgs is not None:
                 v_value = metrics_mod.forward_deviation(inner_avgs, x_bar)
-            record(epoch, stacked, x_bar, x_hat_sum / epoch, v_value)
+            record(epoch, x, x_bar, x_hat_sum / epoch, v_value)
 
-    trace.x_final = np.stack([s.x for s in states])
+    trace.x_final = x.copy()
     return trace

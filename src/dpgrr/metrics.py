@@ -50,16 +50,20 @@ def consensus_quantity(xs, matrix: MixingMatrix | np.ndarray) -> float:
     Evaluated through the symmetric rearrangement
     ``(1/2) sum_ij a_ij ||x_i - x_j||^2`` (identical for the symmetric
     weights required here), which stays accurate near consensus where the
-    inner-product form cancels catastrophically.
+    inner-product form cancels catastrophically.  Only the nonzero
+    off-diagonal weights contribute, so the cost is O(|E| d).
     """
     weights = matrix.weights if isinstance(matrix, MixingMatrix) else np.asarray(matrix)
-    stacked = np.stack([np.asarray(x, dtype=float) for x in xs])
+    stacked = np.asarray(xs, dtype=float)
     if weights.shape[0] != weights.shape[1] or weights.shape[0] != stacked.shape[0]:
         raise DimensionMismatch(
             f"{stacked.shape[0]} vectors vs {weights.shape[0]}x{weights.shape[1]} weights"
         )
-    diff = stacked[:, None, :] - stacked[None, :, :]
-    return 0.5 * float(np.sum(weights * np.sum(diff * diff, axis=2)))
+    off = weights.copy()
+    np.fill_diagonal(off, 0.0)
+    i, j = np.nonzero(off)
+    diff = stacked[i] - stacked[j]
+    return 0.5 * float(np.sum(off[i, j] * np.sum(diff * diff, axis=1)))
 
 
 def shuffling_variance(

@@ -21,11 +21,9 @@ __all__ = [
     "MixingMatrix",
     "metropolis_weights",
     "GraphSchedule",
-    "edge_dropout_schedule",
     "StepsMode",
     "ConsensusWeights",
     "consensus_weights_for_epoch",
-    "ScheduleCursor",
     "WindowCheck",
     "ValidationReport",
     "validate_schedule",
@@ -243,72 +241,13 @@ def consensus_weights_for_epoch(
 ) -> ConsensusWeights:
     """Mixing coefficients for epoch ``t``: the product over its step block.
 
-    Pure function of (schedule, t, mode); the running-cursor variant in
-    ``ScheduleCursor`` must agree with it.
+    Pure function of (schedule, t, mode), so any epoch can be replayed.
     """
     if t < 0:
         raise ValueError("epoch must be >= 0")
     start = steps_mode.steps_before_epoch(t)
     count = steps_mode.factors_for_epoch(t)
     return ConsensusWeights(schedule.transition_product(start, count))
-
-
-class ScheduleCursor:
-    """Epoch-by-epoch consumer of a schedule's communication steps.
-
-    Keeps the consumed-step counter as running state instead of
-    recomputing it, so the engine cannot drift off the schedule by one.
-    """
-
-    def __init__(self, schedule: GraphSchedule, steps_mode: StepsMode):
-        self.schedule = schedule
-        self.steps_mode = steps_mode
-        self._next_epoch = 0
-        self._steps_consumed = 0
-
-    @property
-    def steps_consumed(self) -> int:
-        return self._steps_consumed
-
-    def weights_for_epoch(self, t: int) -> ConsensusWeights:
-        if t != self._next_epoch:
-            raise ValueError(
-                f"cursor is at epoch {self._next_epoch}, cannot serve epoch {t}"
-            )
-        count = self.steps_mode.factors_for_epoch(t)
-        product = self.schedule.transition_product(self._steps_consumed, count)
-        self._steps_consumed += count
-        self._next_epoch += 1
-        return ConsensusWeights(product)
-
-
-def edge_dropout_schedule(
-    edges,
-    m: int,
-    eta: float,
-    window: int,
-    drop_prob: float,
-    period: int,
-    seed: int,
-) -> GraphSchedule:
-    """Periodic schedule obtained by randomly dropping edges of a base graph.
-
-    Each of the ``period`` slots keeps every base edge independently with
-    probability ``1 - drop_prob`` (seeded, so the schedule is a pure
-    function of its arguments).  The result is not guaranteed to satisfy
-    the ``window`` connectivity claim; run ``validate_schedule`` on it.
-    """
-    if not 0.0 <= drop_prob < 1.0:
-        raise ValueError("drop probability must lie in [0, 1)")
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    base = sorted({(min(i, j), max(i, j)) for i, j in edges})
-    rng = np.random.default_rng(seed)
-    matrices = []
-    for _ in range(period):
-        kept = [e for e in base if rng.random() >= drop_prob]
-        matrices.append(metropolis_weights(kept, m, eta))
-    return GraphSchedule(tuple(matrices), window)
 
 
 def _union_connected(edge_sets: list[set[tuple[int, int]]], m: int) -> bool:

@@ -26,6 +26,7 @@ __all__ = [
     "Sample",
     "LocalDataset",
     "sample_value_grad",
+    "loss_derivative",
     "batch_smooth_value_grad",
     "full_objective",
     "lipschitz_constant",
@@ -179,6 +180,18 @@ def _sigmoid_vec(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def loss_derivative(
+    kind: SmoothLossKind, z: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Derivative of each sample's loss in its inner product ``z = <a, x>``.
+
+    A sample's gradient is this coefficient times its feature vector.
+    """
+    if kind is SmoothLossKind.LOGISTIC:
+        return -labels * _sigmoid_vec(-(labels * z))
+    return z - labels
+
+
 def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray, int]:
     """Dense (features, labels, agent count) stack for repeated batch evaluation."""
     return _pack(tuple(datasets))
@@ -195,14 +208,11 @@ def packed_smooth_value_grad(
         )
     z = features @ x
     if kind is SmoothLossKind.LOGISTIC:
-        margins = labels * z
-        value = float(np.sum(np.logaddexp(0.0, -margins))) / m
-        coef = -labels * _sigmoid_vec(-margins) / m
+        value = float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
     else:
         r = z - labels
         value = 0.5 * float(np.dot(r, r)) / m
-        coef = r / m
-    return value, features.T @ coef
+    return value, features.T @ (loss_derivative(kind, z, labels) / m)
 
 
 def batch_smooth_value_grad(

@@ -2,9 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import dpgrr.cli
 from dpgrr.cli import CSV_HEADER, main
 from dpgrr.config import config_hash, load_config, problem_hash
+from dpgrr.reference import ReferenceSolution
 
 TOY_DATA = "3 1:1\n"
 
@@ -149,6 +152,48 @@ def test_run_rejects_invalid_config_before_running(tmp_path):
     cfg = write_synth(tmp_path, scale=", scale: 1.0e6")
     assert main(["run", "--config", str(cfg), "-q"]) == 1
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_unenforced_step_bound_only_warns(tmp_path, capsys):
+    cfg = write_synth(
+        tmp_path, scale=", scale: 1.0e6", extra="enforce_step_bound: false\n"
+    )
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "warning: step-size bound" in capsys.readouterr().err
+    with pytest.warns(UserWarning, match="exceeds admissible bound"):
+        assert main(["run", "--config", str(cfg), "-q"]) == 0
+    assert "warning: step-size bound" in capsys.readouterr().err
+    assert (tmp_path / "out" / "dpg_rr_metrics.csv").exists()
+
+
+def test_computed_f_star_provenance(tmp_path):
+    cfg = write_synth(tmp_path)
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"] == "computed(tol=1e-10)"
+    oracle = manifest["F_star_oracle"]
+    assert oracle["converged"] is True
+    assert oracle["mapping_norm"] <= 1e-10 and oracle["iterations"] > 0
+
+
+def test_unconverged_f_star_is_best_effort(tmp_path, monkeypatch, capsys):
+    def unconverged(datasets, reg, kind, tol):
+        return ReferenceSolution(
+            x_star=np.zeros(3), f_star=0.5, mapping_norm=1e-3, iterations=7,
+            converged=False,
+        )
+
+    monkeypatch.setattr(dpgrr.cli, "solve_centralized", unconverged)
+    cfg = write_synth(tmp_path)
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    assert "did not reach tol" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"].startswith("computed")
+    assert "best-effort" in manifest["F_star_source"]
+    assert manifest["F_star"] == 0.5
+    assert manifest["F_star_oracle"] == {
+        "converged": False, "mapping_norm": 1e-3, "iterations": 7,
+    }
 
 
 def test_oracle_toy_exact_zero(tmp_path, capsys):

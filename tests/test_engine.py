@@ -14,16 +14,23 @@ from dpgrr.engine import (
     run,
     step_scale_bound,
 )
-from dpgrr.netgraph import GraphSchedule, StepsMode, metropolis_weights
+from dpgrr.netgraph import (
+    GraphSchedule,
+    StepsMode,
+    consensus_weights_for_epoch,
+    metropolis_weights,
+)
 from dpgrr.objectives import (
     LocalDataset,
     Sample,
     SmoothLossKind,
     full_objective,
     lipschitz_constant,
+    sample_value_grad,
 )
-from dpgrr.proxops import Regularizer, subgradient
+from dpgrr.proxops import Regularizer, prox, subgradient
 from dpgrr.reference import solve_centralized
+from dpgrr.sampling import Mode, SamplingSchedule, epoch_indices
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -210,6 +217,27 @@ def test_nonfinite_iterate_reports_context():
     assert "agent 0" in str(err.value)
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_report_follows_serial_agent_order():
+    # agent 1 overflows at inner step 0, agent 0 only at step 1; agent 0's
+    # pass comes first in serial order, so it is the one reported
+    problem = ProblemBundle(
+        datasets=(
+            ls_dataset([([1.0], 0.0)] * 2, 1, agent=0),
+            ls_dataset([([1e200], 0.0)] * 2, 1, agent=1),
+        ),
+        dim=1,
+        kind=LS,
+        regularizer=Regularizer.zero(),
+        schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
+    )
+    cfg = RunConfig("dpg-rr", 1, StepRule.constant(1e200), x0=1.0)
+    with pytest.raises(NonFiniteIterate) as err:
+        run(cfg, problem)
+    assert (err.value.agent, err.value.epoch) == (0, 0)
+    assert (err.value.phase, err.value.inner_step) == ("inner", 1)
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         RunConfig("dpg-xx", 1, StepRule.constant(0.1))
@@ -315,3 +343,71 @@ def test_sigma_star_needs_reference_point(canonical_problem):
     cfg = RunConfig("dpg-rr", 1, StepRule.sqrt_horizon(), record_sigma_star=True)
     with pytest.raises(ValueError):
         run(cfg, stripped)
+
+
+# -- serial reference ----------------------------------------------------------
+
+_MODES = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
+
+
+def serial_reference(cfg, problem):
+    """Per-agent, per-sample loop over lists of vectors: epoch -> (snapshot, V_t)."""
+    m, n, kind, reg = problem.m, problem.n, problem.kind, problem.regularizer
+    gamma = cfg.step.gamma
+    xs = [np.full(problem.dim, cfg.x0) for _ in range(m)]
+    out = {0: (np.stack(xs), None)}
+    for t in range(cfg.horizon):
+        v_t = None
+        if cfg.algorithm == "dgm":
+            w = problem.schedule.matrix(t).weights
+            mixed = [sum(w[j, k] * xs[k] for k in range(m)) for j in range(m)]
+            xs = []
+            for v, ds in zip(mixed, problem.datasets):
+                g = subgradient(reg, v)
+                for sample in ds.samples:
+                    g = g + sample_value_grad(kind, sample, v)[1]
+                xs.append(v - gamma / math.sqrt(t + 1.0) * g)
+        else:
+            inner_avg, local = np.zeros((n, problem.dim)), []
+            for j, ds in enumerate(problem.datasets):
+                x = xs[j].copy()
+                sampler = SamplingSchedule(_MODES[cfg.algorithm], n, cfg.seed, j)
+                for i, idx in enumerate(epoch_indices(sampler, t)):
+                    inner_avg[i] += x / m
+                    x = x - gamma * sample_value_grad(kind, ds.samples[idx], x)[1]
+                local.append(x)
+            w = consensus_weights_for_epoch(problem.schedule, t, cfg.steps_mode).weights
+            xs = [prox(reg, gamma, sum(w[j, k] * local[k] for k in range(m))) for j in range(m)]
+            v_t = float(np.sum((inner_avg - np.mean(xs, axis=0)) ** 2))
+        out[t + 1] = (np.stack(xs), v_t)
+    return out
+
+
+@pytest.mark.parametrize("algo", ["dpg-rr", "dpg-sg", "dpg-ig", "dgm"])
+def test_engine_matches_serial_reference(canonical_problem, algo):
+    p = canonical_problem
+    cfg = RunConfig(algo, 12, StepRule.constant(0.05), seed=9, store_snapshots=True,
+                    record_v=True)
+    trace = run(cfg, p)
+    want = serial_reference(cfg, p)
+    w = p.schedule.matrix(0).weights
+    x_hat_sum = np.zeros(p.dim)
+    for row in trace.rows:
+        snap, v_t = want[row.epoch]
+        assert np.abs(trace.snapshots[row.epoch] - snap).max() <= 1e-12
+        x_bar = snap.mean(axis=0)
+        x_hat_sum += x_bar if row.epoch else 0.0
+        assert row.f_bar == pytest.approx(
+            full_objective(p.datasets, p.regularizer, p.kind, x_bar), abs=1e-12)
+        if row.epoch:
+            f_hat = full_objective(p.datasets, p.regularizer, p.kind, x_hat_sum / row.epoch)
+            assert row.f_hat == pytest.approx(f_hat, abs=1e-12)
+        energy = 0.5 * sum(w[i, j] * np.sum((snap[i] - snap[j]) ** 2)
+                           for i in range(p.m) for j in range(p.m))
+        assert row.disagreement == pytest.approx(energy, abs=1e-12)
+        dist = max(np.linalg.norm(x - x_bar) for x in snap)
+        assert row.max_consensus_dist == pytest.approx(dist, abs=1e-12)
+        if v_t is None:
+            assert row.forward_deviation is None
+        else:
+            assert row.forward_deviation == pytest.approx(v_t, abs=1e-12)

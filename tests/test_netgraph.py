@@ -11,10 +11,8 @@ from dpgrr.netgraph import (
     EtaViolation,
     GraphSchedule,
     MixingMatrix,
-    ScheduleCursor,
     StepsMode,
     consensus_weights_for_epoch,
-    edge_dropout_schedule,
     metropolis_weights,
     validate_schedule,
 )
@@ -168,25 +166,15 @@ def test_growing_mode_offsets_walk_the_period():
     assert StepsMode.fixed(4).steps_before_epoch(3) == 12
 
 
-def test_cursor_agrees_with_pure_function():
-    rng = np.random.default_rng(1)
-    mats = tuple(random_connected_matrix(rng, 5) for _ in range(3))
-    sched = GraphSchedule(mats, 2)
+def test_steps_mode_offsets_do_not_drift():
+    # each epoch starts where the previous one stopped: the closed-form
+    # offsets never skip or repeat a communication step
     for mode in (StepsMode.growing(), StepsMode.fixed(3)):
-        cursor = ScheduleCursor(sched, mode)
-        for t in range(8):
-            a = cursor.weights_for_epoch(t).weights
-            b = consensus_weights_for_epoch(sched, t, mode).weights
-            assert np.array_equal(a, b)
-        assert cursor.steps_consumed == mode.steps_before_epoch(8)
-
-
-def test_cursor_rejects_out_of_order_epochs():
-    sched = GraphSchedule((ring_matrix(3),), 1)
-    cursor = ScheduleCursor(sched, StepsMode.growing())
-    cursor.weights_for_epoch(0)
-    with pytest.raises(ValueError):
-        cursor.weights_for_epoch(2)
+        assert mode.steps_before_epoch(0) == 0
+        for t in range(50):
+            assert mode.steps_before_epoch(t + 1) == (
+                mode.steps_before_epoch(t) + mode.factors_for_epoch(t)
+            )
 
 
 def test_memoized_product_matches_naive():
@@ -231,24 +219,3 @@ def test_uniformity_gap_shrinks_with_more_factors():
 def test_consensus_weights_reject_bad_rows():
     with pytest.raises(ValueError):
         ConsensusWeights(np.array([[0.5, 0.6], [0.5, 0.4]]))
-
-
-def test_edge_dropout_schedule_is_seeded_and_validatable():
-    base = {(i, j) for i in range(5) for j in range(i + 1, 5)}
-    a = edge_dropout_schedule(base, 5, 0.02, window=2, drop_prob=0.3, period=4, seed=8)
-    b = edge_dropout_schedule(base, 5, 0.02, window=2, drop_prob=0.3, period=4, seed=8)
-    for ma, mb in zip(a.matrices, b.matrices):
-        assert np.array_equal(ma.weights, mb.weights)
-    c = edge_dropout_schedule(base, 5, 0.02, window=2, drop_prob=0.3, period=4, seed=9)
-    assert any(
-        not np.array_equal(ma.weights, mc.weights)
-        for ma, mc in zip(a.matrices, c.matrices)
-    )
-    # some edges really were dropped, and none invented
-    for mat in a.matrices:
-        assert mat.edges() <= base
-    assert any(mat.edges() < base for mat in a.matrices)
-    no_drop = edge_dropout_schedule(base, 5, 0.02, window=1, drop_prob=0.0, period=2, seed=1)
-    assert validate_schedule(no_drop).passed
-    with pytest.raises(ValueError):
-        edge_dropout_schedule(base, 5, 0.02, window=1, drop_prob=1.0, period=1, seed=0)
