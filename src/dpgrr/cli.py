@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +35,7 @@ from .engine import (
     RunConfig,
     RunTrace,
     StepBoundViolation,
+    StepBoundWarning,
     run,
     step_scale_bound,
 )
@@ -169,15 +171,7 @@ def cmd_run(args) -> int:
     f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(
         cfg, problem, need_x_star=cfg.diagnostics.record_sigma_star
     )
-    problem = ProblemBundle(
-        datasets=problem.datasets,
-        dim=problem.dim,
-        kind=problem.kind,
-        regularizer=problem.regularizer,
-        schedule=problem.schedule,
-        f_star=f_star,
-        x_star=x_star,
-    )
+    problem = dataclasses.replace(problem, f_star=f_star, x_star=x_star)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     multi_seed = len(cfg.seeds) > 1
@@ -197,7 +191,10 @@ def cmd_run(args) -> int:
                     enforce_step_bound=cfg.enforce_step_bound,
                     x0=cfg.x0,
                 )
-                trace = run(run_cfg, problem)
+                with warnings.catch_warnings():
+                    # `_validate` has already reported an unenforced bound
+                    warnings.simplefilter("ignore", StepBoundWarning)
+                    trace = run(run_cfg, problem)
                 name = _csv_name(algo.name, seed, multi_seed)
                 write_metrics_csv(out_dir / name, trace)
                 files[f"{algo.name}/seed{seed}"] = name

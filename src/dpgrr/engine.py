@@ -40,6 +40,7 @@ __all__ = [
     "ALGORITHMS",
     "NonFiniteIterate",
     "StepBoundViolation",
+    "StepBoundWarning",
     "step_scale_bound",
     "StepRule",
     "ProblemBundle",
@@ -72,6 +73,10 @@ class NonFiniteIterate(FloatingPointError):
 
 class StepBoundViolation(ValueError):
     """The 1/sqrt(T) rule's scale exceeds its admissible bound."""
+
+
+class StepBoundWarning(UserWarning):
+    """An unenforced 1/sqrt(T) scale exceeds its admissible bound."""
 
 
 def step_scale_bound(lipschitz: float, n: int) -> float:
@@ -124,7 +129,7 @@ class StepRule:
         if violation is not None:
             if enforce_bound:
                 raise StepBoundViolation(violation)
-            warnings.warn(violation, stacklevel=2)
+            warnings.warn(violation, StepBoundWarning, stacklevel=2)
         scale = step_scale_bound(lipschitz, n) if self.scale is None else self.scale
         return scale / math.sqrt(horizon)
 

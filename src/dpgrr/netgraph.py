@@ -165,14 +165,15 @@ class GraphSchedule:
 
     ``window`` declares that the union graph of any ``window`` consecutive
     matrices must be connected; ``validate_schedule`` checks the claim.
-    Immutable after construction and safe to share across threads: block
-    products are memoized on (start phase, length), which is a pure
-    function of the periodic sequence.
+    Immutable after construction and safe to share across threads: only
+    blocks of ``2**k`` factors are memoized, on (start phase, k), and a
+    product of any length chains the blocks of its length's set bits, so
+    a ``T``-epoch run caches at most ``period * (floor(log2 T) + 1)``.
     """
 
     matrices: tuple[MixingMatrix, ...]
     window: int
-    _products: dict = field(default_factory=dict, repr=False, compare=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -200,22 +201,26 @@ class GraphSchedule:
         """Product of ``count`` matrices from step ``start``, latest on the left."""
         if count < 1:
             raise ValueError("need at least one factor")
-        return self._block(start % self.period, count)
+        phase, product = start % self.period, None
+        for k in range(count.bit_length()):
+            if count >> k & 1:
+                block = self._block(phase, k)
+                product = block if product is None else block @ product
+                phase = (phase + (1 << k)) % self.period
+        return product
 
-    def _block(self, phase: int, count: int) -> np.ndarray:
-        key = (phase, count)
-        cached = self._products.get(key)
+    def _block(self, phase: int, k: int) -> np.ndarray:
+        """Product of the ``2**k`` matrices from ``phase``, memoized."""
+        cached = self._products.get((phase, k))
         if cached is not None:
             return cached
-        if count == 1:
+        if k == 0:
             result = self.matrices[phase].weights
         else:
-            half = count // 2
-            low = self._block(phase, half)
-            high = self._block((phase + half) % self.period, count - half)
-            result = high @ low
+            mid = (phase + (1 << (k - 1))) % self.period
+            result = self._block(mid, k - 1) @ self._block(phase, k - 1)
         result.setflags(write=False)
-        self._products[key] = result
+        self._products[phase, k] = result
         return result
 
 

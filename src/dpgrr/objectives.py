@@ -153,7 +153,8 @@ def sample_value_grad(
     return value, grad
 
 
-def _pack(datasets: tuple[LocalDataset, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense (features, labels, agent count) stack for repeated batch evaluation."""
     if not datasets:
         raise EmptyData("no datasets")
     dim = datasets[0].dim
@@ -172,12 +173,9 @@ def _pack(datasets: tuple[LocalDataset, ...]) -> tuple[np.ndarray, np.ndarray, i
 
 
 def _sigmoid_vec(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # the two branches of ``_sigmoid`` in one pass: exp(-|u|) never overflows
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def loss_derivative(
@@ -190,11 +188,6 @@ def loss_derivative(
     if kind is SmoothLossKind.LOGISTIC:
         return -labels * _sigmoid_vec(-(labels * z))
     return z - labels
-
-
-def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense (features, labels, agent count) stack for repeated batch evaluation."""
-    return _pack(tuple(datasets))
 
 
 def packed_smooth_value_grad(
@@ -219,7 +212,7 @@ def batch_smooth_value_grad(
     datasets: tuple[LocalDataset, ...], kind: SmoothLossKind, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the smooth part ``(1/m) sum_j sum_i loss_{j,i}``."""
-    features, labels, m = _pack(tuple(datasets))
+    features, labels, m = packed_arrays(datasets)
     return packed_smooth_value_grad(features, labels, m, kind, x)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .objectives import (
     SmoothLossKind,
-    full_objective,
     lipschitz_constant,
     packed_arrays,
     packed_smooth_value_grad,
@@ -85,9 +84,10 @@ def solve_centralized(
             break
         x = forward
         iterations += 1
+    value, _ = packed_smooth_value_grad(features, labels, m, kind, x)
     return ReferenceSolution(
         x_star=x,
-        f_star=full_objective(datasets, reg, kind, x),
+        f_star=value + reg.value(x),
         mapping_norm=mapping_norm,
         iterations=iterations,
         converged=mapping_norm <= tol,

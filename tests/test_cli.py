@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,14 @@ def test_unenforced_step_bound_only_warns(tmp_path, capsys):
     )
     assert main(["validate", "--config", str(cfg)]) == 0
     assert "warning: step-size bound" in capsys.readouterr().err
-    with pytest.warns(UserWarning, match="exceeds admissible bound"):
+    # `run` reports the violation once: its stderr line, no engine warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--config", str(cfg), "-q"]) == 0
-    assert "warning: step-size bound" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("exceeds admissible bound") == 1
+    assert "warning: step-size bound" in err
     assert (tmp_path / "out" / "dpg_rr_metrics.csv").exists()
 
 

@@ -181,12 +181,32 @@ def test_memoized_product_matches_naive():
     rng = np.random.default_rng(2)
     mats = tuple(random_connected_matrix(rng, 6) for _ in range(3))
     sched = GraphSchedule(mats, 1)
-    for start, count in [(0, 1), (1, 2), (2, 7), (5, 13), (0, 40)]:
+    cases = [(0, 1), (1, 2), (2, 7), (5, 13), (0, 40)]
+    # a start in every phase, lengths on both sides of powers of two
+    cases += [(start, count) for start in (3, 7, 11)
+              for count in (1, 2, 3, 7, 8, 9, 63, 64, 65, 1000)]
+    for start, count in cases:
         got = sched.transition_product(start, count)
         naive = mats[start % 3].weights
         for k in range(start + 1, start + count):
             naive = mats[k % 3].weights @ naive
         assert np.allclose(got, naive, atol=1e-12)
+
+
+def test_product_memo_is_logarithmic_in_horizon():
+    rng = np.random.default_rng(3)
+    sched = GraphSchedule(tuple(random_connected_matrix(rng, 4) for _ in range(3)), 1)
+    mode = StepsMode.growing()
+    for t in range(2000):
+        consensus_weights_for_epoch(sched, t, mode)
+    # period 3 times floor(log2 2000) + 1 = 11 block lengths
+    assert len(sched._products) <= 3 * 11
+
+
+def test_product_memo_is_not_a_constructor_argument():
+    mat = ring_matrix(4)
+    with pytest.raises(TypeError):
+        GraphSchedule((mat,), 1, {})
 
 
 @settings(max_examples=40, deadline=None)

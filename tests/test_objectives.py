@@ -16,6 +16,7 @@ from dpgrr.objectives import (
     full_objective,
     gradient_bound,
     lipschitz_constant,
+    loss_derivative,
     sample_value_grad,
 )
 from dpgrr.proxops import Regularizer
@@ -108,6 +109,18 @@ def test_batch_matches_sample_sum():
         ) / m
         assert value == pytest.approx(want_v, rel=1e-12)
         assert np.allclose(grad, want_g, atol=1e-12)
+
+
+def test_loss_derivative_matches_scalar_form_at_extreme_margins():
+    # the vectorized logistic derivative must neither overflow nor lose
+    # the tails that the scalar two-branch sigmoid keeps
+    margins = np.array([40.0, -40.0, 700.0, -700.0, 745.0, -745.0])
+    for label in (1.0, -1.0):
+        labels = np.full(margins.size, label)
+        got = loss_derivative(LOG, label * margins, labels)
+        for z, coef in zip(label * margins, got):
+            _, grad = sample_value_grad(LOG, s([1.0], label), np.array([z]))
+            assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
 
 
 def central_difference(kind, sample, x, h=1e-6):
