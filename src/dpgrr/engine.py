@@ -354,8 +354,8 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
                      x_final=x.copy())
 
     def objective(point: np.ndarray) -> float:
-        value, _ = objectives.packed_smooth_value_grad(features, labels, m, kind, point)
-        return value + reg.value(point)
+        smooth = objectives.packed_smooth_value(features, labels, m, kind, point)
+        return smooth + reg.value(point)
 
     def record(epoch: int, state: np.ndarray, x_bar: np.ndarray,
                x_hat: np.ndarray | None, v_value: float | None) -> None:

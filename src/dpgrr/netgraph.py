@@ -40,12 +40,13 @@ class EtaViolation(ValueError):
     """A positive mixing weight fell below the configured floor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Dense symmetric doubly stochastic weight matrix with floor ``eta``.
 
     Construction does not validate; ``issues`` reports violations so that
-    schedule validation can collect them instead of aborting.
+    schedule validation can collect them instead of aborting.  Compares
+    and hashes by value: equal ``eta`` and equal (read-only) weights.
     """
 
     weights: np.ndarray
@@ -58,6 +59,15 @@ class MixingMatrix:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MixingMatrix):
+            return NotImplemented
+        return self.eta == other.eta and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal
+        return hash((self.eta, self.weights.shape, (self.weights + 0.0).tobytes()))
 
     @property
     def size(self) -> int:

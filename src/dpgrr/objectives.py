@@ -190,22 +190,32 @@ def loss_derivative(
     return z - labels
 
 
-def packed_smooth_value_grad(
-    features: np.ndarray, labels: np.ndarray, m: int, kind: SmoothLossKind, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Like ``batch_smooth_value_grad`` but against pre-packed arrays."""
+def _checked_point(features: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size != features.shape[1]:
         raise DimensionMismatch(
             f"x has size {x.size}, data dimension is {features.shape[1]}"
         )
-    z = features @ x
+    return x
+
+
+def packed_smooth_grad(
+    features: np.ndarray, labels: np.ndarray, m: int, kind: SmoothLossKind, x: np.ndarray
+) -> np.ndarray:
+    """Gradient of the smooth part against pre-packed arrays, without its value."""
+    z = features @ _checked_point(features, x)
+    return features.T @ (loss_derivative(kind, z, labels) / m)
+
+
+def packed_smooth_value(
+    features: np.ndarray, labels: np.ndarray, m: int, kind: SmoothLossKind, x: np.ndarray
+) -> float:
+    """Value of the smooth part against pre-packed arrays, without its gradient."""
+    z = features @ _checked_point(features, x)
     if kind is SmoothLossKind.LOGISTIC:
-        value = float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
-    else:
-        r = z - labels
-        value = 0.5 * float(np.dot(r, r)) / m
-    return value, features.T @ (loss_derivative(kind, z, labels) / m)
+        return float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
+    r = z - labels
+    return 0.5 * float(np.dot(r, r)) / m
 
 
 def batch_smooth_value_grad(
@@ -213,7 +223,10 @@ def batch_smooth_value_grad(
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the smooth part ``(1/m) sum_j sum_i loss_{j,i}``."""
     features, labels, m = packed_arrays(datasets)
-    return packed_smooth_value_grad(features, labels, m, kind, x)
+    return (
+        packed_smooth_value(features, labels, m, kind, x),
+        packed_smooth_grad(features, labels, m, kind, x),
+    )
 
 
 def full_objective(
@@ -223,8 +236,8 @@ def full_objective(
     x: np.ndarray,
 ) -> float:
     """Smooth part plus penalty, with the 1/m (not 1/(m n)) scaling."""
-    value, _ = batch_smooth_value_grad(tuple(datasets), kind, x)
-    return value + reg.value(np.asarray(x, dtype=float))
+    features, labels, m = packed_arrays(tuple(datasets))
+    return packed_smooth_value(features, labels, m, kind, x) + reg.value(x)
 
 
 def _max_feature_norm(datasets: tuple[LocalDataset, ...]) -> float:

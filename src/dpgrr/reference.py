@@ -21,7 +21,8 @@ from .objectives import (
     SmoothLossKind,
     lipschitz_constant,
     packed_arrays,
-    packed_smooth_value_grad,
+    packed_smooth_grad,
+    packed_smooth_value,
     sample_value_grad,
 )
 from .proxops import Regularizer, prox
@@ -77,17 +78,16 @@ def solve_centralized(
     iterations = 0
     mapping_norm = math.inf
     for _ in range(max_iters + 1):
-        _, grad = packed_smooth_value_grad(features, labels, m, kind, x)
+        grad = packed_smooth_grad(features, labels, m, kind, x)
         forward = prox(reg, step, x - step * grad)
         mapping_norm = float(np.linalg.norm(x - forward)) / step
         if mapping_norm <= tol or iterations == max_iters:
             break
         x = forward
         iterations += 1
-    value, _ = packed_smooth_value_grad(features, labels, m, kind, x)
     return ReferenceSolution(
         x_star=x,
-        f_star=value + reg.value(x),
+        f_star=packed_smooth_value(features, labels, m, kind, x) + reg.value(x),
         mapping_norm=mapping_norm,
         iterations=iterations,
         converged=mapping_norm <= tol,

@@ -1,16 +1,16 @@
 """Per-agent index schedules: reshuffled, fixed-order, or with replacement.
 
-Index streams are counter-based: the generator for epoch ``t`` of agent
-``j`` is keyed directly by ``(seed, j, t)``, so any epoch can be replayed
-without generating its predecessors and agents can run in parallel
-without sharing RNG state.
+Index streams are counter-based: the stream for epoch ``t`` of agent
+``j`` is the Philox generator keyed by ``(seed, j)`` at counter
+``(0, 0, 0, t)``, so any epoch can be replayed without generating its
+predecessors and agents can run in parallel without sharing RNG state.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,31 +36,49 @@ def _stream(seed: int, agent: int, epoch: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SamplingSchedule:
-    """Deterministic index source for one agent."""
+    """Deterministic index source for one agent.
+
+    Holds one generator on the key ``(seed, agent)``; each draw rewinds it
+    to the epoch's counter, so no generator is built per draw.  That makes
+    drawing mutate the schedule's private state: one schedule must not be
+    drawn from by two threads at once.  The generator takes no part in
+    equality, hashing or repr.
+    """
 
     mode: Mode
     n: int
     seed: int
     agent: int = 0
     fixed_permutation: tuple[int, ...] | None = None
+    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _rewind_state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one local sample")
+        rng = _stream(self.seed, self.agent, 0)
+        object.__setattr__(self, "_rng", rng)
+        # the state of a fresh ``_stream(seed, agent, t)`` once counter[3] = t
+        object.__setattr__(self, "_rewind_state", rng.bit_generator.state)
         if self.mode is Mode.IG and self.fixed_permutation is None:
-            perm = _stream(self.seed, self.agent, 0).permutation(self.n)
+            perm = rng.permutation(self.n)
             object.__setattr__(self, "fixed_permutation", tuple(int(i) for i in perm))
 
 
 def epoch_indices(schedule: SamplingSchedule, t: int) -> np.ndarray:
-    """The n sample indices agent ``schedule.agent`` visits in epoch ``t``."""
+    """The n sample indices agent ``schedule.agent`` visits in epoch ``t``.
+
+    Equal to drawing from a fresh ``_stream(seed, agent, t)``.
+    """
     if t < 0:
         raise ValueError("epoch must be >= 0")
     if schedule.mode is Mode.IG:
         return np.array(schedule.fixed_permutation, dtype=np.int64)
-    rng = _stream(schedule.seed, schedule.agent, t)
+    rng, state = schedule._rng, schedule._rewind_state
+    state["state"]["counter"][3] = t
+    rng.bit_generator.state = state
     if schedule.mode is Mode.RR:
-        return rng.permutation(schedule.n).astype(np.int64)
+        return rng.permutation(schedule.n).astype(np.int64, copy=False)
     return rng.integers(0, schedule.n, size=schedule.n, dtype=np.int64)
 
 

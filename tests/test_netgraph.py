@@ -239,3 +239,22 @@ def test_uniformity_gap_shrinks_with_more_factors():
 def test_consensus_weights_reject_bad_rows():
     with pytest.raises(ValueError):
         ConsensusWeights(np.array([[0.5, 0.6], [0.5, 0.4]]))
+
+
+def test_mixing_matrices_compare_and_hash_by_value():
+    a = metropolis_weights([(0, 1), (1, 2)], 3, 0.1)
+    b = metropolis_weights([(0, 1), (1, 2)], 3, 0.1)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != MixingMatrix(a.weights, 0.2)
+    other = metropolis_weights([(0, 1), (0, 2)], 3, 0.1)
+    assert a != other
+    # -0.0 equals 0.0, so the hashes must agree too
+    signed = a.weights.copy()
+    signed[0, 2] = -0.0
+    assert MixingMatrix(signed, 0.1) == a
+    assert hash(MixingMatrix(signed, 0.1)) == hash(a)
+    assert GraphSchedule((a, other), 2) == GraphSchedule((b, other), 2)
+    assert hash(GraphSchedule((a, other), 2)) == hash(GraphSchedule((b, other), 2))
+    assert GraphSchedule((a, other), 2) != GraphSchedule((other, a), 2)

@@ -4,7 +4,15 @@ import pytest
 from conftest import single_sample_dataset
 from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
-from dpgrr.objectives import SmoothLossKind, full_objective
+from dpgrr.objectives import (
+    LocalDataset,
+    Sample,
+    SmoothLossKind,
+    full_objective,
+    lipschitz_constant,
+    loss_derivative,
+    packed_arrays,
+)
 from dpgrr.proxops import Regularizer, prox
 from dpgrr.reference import (
     centralized_prox_rr,
@@ -57,6 +65,64 @@ def test_gradient_mapping_certificate_holds(canonical_problem):
         canonical_problem.regularizer, step, sol.x_star - step * grad
     )
     assert np.linalg.norm(sol.x_star - forward) / step <= 1e-10
+
+
+def _value_and_gradient_solve(datasets, reg, kind, tol, max_iters):
+    """The solver as a loop that takes the loss value with every gradient."""
+    features, labels, m = packed_arrays(datasets)
+    step = 1.0 / (datasets[0].n * lipschitz_constant(datasets, kind))
+
+    def value_grad(x):
+        z = features @ x
+        if kind is LOG:
+            value = float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
+        else:
+            r = z - labels
+            value = 0.5 * float(np.dot(r, r)) / m
+        return value, features.T @ (loss_derivative(kind, z, labels) / m)
+
+    x = np.zeros(datasets[0].dim)
+    iterations = 0
+    mapping_norm = float("inf")
+    for _ in range(max_iters + 1):
+        _, grad = value_grad(x)
+        forward = prox(reg, step, x - step * grad)
+        mapping_norm = float(np.linalg.norm(x - forward)) / step
+        if mapping_norm <= tol or iterations == max_iters:
+            break
+        x = forward
+        iterations += 1
+    value, _ = value_grad(x)
+    return x, value + reg.value(x), mapping_norm, iterations
+
+
+@pytest.mark.parametrize("kind", [LOG, LS])
+@pytest.mark.parametrize(
+    "reg", [Regularizer.zero(), Regularizer.l1(0.05), Regularizer.squared_l2(0.1)],
+    ids=["zero", "l1", "squared_l2"],
+)
+def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
+    rng = np.random.default_rng(11)
+    dim = 6
+    datasets = []
+    for agent in range(3):
+        samples = []
+        for _ in range(4):
+            idx = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+            label = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
+            samples.append(Sample(idx, rng.normal(size=idx.size), label))
+        datasets.append(LocalDataset(agent, tuple(samples), dim))
+    datasets = tuple(datasets)
+    for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
+        sol = solve_centralized(datasets, reg, kind, tol=tol, max_iters=max_iters)
+        x, f, mapping_norm, iterations = _value_and_gradient_solve(
+            datasets, reg, kind, tol, max_iters
+        )
+        assert np.array_equal(sol.x_star, x)
+        assert sol.iterations == iterations
+        assert sol.mapping_norm == mapping_norm
+        assert sol.f_star == f
+        assert sol.converged == (mapping_norm <= tol)
 
 
 def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_config):

@@ -9,6 +9,7 @@ from dpgrr.sampling import (
     Mode,
     SamplingSchedule,
     epoch_indices,
+    _stream,
     prefix_average_stats,
 )
 
@@ -91,6 +92,42 @@ def test_rr_permutation_frequencies_uniform():
     expected = 120_000 / 120
     for c in counts.values():
         assert abs(c - expected) / expected <= 0.15
+
+
+def _fresh_draw(mode: Mode, n: int, seed: int, agent: int, t: int) -> np.ndarray:
+    """What ``epoch_indices`` gives from a generator built for this one draw."""
+    if mode is Mode.IG:
+        return _stream(seed, agent, 0).permutation(n)
+    if mode is Mode.RR:
+        return _stream(seed, agent, t).permutation(n)
+    return _stream(seed, agent, t).integers(0, n, size=n, dtype=np.int64)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_rewound_stream_matches_fresh_stream(mode, n):
+    epochs = (3, 0, 9, 3, 250, 2**40, 1, 3)
+    seed, agent = 2**40 + 17, 4
+    sch = SamplingSchedule(mode, n, seed, agent)
+    twin = SamplingSchedule(mode, n, seed, agent)
+    for t in epochs:
+        got = epoch_indices(sch, t)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _fresh_draw(mode, n, seed, agent, t))
+    # two schedules on one key, drawn interleaved, do not disturb each other
+    for t, u in zip(epochs, reversed(epochs)):
+        assert np.array_equal(epoch_indices(sch, t), _fresh_draw(mode, n, seed, agent, t))
+        assert np.array_equal(epoch_indices(twin, u), _fresh_draw(mode, n, seed, agent, u))
+
+
+def test_drawing_leaves_value_semantics_alone():
+    for mode in Mode:
+        drawn = SamplingSchedule(mode, 5, 3, 1)
+        epoch_indices(drawn, 7)
+        fresh = SamplingSchedule(mode, 5, 3, 1)
+        assert drawn == fresh and hash(drawn) == hash(fresh)
+        assert repr(drawn) == repr(fresh)
+        assert drawn != SamplingSchedule(mode, 5, 3, 2)
 
 
 def test_prefix_stats_k_equals_n():
