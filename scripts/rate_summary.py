@@ -23,7 +23,9 @@ from dpgrr.reference import solve_centralized  # noqa: E402
 def main() -> int:
     cfg = load_config(REPO / "configs" / "synthetic_consensus.yaml")
     problem, _ = build_problem(cfg)
-    sol = solve_centralized(problem.datasets, problem.regularizer, problem.kind)
+    sol = solve_centralized(
+        problem.features, problem.labels, problem.regularizer, problem.kind
+    )
     problem = dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
     print(f"F* = {sol.f_star:.10f} ({sol.iterations} solver iterations)")
     print(f"{'T':>6} {'median subopt':>15} {'max consensus dist':>20}")

@@ -86,7 +86,7 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, out) -> str | None:
     report = validate_schedule(problem.schedule)
     print(report.render(), file=out)
     first = report.first_failure()
-    lipschitz = lipschitz_constant(problem.datasets, problem.kind)
+    lipschitz = lipschitz_constant(problem.features, problem.kind)
     print(
         f"step-size bound for sqrt rule: scale <= "
         f"{step_scale_bound(lipschitz, problem.n):.6g}",
@@ -132,7 +132,8 @@ def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: 
         x_star = fixture_x_star(fixtures_path, entry) if need_x_star else None
         return entry["f_star"], x_star, f"fixture:{key[:16]}", None
     solution = solve_centralized(
-        problem.datasets, problem.regularizer, problem.kind, tol=ORACLE_TOL
+        problem.features, problem.labels, problem.regularizer, problem.kind,
+        tol=ORACLE_TOL,
     )
     source = f"computed(tol={ORACLE_TOL:g})"
     if not solution.converged:
@@ -211,9 +212,9 @@ def cmd_run(args) -> int:
         "config_hash": config_hash(cfg),
         "problem_hash": problem_hash(cfg),
         "config": canonical_dict(cfg),
-        "L": lipschitz_constant(problem.datasets, problem.kind),
+        "L": lipschitz_constant(problem.features, problem.kind),
         "G_f": gradient_bound(
-            problem.datasets, problem.kind, cfg.least_squares_radius
+            problem.features, problem.labels, problem.kind, cfg.least_squares_radius
         ),
         "G_phi": problem.regularizer.subgradient_bound(problem.dim),
         "F_star": f_star,
@@ -239,7 +240,8 @@ def cmd_oracle(args) -> int:
             print(f"fixture {key[:16]} already solved at tol {existing['tol']:g}")
             return 0
     solution = solve_centralized(
-        problem.datasets, problem.regularizer, problem.kind, tol=args.tol
+        problem.features, problem.labels, problem.regularizer, problem.kind,
+        tol=args.tol,
     )
     print(
         f"F* = {solution.f_star!r} (mapping norm {solution.mapping_norm:.3g}, "

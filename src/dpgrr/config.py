@@ -347,7 +347,6 @@ def build_problem(
     schedule = build_schedule(cfg.graph, cfg.m)
     bundle = ProblemBundle(
         datasets=tuple(datasets),
-        dim=datasets[0].dim,
         kind=cfg.loss,
         regularizer=cfg.regularizer,
         schedule=schedule,

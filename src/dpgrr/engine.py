@@ -136,35 +136,42 @@ class StepRule:
 
 @dataclass(frozen=True)
 class ProblemBundle:
-    """Everything a run needs besides the algorithm configuration."""
+    """Everything a run needs besides the algorithm configuration.
+
+    The datasets are packed once, at construction, into the read-only
+    ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` that runs read.
+    """
 
     datasets: tuple[LocalDataset, ...]
-    dim: int
     kind: SmoothLossKind
     regularizer: Regularizer
     schedule: GraphSchedule
     f_star: float | None = None
     x_star: np.ndarray | None = None
+    features: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        if not self.datasets:
-            raise ValueError("problem needs at least one agent")
-        n = self.datasets[0].n
-        if any(ds.n != n for ds in self.datasets):
-            raise ValueError("all agents must hold equally many samples")
-        if self.schedule.m != len(self.datasets):
+        features, labels = objectives.packed_arrays(self.datasets)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        if self.schedule.m != self.m:
             raise ValueError(
-                f"schedule is over {self.schedule.m} agents, data over {len(self.datasets)}"
+                f"schedule is over {self.schedule.m} agents, data over {self.m}"
             )
 
     @property
     def m(self) -> int:
-        return len(self.datasets)
+        return self.features.shape[0]
 
     @property
     def n(self) -> int:
-        return self.datasets[0].n
+        return self.features.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[2]
 
 
 @dataclass(frozen=True)
@@ -320,23 +327,21 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
     horizon = config.horizon
     m, n, dim = problem.m, problem.n, problem.dim
     kind, reg = problem.kind, problem.regularizer
-    lipschitz = objectives.lipschitz_constant(problem.datasets, kind)
+    features, labels = problem.features, problem.labels
+    lipschitz = objectives.lipschitz_constant(features, kind)
     gamma = None
     if horizon > 0:
         gamma = config.step.resolve(lipschitz, n, horizon, config.enforce_step_bound)
     if algo == "dgm" and config.step.rule != "constant":
         raise ValueError("the subgradient baseline decays its own step; use a constant rule")
 
-    features, labels, _ = objectives.packed_arrays(problem.datasets)
-    agent_features = features.reshape(m, n, dim)
-    agent_labels = labels.reshape(m, n)
     x = np.full((m, dim), float(config.x0))
 
     sigma_star = None
     if config.record_sigma_star:
         if problem.x_star is None:
             raise ValueError("sigma_star recording needs the reference solution point")
-        sigma_star = metrics_mod.shuffling_variance(problem.datasets, kind, problem.x_star)
+        sigma_star = metrics_mod.shuffling_variance(features, labels, kind, problem.x_star)
 
     cadence = config.cadence if config.cadence is not None else default_cadence(horizon)
     designated = problem.schedule.matrix(0)  # fixed matrix keeps rows comparable
@@ -353,20 +358,17 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
     trace = RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={}, gamma=gamma,
                      x_final=x.copy())
 
-    def objective(point: np.ndarray) -> float:
-        smooth = objectives.packed_smooth_value(features, labels, m, kind, point)
-        return smooth + reg.value(point)
-
     def record(epoch: int, state: np.ndarray, x_bar: np.ndarray,
                x_hat: np.ndarray | None, v_value: float | None) -> None:
-        f_hat = None if x_hat is None else objective(x_hat)
-        subopt = None
-        if f_hat is not None and problem.f_star is not None:
-            subopt = f_hat - problem.f_star
+        f_hat = subopt = None
+        if x_hat is not None:
+            f_hat = objectives.full_objective(features, labels, reg, kind, x_hat)
+            if problem.f_star is not None:
+                subopt = f_hat - problem.f_star
         trace.rows.append(
             metrics_mod.EpochMetrics(
                 epoch=epoch,
-                f_bar=objective(x_bar),
+                f_bar=objectives.full_objective(features, labels, reg, kind, x_bar),
                 f_hat=f_hat,
                 suboptimality=subopt,
                 disagreement=metrics_mod.consensus_quantity(state, designated),
@@ -390,13 +392,13 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
         inner_avgs = None
         if algo == "dgm":
             x = run_epoch_dgm(
-                x, agent_features, agent_labels, kind, reg,
+                x, features, labels, kind, reg,
                 gamma / math.sqrt(t + 1.0), problem.schedule.matrix(t).weights, t,
             )
         else:
             weights = consensus_weights_for_epoch(problem.schedule, t, config.steps_mode)
             x, inner_avgs = run_epoch_dpgrr(
-                x, agent_features, agent_labels, kind, reg, gamma,
+                x, features, labels, kind, reg, gamma,
                 weights.weights, samplers, t, record_inner=config.record_v,
             )
         x_bar = x.mean(axis=0)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgraph import MixingMatrix
-from .objectives import LocalDataset, SmoothLossKind, DimensionMismatch, sample_value_grad
+from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
 
 __all__ = [
     "MissingInnerTrace",
@@ -67,27 +67,20 @@ def consensus_quantity(xs, matrix: MixingMatrix | np.ndarray) -> float:
 
 
 def shuffling_variance(
-    datasets: tuple[LocalDataset, ...], kind: SmoothLossKind, x_star: np.ndarray
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x_star: np.ndarray
 ) -> float:
     """Population variance of agent-averaged per-index gradients at ``x_star``.
 
-    For each local index i the gradients of the i-th sample of every agent
-    are averaged; the result is the variance of those n averages.
-    Invariant to reordering samples within agents only in the sense that
-    the value is a symmetric function of the per-index averages.
+    ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` are a problem's
+    packed arrays.  For each local index i the gradients of the i-th
+    sample of every agent are averaged; the result is the variance of
+    those n averages.  Invariant to reordering samples within agents only
+    in the sense that the value is a symmetric function of the per-index
+    averages.
     """
-    datasets = tuple(datasets)
-    n = datasets[0].n
-    if any(ds.n != n for ds in datasets):
-        raise ValueError("agents must hold equally many samples")
     x_star = np.asarray(x_star, dtype=float)
-    m = len(datasets)
-    per_index = np.empty((n, x_star.size))
-    for i in range(n):
-        g = np.zeros(x_star.size)
-        for ds in datasets:
-            g += sample_value_grad(kind, ds.samples[i], x_star)[1]
-        per_index[i] = g / m
+    coef = loss_derivative(kind, features @ x_star, labels)
+    per_index = (coef[:, :, None] * features).sum(axis=0) / features.shape[0]
     centered = per_index - per_index.mean(axis=0)
     return float(np.mean(np.sum(centered * centered, axis=1)))
 

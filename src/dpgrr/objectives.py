@@ -26,8 +26,8 @@ __all__ = [
     "Sample",
     "LocalDataset",
     "sample_value_grad",
+    "packed_arrays",
     "loss_derivative",
-    "batch_smooth_value_grad",
     "full_objective",
     "lipschitz_constant",
     "gradient_bound",
@@ -84,9 +84,6 @@ class Sample:
         out = np.zeros(dim)
         out[self.indices] = self.values
         return out
-
-    def feature_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)
@@ -153,23 +150,24 @@ def sample_value_grad(
     return value, grad
 
 
-def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense (features, labels, agent count) stack for repeated batch evaluation."""
+def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dense ``(m, n, d)`` features and ``(m, n)`` labels, agent-major."""
     if not datasets:
         raise EmptyData("no datasets")
-    dim = datasets[0].dim
-    rows = sum(ds.n for ds in datasets)
-    features = np.zeros((rows, dim))
-    labels = np.empty(rows)
-    r = 0
-    for ds in datasets:
-        if ds.dim != dim:
-            raise DimensionMismatch("datasets disagree on feature dimension")
-        for s in ds.samples:
-            features[r, s.indices] = s.values
-            labels[r] = s.label
-            r += 1
-    return features, labels, len(datasets)
+    n, dim = datasets[0].n, datasets[0].dim
+    if any(ds.n != n for ds in datasets):
+        raise ValueError("all agents must hold equally many samples")
+    if any(ds.dim != dim for ds in datasets):
+        raise DimensionMismatch("datasets disagree on feature dimension")
+    features = np.zeros((len(datasets), n, dim))
+    labels = np.empty((len(datasets), n))
+    for j, ds in enumerate(datasets):
+        for i, s in enumerate(ds.samples):
+            features[j, i, s.indices] = s.values
+            labels[j, i] = s.label
+    features.flags.writeable = False
+    labels.flags.writeable = False
+    return features, labels
 
 
 def _sigmoid_vec(u: np.ndarray) -> np.ndarray:
@@ -190,81 +188,68 @@ def loss_derivative(
     return z - labels
 
 
-def _checked_point(features: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _flat(features: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m n, d)`` view of the features and ``x`` checked against ``d``."""
     x = np.asarray(x, dtype=float)
-    if x.size != features.shape[1]:
+    if x.size != features.shape[-1]:
         raise DimensionMismatch(
-            f"x has size {x.size}, data dimension is {features.shape[1]}"
+            f"x has size {x.size}, data dimension is {features.shape[-1]}"
         )
-    return x
+    return features.reshape(-1, x.size), x
 
 
 def packed_smooth_grad(
-    features: np.ndarray, labels: np.ndarray, m: int, kind: SmoothLossKind, x: np.ndarray
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the smooth part against pre-packed arrays, without its value."""
-    z = features @ _checked_point(features, x)
-    return features.T @ (loss_derivative(kind, z, labels) / m)
+    """Gradient of the smooth part against packed arrays, without its value."""
+    flat, x = _flat(features, x)
+    coef = loss_derivative(kind, flat @ x, labels.reshape(-1))
+    return flat.T @ (coef / features.shape[0])
 
 
 def packed_smooth_value(
-    features: np.ndarray, labels: np.ndarray, m: int, kind: SmoothLossKind, x: np.ndarray
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
 ) -> float:
-    """Value of the smooth part against pre-packed arrays, without its gradient."""
-    z = features @ _checked_point(features, x)
+    """Value of the smooth part against packed arrays, without its gradient."""
+    flat, x = _flat(features, x)
+    z, y, m = flat @ x, labels.reshape(-1), features.shape[0]
     if kind is SmoothLossKind.LOGISTIC:
-        return float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
-    r = z - labels
+        return float(np.sum(np.logaddexp(0.0, -(y * z)))) / m
+    r = z - y
     return 0.5 * float(np.dot(r, r)) / m
 
 
-def batch_smooth_value_grad(
-    datasets: tuple[LocalDataset, ...], kind: SmoothLossKind, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the smooth part ``(1/m) sum_j sum_i loss_{j,i}``."""
-    features, labels, m = packed_arrays(datasets)
-    return (
-        packed_smooth_value(features, labels, m, kind, x),
-        packed_smooth_grad(features, labels, m, kind, x),
-    )
-
-
 def full_objective(
-    datasets: tuple[LocalDataset, ...],
-    reg: Regularizer,
-    kind: SmoothLossKind,
+    features: np.ndarray, labels: np.ndarray, reg: Regularizer, kind: SmoothLossKind,
     x: np.ndarray,
 ) -> float:
     """Smooth part plus penalty, with the 1/m (not 1/(m n)) scaling."""
-    features, labels, m = packed_arrays(tuple(datasets))
-    return packed_smooth_value(features, labels, m, kind, x) + reg.value(x)
+    return packed_smooth_value(features, labels, kind, x) + reg.value(x)
 
 
-def _max_feature_norm(datasets: tuple[LocalDataset, ...]) -> float:
-    norms = [s.feature_norm() for ds in datasets for s in ds.samples]
-    if not norms:
-        raise EmptyData("no samples")
-    return max(norms)
+def _sample_norms(features: np.ndarray) -> np.ndarray:
+    # ``||sample.values||`` bit for bit: ``sqrt(v.dot(v))``, the 1-D
+    # ``np.linalg.norm``, over the nonzeros ``v`` of each row.  The zeros
+    # between them, or the batched ``norm(..., axis=-1)``, change the
+    # summation order and the last bit of a quarter of the rows.
+    rows = features.reshape(-1, features.shape[-1])
+    return np.sqrt([v.dot(v) for v in (a[a != 0.0] for a in rows)])
 
 
-def lipschitz_constant(
-    datasets: tuple[LocalDataset, ...], kind: SmoothLossKind
-) -> float:
+def lipschitz_constant(features: np.ndarray, kind: SmoothLossKind) -> float:
     """Per-sample gradient-Lipschitz bound.
 
     ``max ||a||^2 / 4`` for logistic, ``max ||a||^2`` for least squares.
     This is the constant that feeds the 1/sqrt(T) step-size rule.
     """
-    if not datasets:
-        raise EmptyData("no datasets")
-    worst = _max_feature_norm(tuple(datasets))
+    worst = float(_sample_norms(features).max())
     if kind is SmoothLossKind.LOGISTIC:
         return worst * worst / 4.0
     return worst * worst
 
 
 def gradient_bound(
-    datasets: tuple[LocalDataset, ...], kind: SmoothLossKind, radius: float = 10.0
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, radius: float = 10.0
 ) -> float:
     """Bound on per-sample gradient norms.
 
@@ -274,16 +259,7 @@ def gradient_bound(
     """
     if radius < 0.0:
         raise ValueError("radius must be >= 0")
-    if not datasets:
-        raise EmptyData("no datasets")
-    datasets = tuple(datasets)
+    norms = _sample_norms(features)
     if kind is SmoothLossKind.LOGISTIC:
-        return _max_feature_norm(datasets)
-    worst = 0.0
-    for ds in datasets:
-        for s in ds.samples:
-            a = s.feature_norm()
-            worst = max(worst, a * (a * radius + abs(s.label)))
-    if worst == 0.0 and not any(ds.samples for ds in datasets):
-        raise EmptyData("no samples")
-    return worst
+        return float(norms.max())
+    return float(np.max(norms * (norms * radius + np.abs(labels.reshape(-1)))))

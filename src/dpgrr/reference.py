@@ -19,10 +19,9 @@ import numpy as np
 
 from .objectives import (
     SmoothLossKind,
+    full_objective,
     lipschitz_constant,
-    packed_arrays,
     packed_smooth_grad,
-    packed_smooth_value,
     sample_value_grad,
 )
 from .proxops import Regularizer, prox
@@ -55,7 +54,8 @@ class ReferenceSolution:
 
 
 def solve_centralized(
-    datasets,
+    features: np.ndarray,
+    labels: np.ndarray,
     reg: Regularizer,
     kind: SmoothLossKind,
     tol: float = 1e-10,
@@ -63,22 +63,20 @@ def solve_centralized(
 ) -> ReferenceSolution:
     """Full-batch proximal gradient until the gradient mapping is below ``tol``.
 
-    The fixed step is 1 / (n L) where L is the per-sample smoothness
-    constant: with the 1/m objective scaling, each of the m sums of n
-    samples contributes at most n L / m to the total curvature.
+    ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` are a problem's
+    packed arrays.  The fixed step is 1 / (n L) where L is the per-sample
+    smoothness constant: with the 1/m objective scaling, each of the m
+    sums of n samples contributes at most n L / m to the total curvature.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be > 0")
-    datasets = tuple(datasets)
-    dim = datasets[0].dim
-    n = datasets[0].n
-    step = 1.0 / (n * lipschitz_constant(datasets, kind))
-    features, labels, m = packed_arrays(datasets)
+    _, n, dim = features.shape
+    step = 1.0 / (n * lipschitz_constant(features, kind))
     x = np.zeros(dim)
     iterations = 0
     mapping_norm = math.inf
     for _ in range(max_iters + 1):
-        grad = packed_smooth_grad(features, labels, m, kind, x)
+        grad = packed_smooth_grad(features, labels, kind, x)
         forward = prox(reg, step, x - step * grad)
         mapping_norm = float(np.linalg.norm(x - forward)) / step
         if mapping_norm <= tol or iterations == max_iters:
@@ -87,7 +85,7 @@ def solve_centralized(
         iterations += 1
     return ReferenceSolution(
         x_star=x,
-        f_star=packed_smooth_value(features, labels, m, kind, x) + reg.value(x),
+        f_star=full_objective(features, labels, reg, kind, x),
         mapping_norm=mapping_norm,
         iterations=iterations,
         converged=mapping_norm <= tol,

@@ -49,7 +49,8 @@ class SamplingSchedule:
     n: int
     seed: int
     agent: int = 0
-    fixed_permutation: tuple[int, ...] | None = None
+    # IG only: the one order drawn at construction from the stream's start
+    fixed_permutation: tuple[int, ...] | None = field(init=False, default=None)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _rewind_state: dict = field(init=False, repr=False, compare=False)
 
@@ -60,7 +61,7 @@ class SamplingSchedule:
         object.__setattr__(self, "_rng", rng)
         # the state of a fresh ``_stream(seed, agent, t)`` once counter[3] = t
         object.__setattr__(self, "_rewind_state", rng.bit_generator.state)
-        if self.mode is Mode.IG and self.fixed_permutation is None:
+        if self.mode is Mode.IG:
             perm = rng.permutation(self.n)
             object.__setattr__(self, "fixed_permutation", tuple(int(i) for i in perm))
 

@@ -31,7 +31,7 @@ def canonical_problem(canonical_config) -> ProblemBundle:
     """The shipped 5-agent problem with a freshly certified optimal value."""
     problem, _ = build_problem(canonical_config)
     sol = solve_centralized(
-        problem.datasets, problem.regularizer, problem.kind, tol=1e-10
+        problem.features, problem.labels, problem.regularizer, problem.kind, tol=1e-10
     )
     assert sol.converged
     return dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
@@ -83,7 +83,6 @@ def toy_ls_problem() -> ProblemBundle:
     schedule = GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1)
     return ProblemBundle(
         datasets=(single_sample_dataset([1.0], 1.0, 1),),
-        dim=1,
         kind=SmoothLossKind.LEAST_SQUARES,
         regularizer=Regularizer.zero(),
         schedule=schedule,

@@ -205,7 +205,9 @@ def test_criterion_6_rate(canonical_problem):
 def test_criterion_7_sampler_ordering():
     cfg = load_config(CONFIGS / "sampler_comparison.yaml")
     problem, _ = build_problem(cfg)
-    sol = solve_centralized(problem.datasets, problem.regularizer, problem.kind, tol=1e-10)
+    sol = solve_centralized(
+        problem.features, problem.labels, problem.regularizer, problem.kind, tol=1e-10
+    )
     assert sol.converged
     problem = dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
     finals = {}
@@ -238,7 +240,6 @@ def test_criterion_8_oracle_equivalence():
     reg = Regularizer.l1(0.02)
     problem = ProblemBundle(
         datasets=(ds,),
-        dim=3,
         kind=SmoothLossKind.LOGISTIC,
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),

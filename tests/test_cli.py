@@ -183,7 +183,7 @@ def test_computed_f_star_provenance(tmp_path):
 
 
 def test_unconverged_f_star_is_best_effort(tmp_path, monkeypatch, capsys):
-    def unconverged(datasets, reg, kind, tol):
+    def unconverged(features, labels, reg, kind, tol):
         return ReferenceSolution(
             x_star=np.zeros(3), f_star=0.5, mapping_norm=1e-3, iterations=7,
             converged=False,

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import dpgrr.objectives
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
+    ALGORITHMS,
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,
@@ -14,6 +16,7 @@ from dpgrr.engine import (
     run,
     step_scale_bound,
 )
+from dpgrr.metrics import shuffling_variance
 from dpgrr.netgraph import (
     GraphSchedule,
     StepsMode,
@@ -25,7 +28,9 @@ from dpgrr.objectives import (
     Sample,
     SmoothLossKind,
     full_objective,
+    gradient_bound,
     lipschitz_constant,
+    packed_arrays,
     sample_value_grad,
 )
 from dpgrr.proxops import Regularizer, prox, subgradient
@@ -51,7 +56,6 @@ def two_agent_problem(reg=None, labels=(1.0, 3.0)):
             ls_dataset([([1.0], labels[0])], 1, agent=0),
             ls_dataset([([1.0], labels[1])], 1, agent=1),
         ),
-        dim=1,
         kind=LS,
         regularizer=reg or Regularizer.zero(),
         schedule=GraphSchedule((complete,), 1),
@@ -112,7 +116,6 @@ def test_identical_agents_stay_identical():
     )
     problem = ProblemBundle(
         datasets=datasets,
-        dim=3,
         kind=LOG,
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
@@ -152,7 +155,8 @@ def test_rows_recomputable_from_snapshots(canonical_problem):
     for row in trace.rows:
         snap = trace.snapshots[row.epoch]
         f_bar = full_objective(
-            canonical_problem.datasets,
+            canonical_problem.features,
+            canonical_problem.labels,
             canonical_problem.regularizer,
             canonical_problem.kind,
             snap.mean(axis=0),
@@ -180,7 +184,7 @@ def test_cadence_controls_recording(canonical_problem):
 
 
 def test_sqrt_rule_uses_bound_by_default(canonical_problem):
-    lip = lipschitz_constant(canonical_problem.datasets, canonical_problem.kind)
+    lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
     cfg = RunConfig("dpg-rr", 100, StepRule.sqrt_horizon(), seed=1, cadence=100)
     trace = run(cfg, canonical_problem)
     want = step_scale_bound(lip, canonical_problem.n) / math.sqrt(100)
@@ -188,7 +192,7 @@ def test_sqrt_rule_uses_bound_by_default(canonical_problem):
 
 
 def test_step_bound_enforced_and_warned(canonical_problem):
-    lip = lipschitz_constant(canonical_problem.datasets, canonical_problem.kind)
+    lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
     too_big = 2.0 * step_scale_bound(lip, canonical_problem.n)
     cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(too_big), seed=1)
     with pytest.raises(StepBoundViolation):
@@ -203,7 +207,6 @@ def test_nonfinite_iterate_reports_context():
     ds = ls_dataset([([1.0], 0.0), ([1.0], 0.0)], 1)
     problem = ProblemBundle(
         datasets=(ds,),
-        dim=1,
         kind=LS,
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
@@ -226,7 +229,6 @@ def test_nonfinite_report_follows_serial_agent_order():
             ls_dataset([([1.0], 0.0)] * 2, 1, agent=0),
             ls_dataset([([1e200], 0.0)] * 2, 1, agent=1),
         ),
-        dim=1,
         kind=LS,
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
@@ -268,7 +270,6 @@ def test_dgm_identity_mixing_keeps_agents_independent():
             ls_dataset([([1.0], 1.0)], 1, agent=0),
             ls_dataset([([1.0], 5.0)], 1, agent=1),
         ),
-        dim=1,
         kind=LS,
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((identity,), 1),
@@ -295,14 +296,51 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
     schedule = GraphSchedule(
         tuple(metropolis_weights(s, 3, 0.1) for s in slots), 3
     )
-    sol = solve_centralized(datasets, reg, LOG, tol=1e-10)
+    sol = solve_centralized(*packed_arrays(datasets), reg, LOG, tol=1e-10)
     problem = ProblemBundle(
-        datasets=datasets, dim=5, kind=LOG, regularizer=reg, schedule=schedule,
+        datasets=datasets, kind=LOG, regularizer=reg, schedule=schedule,
         f_star=sol.f_star, x_star=sol.x_star,
     )
     rr = run(RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200), problem)
     dgm = run(RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200), problem)
     assert dgm.rows[-1].suboptimality > rr.rows[-1].suboptimality > -1e-9
+
+
+def test_bundle_packs_read_only_arrays(canonical_problem):
+    p = canonical_problem
+    assert p.features.shape == (p.m, p.n, p.dim) == (5, 20, 10)
+    assert p.labels.shape == (5, 20)
+    for j, ds in enumerate(p.datasets):
+        for i, smp in enumerate(ds.samples):
+            assert np.array_equal(p.features[j, i], smp.dense(p.dim))
+            assert p.labels[j, i] == smp.label
+    with pytest.raises(ValueError):
+        p.features[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        p.labels[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        ProblemBundle(datasets=p.datasets, dim=10, kind=p.kind,
+                      regularizer=p.regularizer, schedule=p.schedule)
+
+
+def test_nothing_repacks_after_construction(canonical_problem, monkeypatch):
+    # the bundle packs its datasets once; every consumer reads those arrays
+    def refuse(datasets):
+        raise AssertionError("datasets packed again after construction")
+
+    monkeypatch.setattr(dpgrr.objectives, "packed_arrays", refuse)
+    p = canonical_problem
+    for algo in ALGORITHMS:
+        cfg = RunConfig(algo, 3, StepRule.constant(0.05), seed=1,
+                        record_v=True, record_sigma_star=True)
+        assert len(run(cfg, p).rows) == 4
+    assert solve_centralized(p.features, p.labels, p.regularizer, p.kind,
+                             max_iters=5).iterations == 5
+    assert gradient_bound(p.features, p.labels, p.kind) > 0.0
+    assert shuffling_variance(p.features, p.labels, p.kind, p.x_star) > 0.0
+    # the patch does bite: building a bundle packs
+    with pytest.raises(AssertionError):
+        dataclasses.replace(p, f_star=None)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -398,9 +436,10 @@ def test_engine_matches_serial_reference(canonical_problem, algo):
         x_bar = snap.mean(axis=0)
         x_hat_sum += x_bar if row.epoch else 0.0
         assert row.f_bar == pytest.approx(
-            full_objective(p.datasets, p.regularizer, p.kind, x_bar), abs=1e-12)
+            full_objective(p.features, p.labels, p.regularizer, p.kind, x_bar), abs=1e-12)
         if row.epoch:
-            f_hat = full_objective(p.datasets, p.regularizer, p.kind, x_hat_sum / row.epoch)
+            f_hat = full_objective(
+                p.features, p.labels, p.regularizer, p.kind, x_hat_sum / row.epoch)
             assert row.f_hat == pytest.approx(f_hat, abs=1e-12)
         energy = 0.5 * sum(w[i, j] * np.sum((snap[i] - snap[j]) ** 2)
                            for i in range(p.m) for j in range(p.m))

@@ -9,7 +9,12 @@ from dpgrr.metrics import (
     shuffling_variance,
 )
 from dpgrr.netgraph import metropolis_weights
-from dpgrr.objectives import DimensionMismatch, SmoothLossKind, sample_value_grad
+from dpgrr.objectives import (
+    DimensionMismatch,
+    SmoothLossKind,
+    packed_arrays,
+    sample_value_grad,
+)
 
 
 def laplacian_form(xs, weights) -> float:
@@ -76,9 +81,8 @@ def test_shuffling_variance_identical_samples():
     flat = tuple(
         LocalDataset(j, (base,) * 4, 3) for j in range(2)
     )
-    assert shuffling_variance(flat, SmoothLossKind.LOGISTIC, np.zeros(3)) == pytest.approx(
-        0.0, abs=1e-30
-    )
+    got = shuffling_variance(*packed_arrays(flat), SmoothLossKind.LOGISTIC, np.zeros(3))
+    assert got == pytest.approx(0.0, abs=1e-30)
 
 
 def test_shuffling_variance_two_point_example():
@@ -89,14 +93,16 @@ def test_shuffling_variance_two_point_example():
     s_neg = Sample(np.array([0]), np.array([1.0]), -1.0)
     ds = LocalDataset(0, (s_pos, s_neg), 1)
     # least squares at x=0: grad = (0 - label) * a -> -1 and +1
-    got = shuffling_variance((ds,), SmoothLossKind.LEAST_SQUARES, np.zeros(1))
+    got = shuffling_variance(
+        *packed_arrays((ds,)), SmoothLossKind.LEAST_SQUARES, np.zeros(1)
+    )
     assert got == pytest.approx(1.0, abs=1e-15)
 
 
 def test_shuffling_variance_matches_brute_force():
     datasets = tuple(synthesize_classification(m=3, n=5, d=4, separation=1.0, seed=7))
     x = np.random.default_rng(8).normal(size=4)
-    got = shuffling_variance(datasets, SmoothLossKind.LOGISTIC, x)
+    got = shuffling_variance(*packed_arrays(datasets), SmoothLossKind.LOGISTIC, x)
     # independent recomputation straight from raw samples
     g = np.zeros((5, 4))
     for i in range(5):
@@ -110,7 +116,7 @@ def test_shuffling_variance_matches_brute_force():
 def test_shuffling_variance_invariant_to_local_reorder():
     datasets = tuple(synthesize_classification(m=2, n=6, d=3, separation=1.0, seed=9))
     x = np.random.default_rng(10).normal(size=3)
-    base = shuffling_variance(datasets, SmoothLossKind.LOGISTIC, x)
+    base = shuffling_variance(*packed_arrays(datasets), SmoothLossKind.LOGISTIC, x)
     from dpgrr.objectives import LocalDataset
 
     # reorder each agent's samples by the SAME permutation: the per-index
@@ -120,9 +126,8 @@ def test_shuffling_variance_invariant_to_local_reorder():
         LocalDataset(ds.agent, tuple(ds.samples[p] for p in perm), ds.dim)
         for ds in datasets
     )
-    assert shuffling_variance(reordered, SmoothLossKind.LOGISTIC, x) == pytest.approx(
-        base, abs=1e-14
-    )
+    got = shuffling_variance(*packed_arrays(reordered), SmoothLossKind.LOGISTIC, x)
+    assert got == pytest.approx(base, abs=1e-14)
 
 
 def test_forward_deviation_values():

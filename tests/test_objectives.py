@@ -12,11 +12,13 @@ from dpgrr.objectives import (
     LocalDataset,
     Sample,
     SmoothLossKind,
-    batch_smooth_value_grad,
     full_objective,
     gradient_bound,
     lipschitz_constant,
     loss_derivative,
+    packed_arrays,
+    packed_smooth_grad,
+    packed_smooth_value,
     sample_value_grad,
 )
 from dpgrr.proxops import Regularizer
@@ -61,7 +63,7 @@ def test_dimension_mismatch():
         sample_value_grad(LOG, s([1.0, 2.0], 1.0), np.zeros(1))
     ds = single_sample_dataset([1.0, 2.0], 1.0, 2)
     with pytest.raises(DimensionMismatch):
-        full_objective((ds,), Regularizer.zero(), LOG, np.zeros(3))
+        full_objective(*packed_arrays((ds,)), Regularizer.zero(), LOG, np.zeros(3))
 
 
 def test_sparse_sample_gradient_placement():
@@ -75,13 +77,13 @@ def test_sparse_sample_gradient_placement():
 
 def test_full_objective_at_zero_is_n_log2():
     datasets = synthesize_classification(m=3, n=7, d=4, separation=2.0, seed=5)
-    got = full_objective(tuple(datasets), Regularizer.zero(), LOG, np.zeros(4))
+    got = full_objective(*packed_arrays(datasets), Regularizer.zero(), LOG, np.zeros(4))
     assert got == pytest.approx(7.0 * math.log(2.0), rel=1e-12)
 
 
 def test_full_objective_single_agent_example():
     ds = single_sample_dataset([1.0], 0.0, 1)
-    got = full_objective((ds,), Regularizer.l1(1.0), LS, np.array([2.0]))
+    got = full_objective(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, np.array([2.0]))
     assert got == pytest.approx(4.0, abs=1e-15)  # 0.5*4 + |2|
 
 
@@ -90,16 +92,18 @@ def test_full_objective_uses_one_over_m_scaling():
     d1 = single_sample_dataset([1.0], 0.0, 1, agent=0)
     d2 = single_sample_dataset([1.0], 0.0, 1, agent=1)
     x = np.array([3.0])
-    got = full_objective((d1, d2), Regularizer.zero(), LS, x)
+    got = full_objective(*packed_arrays((d1, d2)), Regularizer.zero(), LS, x)
     assert got == pytest.approx(0.5 * (4.5 + 4.5), abs=1e-14)
 
 
 def test_batch_matches_sample_sum():
     datasets = tuple(synthesize_classification(m=2, n=5, d=6, separation=1.0, seed=9))
+    features, labels = packed_arrays(datasets)
     rng = np.random.default_rng(0)
     for kind in (LOG, LS):
         x = rng.normal(size=6)
-        value, grad = batch_smooth_value_grad(datasets, kind, x)
+        value = packed_smooth_value(features, labels, kind, x)
+        grad = packed_smooth_grad(features, labels, kind, x)
         m = len(datasets)
         want_v = sum(
             sample_value_grad(kind, smp, x)[0] for ds in datasets for smp in ds.samples
@@ -170,7 +174,7 @@ def test_convexity_along_segments(kind):
 def test_per_sample_smoothness_with_module_constant(kind):
     rng = np.random.default_rng(31)
     datasets = tuple(synthesize_classification(m=1, n=8, d=5, separation=1.0, seed=3))
-    lip = lipschitz_constant(datasets, kind)
+    lip = lipschitz_constant(packed_arrays(datasets)[0], kind)
     for _ in range(200):
         x, y = rng.normal(size=5), rng.normal(size=5)
         for smp in datasets[0].samples:
@@ -180,20 +184,23 @@ def test_per_sample_smoothness_with_module_constant(kind):
 
 
 def test_lipschitz_constant_examples():
-    assert lipschitz_constant((single_sample_dataset([2.0], 1.0, 1),), LOG) == pytest.approx(1.0)
+    one, _ = packed_arrays((single_sample_dataset([2.0], 1.0, 1),))
+    assert lipschitz_constant(one, LOG) == pytest.approx(1.0)
     two = LocalDataset(0, (s([1.0], 0.0), s([3.0], 0.0)), 1)
-    assert lipschitz_constant((two,), LS) == pytest.approx(9.0)
+    assert lipschitz_constant(packed_arrays((two,))[0], LS) == pytest.approx(9.0)
     with pytest.raises(EmptyData):
-        lipschitz_constant((), LOG)
+        packed_arrays(())
 
 
 def test_gradient_bound_examples():
-    assert gradient_bound((single_sample_dataset([3.0, 4.0], 1.0, 2),), LOG) == pytest.approx(5.0)
-    assert gradient_bound((single_sample_dataset([1.0], 1.0, 1),), LS, radius=0.0) == pytest.approx(1.0)
+    three_four = packed_arrays((single_sample_dataset([3.0, 4.0], 1.0, 2),))
+    assert gradient_bound(*three_four, LOG) == pytest.approx(5.0)
+    unit = packed_arrays((single_sample_dataset([1.0], 1.0, 1),))
+    assert gradient_bound(*unit, LS, radius=0.0) == pytest.approx(1.0)
     with pytest.raises(EmptyData):
-        gradient_bound((), LOG)
+        packed_arrays(())
     with pytest.raises(ValueError):
-        gradient_bound((single_sample_dataset([1.0], 1.0, 1),), LS, radius=-1.0)
+        gradient_bound(*unit, LS, radius=-1.0)
 
 
 def test_gradient_bound_matches_direct_scan():
@@ -201,7 +208,8 @@ def test_gradient_bound_matches_direct_scan():
     want = max(
         float(np.linalg.norm(smp.dense(8))) for ds in datasets for smp in ds.samples
     )
-    assert gradient_bound(datasets, LOG) == pytest.approx(want, rel=1e-15)
+    packed = packed_arrays(datasets)
+    assert gradient_bound(*packed, LOG) == pytest.approx(want, rel=1e-15)
     # the bound really does dominate observed gradients
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -209,7 +217,33 @@ def test_gradient_bound_matches_direct_scan():
         for ds in datasets:
             for smp in ds.samples:
                 g = sample_value_grad(LOG, smp, x)[1]
-                assert np.linalg.norm(g) <= gradient_bound(datasets, LOG) + 1e-12
+                assert np.linalg.norm(g) <= gradient_bound(*packed, LOG) + 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 10, 57, 123, 200])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_constants_equal_per_sample_forms_bit_for_bit(d, sparse):
+    # each sample alone, so that every row's norm is compared, not just the
+    # largest; the batched axis norm and the norm of a row with its zeros
+    # both differ from ``||sample.values||`` in the last bit on some rows
+    rng = np.random.default_rng(d)
+    radius = 2.5
+    samples = []
+    for _ in range(40):
+        idx = np.arange(d)
+        if sparse:
+            idx = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+        samples.append(Sample(idx, 3.0 * rng.normal(size=idx.size), float(rng.normal())))
+    groups = [(smp,) for smp in samples] + [tuple(samples)]
+    for group in groups:
+        features, labels = packed_arrays((LocalDataset(0, group, d),))
+        norms = [float(np.linalg.norm(smp.values)) for smp in group]
+        a = max(norms)
+        assert lipschitz_constant(features, LOG) == a * a / 4.0
+        assert lipschitz_constant(features, LS) == a * a
+        assert gradient_bound(features, labels, LOG) == a
+        want = max(r * (r * radius + abs(smp.label)) for r, smp in zip(norms, group))
+        assert gradient_bound(features, labels, LS, radius) == want
 
 
 def test_sample_validation():

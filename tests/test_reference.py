@@ -12,6 +12,7 @@ from dpgrr.objectives import (
     lipschitz_constant,
     loss_derivative,
     packed_arrays,
+    packed_smooth_grad,
 )
 from dpgrr.proxops import Regularizer, prox
 from dpgrr.reference import (
@@ -28,7 +29,7 @@ LOG = SmoothLossKind.LOGISTIC
 
 def test_exact_fit_toy():
     ds = single_sample_dataset([1.0], 3.0, 1)
-    sol = solve_centralized((ds,), Regularizer.zero(), LS, tol=1e-12)
+    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.zero(), LS, tol=1e-12)
     assert sol.converged
     assert sol.x_star[0] == pytest.approx(3.0, abs=1e-12)
     assert sol.f_star == pytest.approx(0.0, abs=1e-14)
@@ -37,7 +38,7 @@ def test_exact_fit_toy():
 def test_l1_toy_has_known_solution():
     # min 0.5 (x - 2)^2 + |x|  ->  x* = 1, F* = 1.5
     ds = single_sample_dataset([1.0], 2.0, 1)
-    sol = solve_centralized((ds,), Regularizer.l1(1.0), LS, tol=1e-12)
+    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, tol=1e-12)
     assert sol.converged
     assert sol.x_star[0] == pytest.approx(1.0, abs=1e-10)
     assert sol.f_star == pytest.approx(1.5, abs=1e-10)
@@ -45,21 +46,23 @@ def test_l1_toy_has_known_solution():
 
 def test_gradient_mapping_certificate_holds(canonical_problem):
     sol = solve_centralized(
-        canonical_problem.datasets,
+        canonical_problem.features,
+        canonical_problem.labels,
         canonical_problem.regularizer,
         canonical_problem.kind,
         tol=1e-10,
     )
     assert sol.converged and sol.mapping_norm <= 1e-10
     # re-evaluate the mapping at the returned point with the solver's step
-    from dpgrr.objectives import batch_smooth_value_grad, lipschitz_constant
-
     step = 1.0 / (
         canonical_problem.n
-        * lipschitz_constant(canonical_problem.datasets, canonical_problem.kind)
+        * lipschitz_constant(canonical_problem.features, canonical_problem.kind)
     )
-    _, grad = batch_smooth_value_grad(
-        canonical_problem.datasets, canonical_problem.kind, sol.x_star
+    grad = packed_smooth_grad(
+        canonical_problem.features,
+        canonical_problem.labels,
+        canonical_problem.kind,
+        sol.x_star,
     )
     forward = prox(
         canonical_problem.regularizer, step, sol.x_star - step * grad
@@ -69,8 +72,10 @@ def test_gradient_mapping_certificate_holds(canonical_problem):
 
 def _value_and_gradient_solve(datasets, reg, kind, tol, max_iters):
     """The solver as a loop that takes the loss value with every gradient."""
-    features, labels, m = packed_arrays(datasets)
-    step = 1.0 / (datasets[0].n * lipschitz_constant(datasets, kind))
+    packed, labels = packed_arrays(datasets)
+    m, n, dim = packed.shape
+    features, labels = packed.reshape(m * n, dim), labels.reshape(m * n)
+    step = 1.0 / (n * lipschitz_constant(packed, kind))
 
     def value_grad(x):
         z = features @ x
@@ -81,7 +86,7 @@ def _value_and_gradient_solve(datasets, reg, kind, tol, max_iters):
             value = 0.5 * float(np.dot(r, r)) / m
         return value, features.T @ (loss_derivative(kind, z, labels) / m)
 
-    x = np.zeros(datasets[0].dim)
+    x = np.zeros(dim)
     iterations = 0
     mapping_norm = float("inf")
     for _ in range(max_iters + 1):
@@ -114,7 +119,9 @@ def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
         datasets.append(LocalDataset(agent, tuple(samples), dim))
     datasets = tuple(datasets)
     for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
-        sol = solve_centralized(datasets, reg, kind, tol=tol, max_iters=max_iters)
+        sol = solve_centralized(
+            *packed_arrays(datasets), reg, kind, tol=tol, max_iters=max_iters
+        )
         x, f, mapping_norm, iterations = _value_and_gradient_solve(
             datasets, reg, kind, tol, max_iters
         )
@@ -139,12 +146,12 @@ def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_conf
 
 def test_self_consistency_two_tolerances(canonical_problem):
     a = solve_centralized(
-        canonical_problem.datasets, canonical_problem.regularizer,
-        canonical_problem.kind, tol=1e-8,
+        canonical_problem.features, canonical_problem.labels,
+        canonical_problem.regularizer, canonical_problem.kind, tol=1e-8,
     )
     b = solve_centralized(
-        canonical_problem.datasets, canonical_problem.regularizer,
-        canonical_problem.kind, tol=1e-12,
+        canonical_problem.features, canonical_problem.labels,
+        canonical_problem.regularizer, canonical_problem.kind, tol=1e-12,
     )
     assert a.converged and b.converged
     assert a.f_star == pytest.approx(b.f_star, abs=1e-8)
@@ -152,7 +159,8 @@ def test_self_consistency_two_tolerances(canonical_problem):
 
 def test_full_objective_agrees_at_reference_point(canonical_problem):
     got = full_objective(
-        canonical_problem.datasets,
+        canonical_problem.features,
+        canonical_problem.labels,
         canonical_problem.regularizer,
         canonical_problem.kind,
         canonical_problem.x_star,
@@ -162,7 +170,8 @@ def test_full_objective_agrees_at_reference_point(canonical_problem):
 
 def test_no_convergence_returns_flagged_best_effort(canonical_problem):
     sol = solve_centralized(
-        canonical_problem.datasets,
+        canonical_problem.features,
+        canonical_problem.labels,
         canonical_problem.regularizer,
         canonical_problem.kind,
         tol=1e-14,
@@ -203,7 +212,7 @@ def test_prox_rr_monotone_descent_small_step():
         ds.samples, 4, LOG, Regularizer.zero(), gamma=0.01, horizon=30, seed=1
     )
     values = [
-        full_objective((ds,), Regularizer.zero(), LOG, x) for x in iterates
+        full_objective(*packed_arrays((ds,)), Regularizer.zero(), LOG, x) for x in iterates
     ]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -215,7 +224,6 @@ def test_prox_rr_matches_single_agent_engine():
     reg = Regularizer.l1(0.02)
     problem = ProblemBundle(
         datasets=(ds,),
-        dim=3,
         kind=LOG,
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
@@ -236,7 +244,7 @@ def test_prox_rr_matches_single_agent_engine():
 
 def test_fixture_store_roundtrip_and_idempotence(tmp_path):
     ds = single_sample_dataset([1.0], 2.0, 1)
-    sol = solve_centralized((ds,), Regularizer.l1(1.0), LS, tol=1e-12)
+    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, tol=1e-12)
     path = tmp_path / "fixtures" / "oracle.json"
     assert store_fixture(path, "abc123", sol, 1e-12)
     entry = load_fixtures(path)["abc123"]

@@ -30,6 +30,18 @@ def test_ig_reuses_one_permutation():
     assert tuple(first) == sch.fixed_permutation
 
 
+def test_fixed_permutation_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        SamplingSchedule(Mode.IG, 3, 0, fixed_permutation=(0, 0, 5))
+    with pytest.raises(TypeError):
+        SamplingSchedule(Mode.RR, 3, 0, 0, (2, 1, 0))
+    # the IG order is still the first permutation of the (seed, agent) stream
+    sch = SamplingSchedule(Mode.IG, 6, 11, 2)
+    assert sch.fixed_permutation == (1, 4, 2, 3, 0, 5)
+    assert np.array_equal(epoch_indices(sch, 5), _stream(11, 2, 0).permutation(6))
+    assert SamplingSchedule(Mode.RR, 3, 0).fixed_permutation is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
