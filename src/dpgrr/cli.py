@@ -41,7 +41,9 @@ from .engine import (
 )
 from .netgraph import validate_schedule
 from .objectives import gradient_bound, lipschitz_constant
-from .reference import fixture_x_star, load_fixtures, solve_centralized, store_fixture
+from .reference import (
+    fixture_x_star, load_fixtures, solve_centralized, store_fixture, usable_fixture,
+)
 
 CSV_HEADER = "epoch,F_bar,F_hat,subopt,D,max_consensus_dist,sigma_star_sq,V_t"
 
@@ -118,7 +120,7 @@ def cmd_validate(args) -> int:
 
 
 def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: bool):
-    """Optimal value from the fixtures store, else computed on the fly.
+    """Optimal value from a usable fixture, else computed on the fly.
 
     Returns ``(f_star, x_star, source, oracle)``; ``oracle`` reports the
     on-the-fly solve (``converged``, ``mapping_norm``, ``iterations``) and
@@ -126,8 +128,7 @@ def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: 
     """
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
-    fixtures = load_fixtures(fixtures_path)
-    entry = fixtures.get(key)
+    entry = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key)
     if entry is not None:
         x_star = fixture_x_star(fixtures_path, entry) if need_x_star else None
         return entry["f_star"], x_star, f"fixture:{key[:16]}", None
@@ -234,11 +235,10 @@ def cmd_oracle(args) -> int:
     problem, _ = build_problem(cfg)
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
-    existing = load_fixtures(fixtures_path).get(key)
-    if existing is not None and existing["tol"] <= args.tol:
-        if (fixtures_path.parent / existing["x_star_file"]).exists():
-            print(f"fixture {key[:16]} already solved at tol {existing['tol']:g}")
-            return 0
+    existing = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key, args.tol)
+    if existing is not None:
+        print(f"fixture {key[:16]} already solved at tol {existing['tol']:g}")
+        return 0
     solution = solve_centralized(
         problem.features, problem.labels, problem.regularizer, problem.kind,
         tol=args.tol,

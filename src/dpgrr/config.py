@@ -214,6 +214,11 @@ def load_config(path: Path | str) -> ExperimentConfig:
     seeds = tuple(int(s) for s in seeds_raw)
     if not seeds:
         raise ConfigError("seeds must be nonempty")
+    # each (algorithm, seed) run writes its own CSV, named by the pair
+    for what, values in (("algorithm", [a.name for a in algorithms]), ("seed", seeds)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
 
     diag_raw = raw.get("diagnostics", {}) or {}
     cadence = raw.get("snapshot_cadence")
@@ -325,13 +330,16 @@ def build_schedule(graph: GraphSpec, m: int) -> GraphSchedule:
 def build_problem(
     cfg: ExperimentConfig,
 ) -> tuple[ProblemBundle, Partition | None]:
-    """Materialize datasets and schedule; fixture fields are left unset."""
+    """The problem, built from arrays that synthesis or partitioning packs.
+
+    ``f_star`` is left unset; the ``Partition`` is None for synthetic data.
+    """
     part = None
     if isinstance(cfg.dataset, SyntheticSpec):
-        d = cfg.dataset
-        datasets = synthesize_classification(d.m, d.n, d.d, d.separation, d.seed)
         if cfg.loss is not SmoothLossKind.LOGISTIC:
             raise ConfigError("synthetic datasets carry +-1 labels; use logistic loss")
+        d = cfg.dataset
+        features, labels = synthesize_classification(d.m, d.n, d.d, d.separation, d.seed)
     else:
         src = cfg.base_dir / cfg.dataset.path
         try:
@@ -341,14 +349,14 @@ def build_problem(
                 )
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {src}: {exc}") from None
-        datasets, part = partition(
+        features, labels, part = partition(
             samples, dim, cfg.dataset.m, cfg.dataset.strategy, cfg.dataset.shuffle_seed
         )
-    schedule = build_schedule(cfg.graph, cfg.m)
     bundle = ProblemBundle(
-        datasets=tuple(datasets),
+        features=features,
+        labels=labels,
         kind=cfg.loss,
         regularizer=cfg.regularizer,
-        schedule=schedule,
+        schedule=build_schedule(cfg.graph, cfg.m),
     )
     return bundle, part

@@ -1,5 +1,8 @@
 """Sparse-text dataset ingestion, agent partitioning, synthetic problems.
 
+Partitioning and synthesis both return a problem's packed arrays:
+``features`` ``(m, n, d)`` and ``labels`` ``(m, n)``, agent-major.
+
 The text format is the usual sparse one: each line is
 ``label idx:val idx:val ...`` with 1-based feature indices; ``#`` starts
 a comment and blank lines are skipped.
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import LocalDataset, Sample
+from .objectives import Sample
 
 __all__ = [
     "ParseError",
@@ -114,13 +117,14 @@ def partition(
     m: int,
     strategy: str = "round_robin",
     seed: int | None = None,
-) -> tuple[list[LocalDataset], Partition]:
-    """Split samples into m equal local datasets of n = floor(N / m) each.
+) -> tuple[np.ndarray, np.ndarray, Partition]:
+    """Split samples into m equal shares of n = floor(N / m), packed.
 
-    An optional seeded pre-shuffle decorrelates file order from agent
-    assignment (sorted-by-label files would otherwise give every agent a
-    single class).  The N - m*n leftover samples are dropped; the count is
-    reported in the returned ``Partition`` so callers can surface it.
+    Returns ``(features, labels, partition)``, agent j's i-th sample being
+    the dense row ``features[j, i]`` of width ``dim``.  An optional seeded
+    pre-shuffle decorrelates file order from agent assignment (sorted-by-label
+    files would otherwise give every agent a single class).  The N - m*n
+    leftover samples are dropped; ``partition`` reports the count.
     """
     samples = list(samples)
     if m < 1:
@@ -135,40 +139,39 @@ def partition(
         order = np.random.default_rng(seed).permutation(total)
     n = total // m
     kept = order[: m * n]
-    datasets = []
+    features = np.empty((m, n, dim))
+    labels = np.empty((m, n))
     for j in range(m):
         chosen = kept[j::m] if strategy == "round_robin" else kept[j * n:(j + 1) * n]
-        datasets.append(
-            LocalDataset(j, tuple(samples[int(k)] for k in chosen), dim)
-        )
-    return datasets, Partition(m, n, strategy, total - m * n)
+        for i, k in enumerate(chosen):
+            sample = samples[int(k)]
+            features[j, i], labels[j, i] = sample.dense(dim), sample.label
+    return features, labels, Partition(m, n, strategy, total - m * n)
 
 
 def synthesize_classification(
     m: int, n: int, d: int, separation: float = 5.0, seed: int = 0
-) -> list[LocalDataset]:
-    """Seeded linear-classifier data: unit-ball features, noisy margins.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded linear-classifier ``(features, labels)``: unit-ball rows, noisy margins.
 
     Labels are the sign of the margin against a hidden weight vector plus
     Gaussian noise of scale 1/separation; infinite separation gives a
-    perfectly separable set.  Identical seeds give identical datasets.
+    perfectly separable set.  Identical seeds give identical arrays.
     """
     if min(m, n, d) < 1:
         raise ValueError("m, n, d must all be >= 1")
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=d)
     noise_scale = 0.0 if separation == np.inf else 1.0 / separation
-    all_indices = np.arange(d, dtype=np.int64)
-    datasets = []
+    features = np.empty((m, n, d))
+    labels = np.empty((m, n))
     for j in range(m):
-        rows = []
-        for _ in range(n):
+        for i in range(n):
             g = rng.normal(size=d)
             a = g / max(1.0, float(np.linalg.norm(g)))
             margin = float(a @ hidden)
             if noise_scale > 0.0:
                 margin += noise_scale * rng.normal()
-            label = 1.0 if margin >= 0.0 else -1.0
-            rows.append(Sample(all_indices, a, label))
-        datasets.append(LocalDataset(j, tuple(rows), d))
-    return datasets
+            features[j, i] = a
+            labels[j, i] = 1.0 if margin >= 0.0 else -1.0
+    return features, labels

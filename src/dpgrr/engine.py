@@ -32,7 +32,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import objectives
 from .netgraph import GraphSchedule, StepsMode, consensus_weights_for_epoch
-from .objectives import LocalDataset, SmoothLossKind
+from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
 from .proxops import NonPositiveStep, Regularizer, prox, subgradient
 from .sampling import Mode, SamplingSchedule, epoch_indices
 
@@ -134,26 +134,37 @@ class StepRule:
         return scale / math.sqrt(horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemBundle:
     """Everything a run needs besides the algorithm configuration.
 
-    The datasets are packed once, at construction, into the read-only
-    ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` that runs read.
+    ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` hold agent j's i-th
+    sample at ``[j, i]``.  The bundle keeps checked read-only copies of
+    them, never freezing the caller's arrays.  Compares by identity.
     """
 
-    datasets: tuple[LocalDataset, ...]
+    features: np.ndarray
+    labels: np.ndarray
     kind: SmoothLossKind
     regularizer: Regularizer
     schedule: GraphSchedule
     f_star: float | None = None
     x_star: np.ndarray | None = None
-    features: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        features, labels = objectives.packed_arrays(self.datasets)
+        features = np.array(self.features, dtype=float)
+        labels = np.array(self.labels, dtype=float)
+        if features.ndim != 3 or labels.shape != features.shape[:2]:
+            raise DimensionMismatch(
+                f"features {features.shape} and labels {labels.shape} "
+                "are not (m, n, d) and (m, n)"
+            )
+        if labels.size == 0:
+            raise EmptyData(f"no samples: (m, n) = {labels.shape}")
+        if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+            raise ValueError("problem data contains non-finite values")
+        features.setflags(write=False)
+        labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         if self.schedule.m != self.m:
@@ -247,10 +258,7 @@ def _check_phases(t: int, *phases: tuple[str, np.ndarray]) -> None:
 
 def run_epoch_dpgrr(
     x: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    kind: SmoothLossKind,
-    reg: Regularizer,
+    problem: ProblemBundle,
     gamma: float,
     weights: np.ndarray,
     samplers: list[SamplingSchedule],
@@ -259,17 +267,16 @@ def run_epoch_dpgrr(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One proximal epoch of all agents from the ``(m, d)`` state ``x``.
 
-    ``features`` is ``(m, n, d)`` and ``labels`` ``(m, n)``, agent-major.
     Returns the next state and, if recorded, the network averages of the
     n inner iterates.  Phase 2 reads every agent's phase-1 output, exactly
     as a barrier-synchronized parallel execution would.
     """
     if not gamma > 0.0:
         raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma}")
-    m, n = labels.shape
+    m, n, kind = problem.m, problem.n, problem.kind
     rows = np.arange(m)[:, None]
     perm = np.stack([epoch_indices(sampler, t) for sampler in samplers])
-    a, y = features[rows, perm], labels[rows, perm]
+    a, y = problem.features[rows, perm], problem.labels[rows, perm]
     inner = x.copy()
     inner_sum = np.empty((n, x.shape[1])) if record_inner else None
     with np.errstate(all="ignore"):
@@ -283,20 +290,13 @@ def run_epoch_dpgrr(
             step = _first_bad_step(kind, gamma, x[j], a[j], y[j])
             raise NonFiniteIterate(j, t, step, "inner")
         mixed = weights @ inner
-        x_next = prox(reg, gamma, mixed)
+        x_next = prox(problem.regularizer, gamma, mixed)
     _check_phases(t, ("mix", mixed), ("prox", x_next))
     return x_next, (inner_sum / m if record_inner else None)
 
 
 def run_epoch_dgm(
-    x: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    kind: SmoothLossKind,
-    reg: Regularizer,
-    gamma_t: float,
-    weights: np.ndarray,
-    t: int,
+    x: np.ndarray, problem: ProblemBundle, gamma_t: float, weights: np.ndarray, t: int
 ) -> np.ndarray:
     """One epoch of the subgradient baseline: mix once, then one local step.
 
@@ -308,10 +308,13 @@ def run_epoch_dgm(
         raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma_t}")
     with np.errstate(all="ignore"):
         mixed = weights @ x
+        features = problem.features
         coef = objectives.loss_derivative(
-            kind, np.einsum("jnd,jd->jn", features, mixed), labels
+            problem.kind, np.einsum("jnd,jd->jn", features, mixed), problem.labels
         )
-        grad = subgradient(reg, mixed) + np.einsum("jn,jnd->jd", coef, features)
+        grad = subgradient(problem.regularizer, mixed) + np.einsum(
+            "jn,jnd->jd", coef, features
+        )
         x_next = mixed - gamma_t * grad
     _check_phases(t, ("mix", mixed), ("step", x_next))
     return x_next
@@ -392,14 +395,12 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
         inner_avgs = None
         if algo == "dgm":
             x = run_epoch_dgm(
-                x, features, labels, kind, reg,
-                gamma / math.sqrt(t + 1.0), problem.schedule.matrix(t).weights, t,
+                x, problem, gamma / math.sqrt(t + 1.0), problem.schedule.matrix(t).weights, t
             )
         else:
             weights = consensus_weights_for_epoch(problem.schedule, t, config.steps_mode)
             x, inner_avgs = run_epoch_dpgrr(
-                x, features, labels, kind, reg, gamma,
-                weights.weights, samplers, t, record_inner=config.record_v,
+                x, problem, gamma, weights.weights, samplers, t, record_inner=config.record_v
             )
         x_bar = x.mean(axis=0)
         x_hat_sum += x_bar

@@ -24,9 +24,7 @@ __all__ = [
     "EmptyData",
     "SmoothLossKind",
     "Sample",
-    "LocalDataset",
     "sample_value_grad",
-    "packed_arrays",
     "loss_derivative",
     "full_objective",
     "lipschitz_constant",
@@ -47,13 +45,15 @@ class SmoothLossKind(enum.Enum):
     LEAST_SQUARES = "least_squares"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Sparse feature vector and its label.
 
     Labels are +-1 for classification, real targets for regression.
     Indices are stored sorted ascending so dot products always accumulate
     in the same order, which keeps every downstream metric reproducible.
+    Compares and hashes by value: equal label and equal (read-only)
+    indices and values.
     """
 
     indices: np.ndarray
@@ -72,9 +72,25 @@ class Sample:
         if not (np.all(np.isfinite(val)) and math.isfinite(self.label)):
             raise ValueError("sample contains non-finite values")
         order = np.argsort(idx, kind="stable")
-        object.__setattr__(self, "indices", idx[order])
-        object.__setattr__(self, "values", val[order])
+        idx, val = idx[order], val[order]
+        idx.setflags(write=False)
+        val.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "values", val)
         object.__setattr__(self, "label", float(self.label))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal
+        return hash((self.label, self.indices.tobytes(), (self.values + 0.0).tobytes()))
 
     def dense(self, dim: int) -> np.ndarray:
         if self.indices.size and self.indices[-1] >= dim:
@@ -84,29 +100,6 @@ class Sample:
         out = np.zeros(dim)
         out[self.indices] = self.values
         return out
-
-
-@dataclass(frozen=True)
-class LocalDataset:
-    """The ordered samples held by one agent."""
-
-    agent: int
-    samples: tuple[Sample, ...]
-    dim: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise EmptyData(f"agent {self.agent} has no samples")
-        for s in self.samples:
-            if s.indices.size and s.indices[-1] >= self.dim:
-                raise DimensionMismatch(
-                    f"agent {self.agent}: index {s.indices[-1]} >= dim {self.dim}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
 
 
 def _softplus(u: float) -> float:
@@ -148,26 +141,6 @@ def sample_value_grad(
     grad = np.zeros(x.size)
     grad[sample.indices] = coef * sample.values
     return value, grad
-
-
-def packed_arrays(datasets) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only dense ``(m, n, d)`` features and ``(m, n)`` labels, agent-major."""
-    if not datasets:
-        raise EmptyData("no datasets")
-    n, dim = datasets[0].n, datasets[0].dim
-    if any(ds.n != n for ds in datasets):
-        raise ValueError("all agents must hold equally many samples")
-    if any(ds.dim != dim for ds in datasets):
-        raise DimensionMismatch("datasets disagree on feature dimension")
-    features = np.zeros((len(datasets), n, dim))
-    labels = np.empty((len(datasets), n))
-    for j, ds in enumerate(datasets):
-        for i, s in enumerate(ds.samples):
-            features[j, i, s.indices] = s.values
-            labels[j, i] = s.label
-    features.flags.writeable = False
-    labels.flags.writeable = False
-    return features, labels
 
 
 def _sigmoid_vec(u: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "solve_centralized",
     "centralized_prox_rr",
     "load_fixtures",
+    "usable_fixture",
     "store_fixture",
     "fixture_x_star",
 ]
@@ -147,19 +148,32 @@ def _x_star_filename(key: str) -> str:
     return f"x_star_{key[:16]}.txt"
 
 
+def usable_fixture(
+    fixtures: dict, path: Path | str, key: str, tol: float = math.inf
+) -> dict | None:
+    """``fixtures[key]`` (the store at ``path``, loaded) if it is usable, else None.
+
+    Usable: solved at ``tol`` or tighter, with its solution file present.
+    """
+    entry = fixtures.get(key)
+    if entry is None or entry["tol"] > tol:
+        return None
+    if not (Path(path).parent / entry["x_star_file"]).exists():
+        return None
+    return entry
+
+
 def store_fixture(
     path: Path | str, key: str, solution: ReferenceSolution, tol: float
 ) -> bool:
     """Record a certified solution under ``key``; returns False on a no-op.
 
-    Idempotent: an existing entry solved at least as tightly is kept.
+    Idempotent: a usable entry solved at least as tightly is kept.
     """
     path = Path(path)
     fixtures = load_fixtures(path)
-    existing = fixtures.get(key)
-    if existing is not None and existing["tol"] <= tol:
-        if (path.parent / existing["x_star_file"]).exists():
-            return False
+    if usable_fixture(fixtures, path, key, tol) is not None:
+        return False
     entry = {
         "f_star": solution.f_star,
         "tol": tol,

@@ -8,7 +8,7 @@ import pytest
 from dpgrr.config import build_problem, load_config
 from dpgrr.engine import ProblemBundle
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
-from dpgrr.objectives import LocalDataset, Sample, SmoothLossKind
+from dpgrr.objectives import Sample, SmoothLossKind
 from dpgrr.proxops import Regularizer
 from dpgrr.reference import solve_centralized
 
@@ -70,11 +70,17 @@ def golden_section_prox_1d(penalty, gamma: float, xi: float) -> float:
     return float((lo + hi) / 2)
 
 
-def single_sample_dataset(a, label, dim, agent=0) -> LocalDataset:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return LocalDataset(
-        agent, (Sample(np.arange(a.size, dtype=np.int64), a, label),), dim
-    )
+def packed(*agents):
+    """``(features, labels)`` of agents given as lists of ``(a, label)`` pairs."""
+    features = np.array([[np.atleast_1d(a) for a, _ in pairs] for pairs in agents], float)
+    labels = np.array([[label for _, label in pairs] for pairs in agents], float)
+    return features, labels
+
+
+def dense_samples(features, labels):
+    """Each agent's packed rows as dense ``Sample``s, for the per-sample oracles."""
+    idx = np.arange(features.shape[-1])
+    return [[Sample(idx, a, y) for a, y in zip(rows, ys)] for rows, ys in zip(features, labels)]
 
 
 @pytest.fixture()
@@ -82,7 +88,7 @@ def toy_ls_problem() -> ProblemBundle:
     """One agent, one least-squares sample a=[1], target 1."""
     schedule = GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1)
     return ProblemBundle(
-        datasets=(single_sample_dataset([1.0], 1.0, 1),),
+        *packed([([1.0], 1.0)]),
         kind=SmoothLossKind.LEAST_SQUARES,
         regularizer=Regularizer.zero(),
         schedule=schedule,

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import CONFIGS, golden_section_prox_1d
+from conftest import CONFIGS, dense_samples, golden_section_prox_1d
 from dpgrr.cli import main as cli_main
 from dpgrr.config import build_problem, load_config
 from dpgrr.dataio import synthesize_classification
@@ -236,10 +236,11 @@ def test_criterion_7_sampler_ordering():
 
 
 def test_criterion_8_oracle_equivalence():
-    ds = synthesize_classification(m=1, n=5, d=3, separation=1.0, seed=4)[0]
+    features, labels = synthesize_classification(m=1, n=5, d=3, separation=1.0, seed=4)
     reg = Regularizer.l1(0.02)
     problem = ProblemBundle(
-        datasets=(ds,),
+        features,
+        labels,
         kind=SmoothLossKind.LOGISTIC,
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
@@ -249,7 +250,8 @@ def test_criterion_8_oracle_equivalence():
     )
     trace = run(cfg, problem)
     iterates = centralized_prox_rr(
-        ds.samples, 3, SmoothLossKind.LOGISTIC, reg, gamma=0.1, horizon=50, seed=77
+        dense_samples(features, labels)[0], 3, SmoothLossKind.LOGISTIC, reg, gamma=0.1,
+        horizon=50, seed=77,
     )
     worst = max(
         float(np.abs(trace.snapshots[t][0] - iterates[t]).max()) for t in range(51)

@@ -7,7 +7,7 @@ import pytest
 
 import dpgrr.cli
 from dpgrr.cli import CSV_HEADER, main
-from dpgrr.config import config_hash, load_config, problem_hash
+from dpgrr.config import ConfigError, config_hash, load_config, problem_hash
 from dpgrr.reference import ReferenceSolution
 
 TOY_DATA = "3 1:1\n"
@@ -285,3 +285,39 @@ def test_config_error_is_reported(tmp_path, capsys):
     bad.write_text("loss: logistic\n")
     assert main(["run", "--config", str(bad), "-q"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_fixture_without_its_solution_file_is_solved_again(tmp_path, capsys):
+    cfg = write_synth(
+        tmp_path, extra="diagnostics: {record_v: false, record_sigma_star: true}\n"
+    )
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    key = problem_hash(load_config(cfg))
+    fixtures = tmp_path / "fixtures"
+    (fixtures / json.loads((fixtures / "oracle.json").read_text())[key]["x_star_file"]).unlink()
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"] == "computed(tol=1e-10)"
+    # the oracle treats the entry as absent too, and restores the file
+    capsys.readouterr()
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    assert "stored fixture" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"] == f"fixture:{key[:16]}"
+
+
+@pytest.mark.parametrize("line, repeated", [
+    ("  - {name: dpg-rr, step: {rule: sqrt_horizon}}",
+     "  - {name: dpg-rr, step: {rule: sqrt_horizon}}\n"
+     "  - {name: DPG-RR, step: {rule: constant, gamma: 0.2}}"),
+    ("seeds: [3]", "seeds: [3, 4, 3]"),
+], ids=["algorithms", "seeds"])
+def test_repeated_algorithm_or_seed_is_a_config_error(tmp_path, capsys, line, repeated):
+    cfg = write_synth(tmp_path)
+    cfg.write_text(cfg.read_text().replace(line, repeated))
+    with pytest.raises(ConfigError, match="listed more than once"):
+        load_config(cfg)
+    assert main(["run", "--config", str(cfg), "-q"]) == 1
+    assert "listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-import dpgrr.objectives
+from conftest import dense_samples, packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
-    ALGORITHMS,
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,
@@ -16,7 +15,6 @@ from dpgrr.engine import (
     run,
     step_scale_bound,
 )
-from dpgrr.metrics import shuffling_variance
 from dpgrr.netgraph import (
     GraphSchedule,
     StepsMode,
@@ -24,13 +22,11 @@ from dpgrr.netgraph import (
     metropolis_weights,
 )
 from dpgrr.objectives import (
-    LocalDataset,
-    Sample,
+    DimensionMismatch,
+    EmptyData,
     SmoothLossKind,
     full_objective,
-    gradient_bound,
     lipschitz_constant,
-    packed_arrays,
     sample_value_grad,
 )
 from dpgrr.proxops import Regularizer, prox, subgradient
@@ -41,21 +37,10 @@ LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
 
 
-def ls_dataset(pairs, dim, agent=0):
-    samples = tuple(
-        Sample(np.arange(len(a), dtype=np.int64), np.asarray(a, dtype=float), l)
-        for a, l in pairs
-    )
-    return LocalDataset(agent, samples, dim)
-
-
 def two_agent_problem(reg=None, labels=(1.0, 3.0)):
     complete = metropolis_weights({(0, 1)}, 2, 0.5)
     return ProblemBundle(
-        datasets=(
-            ls_dataset([([1.0], labels[0])], 1, agent=0),
-            ls_dataset([([1.0], labels[1])], 1, agent=1),
-        ),
+        *packed([([1.0], labels[0])], [([1.0], labels[1])]),
         kind=LS,
         regularizer=reg or Regularizer.zero(),
         schedule=GraphSchedule((complete,), 1),
@@ -109,13 +94,10 @@ def test_two_agents_complete_graph_matches_hand_average():
 def test_identical_agents_stay_identical():
     # same data, same start, shared sampler streams: trajectories must agree
     # bit for bit because mixing is doubly stochastic
-    data = synthesize_classification(m=1, n=4, d=3, separation=1.0, seed=2)[0]
-    datasets = (
-        LocalDataset(0, data.samples, 3),
-        LocalDataset(1, data.samples, 3),
-    )
+    features, labels = synthesize_classification(m=1, n=4, d=3, separation=1.0, seed=2)
     problem = ProblemBundle(
-        datasets=datasets,
+        np.concatenate([features, features]),
+        np.concatenate([labels, labels]),
         kind=LOG,
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
@@ -204,9 +186,8 @@ def test_step_bound_enforced_and_warned(canonical_problem):
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_iterate_reports_context():
-    ds = ls_dataset([([1.0], 0.0), ([1.0], 0.0)], 1)
     problem = ProblemBundle(
-        datasets=(ds,),
+        *packed([([1.0], 0.0), ([1.0], 0.0)]),
         kind=LS,
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
@@ -225,10 +206,7 @@ def test_nonfinite_report_follows_serial_agent_order():
     # agent 1 overflows at inner step 0, agent 0 only at step 1; agent 0's
     # pass comes first in serial order, so it is the one reported
     problem = ProblemBundle(
-        datasets=(
-            ls_dataset([([1.0], 0.0)] * 2, 1, agent=0),
-            ls_dataset([([1e200], 0.0)] * 2, 1, agent=1),
-        ),
+        *packed([([1.0], 0.0)] * 2, [([1e200], 0.0)] * 2),
         kind=LS,
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
@@ -266,10 +244,7 @@ def test_dgm_steps_decay_like_inverse_sqrt(toy_ls_problem):
 def test_dgm_identity_mixing_keeps_agents_independent():
     identity = metropolis_weights(set(), 2, 0.5)
     problem = ProblemBundle(
-        datasets=(
-            ls_dataset([([1.0], 1.0)], 1, agent=0),
-            ls_dataset([([1.0], 5.0)], 1, agent=1),
-        ),
+        *packed([([1.0], 1.0)], [([1.0], 5.0)]),
         kind=LS,
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((identity,), 1),
@@ -290,15 +265,15 @@ def test_dgm_requires_constant_rule(toy_ls_problem):
 
 
 def test_dgm_slower_than_reshuffling_on_seeded_problem():
-    datasets = tuple(synthesize_classification(m=3, n=10, d=5, separation=1.0, seed=6))
+    features, labels = synthesize_classification(m=3, n=10, d=5, separation=1.0, seed=6)
     reg = Regularizer.l1(0.01)
     slots = [{(0, 1)}, {(1, 2)}, {(0, 2)}]
     schedule = GraphSchedule(
         tuple(metropolis_weights(s, 3, 0.1) for s in slots), 3
     )
-    sol = solve_centralized(*packed_arrays(datasets), reg, LOG, tol=1e-10)
+    sol = solve_centralized(features, labels, reg, LOG, tol=1e-10)
     problem = ProblemBundle(
-        datasets=datasets, kind=LOG, regularizer=reg, schedule=schedule,
+        features, labels, kind=LOG, regularizer=reg, schedule=schedule,
         f_star=sol.f_star, x_star=sol.x_star,
     )
     rr = run(RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200), problem)
@@ -306,41 +281,32 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
     assert dgm.rows[-1].suboptimality > rr.rows[-1].suboptimality > -1e-9
 
 
-def test_bundle_packs_read_only_arrays(canonical_problem):
-    p = canonical_problem
-    assert p.features.shape == (p.m, p.n, p.dim) == (5, 20, 10)
-    assert p.labels.shape == (5, 20)
-    for j, ds in enumerate(p.datasets):
-        for i, smp in enumerate(ds.samples):
-            assert np.array_equal(p.features[j, i], smp.dense(p.dim))
-            assert p.labels[j, i] == smp.label
+def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
+    features, labels = packed([([1.0, 2.0], 1.0), ([3.0, 4.0], -1.0)])
+    p = dataclasses.replace(toy_ls_problem, features=features, labels=labels)
+    assert (p.m, p.n, p.dim) == (1, 2, 2)
+    assert np.array_equal(p.features, features) and np.array_equal(p.labels, labels)
+    # read-only copies: the caller's arrays stay writable and apart
     with pytest.raises(ValueError):
-        p.features[0, 0, 0] = 1.0
+        p.features[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
-        p.labels[0, 0] = 1.0
-    with pytest.raises(TypeError):
-        ProblemBundle(datasets=p.datasets, dim=10, kind=p.kind,
-                      regularizer=p.regularizer, schedule=p.schedule)
-
-
-def test_nothing_repacks_after_construction(canonical_problem, monkeypatch):
-    # the bundle packs its datasets once; every consumer reads those arrays
-    def refuse(datasets):
-        raise AssertionError("datasets packed again after construction")
-
-    monkeypatch.setattr(dpgrr.objectives, "packed_arrays", refuse)
-    p = canonical_problem
-    for algo in ALGORITHMS:
-        cfg = RunConfig(algo, 3, StepRule.constant(0.05), seed=1,
-                        record_v=True, record_sigma_star=True)
-        assert len(run(cfg, p).rows) == 4
-    assert solve_centralized(p.features, p.labels, p.regularizer, p.kind,
-                             max_iters=5).iterations == 5
-    assert gradient_bound(p.features, p.labels, p.kind) > 0.0
-    assert shuffling_variance(p.features, p.labels, p.kind, p.x_star) > 0.0
-    # the patch does bite: building a bundle packs
-    with pytest.raises(AssertionError):
-        dataclasses.replace(p, f_star=None)
+        p.labels[0, 0] = 5.0
+    features[0, 0, 0] = labels[0, 0] = 5.0
+    assert p.features[0, 0, 0] == 1.0 and p.labels[0, 0] == 1.0
+    for shapes in ((features, labels[:, :1]), (features[0], labels), (features, labels[0])):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(p, features=shapes[0], labels=shapes[1])
+    for empty in ((features[:, :0], labels[:, :0]), (features[:0], labels[:0])):
+        with pytest.raises(EmptyData):
+            dataclasses.replace(p, features=empty[0], labels=empty[1])
+    nan_features, nan_labels = features.copy(), labels.copy()
+    nan_features[0, 1, 1] = nan_labels[0, 1] = np.nan
+    for bad in ({"features": nan_features}, {"labels": nan_labels}):
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(p, **{"features": features, "labels": labels, **bad})
+    # identity comparison: neither == nor hash raises on the arrays
+    assert (p == dataclasses.replace(p)) is False
+    assert p == p and hash(p) == hash(p)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -391,6 +357,7 @@ _MODES = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 def serial_reference(cfg, problem):
     """Per-agent, per-sample loop over lists of vectors: epoch -> (snapshot, V_t)."""
     m, n, kind, reg = problem.m, problem.n, problem.kind, problem.regularizer
+    samples = dense_samples(problem.features, problem.labels)
     gamma = cfg.step.gamma
     xs = [np.full(problem.dim, cfg.x0) for _ in range(m)]
     out = {0: (np.stack(xs), None)}
@@ -400,19 +367,19 @@ def serial_reference(cfg, problem):
             w = problem.schedule.matrix(t).weights
             mixed = [sum(w[j, k] * xs[k] for k in range(m)) for j in range(m)]
             xs = []
-            for v, ds in zip(mixed, problem.datasets):
+            for v, local_samples in zip(mixed, samples):
                 g = subgradient(reg, v)
-                for sample in ds.samples:
+                for sample in local_samples:
                     g = g + sample_value_grad(kind, sample, v)[1]
                 xs.append(v - gamma / math.sqrt(t + 1.0) * g)
         else:
             inner_avg, local = np.zeros((n, problem.dim)), []
-            for j, ds in enumerate(problem.datasets):
+            for j, local_samples in enumerate(samples):
                 x = xs[j].copy()
                 sampler = SamplingSchedule(_MODES[cfg.algorithm], n, cfg.seed, j)
                 for i, idx in enumerate(epoch_indices(sampler, t)):
                     inner_avg[i] += x / m
-                    x = x - gamma * sample_value_grad(kind, ds.samples[idx], x)[1]
+                    x = x - gamma * sample_value_grad(kind, local_samples[idx], x)[1]
                 local.append(x)
             w = consensus_weights_for_epoch(problem.schedule, t, cfg.steps_mode).weights
             xs = [prox(reg, gamma, sum(w[j, k] * local[k] for k in range(m))) for j in range(m)]

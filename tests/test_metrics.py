@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense_samples, packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.metrics import (
     MissingInnerTrace,
@@ -9,12 +10,7 @@ from dpgrr.metrics import (
     shuffling_variance,
 )
 from dpgrr.netgraph import metropolis_weights
-from dpgrr.objectives import (
-    DimensionMismatch,
-    SmoothLossKind,
-    packed_arrays,
-    sample_value_grad,
-)
+from dpgrr.objectives import DimensionMismatch, SmoothLossKind, sample_value_grad
 
 
 def laplacian_form(xs, weights) -> float:
@@ -73,60 +69,47 @@ def test_dimension_mismatch():
 
 
 def test_shuffling_variance_identical_samples():
-    datasets = synthesize_classification(m=2, n=4, d=3, separation=np.inf, seed=1)
+    features, labels = synthesize_classification(m=2, n=4, d=3, separation=np.inf, seed=1)
     # overwrite: make every index hold the same sample per agent
-    from dpgrr.objectives import LocalDataset
-
-    base = datasets[0].samples[0]
-    flat = tuple(
-        LocalDataset(j, (base,) * 4, 3) for j in range(2)
-    )
-    got = shuffling_variance(*packed_arrays(flat), SmoothLossKind.LOGISTIC, np.zeros(3))
+    flat = np.broadcast_to(features[0, 0], (2, 4, 3))
+    same = np.full((2, 4), labels[0, 0])
+    got = shuffling_variance(flat, same, SmoothLossKind.LOGISTIC, np.zeros(3))
     assert got == pytest.approx(0.0, abs=1e-30)
 
 
 def test_shuffling_variance_two_point_example():
     # per-index averaged gradients [1] and [-1]: mean 0, variance 1
-    from dpgrr.objectives import LocalDataset, Sample
-
-    s_pos = Sample(np.array([0]), np.array([1.0]), 1.0)
-    s_neg = Sample(np.array([0]), np.array([1.0]), -1.0)
-    ds = LocalDataset(0, (s_pos, s_neg), 1)
     # least squares at x=0: grad = (0 - label) * a -> -1 and +1
     got = shuffling_variance(
-        *packed_arrays((ds,)), SmoothLossKind.LEAST_SQUARES, np.zeros(1)
+        *packed([([1.0], 1.0), ([1.0], -1.0)]), SmoothLossKind.LEAST_SQUARES, np.zeros(1)
     )
     assert got == pytest.approx(1.0, abs=1e-15)
 
 
 def test_shuffling_variance_matches_brute_force():
-    datasets = tuple(synthesize_classification(m=3, n=5, d=4, separation=1.0, seed=7))
+    features, labels = synthesize_classification(m=3, n=5, d=4, separation=1.0, seed=7)
     x = np.random.default_rng(8).normal(size=4)
-    got = shuffling_variance(*packed_arrays(datasets), SmoothLossKind.LOGISTIC, x)
-    # independent recomputation straight from raw samples
+    got = shuffling_variance(features, labels, SmoothLossKind.LOGISTIC, x)
+    # independent recomputation, one sample at a time
     g = np.zeros((5, 4))
     for i in range(5):
-        for ds in datasets:
-            g[i] += sample_value_grad(SmoothLossKind.LOGISTIC, ds.samples[i], x)[1]
+        for samples in dense_samples(features, labels):
+            g[i] += sample_value_grad(SmoothLossKind.LOGISTIC, samples[i], x)[1]
         g[i] /= 3
     want = float(np.mean(np.sum((g - g.mean(0)) ** 2, axis=1)))
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_shuffling_variance_invariant_to_local_reorder():
-    datasets = tuple(synthesize_classification(m=2, n=6, d=3, separation=1.0, seed=9))
+    features, labels = synthesize_classification(m=2, n=6, d=3, separation=1.0, seed=9)
     x = np.random.default_rng(10).normal(size=3)
-    base = shuffling_variance(*packed_arrays(datasets), SmoothLossKind.LOGISTIC, x)
-    from dpgrr.objectives import LocalDataset
-
+    base = shuffling_variance(features, labels, SmoothLossKind.LOGISTIC, x)
     # reorder each agent's samples by the SAME permutation: the per-index
     # averages are permuted as a set, so the variance cannot change
     perm = [3, 0, 5, 1, 4, 2]
-    reordered = tuple(
-        LocalDataset(ds.agent, tuple(ds.samples[p] for p in perm), ds.dim)
-        for ds in datasets
+    got = shuffling_variance(
+        features[:, perm], labels[:, perm], SmoothLossKind.LOGISTIC, x
     )
-    got = shuffling_variance(*packed_arrays(reordered), SmoothLossKind.LOGISTIC, x)
     assert got == pytest.approx(base, abs=1e-14)
 
 

@@ -4,19 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import single_sample_dataset
-from dpgrr.dataio import synthesize_classification
+from conftest import dense_samples, packed
+from dpgrr.dataio import partition, synthesize_classification
 from dpgrr.objectives import (
     DimensionMismatch,
-    EmptyData,
-    LocalDataset,
     Sample,
     SmoothLossKind,
     full_objective,
     gradient_bound,
     lipschitz_constant,
     loss_derivative,
-    packed_arrays,
     packed_smooth_grad,
     packed_smooth_value,
     sample_value_grad,
@@ -61,9 +58,8 @@ def test_least_squares_exact_fit():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         sample_value_grad(LOG, s([1.0, 2.0], 1.0), np.zeros(1))
-    ds = single_sample_dataset([1.0, 2.0], 1.0, 2)
     with pytest.raises(DimensionMismatch):
-        full_objective(*packed_arrays((ds,)), Regularizer.zero(), LOG, np.zeros(3))
+        full_objective(*packed([([1.0, 2.0], 1.0)]), Regularizer.zero(), LOG, np.zeros(3))
 
 
 def test_sparse_sample_gradient_placement():
@@ -76,41 +72,34 @@ def test_sparse_sample_gradient_placement():
 
 
 def test_full_objective_at_zero_is_n_log2():
-    datasets = synthesize_classification(m=3, n=7, d=4, separation=2.0, seed=5)
-    got = full_objective(*packed_arrays(datasets), Regularizer.zero(), LOG, np.zeros(4))
+    arrays = synthesize_classification(m=3, n=7, d=4, separation=2.0, seed=5)
+    got = full_objective(*arrays, Regularizer.zero(), LOG, np.zeros(4))
     assert got == pytest.approx(7.0 * math.log(2.0), rel=1e-12)
 
 
 def test_full_objective_single_agent_example():
-    ds = single_sample_dataset([1.0], 0.0, 1)
-    got = full_objective(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, np.array([2.0]))
+    got = full_objective(*packed([([1.0], 0.0)]), Regularizer.l1(1.0), LS, np.array([2.0]))
     assert got == pytest.approx(4.0, abs=1e-15)  # 0.5*4 + |2|
 
 
 def test_full_objective_uses_one_over_m_scaling():
     # two agents, one sample each: F = (f1 + f2) / 2, not / (2*1) twice
-    d1 = single_sample_dataset([1.0], 0.0, 1, agent=0)
-    d2 = single_sample_dataset([1.0], 0.0, 1, agent=1)
     x = np.array([3.0])
-    got = full_objective(*packed_arrays((d1, d2)), Regularizer.zero(), LS, x)
+    got = full_objective(*packed([([1.0], 0.0)], [([1.0], 0.0)]), Regularizer.zero(), LS, x)
     assert got == pytest.approx(0.5 * (4.5 + 4.5), abs=1e-14)
 
 
 def test_batch_matches_sample_sum():
-    datasets = tuple(synthesize_classification(m=2, n=5, d=6, separation=1.0, seed=9))
-    features, labels = packed_arrays(datasets)
+    features, labels = synthesize_classification(m=2, n=5, d=6, separation=1.0, seed=9)
+    samples = [smp for agent in dense_samples(features, labels) for smp in agent]
     rng = np.random.default_rng(0)
     for kind in (LOG, LS):
         x = rng.normal(size=6)
         value = packed_smooth_value(features, labels, kind, x)
         grad = packed_smooth_grad(features, labels, kind, x)
-        m = len(datasets)
-        want_v = sum(
-            sample_value_grad(kind, smp, x)[0] for ds in datasets for smp in ds.samples
-        ) / m
-        want_g = sum(
-            sample_value_grad(kind, smp, x)[1] for ds in datasets for smp in ds.samples
-        ) / m
+        m = features.shape[0]
+        want_v = sum(sample_value_grad(kind, smp, x)[0] for smp in samples) / m
+        want_g = sum(sample_value_grad(kind, smp, x)[1] for smp in samples) / m
         assert value == pytest.approx(want_v, rel=1e-12)
         assert np.allclose(grad, want_g, atol=1e-12)
 
@@ -173,51 +162,44 @@ def test_convexity_along_segments(kind):
 @pytest.mark.parametrize("kind", [LOG, LS])
 def test_per_sample_smoothness_with_module_constant(kind):
     rng = np.random.default_rng(31)
-    datasets = tuple(synthesize_classification(m=1, n=8, d=5, separation=1.0, seed=3))
-    lip = lipschitz_constant(packed_arrays(datasets)[0], kind)
+    features, labels = synthesize_classification(m=1, n=8, d=5, separation=1.0, seed=3)
+    lip = lipschitz_constant(features, kind)
     for _ in range(200):
         x, y = rng.normal(size=5), rng.normal(size=5)
-        for smp in datasets[0].samples:
+        for smp in dense_samples(features, labels)[0]:
             gx = sample_value_grad(kind, smp, x)[1]
             gy = sample_value_grad(kind, smp, y)[1]
             assert np.linalg.norm(gx - gy) <= lip * np.linalg.norm(x - y) + 1e-12
 
 
 def test_lipschitz_constant_examples():
-    one, _ = packed_arrays((single_sample_dataset([2.0], 1.0, 1),))
+    one, _ = packed([([2.0], 1.0)])
     assert lipschitz_constant(one, LOG) == pytest.approx(1.0)
-    two = LocalDataset(0, (s([1.0], 0.0), s([3.0], 0.0)), 1)
-    assert lipschitz_constant(packed_arrays((two,))[0], LS) == pytest.approx(9.0)
-    with pytest.raises(EmptyData):
-        packed_arrays(())
+    two, _ = packed([([1.0], 0.0), ([3.0], 0.0)])
+    assert lipschitz_constant(two, LS) == pytest.approx(9.0)
 
 
 def test_gradient_bound_examples():
-    three_four = packed_arrays((single_sample_dataset([3.0, 4.0], 1.0, 2),))
+    three_four = packed([([3.0, 4.0], 1.0)])
     assert gradient_bound(*three_four, LOG) == pytest.approx(5.0)
-    unit = packed_arrays((single_sample_dataset([1.0], 1.0, 1),))
+    unit = packed([([1.0], 1.0)])
     assert gradient_bound(*unit, LS, radius=0.0) == pytest.approx(1.0)
-    with pytest.raises(EmptyData):
-        packed_arrays(())
     with pytest.raises(ValueError):
         gradient_bound(*unit, LS, radius=-1.0)
 
 
 def test_gradient_bound_matches_direct_scan():
-    datasets = tuple(synthesize_classification(m=4, n=6, d=8, separation=2.0, seed=11))
-    want = max(
-        float(np.linalg.norm(smp.dense(8))) for ds in datasets for smp in ds.samples
-    )
-    packed = packed_arrays(datasets)
-    assert gradient_bound(*packed, LOG) == pytest.approx(want, rel=1e-15)
+    arrays = synthesize_classification(m=4, n=6, d=8, separation=2.0, seed=11)
+    samples = [smp for agent in dense_samples(*arrays) for smp in agent]
+    want = max(float(np.linalg.norm(smp.dense(8))) for smp in samples)
+    assert gradient_bound(*arrays, LOG) == pytest.approx(want, rel=1e-15)
     # the bound really does dominate observed gradients
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.normal(size=8, scale=5.0)
-        for ds in datasets:
-            for smp in ds.samples:
-                g = sample_value_grad(LOG, smp, x)[1]
-                assert np.linalg.norm(g) <= gradient_bound(*packed, LOG) + 1e-12
+        for smp in samples:
+            g = sample_value_grad(LOG, smp, x)[1]
+            assert np.linalg.norm(g) <= gradient_bound(*arrays, LOG) + 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 10, 57, 123, 200])
@@ -236,7 +218,7 @@ def test_constants_equal_per_sample_forms_bit_for_bit(d, sparse):
         samples.append(Sample(idx, 3.0 * rng.normal(size=idx.size), float(rng.normal())))
     groups = [(smp,) for smp in samples] + [tuple(samples)]
     for group in groups:
-        features, labels = packed_arrays((LocalDataset(0, group, d),))
+        features, labels, _ = partition(group, d, 1)
         norms = [float(np.linalg.norm(smp.values)) for smp in group]
         a = max(norms)
         assert lipschitz_constant(features, LOG) == a * a / 4.0
@@ -253,5 +235,17 @@ def test_sample_validation():
         Sample(np.array([-1]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         Sample(np.array([0]), np.array([np.nan]), 1.0)
-    with pytest.raises(EmptyData):
-        LocalDataset(0, (), 3)
+
+
+def test_sample_compares_and_hashes_by_value():
+    a = Sample(np.array([3, 0]), np.array([2.0, -0.0]), 1.0)
+    b = Sample(np.array([0, 3]), np.array([0.0, 2.0]), 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Sample(np.array([0, 3]), np.array([0.0, 2.0]), -1.0)
+    assert a != Sample(np.array([0, 2]), np.array([0.0, 2.0]), 1.0)
+    assert a != Sample(np.array([0, 3]), np.array([0.0, 2.5]), 1.0)
+    assert a != Sample(np.array([0]), np.array([0.0]), 1.0)
+    assert a != "not a sample"
+    with pytest.raises(ValueError):
+        a.values[0] = 1.0

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import single_sample_dataset
+from conftest import dense_samples, packed
+from dpgrr.dataio import partition, synthesize_classification
 from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import (
-    LocalDataset,
     Sample,
     SmoothLossKind,
     full_objective,
     lipschitz_constant,
     loss_derivative,
-    packed_arrays,
     packed_smooth_grad,
 )
 from dpgrr.proxops import Regularizer, prox
@@ -28,8 +27,7 @@ LOG = SmoothLossKind.LOGISTIC
 
 
 def test_exact_fit_toy():
-    ds = single_sample_dataset([1.0], 3.0, 1)
-    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.zero(), LS, tol=1e-12)
+    sol = solve_centralized(*packed([([1.0], 3.0)]), Regularizer.zero(), LS, tol=1e-12)
     assert sol.converged
     assert sol.x_star[0] == pytest.approx(3.0, abs=1e-12)
     assert sol.f_star == pytest.approx(0.0, abs=1e-14)
@@ -37,8 +35,7 @@ def test_exact_fit_toy():
 
 def test_l1_toy_has_known_solution():
     # min 0.5 (x - 2)^2 + |x|  ->  x* = 1, F* = 1.5
-    ds = single_sample_dataset([1.0], 2.0, 1)
-    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, tol=1e-12)
+    sol = solve_centralized(*packed([([1.0], 2.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
     assert sol.converged
     assert sol.x_star[0] == pytest.approx(1.0, abs=1e-10)
     assert sol.f_star == pytest.approx(1.5, abs=1e-10)
@@ -70,12 +67,11 @@ def test_gradient_mapping_certificate_holds(canonical_problem):
     assert np.linalg.norm(sol.x_star - forward) / step <= 1e-10
 
 
-def _value_and_gradient_solve(datasets, reg, kind, tol, max_iters):
+def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
     """The solver as a loop that takes the loss value with every gradient."""
-    packed, labels = packed_arrays(datasets)
-    m, n, dim = packed.shape
-    features, labels = packed.reshape(m * n, dim), labels.reshape(m * n)
-    step = 1.0 / (n * lipschitz_constant(packed, kind))
+    m, n, dim = agent_rows.shape
+    features, labels = agent_rows.reshape(m * n, dim), labels.reshape(m * n)
+    step = 1.0 / (n * lipschitz_constant(agent_rows, kind))
 
     def value_grad(x):
         z = features @ x
@@ -109,21 +105,18 @@ def _value_and_gradient_solve(datasets, reg, kind, tol, max_iters):
 def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
     rng = np.random.default_rng(11)
     dim = 6
-    datasets = []
-    for agent in range(3):
-        samples = []
-        for _ in range(4):
-            idx = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
-            label = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
-            samples.append(Sample(idx, rng.normal(size=idx.size), label))
-        datasets.append(LocalDataset(agent, tuple(samples), dim))
-    datasets = tuple(datasets)
+    samples = []
+    for _ in range(3 * 4):
+        idx = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
+        label = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
+        samples.append(Sample(idx, rng.normal(size=idx.size), label))
+    features, labels, _ = partition(samples, dim, 3, strategy="contiguous")
     for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
         sol = solve_centralized(
-            *packed_arrays(datasets), reg, kind, tol=tol, max_iters=max_iters
+            features, labels, reg, kind, tol=tol, max_iters=max_iters
         )
         x, f, mapping_norm, iterations = _value_and_gradient_solve(
-            datasets, reg, kind, tol, max_iters
+            features, labels, reg, kind, tol, max_iters
         )
         assert np.array_equal(sol.x_star, x)
         assert sol.iterations == iterations
@@ -196,34 +189,31 @@ def test_optimality_floor_over_engine_iterates(canonical_problem):
 
 
 def test_prox_rr_single_sample_is_gradient_descent():
-    ds = single_sample_dataset([1.0], 1.0, 1)
     iterates = centralized_prox_rr(
-        ds.samples, 1, LS, Regularizer.zero(), gamma=0.5, horizon=1, seed=0
+        dense_samples(*packed([([1.0], 1.0)]))[0], 1, LS, Regularizer.zero(), gamma=0.5, horizon=1, seed=0
     )
     assert iterates.shape == (2, 1)
     assert iterates[1, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_prox_rr_monotone_descent_small_step():
-    from dpgrr.dataio import synthesize_classification
-
-    ds = synthesize_classification(m=1, n=8, d=4, separation=1.0, seed=3)[0]
+    features, labels = synthesize_classification(m=1, n=8, d=4, separation=1.0, seed=3)
     iterates = centralized_prox_rr(
-        ds.samples, 4, LOG, Regularizer.zero(), gamma=0.01, horizon=30, seed=1
+        dense_samples(features, labels)[0], 4, LOG, Regularizer.zero(), gamma=0.01,
+        horizon=30, seed=1,
     )
     values = [
-        full_objective(*packed_arrays((ds,)), Regularizer.zero(), LOG, x) for x in iterates
+        full_objective(features, labels, Regularizer.zero(), LOG, x) for x in iterates
     ]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_prox_rr_matches_single_agent_engine():
-    from dpgrr.dataio import synthesize_classification
-
-    ds = synthesize_classification(m=1, n=5, d=3, separation=1.0, seed=4)[0]
+    features, labels = synthesize_classification(m=1, n=5, d=3, separation=1.0, seed=4)
     reg = Regularizer.l1(0.02)
     problem = ProblemBundle(
-        datasets=(ds,),
+        features,
+        labels,
         kind=LOG,
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
@@ -233,7 +223,7 @@ def test_prox_rr_matches_single_agent_engine():
     )
     trace = run(cfg, problem)
     iterates = centralized_prox_rr(
-        ds.samples, 3, LOG, reg, gamma=0.1, horizon=50, seed=21
+        dense_samples(features, labels)[0], 3, LOG, reg, gamma=0.1, horizon=50, seed=21
     )
     for t in range(51):
         assert np.allclose(trace.snapshots[t][0], iterates[t], atol=1e-12)
@@ -243,8 +233,7 @@ def test_prox_rr_matches_single_agent_engine():
 
 
 def test_fixture_store_roundtrip_and_idempotence(tmp_path):
-    ds = single_sample_dataset([1.0], 2.0, 1)
-    sol = solve_centralized(*packed_arrays((ds,)), Regularizer.l1(1.0), LS, tol=1e-12)
+    sol = solve_centralized(*packed([([1.0], 2.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
     path = tmp_path / "fixtures" / "oracle.json"
     assert store_fixture(path, "abc123", sol, 1e-12)
     entry = load_fixtures(path)["abc123"]
