@@ -44,4 +44,4 @@ from .proxops import (  # noqa: F401
     subgradient,
 )
 from .reference import ReferenceSolution, centralized_prox_rr, solve_centralized  # noqa: F401
-from .sampling import Mode, SamplingSchedule, epoch_indices, prefix_average_stats  # noqa: F401
+from .sampling import Mode, epoch_indices, prefix_average_stats  # noqa: F401

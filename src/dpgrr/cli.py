@@ -122,13 +122,15 @@ def cmd_validate(args) -> int:
 def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: bool):
     """Optimal value from a usable fixture, else computed on the fly.
 
+    A fixture solved at a looser tolerance than ``ORACLE_TOL`` counts as
+    absent, so a run never takes a coarser F* than it would solve itself.
     Returns ``(f_star, x_star, source, oracle)``; ``oracle`` reports the
     on-the-fly solve (``converged``, ``mapping_norm``, ``iterations``) and
     is None for a fixture.
     """
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
-    entry = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key)
+    entry = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key, ORACLE_TOL)
     if entry is not None:
         x_star = fixture_x_star(fixtures_path, entry) if need_x_star else None
         return entry["f_star"], x_star, f"fixture:{key[:16]}", None

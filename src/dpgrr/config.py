@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .dataio import parse_libsvm, partition, synthesize_classification, Partition
-from .engine import ProblemBundle, StepRule
+from .engine import ALGORITHMS, ProblemBundle, StepRule
 from .netgraph import GraphSchedule, StepsMode, metropolis_weights
 from .objectives import SmoothLossKind
 from .proxops import RegKind, Regularizer
@@ -97,6 +97,12 @@ class ExperimentConfig:
     x0: float = 0.0
     fixtures: str = "fixtures/oracle.json"
     base_dir: Path = Path(".")
+
+    def __post_init__(self) -> None:
+        # a seed keys the uint64 Philox index streams
+        bad = [s for s in self.seeds if not 0 <= s < 2**64]
+        if bad:
+            raise ConfigError(f"seed {bad[0]} is outside [0, 2**64)")
 
     @property
     def m(self) -> int:
@@ -209,6 +215,11 @@ def load_config(path: Path | str) -> ExperimentConfig:
         )
         for a in algos_raw
     )
+    for algo in algorithms:
+        if algo.name not in ALGORITHMS:
+            raise ConfigError(f"algorithms: unknown algorithm {algo.name!r}")
+        if algo.name == "dgm" and algo.step.rule != "constant":
+            raise ConfigError("algorithms: dgm decays its own step; use a constant rule")
 
     seeds_raw = raw.get("seeds", [0])
     seeds = tuple(int(s) for s in seeds_raw)
@@ -333,30 +344,37 @@ def build_problem(
     """The problem, built from arrays that synthesis or partitioning packs.
 
     ``f_star`` is left unset; the ``Partition`` is None for synthetic data.
+    Every ``ValueError`` raised while building (bad data, bad graph) is
+    reported as a ``ConfigError``.
     """
+    synthetic = isinstance(cfg.dataset, SyntheticSpec)
+    if synthetic and cfg.loss is not SmoothLossKind.LOGISTIC:
+        raise ConfigError("synthetic datasets carry +-1 labels; use logistic loss")
     part = None
-    if isinstance(cfg.dataset, SyntheticSpec):
-        if cfg.loss is not SmoothLossKind.LOGISTIC:
-            raise ConfigError("synthetic datasets carry +-1 labels; use logistic loss")
-        d = cfg.dataset
-        features, labels = synthesize_classification(d.m, d.n, d.d, d.separation, d.seed)
-    else:
-        src = cfg.base_dir / cfg.dataset.path
-        try:
-            with open(src) as fh:
+    try:
+        if synthetic:
+            d = cfg.dataset
+            features, labels = synthesize_classification(
+                d.m, d.n, d.d, d.separation, d.seed
+            )
+        else:
+            with open(cfg.base_dir / cfg.dataset.path) as fh:
                 samples, dim = parse_libsvm(
                     fh, classification=cfg.loss is SmoothLossKind.LOGISTIC
                 )
-        except OSError as exc:
-            raise ConfigError(f"cannot read dataset {src}: {exc}") from None
-        features, labels, part = partition(
-            samples, dim, cfg.dataset.m, cfg.dataset.strategy, cfg.dataset.shuffle_seed
+            features, labels, part = partition(
+                samples, dim, cfg.dataset.m, cfg.dataset.strategy,
+                cfg.dataset.shuffle_seed,
+            )
+        bundle = ProblemBundle(
+            features=features,
+            labels=labels,
+            kind=cfg.loss,
+            regularizer=cfg.regularizer,
+            schedule=build_schedule(cfg.graph, cfg.m),
         )
-    bundle = ProblemBundle(
-        features=features,
-        labels=labels,
-        kind=cfg.loss,
-        regularizer=cfg.regularizer,
-        schedule=build_schedule(cfg.graph, cfg.m),
-    )
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {exc.filename}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return bundle, part

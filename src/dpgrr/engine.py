@@ -10,7 +10,8 @@ the proximal algorithms has three barrier-separated phases:
   3. every agent applies the proximal map of the shared penalty.
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
-this single code path and differ only in the index sequence they draw.
+this single code path and differ only in the ``(m, n)`` index block drawn
+for each epoch.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
 step size.
@@ -34,7 +35,7 @@ from . import objectives
 from .netgraph import GraphSchedule, StepsMode, consensus_weights_for_epoch
 from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
 from .proxops import NonPositiveStep, Regularizer, prox, subgradient
-from .sampling import Mode, SamplingSchedule, epoch_indices
+from .sampling import Mode, epoch_indices
 
 __all__ = [
     "ALGORITHMS",
@@ -190,8 +191,8 @@ class RunConfig:
     """Algorithm selection and run-shaping knobs.
 
     ``cadence=None`` records every epoch up to 2000 epochs and about 2000
-    evenly spaced rows beyond that.  ``share_agent_streams`` keys every
-    agent's sampler identically (diagnostic use: symmetry tests).
+    evenly spaced rows beyond that.  ``share_agent_streams`` gives every
+    agent the index order of agent 0 (diagnostic use: symmetry tests).
     """
 
     algorithm: str
@@ -261,12 +262,14 @@ def run_epoch_dpgrr(
     problem: ProblemBundle,
     gamma: float,
     weights: np.ndarray,
-    samplers: list[SamplingSchedule],
+    perm: np.ndarray,
     t: int,
     record_inner: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One proximal epoch of all agents from the ``(m, d)`` state ``x``.
 
+    Row j of the ``(m, n)`` block ``perm`` is the order in which agent j
+    visits its samples; a ``(1, n)`` block is one order for every agent.
     Returns the next state and, if recorded, the network averages of the
     n inner iterates.  Phase 2 reads every agent's phase-1 output, exactly
     as a barrier-synchronized parallel execution would.
@@ -275,7 +278,6 @@ def run_epoch_dpgrr(
         raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma}")
     m, n, kind = problem.m, problem.n, problem.kind
     rows = np.arange(m)[:, None]
-    perm = np.stack([epoch_indices(sampler, t) for sampler in samplers])
     a, y = problem.features[rows, perm], problem.labels[rows, perm]
     inner = x.copy()
     inner_sum = np.empty((n, x.shape[1])) if record_inner else None
@@ -323,8 +325,8 @@ def run_epoch_dgm(
 def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
     """Execute the configured algorithm for ``config.horizon`` epochs.
 
-    Fully deterministic given the seed: sampler streams are pre-keyed by
-    (seed, agent, epoch) and every reduction has a fixed order.
+    Fully deterministic given the seed: each epoch's index block is a pure
+    function of (seed, epoch) and every reduction has a fixed order.
     """
     algo = config.algorithm.lower()
     horizon = config.horizon
@@ -348,15 +350,8 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
 
     cadence = config.cadence if config.cadence is not None else default_cadence(horizon)
     designated = problem.schedule.matrix(0)  # fixed matrix keeps rows comparable
-    samplers = None
-    if algo != "dgm":
-        mode = _SAMPLER_FOR[algo]
-        samplers = [
-            SamplingSchedule(
-                mode, n, config.seed, 0 if config.share_agent_streams else j
-            )
-            for j in range(m)
-        ]
+    mode = _SAMPLER_FOR.get(algo)
+    draw_rows = 1 if config.share_agent_streams else m
 
     trace = RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={}, gamma=gamma,
                      x_final=x.copy())
@@ -399,8 +394,9 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
             )
         else:
             weights = consensus_weights_for_epoch(problem.schedule, t, config.steps_mode)
+            perm = epoch_indices(mode, config.seed, t, draw_rows, n)
             x, inner_avgs = run_epoch_dpgrr(
-                x, problem, gamma, weights.weights, samplers, t, record_inner=config.record_v
+                x, problem, gamma, weights.weights, perm, t, record_inner=config.record_v
             )
         x_bar = x.mean(axis=0)
         x_hat_sum += x_bar

@@ -107,9 +107,10 @@ def centralized_prox_rr(
 
     Per epoch: one reshuffled pass of gradient steps over all samples,
     then a single proximal step.  Returns the (horizon + 1, dim) array of
-    per-epoch iterates, starting with the initial point.  The permutation
-    stream is keyed by (seed, 0, epoch) so a one-agent distributed run
-    with the same seed visits samples in the same order.
+    per-epoch iterates, starting with the initial point.  Epoch t visits
+    the samples in the stable argsort of N uniforms from Philox keyed by
+    (seed, 0) at counter (0, 0, 0, t), so a one-agent distributed run with
+    the same seed visits them in the same order.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be > 0")
@@ -122,7 +123,7 @@ def centralized_prox_rr(
         counter = np.zeros(4, dtype=np.uint64)
         counter[3] = t
         rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-        for idx in rng.permutation(len(samples)):
+        for idx in np.argsort(rng.random(len(samples)), kind="stable"):
             _, grad = sample_value_grad(kind, samples[idx], x)
             x = x - gamma * grad
         x = prox(reg, gamma, x)
@@ -148,9 +149,7 @@ def _x_star_filename(key: str) -> str:
     return f"x_star_{key[:16]}.txt"
 
 
-def usable_fixture(
-    fixtures: dict, path: Path | str, key: str, tol: float = math.inf
-) -> dict | None:
+def usable_fixture(fixtures: dict, path: Path | str, key: str, tol: float) -> dict | None:
     """``fixtures[key]`` (the store at ``path``, loaded) if it is usable, else None.
 
     Usable: solved at ``tol`` or tighter, with its solution file present.

@@ -1,20 +1,20 @@
-"""Per-agent index schedules: reshuffled, fixed-order, or with replacement.
+"""Per-epoch index draws: reshuffled, fixed-order, or with replacement.
 
-Index streams are counter-based: the stream for epoch ``t`` of agent
-``j`` is the Philox generator keyed by ``(seed, j)`` at counter
-``(0, 0, 0, t)``, so any epoch can be replayed without generating its
-predecessors and agents can run in parallel without sharing RNG state.
+Index draws are counter-based: epoch ``t`` of every agent comes from the
+one Philox generator keyed by ``(seed, 0)`` at counter ``(0, 0, 0, t)``,
+drawn as an ``(m, n)`` block whose row j is agent j's order.  Any epoch
+can be replayed without generating its predecessors, and a draw holds
+no state between calls.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BadK", "Mode", "SamplingSchedule", "epoch_indices", "prefix_average_stats"]
+__all__ = ["BadK", "Mode", "epoch_indices", "prefix_average_stats"]
 
 
 class BadK(ValueError):
@@ -27,60 +27,23 @@ class Mode(enum.Enum):
     SG = "sg"  # n independent uniform draws with replacement
 
 
-def _stream(seed: int, agent: int, epoch: int) -> np.random.Generator:
-    key = np.array([seed, agent], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = epoch
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+def epoch_indices(mode: Mode, seed: int, t: int, m: int, n: int) -> np.ndarray:
+    """The ``(m, n)`` sample indices the m agents visit in epoch ``t``.
 
-
-@dataclass(frozen=True)
-class SamplingSchedule:
-    """Deterministic index source for one agent.
-
-    Holds one generator on the key ``(seed, agent)``; each draw rewinds it
-    to the epoch's counter, so no generator is built per draw.  That makes
-    drawing mutate the schedule's private state: one schedule must not be
-    drawn from by two threads at once.  The generator takes no part in
-    equality, hashing or repr.
-    """
-
-    mode: Mode
-    n: int
-    seed: int
-    agent: int = 0
-    # IG only: the one order drawn at construction from the stream's start
-    fixed_permutation: tuple[int, ...] | None = field(init=False, default=None)
-    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _rewind_state: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one local sample")
-        rng = _stream(self.seed, self.agent, 0)
-        object.__setattr__(self, "_rng", rng)
-        # the state of a fresh ``_stream(seed, agent, t)`` once counter[3] = t
-        object.__setattr__(self, "_rewind_state", rng.bit_generator.state)
-        if self.mode is Mode.IG:
-            perm = rng.permutation(self.n)
-            object.__setattr__(self, "fixed_permutation", tuple(int(i) for i in perm))
-
-
-def epoch_indices(schedule: SamplingSchedule, t: int) -> np.ndarray:
-    """The n sample indices agent ``schedule.agent`` visits in epoch ``t``.
-
-    Equal to drawing from a fresh ``_stream(seed, agent, t)``.
+    RR sorts an ``(m, n)`` block of uniforms row by row (stable argsort),
+    SG draws an ``(m, n)`` block of integers in ``[0, n)``, and IG reuses
+    the RR block of epoch 0.  Both blocks fill in row-major order, so row
+    j is the same for every ``m > j``.
     """
     if t < 0:
         raise ValueError("epoch must be >= 0")
-    if schedule.mode is Mode.IG:
-        return np.array(schedule.fixed_permutation, dtype=np.int64)
-    rng, state = schedule._rng, schedule._rewind_state
-    state["state"]["counter"][3] = t
-    rng.bit_generator.state = state
-    if schedule.mode is Mode.RR:
-        return rng.permutation(schedule.n).astype(np.int64, copy=False)
-    return rng.integers(0, schedule.n, size=schedule.n, dtype=np.int64)
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[3] = 0 if mode is Mode.IG else t
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    if mode is Mode.SG:
+        return rng.integers(0, n, size=(m, n), dtype=np.int64)
+    return np.argsort(rng.random((m, n)), axis=1, kind="stable")
 
 
 def prefix_average_stats(

@@ -321,3 +321,60 @@ def test_repeated_algorithm_or_seed_is_a_config_error(tmp_path, capsys, line, re
     assert main(["run", "--config", str(cfg), "-q"]) == 1
     assert "listed more than once" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_loose_fixture_counts_as_absent(tmp_path):
+    cfg = write_synth(tmp_path)
+    fresh_out = tmp_path / "fresh"
+    assert main(["run", "--config", str(cfg), "--output", str(fresh_out), "-q"]) == 0
+    fresh = json.loads((fresh_out / "manifest.json").read_text())
+    assert main(["oracle", "--config", str(cfg), "--tol", "1e-2"]) == 0
+    key = problem_hash(load_config(cfg))
+    loose = json.loads((tmp_path / "fixtures" / "oracle.json").read_text())[key]
+    assert loose["f_star"] != fresh["F_star"]
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"] == "computed(tol=1e-10)"
+    assert manifest["F_star"] == fresh["F_star"]
+
+
+@pytest.mark.parametrize("template, old, new, message", [
+    ("synth", "seeds: [3]", "seeds: [-1]", "outside [0, 2**64)"),
+    ("synth", "seeds: [3]", f"seeds: [{2**64}]", "outside [0, 2**64)"),
+    ("synth", "eta: 0.2", "eta: 0.9", "eta must lie in (0, 1/m]"),
+    ("synth", "- [[0, 1]]", "- [[0, 5]]", "out of range"),
+    ("synth", "d: 3", "d: 0", "must all be >= 1"),
+    ("synth", "name: dpg-rr", "name: dpg-xx", "unknown algorithm"),
+    ("toy", "strategy: contiguous", "strategy: sideways", "unknown strategy"),
+    ("toy", "m: 1", "m: 3", "cannot cover 3 agents"),
+], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
+        "strategy", "too-few-samples"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
+    cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
+    assert old in cfg.read_text()
+    cfg.write_text(cfg.read_text().replace(old, new))
+    for command in ("validate", "run", "oracle"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err, (command, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_out_of_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_toy(tmp_path)
+    assert main(["run", "--config", str(cfg), "--seed", "-1", "-q"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dgm_needs_a_constant_step(tmp_path, capsys):
+    cfg = write_synth(tmp_path)
+    rr = "  - {name: dpg-rr, step: {rule: sqrt_horizon}}"
+    cfg.write_text(
+        cfg.read_text().replace(rr, rr + "\n  - {name: dgm, step: {rule: sqrt_horizon}}")
+    )
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "dgm" in err
+    assert not (tmp_path / "out").exists()

@@ -31,7 +31,7 @@ from dpgrr.objectives import (
 )
 from dpgrr.proxops import Regularizer, prox, subgradient
 from dpgrr.reference import solve_centralized
-from dpgrr.sampling import Mode, SamplingSchedule, epoch_indices
+from dpgrr.sampling import Mode, epoch_indices
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -376,8 +376,8 @@ def serial_reference(cfg, problem):
             inner_avg, local = np.zeros((n, problem.dim)), []
             for j, local_samples in enumerate(samples):
                 x = xs[j].copy()
-                sampler = SamplingSchedule(_MODES[cfg.algorithm], n, cfg.seed, j)
-                for i, idx in enumerate(epoch_indices(sampler, t)):
+                order = epoch_indices(_MODES[cfg.algorithm], cfg.seed, t, m, n)[j]
+                for i, idx in enumerate(order):
                     inner_avg[i] += x / m
                     x = x - gamma * sample_value_grad(kind, local_samples[idx], x)[1]
                 local.append(x)

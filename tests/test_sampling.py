@@ -4,142 +4,103 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpgrr.sampling import (
-    BadK,
-    Mode,
-    SamplingSchedule,
-    epoch_indices,
-    _stream,
-    prefix_average_stats,
-)
+from dpgrr.sampling import BadK, Mode, epoch_indices, prefix_average_stats
 
 
 def test_single_sample_all_modes():
     for mode in Mode:
-        sch = SamplingSchedule(mode, 1, 99, 0)
         for t in (0, 3, 10):
-            assert list(epoch_indices(sch, t)) == [0]
+            block = epoch_indices(mode, 99, t, 3, 1)
+            assert block.dtype == np.int64
+            assert block.tolist() == [[0], [0], [0]]
 
 
 def test_ig_reuses_one_permutation():
-    sch = SamplingSchedule(Mode.IG, 4, 7, 2)
-    first = epoch_indices(sch, 0)
-    assert sorted(first) == [0, 1, 2, 3]
-    assert np.array_equal(first, epoch_indices(sch, 7))
-    assert np.array_equal(first, epoch_indices(sch, 123))
-    assert tuple(first) == sch.fixed_permutation
-
-
-def test_fixed_permutation_is_not_a_constructor_argument():
-    with pytest.raises(TypeError):
-        SamplingSchedule(Mode.IG, 3, 0, fixed_permutation=(0, 0, 5))
-    with pytest.raises(TypeError):
-        SamplingSchedule(Mode.RR, 3, 0, 0, (2, 1, 0))
-    # the IG order is still the first permutation of the (seed, agent) stream
-    sch = SamplingSchedule(Mode.IG, 6, 11, 2)
-    assert sch.fixed_permutation == (1, 4, 2, 3, 0, 5)
-    assert np.array_equal(epoch_indices(sch, 5), _stream(11, 2, 0).permutation(6))
-    assert SamplingSchedule(Mode.RR, 3, 0).fixed_permutation is None
+    first = epoch_indices(Mode.IG, 7, 0, 3, 4)
+    for row in first:
+        assert sorted(row) == [0, 1, 2, 3]
+    # the fixed order is the reshuffled block of epoch 0
+    assert np.array_equal(epoch_indices(Mode.RR, 7, 0, 3, 4), first)
+    for t in (7, 123):
+        assert np.array_equal(epoch_indices(Mode.IG, 7, t, 3, 4), first)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    m=st.integers(1, 6),
     n=st.integers(1, 12),
-    seed=st.integers(0, 2**62),
-    agent=st.integers(0, 20),
+    seed=st.integers(0, 2**64 - 1),
     t=st.integers(0, 1000),
 )
-def test_rr_epoch_is_permutation(n, seed, agent, t):
-    sch = SamplingSchedule(Mode.RR, n, seed, agent)
-    assert sorted(epoch_indices(sch, t)) == list(range(n))
+def test_rr_epoch_is_permutation(m, n, seed, t):
+    block = epoch_indices(Mode.RR, seed, t, m, n)
+    assert block.shape == (m, n)
+    for row in block:
+        assert sorted(row) == list(range(n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     mode=st.sampled_from(list(Mode)),
+    m=st.integers(1, 5),
     n=st.integers(1, 9),
     seed=st.integers(0, 2**62),
-    agent=st.integers(0, 5),
     t=st.integers(0, 500),
 )
-def test_replay_is_bit_exact(mode, n, seed, agent, t):
-    a = epoch_indices(SamplingSchedule(mode, n, seed, agent), t)
-    b = epoch_indices(SamplingSchedule(mode, n, seed, agent), t)
+def test_replay_is_bit_exact(mode, m, n, seed, t):
+    a = epoch_indices(mode, seed, t, m, n)
+    b = epoch_indices(mode, seed, t, m, n)
     assert np.array_equal(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(list(Mode)),
+    j=st.integers(0, 6),
+    extra=st.integers(1, 5),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**62),
+    t=st.integers(0, 500),
+)
+def test_row_does_not_depend_on_agent_count(mode, j, extra, n, seed, t):
+    # `share_agent_streams` draws one row for all agents, and the one-agent
+    # oracle matches row 0: both rely on row j ignoring m
+    row = epoch_indices(mode, seed, t, j + 1, n)[j]
+    assert np.array_equal(epoch_indices(mode, seed, t, j + extra, n)[j], row)
+
+
 def test_streams_differ_across_keys():
-    base = SamplingSchedule(Mode.RR, 30, 5, 0)
-    other_agent = SamplingSchedule(Mode.RR, 30, 5, 1)
-    other_seed = SamplingSchedule(Mode.RR, 30, 6, 0)
-    p = epoch_indices(base, 0)
-    assert not np.array_equal(p, epoch_indices(other_agent, 0))
-    assert not np.array_equal(p, epoch_indices(other_seed, 0))
-    assert not np.array_equal(p, epoch_indices(base, 1))
+    base = epoch_indices(Mode.RR, 5, 0, 2, 30)
+    assert not np.array_equal(base[0], base[1])
+    assert not np.array_equal(base, epoch_indices(Mode.RR, 6, 0, 2, 30))
+    assert not np.array_equal(base, epoch_indices(Mode.RR, 5, 1, 2, 30))
 
 
 def test_sg_draws_are_in_range_and_vary():
-    sch = SamplingSchedule(Mode.SG, 6, 11, 0)
-    draws = np.concatenate([epoch_indices(sch, t) for t in range(200)])
+    blocks = [epoch_indices(Mode.SG, 11, t, 2, 6) for t in range(200)]
+    draws = np.concatenate(blocks)
     assert draws.min() >= 0 and draws.max() < 6
-    # with replacement: some epoch must repeat an index
-    assert any(
-        len(set(epoch_indices(sch, t))) < 6 for t in range(50)
-    )
+    # with replacement: some agent's epoch must repeat an index
+    assert any(len(set(row)) < 6 for row in draws[:100])
 
 
 def test_negative_epoch_rejected():
-    with pytest.raises(ValueError):
-        epoch_indices(SamplingSchedule(Mode.RR, 3, 0, 0), -1)
+    for mode in Mode:
+        with pytest.raises(ValueError):
+            epoch_indices(mode, 0, -1, 2, 3)
 
 
 def test_rr_permutation_frequencies_uniform():
-    # 120 000 epochs over n=5: each of the 120 permutations within +-15%
-    sch = SamplingSchedule(Mode.RR, 5, 12345, 0)
+    # 120 000 orders over n=5, 1000 epochs of 120 agents: each of the 120
+    # permutations within +-15%
     counts: dict[tuple, int] = {}
-    for t in range(120_000):
-        key = tuple(epoch_indices(sch, t))
-        counts[key] = counts.get(key, 0) + 1
+    for t in range(1000):
+        for row in epoch_indices(Mode.RR, 12345, t, 120, 5).tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
     assert len(counts) == 120
     expected = 120_000 / 120
     for c in counts.values():
         assert abs(c - expected) / expected <= 0.15
-
-
-def _fresh_draw(mode: Mode, n: int, seed: int, agent: int, t: int) -> np.ndarray:
-    """What ``epoch_indices`` gives from a generator built for this one draw."""
-    if mode is Mode.IG:
-        return _stream(seed, agent, 0).permutation(n)
-    if mode is Mode.RR:
-        return _stream(seed, agent, t).permutation(n)
-    return _stream(seed, agent, t).integers(0, n, size=n, dtype=np.int64)
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("n", [1, 2, 7, 20])
-def test_rewound_stream_matches_fresh_stream(mode, n):
-    epochs = (3, 0, 9, 3, 250, 2**40, 1, 3)
-    seed, agent = 2**40 + 17, 4
-    sch = SamplingSchedule(mode, n, seed, agent)
-    twin = SamplingSchedule(mode, n, seed, agent)
-    for t in epochs:
-        got = epoch_indices(sch, t)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _fresh_draw(mode, n, seed, agent, t))
-    # two schedules on one key, drawn interleaved, do not disturb each other
-    for t, u in zip(epochs, reversed(epochs)):
-        assert np.array_equal(epoch_indices(sch, t), _fresh_draw(mode, n, seed, agent, t))
-        assert np.array_equal(epoch_indices(twin, u), _fresh_draw(mode, n, seed, agent, u))
-
-
-def test_drawing_leaves_value_semantics_alone():
-    for mode in Mode:
-        drawn = SamplingSchedule(mode, 5, 3, 1)
-        epoch_indices(drawn, 7)
-        fresh = SamplingSchedule(mode, 5, 3, 1)
-        assert drawn == fresh and hash(drawn) == hash(fresh)
-        assert repr(drawn) == repr(fresh)
-        assert drawn != SamplingSchedule(mode, 5, 3, 2)
 
 
 def test_prefix_stats_k_equals_n():
