@@ -29,7 +29,6 @@ from .netgraph import (  # noqa: F401
     validate_schedule,
 )
 from .objectives import (  # noqa: F401
-    Sample,
     SmoothLossKind,
     full_objective,
     gradient_bound,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -261,6 +262,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, not {text!r}")
+    return tol
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dpgrr",
@@ -282,7 +293,7 @@ def main(argv=None) -> int:
 
     p_orc = sub.add_parser("oracle", help="precompute the certified optimal value")
     p_orc.add_argument("--config", required=True)
-    p_orc.add_argument("--tol", type=float, default=ORACLE_TOL)
+    p_orc.add_argument("--tol", type=_tolerance, default=ORACLE_TOL)
     p_orc.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)

@@ -8,6 +8,7 @@ meaningful edit does.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -112,10 +113,27 @@ class ExperimentConfig:
         return self.base_dir / self.fixtures
 
 
+def _mapping(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    return raw
+
+
 def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
     return mapping[key]
+
+
+@contextlib.contextmanager
+def _reading(where: str):
+    """Report a malformed value met inside the block as a ``ConfigError``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_steps_mode(raw, where: str) -> StepsMode:
@@ -128,14 +146,12 @@ def _parse_steps_mode(raw, where: str) -> StepsMode:
 
 def _parse_step(raw: dict, where: str) -> StepRule:
     rule = _require(raw, "rule", where)
-    try:
+    with _reading(where):
         if rule == "constant":
             return StepRule.constant(float(_require(raw, "gamma", where)))
         if rule == "sqrt_horizon":
             scale = raw.get("scale")
             return StepRule.sqrt_horizon(None if scale is None else float(scale))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown step rule {rule!r}")
 
 
@@ -152,36 +168,36 @@ def _parse_regularizer(raw: dict) -> Regularizer:
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
+    """Read and check a config file; every malformed value is a ``ConfigError``."""
     path = Path(path)
     with path.open() as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    raw = _mapping(raw, str(path))
 
-    ds_raw = _require(raw, "dataset", str(path))
-    if not isinstance(ds_raw, dict):
-        raise ConfigError("dataset: must be a mapping")
+    ds_raw = _mapping(_require(raw, "dataset", str(path)), "dataset")
     if "synthetic" in ds_raw and "libsvm" in ds_raw:
         raise ConfigError("dataset: give either 'synthetic' or 'libsvm', not both")
     if "synthetic" in ds_raw:
-        s = ds_raw["synthetic"]
+        s = _mapping(ds_raw["synthetic"], "dataset.synthetic")
         sep = s.get("separation", 5.0)
-        dataset = SyntheticSpec(
-            m=int(_require(s, "m", "dataset.synthetic")),
-            n=int(_require(s, "n", "dataset.synthetic")),
-            d=int(_require(s, "d", "dataset.synthetic")),
-            seed=int(_require(s, "seed", "dataset.synthetic")),
-            separation=math.inf if sep in ("inf", ".inf") else float(sep),
-        )
+        with _reading("dataset.synthetic"):
+            dataset = SyntheticSpec(
+                m=int(_require(s, "m", "dataset.synthetic")),
+                n=int(_require(s, "n", "dataset.synthetic")),
+                d=int(_require(s, "d", "dataset.synthetic")),
+                seed=int(_require(s, "seed", "dataset.synthetic")),
+                separation=math.inf if sep in ("inf", ".inf") else float(sep),
+            )
     elif "libsvm" in ds_raw:
-        s = ds_raw["libsvm"]
+        s = _mapping(ds_raw["libsvm"], "dataset.libsvm")
         shuffle = s.get("shuffle_seed")
-        dataset = LibsvmSpec(
-            path=str(_require(s, "path", "dataset.libsvm")),
-            m=int(_require(s, "m", "dataset.libsvm")),
-            strategy=str(s.get("strategy", "round_robin")),
-            shuffle_seed=None if shuffle is None else int(shuffle),
-        )
+        with _reading("dataset.libsvm"):
+            dataset = LibsvmSpec(
+                path=str(_require(s, "path", "dataset.libsvm")),
+                m=int(_require(s, "m", "dataset.libsvm")),
+                strategy=str(s.get("strategy", "round_robin")),
+                shuffle_seed=None if shuffle is None else int(shuffle),
+            )
     else:
         raise ConfigError("dataset: need a 'synthetic' or 'libsvm' entry")
 
@@ -195,34 +211,36 @@ def load_config(path: Path | str) -> ExperimentConfig:
     slots_raw = _require(graph_raw, "slots", "graph")
     if not slots_raw:
         raise ConfigError("graph: need at least one slot")
-    slots = tuple(
-        tuple((int(i), int(j)) for i, j in slot) for slot in slots_raw
-    )
-    graph = GraphSpec(
-        slots=slots,
-        eta=float(_require(graph_raw, "eta", "graph")),
-        window=int(_require(graph_raw, "B", "graph")),
-        steps_mode=_parse_steps_mode(graph_raw.get("steps_mode"), "graph"),
-    )
+    with _reading("graph"):
+        slots = tuple(
+            tuple((int(i), int(j)) for i, j in slot) for slot in slots_raw
+        )
+        graph = GraphSpec(
+            slots=slots,
+            eta=float(_require(graph_raw, "eta", "graph")),
+            window=int(_require(graph_raw, "B", "graph")),
+            steps_mode=_parse_steps_mode(graph_raw.get("steps_mode"), "graph"),
+        )
 
     algos_raw = _require(raw, "algorithms", str(path))
     if not algos_raw:
         raise ConfigError("need at least one algorithm")
-    algorithms = tuple(
-        AlgoSpec(
-            name=str(_require(a, "name", "algorithms")).lower(),
-            step=_parse_step(_require(a, "step", "algorithms"), "algorithms.step"),
+    with _reading("algorithms"):
+        algorithms = tuple(
+            AlgoSpec(
+                name=str(_require(a, "name", "algorithms")).lower(),
+                step=_parse_step(_require(a, "step", "algorithms"), "algorithms.step"),
+            )
+            for a in algos_raw
         )
-        for a in algos_raw
-    )
     for algo in algorithms:
         if algo.name not in ALGORITHMS:
             raise ConfigError(f"algorithms: unknown algorithm {algo.name!r}")
         if algo.name == "dgm" and algo.step.rule != "constant":
             raise ConfigError("algorithms: dgm decays its own step; use a constant rule")
 
-    seeds_raw = raw.get("seeds", [0])
-    seeds = tuple(int(s) for s in seeds_raw)
+    with _reading("seeds"):
+        seeds = tuple(int(s) for s in raw.get("seeds", [0]))
     if not seeds:
         raise ConfigError("seeds must be nonempty")
     # each (algorithm, seed) run writes its own CSV, named by the pair
@@ -231,31 +249,34 @@ def load_config(path: Path | str) -> ExperimentConfig:
         if repeated:
             raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
 
-    diag_raw = raw.get("diagnostics", {}) or {}
+    diag_raw = _mapping(raw.get("diagnostics", {}) or {}, "diagnostics")
     cadence = raw.get("snapshot_cadence")
 
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        loss=loss,
-        regularizer=_parse_regularizer(_require(raw, "regularizer", str(path))),
-        graph=graph,
-        algorithms=algorithms,
-        horizon=int(_require(raw, "T", str(path))),
-        seeds=seeds,
-        output_dir=str(raw.get("output_dir", "out")),
-        snapshot_cadence=None if cadence is None else int(cadence),
-        diagnostics=Diagnostics(
-            record_v=bool(diag_raw.get("record_v", False)),
-            record_sigma_star=bool(diag_raw.get("record_sigma_star", False)),
-        ),
-        enforce_step_bound=bool(raw.get("enforce_step_bound", True)),
-        least_squares_radius=float(raw.get("least_squares_radius", 10.0)),
-        x0=float(raw.get("x0", 0.0)),
-        fixtures=str(raw.get("fixtures", "fixtures/oracle.json")),
-        base_dir=path.resolve().parent,
-    )
+    with _reading(str(path)):
+        cfg = ExperimentConfig(
+            dataset=dataset,
+            loss=loss,
+            regularizer=_parse_regularizer(_require(raw, "regularizer", str(path))),
+            graph=graph,
+            algorithms=algorithms,
+            horizon=int(_require(raw, "T", str(path))),
+            seeds=seeds,
+            output_dir=str(raw.get("output_dir", "out")),
+            snapshot_cadence=None if cadence is None else int(cadence),
+            diagnostics=Diagnostics(
+                record_v=bool(diag_raw.get("record_v", False)),
+                record_sigma_star=bool(diag_raw.get("record_sigma_star", False)),
+            ),
+            enforce_step_bound=bool(raw.get("enforce_step_bound", True)),
+            least_squares_radius=float(raw.get("least_squares_radius", 10.0)),
+            x0=float(raw.get("x0", 0.0)),
+            fixtures=str(raw.get("fixtures", "fixtures/oracle.json")),
+            base_dir=path.resolve().parent,
+        )
     if cfg.horizon < 0:
         raise ConfigError("T must be >= 0")
+    if cfg.snapshot_cadence is not None and cfg.snapshot_cadence < 1:
+        raise ConfigError("snapshot_cadence must be >= 1")
     return cfg
 
 
@@ -359,11 +380,11 @@ def build_problem(
             )
         else:
             with open(cfg.base_dir / cfg.dataset.path) as fh:
-                samples, dim = parse_libsvm(
+                rows, targets = parse_libsvm(
                     fh, classification=cfg.loss is SmoothLossKind.LOGISTIC
                 )
             features, labels, part = partition(
-                samples, dim, cfg.dataset.m, cfg.dataset.strategy,
+                rows, targets, cfg.dataset.m, cfg.dataset.strategy,
                 cfg.dataset.shuffle_seed,
             )
         bundle = ProblemBundle(

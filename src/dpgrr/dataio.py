@@ -1,5 +1,6 @@
 """Sparse-text dataset ingestion, agent partitioning, synthetic problems.
 
+A sample is a dense feature row and its label from parsing on.
 Partitioning and synthesis both return a problem's packed arrays:
 ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)``, agent-major.
 
@@ -11,11 +12,10 @@ a comment and blank lines are skipped.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .objectives import Sample
 
 __all__ = [
     "ParseError",
@@ -43,17 +43,19 @@ class TooFewSamples(ValueError):
     """Fewer samples than agents; the equal split is impossible."""
 
 
-def parse_libsvm(source, classification: bool = True) -> tuple[list[Sample], int]:
-    """Parse sparse-text samples; returns (samples, inferred dimension).
+def parse_libsvm(source, classification: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Parse sparse-text samples into dense ``(features (N, d), labels (N,))``.
 
-    The dimension is the largest feature index seen (no header needed).
-    In classification mode labels must be +-1 ("+1", "1", "-1" all
-    accepted); otherwise any real target passes through.
+    Row k is line k's sample, zero outside its listed indices.  The
+    dimension d is the largest feature index seen (no header needed).  In
+    classification mode labels must be +-1 ("+1", "1", "-1" all accepted);
+    otherwise any finite real target passes through.  Every malformed line
+    raises ``ParseError`` naming its line number.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    samples: list[Sample] = []
-    dim = 0
+    rows: list[tuple[list[int], list[float]]] = []
+    labels: list[float] = []
     for line_no, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +65,8 @@ def parse_libsvm(source, classification: bool = True) -> tuple[list[Sample], int
             label = float(tokens[0])
         except ValueError:
             raise ParseError(line_no, f"bad label token {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(line_no, f"label {tokens[0]!r} is not finite")
         if classification and label not in (-1.0, 1.0):
             raise LabelError(line_no, f"label {tokens[0]!r} is not +1/-1")
         indices = []
@@ -78,26 +82,31 @@ def parse_libsvm(source, classification: bool = True) -> tuple[list[Sample], int
                 raise ParseError(line_no, f"bad feature token {token!r}") from None
             if idx < 1:
                 raise ParseError(line_no, f"feature index {idx} is not 1-based")
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"feature value {token!r} is not finite")
             indices.append(idx - 1)
             values.append(val)
         if len(set(indices)) != len(indices):
             raise ParseError(line_no, "duplicate feature index")
-        if indices:
-            dim = max(dim, max(indices) + 1)
-        samples.append(Sample(np.array(indices, dtype=np.int64),
-                              np.array(values), label))
-    return samples, dim
+        rows.append((indices, values))
+        labels.append(label)
+    dim = max((max(idx) + 1 for idx, _ in rows if idx), default=0)
+    features = np.zeros((len(rows), dim))
+    for row, (idx, val) in zip(features, rows):
+        row[idx] = val
+    return features, np.array(labels, dtype=float)
 
 
-def format_libsvm(samples) -> str:
-    """Inverse of ``parse_libsvm`` up to 17-significant-digit formatting."""
+def format_libsvm(features: np.ndarray, labels: np.ndarray) -> str:
+    """Each row's nonzeros as a sparse-text line, 17 significant digits.
+
+    ``parse_libsvm`` reads back the same arrays, less any trailing all-zero
+    columns, which no line records.
+    """
     lines = []
-    for s in samples:
-        feats = " ".join(
-            f"{int(i) + 1}:{v:.17g}" for i, v in zip(s.indices, s.values)
-        )
-        head = f"{s.label:.17g}"
-        lines.append(f"{head} {feats}".rstrip())
+    for a, label in zip(features, labels):
+        feats = " ".join(f"{i + 1}:{a[i]:.17g}" for i in np.flatnonzero(a))
+        lines.append(f"{label:.17g} {feats}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -112,26 +121,27 @@ class Partition:
 
 
 def partition(
-    samples,
-    dim: int,
+    features: np.ndarray,
+    labels: np.ndarray,
     m: int,
     strategy: str = "round_robin",
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Partition]:
-    """Split samples into m equal shares of n = floor(N / m), packed.
+    """Split ``N`` rows into m equal shares of n = floor(N / m), packed.
 
-    Returns ``(features, labels, partition)``, agent j's i-th sample being
-    the dense row ``features[j, i]`` of width ``dim``.  An optional seeded
-    pre-shuffle decorrelates file order from agent assignment (sorted-by-label
-    files would otherwise give every agent a single class).  The N - m*n
-    leftover samples are dropped; ``partition`` reports the count.
+    ``features`` ``(N, d)`` and ``labels`` ``(N,)`` in, ``(features (m, n, d),
+    labels (m, n), partition)`` out.  Over the kept order, round-robin gives
+    agent j every m-th row from row j, contiguous the j-th block of n rows.
+    An optional seeded pre-shuffle decorrelates file order from agent
+    assignment (sorted-by-label files would otherwise give every agent a
+    single class).  The N - m*n leftover rows are dropped; ``partition``
+    reports the count.
     """
-    samples = list(samples)
     if m < 1:
         raise ValueError("need at least one agent")
     if strategy not in ("round_robin", "contiguous"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    total = len(samples)
+    total = len(labels)
     if total < m:
         raise TooFewSamples(f"{total} samples cannot cover {m} agents")
     order = np.arange(total)
@@ -139,14 +149,8 @@ def partition(
         order = np.random.default_rng(seed).permutation(total)
     n = total // m
     kept = order[: m * n]
-    features = np.empty((m, n, dim))
-    labels = np.empty((m, n))
-    for j in range(m):
-        chosen = kept[j::m] if strategy == "round_robin" else kept[j * n:(j + 1) * n]
-        for i, k in enumerate(chosen):
-            sample = samples[int(k)]
-            features[j, i], labels[j, i] = sample.dense(dim), sample.label
-    return features, labels, Partition(m, n, strategy, total - m * n)
+    rows = kept.reshape(n, m).T if strategy == "round_robin" else kept.reshape(m, n)
+    return features[rows], labels[rows], Partition(m, n, strategy, total - m * n)
 
 
 def synthesize_classification(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyData",
     "SmoothLossKind",
-    "Sample",
     "sample_value_grad",
     "loss_derivative",
     "full_objective",
@@ -33,7 +31,7 @@ __all__ = [
 
 
 class DimensionMismatch(ValueError):
-    """Feature indices or iterate dimensions do not agree."""
+    """Feature rows and iterates do not agree in dimension."""
 
 
 class EmptyData(ValueError):
@@ -43,63 +41,6 @@ class EmptyData(ValueError):
 class SmoothLossKind(enum.Enum):
     LOGISTIC = "logistic"
     LEAST_SQUARES = "least_squares"
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Sparse feature vector and its label.
-
-    Labels are +-1 for classification, real targets for regression.
-    Indices are stored sorted ascending so dot products always accumulate
-    in the same order, which keeps every downstream metric reproducible.
-    Compares and hashes by value: equal label and equal (read-only)
-    indices and values.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: float
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        val = np.asarray(self.values, dtype=float).ravel()
-        if idx.shape != val.shape:
-            raise ValueError("indices and values must have equal length")
-        if idx.size and idx.min() < 0:
-            raise ValueError("feature indices must be nonnegative")
-        if idx.size != np.unique(idx).size:
-            raise ValueError("duplicate feature index in sample")
-        if not (np.all(np.isfinite(val)) and math.isfinite(self.label)):
-            raise ValueError("sample contains non-finite values")
-        order = np.argsort(idx, kind="stable")
-        idx, val = idx[order], val[order]
-        idx.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        object.__setattr__(self, "label", float(self.label))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal
-        return hash((self.label, self.indices.tobytes(), (self.values + 0.0).tobytes()))
-
-    def dense(self, dim: int) -> np.ndarray:
-        if self.indices.size and self.indices[-1] >= dim:
-            raise DimensionMismatch(
-                f"sample index {self.indices[-1]} out of range for dim {dim}"
-            )
-        out = np.zeros(dim)
-        out[self.indices] = self.values
-        return out
 
 
 def _softplus(u: float) -> float:
@@ -117,30 +58,29 @@ def _sigmoid(u: float) -> float:
 
 
 def sample_value_grad(
-    kind: SmoothLossKind, sample: Sample, x: np.ndarray
+    kind: SmoothLossKind, a: np.ndarray, label: float, x: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss value and dense gradient of one sample at ``x``.
+    """Loss value and gradient of the sample ``(a, label)`` at ``x``.
 
-    Logistic: ``log(1 + exp(-label * <a, x>))`` evaluated through the
-    stable softplus form; least squares: ``(1/2) (<a, x> - label)^2``.
+    ``a`` is the sample's dense feature row.  Logistic:
+    ``log(1 + exp(-label * <a, x>))`` evaluated through the stable softplus
+    form; least squares: ``(1/2) (<a, x> - label)^2``.  A scalar reference
+    oracle, independent of the vectorized ``loss_derivative``.
     """
+    a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if sample.indices.size and sample.indices[-1] >= x.size:
-        raise DimensionMismatch(
-            f"sample index {sample.indices[-1]} out of range for x of size {x.size}"
-        )
-    z = float(sample.values @ x[sample.indices]) if sample.indices.size else 0.0
+    if a.shape != x.shape:
+        raise DimensionMismatch(f"row has size {a.size}, x has size {x.size}")
+    z = float(a @ x)
     if kind is SmoothLossKind.LOGISTIC:
-        margin = sample.label * z
+        margin = label * z
         value = _softplus(-margin)
-        coef = -sample.label * _sigmoid(-margin)
+        coef = -label * _sigmoid(-margin)
     else:
-        r = z - sample.label
+        r = z - label
         value = 0.5 * r * r
         coef = r
-    grad = np.zeros(x.size)
-    grad[sample.indices] = coef * sample.values
-    return value, grad
+    return value, coef * a
 
 
 def _sigmoid_vec(u: np.ndarray) -> np.ndarray:
@@ -201,10 +141,11 @@ def full_objective(
 
 
 def _sample_norms(features: np.ndarray) -> np.ndarray:
-    # ``||sample.values||`` bit for bit: ``sqrt(v.dot(v))``, the 1-D
-    # ``np.linalg.norm``, over the nonzeros ``v`` of each row.  The zeros
-    # between them, or the batched ``norm(..., axis=-1)``, change the
-    # summation order and the last bit of a quarter of the rows.
+    # ``sqrt(v.dot(v))``, the 1-D ``np.linalg.norm``, over the nonzeros
+    # ``v`` of each row only: that keeps ``L``, the 1/sqrt(T) step and the
+    # manifests bit-identical to the norms of the sparse parsed values.
+    # The zeros between them, or the batched ``norm(..., axis=-1)``, change
+    # the summation order and the last bit of a quarter of the rows.
     rows = features.reshape(-1, features.shape[-1])
     return np.sqrt([v.dot(v) for v in (a[a != 0.0] for a in rows)])
 

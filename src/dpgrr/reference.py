@@ -69,8 +69,8 @@ def solve_centralized(
     smoothness constant: with the 1/m objective scaling, each of the m
     sums of n samples contributes at most n L / m to the total curvature.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     _, n, dim = features.shape
     step = 1.0 / (n * lipschitz_constant(features, kind))
     x = np.zeros(dim)
@@ -94,8 +94,8 @@ def solve_centralized(
 
 
 def centralized_prox_rr(
-    samples,
-    dim: int,
+    features: np.ndarray,
+    labels: np.ndarray,
     kind: SmoothLossKind,
     reg: Regularizer,
     gamma: float,
@@ -103,28 +103,28 @@ def centralized_prox_rr(
     seed: int,
     x0: float = 0.0,
 ) -> np.ndarray:
-    """Single-machine reshuffled proximal gradient over a flat sample list.
+    """Single-machine reshuffled proximal gradient over ``N`` flat rows.
 
-    Per epoch: one reshuffled pass of gradient steps over all samples,
-    then a single proximal step.  Returns the (horizon + 1, dim) array of
-    per-epoch iterates, starting with the initial point.  Epoch t visits
-    the samples in the stable argsort of N uniforms from Philox keyed by
-    (seed, 0) at counter (0, 0, 0, t), so a one-agent distributed run with
-    the same seed visits them in the same order.
+    ``features`` ``(N, d)`` and ``labels`` ``(N,)`` are the samples.  Per
+    epoch: one reshuffled pass of gradient steps over all rows, then a
+    single proximal step.  Returns the (horizon + 1, d) array of per-epoch
+    iterates, starting with the initial point.  Epoch t visits the rows in
+    the stable argsort of N uniforms from Philox keyed by (seed, 0) at
+    counter (0, 0, 0, t), so a one-agent distributed run with the same seed
+    visits them in the same order.
     """
     if not gamma > 0.0:
         raise ValueError("gamma must be > 0")
-    samples = list(samples)
-    x = np.full(dim, float(x0))
-    out = np.empty((horizon + 1, dim))
+    x = np.full(features.shape[1], float(x0))
+    out = np.empty((horizon + 1, x.size))
     out[0] = x
     for t in range(horizon):
         key = np.array([seed, 0], dtype=np.uint64)
         counter = np.zeros(4, dtype=np.uint64)
         counter[3] = t
         rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-        for idx in np.argsort(rng.random(len(samples)), kind="stable"):
-            _, grad = sample_value_grad(kind, samples[idx], x)
+        for idx in np.argsort(rng.random(len(labels)), kind="stable"):
+            _, grad = sample_value_grad(kind, features[idx], labels[idx], x)
             x = x - gamma * grad
         x = prox(reg, gamma, x)
         out[t + 1] = x

@@ -8,7 +8,7 @@ import pytest
 from dpgrr.config import build_problem, load_config
 from dpgrr.engine import ProblemBundle
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
-from dpgrr.objectives import Sample, SmoothLossKind
+from dpgrr.objectives import SmoothLossKind
 from dpgrr.proxops import Regularizer
 from dpgrr.reference import solve_centralized
 
@@ -75,12 +75,6 @@ def packed(*agents):
     features = np.array([[np.atleast_1d(a) for a, _ in pairs] for pairs in agents], float)
     labels = np.array([[label for _, label in pairs] for pairs in agents], float)
     return features, labels
-
-
-def dense_samples(features, labels):
-    """Each agent's packed rows as dense ``Sample``s, for the per-sample oracles."""
-    idx = np.arange(features.shape[-1])
-    return [[Sample(idx, a, y) for a, y in zip(rows, ys)] for rows, ys in zip(features, labels)]
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import CONFIGS, dense_samples, golden_section_prox_1d
+from conftest import CONFIGS, golden_section_prox_1d
 from dpgrr.cli import main as cli_main
 from dpgrr.config import build_problem, load_config
 from dpgrr.dataio import synthesize_classification
@@ -19,7 +19,7 @@ from dpgrr.netgraph import (
     consensus_weights_for_epoch,
     metropolis_weights,
 )
-from dpgrr.objectives import Sample, SmoothLossKind, sample_value_grad
+from dpgrr.objectives import SmoothLossKind, sample_value_grad
 from dpgrr.proxops import Regularizer, prox
 from dpgrr.reference import centralized_prox_rr, solve_centralized
 from dpgrr.sampling import prefix_average_stats
@@ -141,17 +141,16 @@ def test_criterion_4_gradient_checks():
             if kind is SmoothLossKind.LOGISTIC
             else float(rng.normal())
         )
-        sample = Sample(np.arange(d, dtype=np.int64), a, label)
         x = rng.uniform(-2.0, 2.0, size=d)
-        _, grad = sample_value_grad(kind, sample, x)
+        _, grad = sample_value_grad(kind, a, label, x)
         fd = np.empty(d)
         for i in range(d):
             up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
             fd[i] = (
-                sample_value_grad(kind, sample, up)[0]
-                - sample_value_grad(kind, sample, down)[0]
+                sample_value_grad(kind, a, label, up)[0]
+                - sample_value_grad(kind, a, label, down)[0]
             ) / (2 * h)
         rel = np.linalg.norm(grad - fd) / max(1.0, float(np.linalg.norm(grad)))
         worst = max(worst, rel)
@@ -250,7 +249,7 @@ def test_criterion_8_oracle_equivalence():
     )
     trace = run(cfg, problem)
     iterates = centralized_prox_rr(
-        dense_samples(features, labels)[0], 3, SmoothLossKind.LOGISTIC, reg, gamma=0.1,
+        features[0], labels[0], SmoothLossKind.LOGISTIC, reg, gamma=0.1,
         horizon=50, seed=77,
     )
     worst = max(

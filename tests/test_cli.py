@@ -7,8 +7,8 @@ import pytest
 
 import dpgrr.cli
 from dpgrr.cli import CSV_HEADER, main
-from dpgrr.config import ConfigError, config_hash, load_config, problem_hash
-from dpgrr.reference import ReferenceSolution
+from dpgrr.config import ConfigError, build_problem, config_hash, load_config, problem_hash
+from dpgrr.reference import ReferenceSolution, solve_centralized
 
 TOY_DATA = "3 1:1\n"
 
@@ -347,8 +347,18 @@ def test_loose_fixture_counts_as_absent(tmp_path):
     ("synth", "name: dpg-rr", "name: dpg-xx", "unknown algorithm"),
     ("toy", "strategy: contiguous", "strategy: sideways", "unknown strategy"),
     ("toy", "m: 1", "m: 3", "cannot cover 3 agents"),
+    ("synth", "steps_mode: {fixed: 2}", "steps_mode: {fixed: 0}", "fixed mode needs k >= 1"),
+    ("synth", "m: 2, n: 3", "m: two, n: 3", "invalid literal for int()"),
+    ("synth", "- [[0, 1]]", "- [[0, 1, 2]]", "graph: too many values to unpack"),
+    ("synth", "synthetic: {m: 2, n: 3, d: 3, seed: 5, separation: 0.8}", "synthetic: 5",
+     "dataset.synthetic: must be a mapping"),
+    ("synth", "graph:\n  eta: 0.2\n  B: 1\n  steps_mode: {fixed: 2}\n  slots:\n    - [[0, 1]]\n",
+     "graph: 5\n", "graph: must be a mapping"),
+    ("synth", "seeds: [3]", "seeds: [3]\nx0: abc", "could not convert string to float: 'abc'"),
+    ("synth", "seeds: [3]", "seeds: [3]\nsnapshot_cadence: 0", "snapshot_cadence must be >= 1"),
 ], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
-        "strategy", "too-few-samples"])
+        "strategy", "too-few-samples", "steps-mode-fixed-0", "synthetic-m", "edge-triple",
+        "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
     cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
     assert old in cfg.read_text()
@@ -358,6 +368,22 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new
         err = capsys.readouterr().err
         assert "config error" in err and message in err, (command, err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_oracle_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
+    cfg = write_toy(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(cfg), "--tol", tol])
+    assert exc.value.code != 0
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "fixtures").exists()
+    problem, _ = build_problem(load_config(cfg))
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_centralized(
+            problem.features, problem.labels, problem.regularizer, problem.kind,
+            tol=float(tol),
+        )
 
 
 def test_seed_override_out_of_range_is_a_config_error(tmp_path, capsys):

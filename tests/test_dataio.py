@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpgrr.config import build_problem, load_config
 from dpgrr.dataio import (
     LabelError,
     ParseError,
@@ -11,28 +14,24 @@ from dpgrr.dataio import (
     partition,
     synthesize_classification,
 )
-from dpgrr.objectives import DimensionMismatch, Sample
 
 
 def test_parse_basic_line():
-    samples, dim = parse_libsvm("+1 1:0.5 3:2\n")
-    assert dim == 3
-    s = samples[0]
-    assert s.label == 1.0
-    assert list(s.indices) == [0, 2]
-    assert list(s.values) == [0.5, 2.0]
+    features, labels = parse_libsvm("+1 1:0.5 3:2\n")
+    assert features.tolist() == [[0.5, 0.0, 2.0]]
+    assert labels.tolist() == [1.0]
 
 
 def test_parse_empty_input():
-    samples, dim = parse_libsvm("")
-    assert samples == [] and dim == 0
+    features, labels = parse_libsvm("")
+    assert features.shape == (0, 0) and labels.shape == (0,)
 
 
 def test_parse_skips_comments_and_blanks():
     text = "# header comment\n\n-1 2:1.5  # trailing note\n   \n+1 1:1\n"
-    samples, dim = parse_libsvm(text)
-    assert [s.label for s in samples] == [-1.0, 1.0]
-    assert dim == 2
+    features, labels = parse_libsvm(text)
+    assert labels.tolist() == [-1.0, 1.0]
+    assert features.tolist() == [[0.0, 1.5], [1.0, 0.0]]
 
 
 def test_parse_error_carries_line_number():
@@ -42,8 +41,25 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_libsvm("+1 0:1\n")  # not 1-based
     assert err.value.line_no == 1
-    with pytest.raises(ParseError):
-        parse_libsvm("+1 1:1 1:2\n")  # duplicate index
+    with pytest.raises(ParseError) as err:
+        parse_libsvm("+1 1:1\n+1 2:1 -1:2\n")  # negative index
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError) as err:
+        parse_libsvm("+1 1:1\n+1 1:1 1:2\n")  # duplicate index
+    assert err.value.line_no == 2 and "duplicate" in str(err.value)
+
+
+def test_parse_rejects_non_finite_values():
+    for text, classification in (
+        ("+1 1:1\n+1 1:nan\n", True),
+        ("+1 1:1\n+1 2:1 1:-inf\n", True),
+        ("+1 1:1\nnan 1:1\n", True),
+        ("2.5 1:1\nnan 1:1\n", False),
+        ("2.5 1:1\ninf 1:1\n", False),
+    ):
+        with pytest.raises(ParseError, match="^line 2: ") as err:
+            parse_libsvm(text, classification=classification)
+        assert err.value.line_no == 2, text
 
 
 def test_label_error_in_classification_mode():
@@ -51,8 +67,8 @@ def test_label_error_in_classification_mode():
         parse_libsvm("2 1:1\n")
     assert err.value.line_no == 1
     # regression mode accepts real targets
-    samples, _ = parse_libsvm("2.5 1:1\n", classification=False)
-    assert samples[0].label == 2.5
+    _, labels = parse_libsvm("2.5 1:1\n", classification=False)
+    assert labels.tolist() == [2.5]
 
 
 def test_bad_label_token():
@@ -63,76 +79,81 @@ def test_bad_label_token():
 def test_fixture_file_first_lines(configs_dir):
     # hand-read once from configs/data/a9a_subset.libsvm and frozen here
     with open(configs_dir / "data" / "a9a_subset.libsvm") as fh:
-        samples, dim = parse_libsvm(fh)
-    assert len(samples) == 42
-    assert dim == 123
-    assert samples[0].label == -1.0 and samples[0].indices.size == 11
-    assert samples[1].label == -1.0 and samples[1].indices.size == 12
-    assert samples[2].label == 1.0 and samples[2].indices.size == 11
-    assert list(samples[0].indices[:3]) == [18, 20, 28]  # 0-based
+        features, labels = parse_libsvm(fh)
+    assert features.shape == (42, 123) and labels.shape == (42,)
+    assert labels[:3].tolist() == [-1.0, -1.0, 1.0]
+    assert [np.count_nonzero(a) for a in features[:3]] == [11, 12, 11]
+    assert np.flatnonzero(features[0])[:3].tolist() == [18, 20, 28]  # 0-based
+
+
+# sha256 of ``features.tobytes() + labels.tobytes()`` of the shipped
+# text-data problems: a change to parsing or partitioning that moves one
+# byte moves every CSV and manifest of these configs
+PACKED_DIGESTS = {
+    "a9a_subset": "6ed483d72adbe142ef7ed972c7d81b4b396be629087d76c909675857c2affa55",
+    "toy_least_squares": "df05c72cdcfe99ccd882da2c3bc3baa09f168f62109ccac2298e4a99a086828f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_DIGESTS))
+def test_packed_arrays_of_shipped_text_configs_are_pinned(configs_dir, name):
+    problem, _ = build_problem(load_config(configs_dir / f"{name}.yaml"))
+    blob = problem.features.tobytes() + problem.labels.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == PACKED_DIGESTS[name]
 
 
 def test_roundtrip_preserves_samples():
     rng = np.random.default_rng(0)
-    samples = []
-    for _ in range(25):
+    features = np.zeros((25, 50))
+    for row in features:
         k = int(rng.integers(1, 8))
-        idx = np.sort(rng.choice(50, size=k, replace=False)).astype(np.int64)
-        vals = rng.normal(size=k)
-        label = 1.0 if rng.random() < 0.5 else -1.0
-        samples.append(Sample(idx, vals, label))
-    text = format_libsvm(samples)
-    parsed, _ = parse_libsvm(text)
-    assert len(parsed) == len(samples)
-    for a, b in zip(samples, parsed):
-        assert a.label == b.label
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)  # 17 digits round-trips floats
+        row[rng.choice(50, size=k, replace=False)] = rng.normal(size=k)
+    features[0, 49] = 1.5  # so that no trailing column is all zero
+    labels = np.where(rng.random(25) < 0.5, 1.0, -1.0)
+    parsed, parsed_labels = parse_libsvm(format_libsvm(features, labels))
+    assert np.array_equal(parsed, features)  # 17 digits round-trips floats
+    assert np.array_equal(parsed_labels, labels)
 
 
-def unit_samples(n):
-    return [Sample(np.array([0]), np.array([1.0]), float(2 * (i % 2) - 1)) for i in range(n)]
+def unit_rows(n):
+    return np.ones((n, 1)), np.array([float(2 * (i % 2) - 1) for i in range(n)])
+
+
+def numbered_rows(n):
+    """Row i is ``[i]`` with label i, so each row can be traced."""
+    return np.arange(n, dtype=float)[:, None], np.arange(n, dtype=float)
 
 
 def test_partition_each_agent_one_sample():
-    features, labels, info = partition(unit_samples(10), 1, 10)
+    features, labels, info = partition(*unit_rows(10), 10)
     assert info.dropped == 0 and info.n == 1
     assert features.shape == (10, 1, 1) and labels.shape == (10, 1)
     assert labels[:, 0].tolist() == [-1.0, 1.0] * 5
 
 
 def test_partition_contiguous_blocks_and_drop():
-    samples = [Sample(np.array([0]), np.array([float(i)]), 1.0) for i in range(10)]
-    features, _, info = partition(samples, 1, 3, strategy="contiguous")
+    features, _, info = partition(*numbered_rows(10), 3, strategy="contiguous")
     assert info.dropped == 1
     assert features[..., 0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
 
 
 def test_partition_round_robin_unshuffled():
-    samples = [Sample(np.array([0]), np.array([float(i)]), 1.0) for i in range(6)]
-    features, _, _ = partition(samples, 1, 2, strategy="round_robin")
+    features, _, _ = partition(*numbered_rows(6), 2, strategy="round_robin")
     assert features[..., 0].tolist() == [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0]]
 
 
 def test_partition_scatters_sparse_samples_into_dense_rows():
-    samples = [
-        Sample(np.array([3, 0]), np.array([2.0, 1.0]), -1.0),
-        Sample(np.array([], dtype=np.int64), np.array([]), 1.0),
-    ]
-    features, labels, _ = partition(samples, 4, 1)
+    features, labels, _ = partition(*parse_libsvm("-1 4:2 1:1\n+1\n"), 1)
     assert features.tolist() == [[[1.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]]]
     assert labels.tolist() == [[-1.0, 1.0]]
-    with pytest.raises(DimensionMismatch):
-        partition(samples, 3, 1)
 
 
 def test_partition_seeded_replay_is_deterministic():
-    samples = [Sample(np.array([0]), np.array([float(i)]), 1.0) for i in range(17)]
-    a, _, info = partition(samples, 1, 4, seed=9)
-    b, _, _ = partition(samples, 1, 4, seed=9)
+    a, _, info = partition(*numbered_rows(17), 4, seed=9)
+    b, _, _ = partition(*numbered_rows(17), 4, seed=9)
     assert info.dropped == 1
     assert np.array_equal(a, b)
-    c, _, _ = partition(samples, 1, 4, seed=10)
+    c, _, _ = partition(*numbered_rows(17), 4, seed=10)
     assert not np.array_equal(a, c)
 
 
@@ -146,15 +167,15 @@ def test_partition_seeded_replay_is_deterministic():
 def test_partition_is_a_partition(total, m, strategy, seed):
     if total < m:
         with pytest.raises(TooFewSamples):
-            partition(unit_samples(total), 1, m, strategy, seed)
+            partition(*unit_rows(total), m, strategy, seed)
         return
-    samples = [Sample(np.array([0]), np.array([float(i)]), 1.0) for i in range(total)]
-    features, labels, info = partition(samples, 1, m, strategy, seed)
+    features, labels, info = partition(*numbered_rows(total), m, strategy, seed)
     n = total // m
     assert info.n == n and info.dropped == total - m * n
     assert features.shape == (m, n, 1) and labels.shape == (m, n)
     assigned = features.ravel().tolist()
     assert len(assigned) == len(set(assigned)) == m * n  # no duplicates
+    assert np.array_equal(features[..., 0], labels)  # labels travel with rows
 
 
 def test_synthesize_deterministic_and_bounded():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_samples, packed
+from conftest import packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
     NonFiniteIterate,
@@ -357,7 +357,6 @@ _MODES = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 def serial_reference(cfg, problem):
     """Per-agent, per-sample loop over lists of vectors: epoch -> (snapshot, V_t)."""
     m, n, kind, reg = problem.m, problem.n, problem.kind, problem.regularizer
-    samples = dense_samples(problem.features, problem.labels)
     gamma = cfg.step.gamma
     xs = [np.full(problem.dim, cfg.x0) for _ in range(m)]
     out = {0: (np.stack(xs), None)}
@@ -367,19 +366,20 @@ def serial_reference(cfg, problem):
             w = problem.schedule.matrix(t).weights
             mixed = [sum(w[j, k] * xs[k] for k in range(m)) for j in range(m)]
             xs = []
-            for v, local_samples in zip(mixed, samples):
+            for v, rows, labels in zip(mixed, problem.features, problem.labels):
                 g = subgradient(reg, v)
-                for sample in local_samples:
-                    g = g + sample_value_grad(kind, sample, v)[1]
+                for a, label in zip(rows, labels):
+                    g = g + sample_value_grad(kind, a, label, v)[1]
                 xs.append(v - gamma / math.sqrt(t + 1.0) * g)
         else:
             inner_avg, local = np.zeros((n, problem.dim)), []
-            for j, local_samples in enumerate(samples):
+            for j in range(m):
                 x = xs[j].copy()
                 order = epoch_indices(_MODES[cfg.algorithm], cfg.seed, t, m, n)[j]
                 for i, idx in enumerate(order):
                     inner_avg[i] += x / m
-                    x = x - gamma * sample_value_grad(kind, local_samples[idx], x)[1]
+                    a, label = problem.features[j, idx], problem.labels[j, idx]
+                    x = x - gamma * sample_value_grad(kind, a, label, x)[1]
                 local.append(x)
             w = consensus_weights_for_epoch(problem.schedule, t, cfg.steps_mode).weights
             xs = [prox(reg, gamma, sum(w[j, k] * local[k] for k in range(m))) for j in range(m)]

@@ -4,11 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import dense_samples, packed
-from dpgrr.dataio import partition, synthesize_classification
+from conftest import packed
+from dpgrr.dataio import synthesize_classification
 from dpgrr.objectives import (
     DimensionMismatch,
-    Sample,
     SmoothLossKind,
     full_objective,
     gradient_bound,
@@ -24,51 +23,37 @@ LOG = SmoothLossKind.LOGISTIC
 LS = SmoothLossKind.LEAST_SQUARES
 
 
-def s(a, label):
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return Sample(np.arange(a.size, dtype=np.int64), a, label)
-
-
 def test_logistic_at_zero():
-    value, grad = sample_value_grad(LOG, s([1.0], 1.0), np.zeros(1))
+    value, grad = sample_value_grad(LOG, [1.0], 1.0, np.zeros(1))
     assert value == pytest.approx(math.log(2.0), abs=1e-15)
     assert grad[0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_logistic_large_margin_no_overflow():
     # compare against 50-digit evaluation of log(1 + exp(-40))
-    value, grad = sample_value_grad(LOG, s([1.0], 1.0), np.array([40.0]))
+    value, grad = sample_value_grad(LOG, [1.0], 1.0, np.array([40.0]))
     mpmath.mp.dps = 50
     want_value = float(mpmath.log(1 + mpmath.exp(-40)))
     want_grad = float(-1 / (1 + mpmath.exp(40)))
     assert value == pytest.approx(want_value, rel=1e-14)
     assert grad[0] == pytest.approx(want_grad, rel=1e-14)
     # and the mirrored tail
-    value, grad = sample_value_grad(LOG, s([1.0], 1.0), np.array([-40.0]))
+    value, grad = sample_value_grad(LOG, [1.0], 1.0, np.array([-40.0]))
     assert value == pytest.approx(float(mpmath.log(1 + mpmath.exp(40))), rel=1e-14)
     assert grad[0] == pytest.approx(float(-1 / (1 + mpmath.exp(-40))), rel=1e-14)
 
 
 def test_least_squares_exact_fit():
-    value, grad = sample_value_grad(LS, s([2.0], 4.0), np.array([2.0]))
+    value, grad = sample_value_grad(LS, [2.0], 4.0, np.array([2.0]))
     assert value == 0.0
     assert np.array_equal(grad, [0.0])
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        sample_value_grad(LOG, s([1.0, 2.0], 1.0), np.zeros(1))
+        sample_value_grad(LOG, [1.0, 2.0], 1.0, np.zeros(1))
     with pytest.raises(DimensionMismatch):
         full_objective(*packed([([1.0, 2.0], 1.0)]), Regularizer.zero(), LOG, np.zeros(3))
-
-
-def test_sparse_sample_gradient_placement():
-    sample = Sample(np.array([4, 1]), np.array([2.0, 3.0]), -1.0)  # unsorted input
-    assert np.array_equal(sample.indices, [1, 4])
-    x = np.zeros(6)
-    _, grad = sample_value_grad(LOG, sample, x)
-    assert grad[0] == 0.0 and grad[2] == 0.0
-    assert grad[1] != 0.0 and grad[4] != 0.0
 
 
 def test_full_objective_at_zero_is_n_log2():
@@ -91,15 +76,15 @@ def test_full_objective_uses_one_over_m_scaling():
 
 def test_batch_matches_sample_sum():
     features, labels = synthesize_classification(m=2, n=5, d=6, separation=1.0, seed=9)
-    samples = [smp for agent in dense_samples(features, labels) for smp in agent]
+    rows = list(zip(features.reshape(-1, 6), labels.ravel()))
     rng = np.random.default_rng(0)
     for kind in (LOG, LS):
         x = rng.normal(size=6)
         value = packed_smooth_value(features, labels, kind, x)
         grad = packed_smooth_grad(features, labels, kind, x)
         m = features.shape[0]
-        want_v = sum(sample_value_grad(kind, smp, x)[0] for smp in samples) / m
-        want_g = sum(sample_value_grad(kind, smp, x)[1] for smp in samples) / m
+        want_v = sum(sample_value_grad(kind, a, y, x)[0] for a, y in rows) / m
+        want_g = sum(sample_value_grad(kind, a, y, x)[1] for a, y in rows) / m
         assert value == pytest.approx(want_v, rel=1e-12)
         assert np.allclose(grad, want_g, atol=1e-12)
 
@@ -112,19 +97,19 @@ def test_loss_derivative_matches_scalar_form_at_extreme_margins():
         labels = np.full(margins.size, label)
         got = loss_derivative(LOG, label * margins, labels)
         for z, coef in zip(label * margins, got):
-            _, grad = sample_value_grad(LOG, s([1.0], label), np.array([z]))
+            _, grad = sample_value_grad(LOG, [1.0], label, np.array([z]))
             assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
 
 
-def central_difference(kind, sample, x, h=1e-6):
+def central_difference(kind, a, label, x, h=1e-6):
     grad = np.empty_like(x)
     for i in range(x.size):
         up, down = x.copy(), x.copy()
         up[i] += h
         down[i] -= h
         grad[i] = (
-            sample_value_grad(kind, sample, up)[0]
-            - sample_value_grad(kind, sample, down)[0]
+            sample_value_grad(kind, a, label, up)[0]
+            - sample_value_grad(kind, a, label, down)[0]
         ) / (2 * h)
     return grad
 
@@ -138,10 +123,9 @@ def test_gradient_matches_finite_differences(kind):
         label = 1.0 if kind is LOG and rng.random() < 0.5 else -1.0
         if kind is LS:
             label = float(rng.normal())
-        sample = s(a, label)
         x = rng.normal(size=d)
-        _, grad = sample_value_grad(kind, sample, x)
-        approx = central_difference(kind, sample, x)
+        _, grad = sample_value_grad(kind, a, label, x)
+        approx = central_difference(kind, a, label, x)
         scale = max(1.0, np.linalg.norm(grad))
         assert np.linalg.norm(grad - approx) / scale <= 1e-5
 
@@ -149,13 +133,13 @@ def test_gradient_matches_finite_differences(kind):
 @pytest.mark.parametrize("kind", [LOG, LS])
 def test_convexity_along_segments(kind):
     rng = np.random.default_rng(23)
-    sample = s(rng.normal(size=4), 1.0)
+    a = rng.normal(size=4)
     for _ in range(50):
         x, y = rng.normal(size=4), rng.normal(size=4)
         t = float(rng.uniform(0.01, 0.99))
-        fx = sample_value_grad(kind, sample, x)[0]
-        fy = sample_value_grad(kind, sample, y)[0]
-        fm = sample_value_grad(kind, sample, t * x + (1 - t) * y)[0]
+        fx = sample_value_grad(kind, a, 1.0, x)[0]
+        fy = sample_value_grad(kind, a, 1.0, y)[0]
+        fm = sample_value_grad(kind, a, 1.0, t * x + (1 - t) * y)[0]
         assert fm <= t * fx + (1 - t) * fy + 1e-12
 
 
@@ -166,9 +150,9 @@ def test_per_sample_smoothness_with_module_constant(kind):
     lip = lipschitz_constant(features, kind)
     for _ in range(200):
         x, y = rng.normal(size=5), rng.normal(size=5)
-        for smp in dense_samples(features, labels)[0]:
-            gx = sample_value_grad(kind, smp, x)[1]
-            gy = sample_value_grad(kind, smp, y)[1]
+        for a, label in zip(features[0], labels[0]):
+            gx = sample_value_grad(kind, a, label, x)[1]
+            gy = sample_value_grad(kind, a, label, y)[1]
             assert np.linalg.norm(gx - gy) <= lip * np.linalg.norm(x - y) + 1e-12
 
 
@@ -190,15 +174,15 @@ def test_gradient_bound_examples():
 
 def test_gradient_bound_matches_direct_scan():
     arrays = synthesize_classification(m=4, n=6, d=8, separation=2.0, seed=11)
-    samples = [smp for agent in dense_samples(*arrays) for smp in agent]
-    want = max(float(np.linalg.norm(smp.dense(8))) for smp in samples)
+    rows = list(zip(arrays[0].reshape(-1, 8), arrays[1].ravel()))
+    want = max(float(np.linalg.norm(a)) for a, _ in rows)
     assert gradient_bound(*arrays, LOG) == pytest.approx(want, rel=1e-15)
     # the bound really does dominate observed gradients
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.normal(size=8, scale=5.0)
-        for smp in samples:
-            g = sample_value_grad(LOG, smp, x)[1]
+        for a, label in rows:
+            g = sample_value_grad(LOG, a, label, x)[1]
             assert np.linalg.norm(g) <= gradient_bound(*arrays, LOG) + 1e-12
 
 
@@ -207,45 +191,28 @@ def test_gradient_bound_matches_direct_scan():
 def test_constants_equal_per_sample_forms_bit_for_bit(d, sparse):
     # each sample alone, so that every row's norm is compared, not just the
     # largest; the batched axis norm and the norm of a row with its zeros
-    # both differ from ``||sample.values||`` in the last bit on some rows
+    # both differ from the norm of its generated nonzero values in the last
+    # bit on some rows
     rng = np.random.default_rng(d)
     radius = 2.5
-    samples = []
+    rows, nonzeros = [], []
     for _ in range(40):
         idx = np.arange(d)
         if sparse:
             idx = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-        samples.append(Sample(idx, 3.0 * rng.normal(size=idx.size), float(rng.normal())))
-    groups = [(smp,) for smp in samples] + [tuple(samples)]
+        values = 3.0 * rng.normal(size=idx.size)
+        a = np.zeros(d)
+        a[idx] = values
+        rows.append((a, float(rng.normal())))
+        nonzeros.append(values)
+    groups = [[k] for k in range(len(rows))] + [list(range(len(rows)))]
     for group in groups:
-        features, labels, _ = partition(group, d, 1)
-        norms = [float(np.linalg.norm(smp.values)) for smp in group]
+        features = np.array([[rows[k][0] for k in group]])
+        labels = np.array([[rows[k][1] for k in group]])
+        norms = [float(np.linalg.norm(nonzeros[k])) for k in group]
         a = max(norms)
         assert lipschitz_constant(features, LOG) == a * a / 4.0
         assert lipschitz_constant(features, LS) == a * a
         assert gradient_bound(features, labels, LOG) == a
-        want = max(r * (r * radius + abs(smp.label)) for r, smp in zip(norms, group))
+        want = max(r * (r * radius + abs(rows[k][1])) for r, k in zip(norms, group))
         assert gradient_bound(features, labels, LS, radius) == want
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample(np.array([0, 0]), np.array([1.0, 2.0]), 1.0)  # duplicate index
-    with pytest.raises(ValueError):
-        Sample(np.array([-1]), np.array([1.0]), 1.0)
-    with pytest.raises(ValueError):
-        Sample(np.array([0]), np.array([np.nan]), 1.0)
-
-
-def test_sample_compares_and_hashes_by_value():
-    a = Sample(np.array([3, 0]), np.array([2.0, -0.0]), 1.0)
-    b = Sample(np.array([0, 3]), np.array([0.0, 2.0]), 1.0)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != Sample(np.array([0, 3]), np.array([0.0, 2.0]), -1.0)
-    assert a != Sample(np.array([0, 2]), np.array([0.0, 2.0]), 1.0)
-    assert a != Sample(np.array([0, 3]), np.array([0.0, 2.5]), 1.0)
-    assert a != Sample(np.array([0]), np.array([0.0]), 1.0)
-    assert a != "not a sample"
-    with pytest.raises(ValueError):
-        a.values[0] = 1.0

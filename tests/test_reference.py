@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import dense_samples, packed
-from dpgrr.dataio import partition, synthesize_classification
+from conftest import packed
+from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import (
-    Sample,
     SmoothLossKind,
     full_objective,
     lipschitz_constant,
@@ -105,12 +104,11 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
 def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
     rng = np.random.default_rng(11)
     dim = 6
-    samples = []
-    for _ in range(3 * 4):
+    features, labels = np.zeros((3, 4, dim)), np.empty((3, 4))
+    for j, i in np.ndindex(3, 4):
         idx = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
-        label = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
-        samples.append(Sample(idx, rng.normal(size=idx.size), label))
-    features, labels, _ = partition(samples, dim, 3, strategy="contiguous")
+        labels[j, i] = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
+        features[j, i, idx] = rng.normal(size=idx.size)
     for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
         sol = solve_centralized(
             features, labels, reg, kind, tol=tol, max_iters=max_iters
@@ -190,7 +188,8 @@ def test_optimality_floor_over_engine_iterates(canonical_problem):
 
 def test_prox_rr_single_sample_is_gradient_descent():
     iterates = centralized_prox_rr(
-        dense_samples(*packed([([1.0], 1.0)]))[0], 1, LS, Regularizer.zero(), gamma=0.5, horizon=1, seed=0
+        np.array([[1.0]]), np.array([1.0]), LS, Regularizer.zero(), gamma=0.5, horizon=1,
+        seed=0,
     )
     assert iterates.shape == (2, 1)
     assert iterates[1, 0] == pytest.approx(0.5, abs=1e-15)
@@ -199,7 +198,7 @@ def test_prox_rr_single_sample_is_gradient_descent():
 def test_prox_rr_monotone_descent_small_step():
     features, labels = synthesize_classification(m=1, n=8, d=4, separation=1.0, seed=3)
     iterates = centralized_prox_rr(
-        dense_samples(features, labels)[0], 4, LOG, Regularizer.zero(), gamma=0.01,
+        features[0], labels[0], LOG, Regularizer.zero(), gamma=0.01,
         horizon=30, seed=1,
     )
     values = [
@@ -223,7 +222,7 @@ def test_prox_rr_matches_single_agent_engine():
     )
     trace = run(cfg, problem)
     iterates = centralized_prox_rr(
-        dense_samples(features, labels)[0], 3, LOG, reg, gamma=0.1, horizon=50, seed=21
+        features[0], labels[0], LOG, reg, gamma=0.1, horizon=50, seed=21
     )
     for t in range(51):
         assert np.allclose(trace.snapshots[t][0], iterates[t], atol=1e-12)
