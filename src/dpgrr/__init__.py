@@ -20,7 +20,6 @@ from .engine import (  # noqa: F401
     step_scale_bound,
 )
 from .netgraph import (  # noqa: F401
-    ConsensusWeights,
     GraphSchedule,
     MixingMatrix,
     StepsMode,

@@ -220,7 +220,7 @@ def cmd_run(args) -> int:
         "G_f": gradient_bound(
             problem.features, problem.labels, problem.kind, cfg.least_squares_radius
         ),
-        "G_phi": problem.regularizer.subgradient_bound(problem.dim),
+        "G_phi": problem.regularizer.subgradient_bound(problem.dim, cfg.least_squares_radius),
         "F_star": f_star,
         "F_star_source": f_star_source,
         "F_star_oracle": f_star_oracle,

@@ -125,6 +125,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _typed(value, kind: type, what: str, nullable: bool = False):
+    """``value`` if YAML read it as exactly ``kind`` (no bool is an int) or null."""
+    if type(value) is not kind and not (nullable and value is None):
+        name = "an integer" if kind is int else "true or false"
+        raise ConfigError(f"{what} must be {name}, not {value!r}")
+    return value
+
+
 @contextlib.contextmanager
 def _reading(where: str):
     """Report a malformed value met inside the block as a ``ConfigError``."""
@@ -140,7 +148,7 @@ def _parse_steps_mode(raw, where: str) -> StepsMode:
     if raw == "growing" or raw is None:
         return StepsMode.growing()
     if isinstance(raw, dict) and set(raw) == {"fixed"}:
-        return StepsMode.fixed(int(raw["fixed"]))
+        return StepsMode.fixed(_typed(raw["fixed"], int, f"{where}: fixed K"))
     raise ConfigError(f"{where}: steps_mode must be 'growing' or {{fixed: K}}")
 
 
@@ -182,21 +190,20 @@ def load_config(path: Path | str) -> ExperimentConfig:
         sep = s.get("separation", 5.0)
         with _reading("dataset.synthetic"):
             dataset = SyntheticSpec(
-                m=int(_require(s, "m", "dataset.synthetic")),
-                n=int(_require(s, "n", "dataset.synthetic")),
-                d=int(_require(s, "d", "dataset.synthetic")),
-                seed=int(_require(s, "seed", "dataset.synthetic")),
+                m=_typed(_require(s, "m", "dataset.synthetic"), int, "m"),
+                n=_typed(_require(s, "n", "dataset.synthetic"), int, "n"),
+                d=_typed(_require(s, "d", "dataset.synthetic"), int, "d"),
+                seed=_typed(_require(s, "seed", "dataset.synthetic"), int, "seed"),
                 separation=math.inf if sep in ("inf", ".inf") else float(sep),
             )
     elif "libsvm" in ds_raw:
         s = _mapping(ds_raw["libsvm"], "dataset.libsvm")
-        shuffle = s.get("shuffle_seed")
         with _reading("dataset.libsvm"):
             dataset = LibsvmSpec(
                 path=str(_require(s, "path", "dataset.libsvm")),
-                m=int(_require(s, "m", "dataset.libsvm")),
+                m=_typed(_require(s, "m", "dataset.libsvm"), int, "m"),
                 strategy=str(s.get("strategy", "round_robin")),
-                shuffle_seed=None if shuffle is None else int(shuffle),
+                shuffle_seed=_typed(s.get("shuffle_seed"), int, "shuffle_seed", nullable=True),
             )
     else:
         raise ConfigError("dataset: need a 'synthetic' or 'libsvm' entry")
@@ -212,13 +219,15 @@ def load_config(path: Path | str) -> ExperimentConfig:
     if not slots_raw:
         raise ConfigError("graph: need at least one slot")
     with _reading("graph"):
+        edge = "graph: an edge index"
         slots = tuple(
-            tuple((int(i), int(j)) for i, j in slot) for slot in slots_raw
+            tuple((_typed(i, int, edge), _typed(j, int, edge)) for i, j in slot)
+            for slot in slots_raw
         )
         graph = GraphSpec(
             slots=slots,
             eta=float(_require(graph_raw, "eta", "graph")),
-            window=int(_require(graph_raw, "B", "graph")),
+            window=_typed(_require(graph_raw, "B", "graph"), int, "B"),
             steps_mode=_parse_steps_mode(graph_raw.get("steps_mode"), "graph"),
         )
 
@@ -240,7 +249,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
             raise ConfigError("algorithms: dgm decays its own step; use a constant rule")
 
     with _reading("seeds"):
-        seeds = tuple(int(s) for s in raw.get("seeds", [0]))
+        seeds = tuple(_typed(s, int, "a seed") for s in raw.get("seeds", [0]))
     if not seeds:
         raise ConfigError("seeds must be nonempty")
     # each (algorithm, seed) run writes its own CSV, named by the pair
@@ -250,7 +259,6 @@ def load_config(path: Path | str) -> ExperimentConfig:
             raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
 
     diag_raw = _mapping(raw.get("diagnostics", {}) or {}, "diagnostics")
-    cadence = raw.get("snapshot_cadence")
 
     with _reading(str(path)):
         cfg = ExperimentConfig(
@@ -259,15 +267,21 @@ def load_config(path: Path | str) -> ExperimentConfig:
             regularizer=_parse_regularizer(_require(raw, "regularizer", str(path))),
             graph=graph,
             algorithms=algorithms,
-            horizon=int(_require(raw, "T", str(path))),
+            horizon=_typed(_require(raw, "T", str(path)), int, "T"),
             seeds=seeds,
             output_dir=str(raw.get("output_dir", "out")),
-            snapshot_cadence=None if cadence is None else int(cadence),
-            diagnostics=Diagnostics(
-                record_v=bool(diag_raw.get("record_v", False)),
-                record_sigma_star=bool(diag_raw.get("record_sigma_star", False)),
+            snapshot_cadence=_typed(
+                raw.get("snapshot_cadence"), int, "snapshot_cadence", nullable=True
             ),
-            enforce_step_bound=bool(raw.get("enforce_step_bound", True)),
+            diagnostics=Diagnostics(
+                record_v=_typed(diag_raw.get("record_v", False), bool, "record_v"),
+                record_sigma_star=_typed(
+                    diag_raw.get("record_sigma_star", False), bool, "record_sigma_star"
+                ),
+            ),
+            enforce_step_bound=_typed(
+                raw.get("enforce_step_bound", True), bool, "enforce_step_bound"
+            ),
             least_squares_radius=float(raw.get("least_squares_radius", 10.0)),
             x0=float(raw.get("x0", 0.0)),
             fixtures=str(raw.get("fixtures", "fixtures/oracle.json")),
@@ -277,6 +291,8 @@ def load_config(path: Path | str) -> ExperimentConfig:
         raise ConfigError("T must be >= 0")
     if cfg.snapshot_cadence is not None and cfg.snapshot_cadence < 1:
         raise ConfigError("snapshot_cadence must be >= 1")
+    if not 0.0 <= cfg.least_squares_radius < math.inf:
+        raise ConfigError("least_squares_radius must be finite and >= 0")
     return cfg
 
 

@@ -141,7 +141,9 @@ class ProblemBundle:
 
     ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` hold agent j's i-th
     sample at ``[j, i]``.  The bundle keeps checked read-only copies of
-    them, never freezing the caller's arrays.  Compares by identity.
+    them, never freezing the caller's arrays.  Its schedule's matrices, and
+    so all their products, are nonnegative with unit row sums.  Compares
+    by identity.
     """
 
     features: np.ndarray
@@ -172,6 +174,10 @@ class ProblemBundle:
             raise ValueError(
                 f"schedule is over {self.schedule.m} agents, data over {self.m}"
             )
+        for slot, matrix in enumerate(self.schedule.matrices):
+            w = matrix.weights
+            if w.min() < 0.0 or np.abs(w.sum(axis=1) - 1.0).max() > 1e-10:
+                raise ValueError(f"schedule matrix {slot} is not row stochastic")
 
     @property
     def m(self) -> int:
@@ -191,8 +197,8 @@ class RunConfig:
     """Algorithm selection and run-shaping knobs.
 
     ``cadence=None`` records every epoch up to 2000 epochs and about 2000
-    evenly spaced rows beyond that.  ``share_agent_streams`` gives every
-    agent the index order of agent 0 (diagnostic use: symmetry tests).
+    evenly spaced rows beyond that.  dgm mixes once per epoch, whatever
+    ``steps_mode``.
     """
 
     algorithm: str
@@ -206,7 +212,6 @@ class RunConfig:
     record_sigma_star: bool = False
     enforce_step_bound: bool = True
     x0: float = 0.0
-    share_agent_streams: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm.lower() not in ALGORITHMS:
@@ -349,9 +354,10 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
         sigma_star = metrics_mod.shuffling_variance(features, labels, kind, problem.x_star)
 
     cadence = config.cadence if config.cadence is not None else default_cadence(horizon)
-    designated = problem.schedule.matrix(0)  # fixed matrix keeps rows comparable
+    # a fixed matrix keeps the rows' disagreement comparable
+    designated = problem.schedule.matrices[0].weights
     mode = _SAMPLER_FOR.get(algo)
-    draw_rows = 1 if config.share_agent_streams else m
+    steps_mode = StepsMode.fixed(1) if algo == "dgm" else config.steps_mode
 
     trace = RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={}, gamma=gamma,
                      x_final=x.copy())
@@ -388,15 +394,13 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
     x_hat_sum = np.zeros(dim)
     for t in range(horizon):
         inner_avgs = None
+        weights = consensus_weights_for_epoch(problem.schedule, t, steps_mode)
         if algo == "dgm":
-            x = run_epoch_dgm(
-                x, problem, gamma / math.sqrt(t + 1.0), problem.schedule.matrix(t).weights, t
-            )
+            x = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), weights, t)
         else:
-            weights = consensus_weights_for_epoch(problem.schedule, t, config.steps_mode)
-            perm = epoch_indices(mode, config.seed, t, draw_rows, n)
+            perm = epoch_indices(mode, config.seed, t, m, n)
             x, inner_avgs = run_epoch_dpgrr(
-                x, problem, gamma, weights.weights, perm, t, record_inner=config.record_v
+                x, problem, gamma, weights, perm, t, record_inner=config.record_v
             )
         x_bar = x.mean(axis=0)
         x_hat_sum += x_bar

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import MixingMatrix
 from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
 
 __all__ = [
@@ -42,7 +41,7 @@ class EpochMetrics:
     forward_deviation: float | None = None
 
 
-def consensus_quantity(xs, matrix: MixingMatrix | np.ndarray) -> float:
+def consensus_quantity(xs, weights: np.ndarray) -> float:
     """Weighted disagreement ``sum_i <x_i, sum_j a_ij (x_i - x_j)>``.
 
     Equals the Laplacian quadratic form of the weighted graph, hence zero
@@ -51,14 +50,13 @@ def consensus_quantity(xs, matrix: MixingMatrix | np.ndarray) -> float:
     ``(1/2) sum_ij a_ij ||x_i - x_j||^2`` (identical for the symmetric
     weights required here), which stays accurate near consensus where the
     inner-product form cancels catastrophically.  Only the nonzero
-    off-diagonal weights contribute, so the cost is O(|E| d).
+    off-diagonal weights of the ``(m, m)`` array contribute, so the cost is
+    O(|E| d).
     """
-    weights = matrix.weights if isinstance(matrix, MixingMatrix) else np.asarray(matrix)
+    weights = np.asarray(weights)
     stacked = np.asarray(xs, dtype=float)
-    if weights.shape[0] != weights.shape[1] or weights.shape[0] != stacked.shape[0]:
-        raise DimensionMismatch(
-            f"{stacked.shape[0]} vectors vs {weights.shape[0]}x{weights.shape[1]} weights"
-        )
+    if weights.shape != (stacked.shape[0],) * 2:
+        raise DimensionMismatch(f"{stacked.shape[0]} vectors vs {weights.shape} weights")
     off = weights.copy()
     np.fill_diagonal(off, 0.0)
     i, j = np.nonzero(off)

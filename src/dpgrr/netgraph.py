@@ -22,7 +22,6 @@ __all__ = [
     "metropolis_weights",
     "GraphSchedule",
     "StepsMode",
-    "ConsensusWeights",
     "consensus_weights_for_epoch",
     "WindowCheck",
     "ValidationReport",
@@ -203,10 +202,6 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.matrices)
 
-    def matrix(self, k: int) -> MixingMatrix:
-        """Matrix applied at communication step ``k`` (cyclic)."""
-        return self.matrices[k % self.period]
-
     def transition_product(self, start: int, count: int) -> np.ndarray:
         """Product of ``count`` matrices from step ``start``, latest on the left."""
         if count < 1:
@@ -234,35 +229,20 @@ class GraphSchedule:
         return result
 
 
-@dataclass(frozen=True)
-class ConsensusWeights:
-    """One epoch's mixing coefficients: a product of schedule matrices."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        row_err = np.abs(w.sum(axis=1) - 1.0).max()
-        if row_err > 1e-10:
-            raise ValueError(f"consensus weight rows deviate from 1 by {row_err:g}")
-        # true entries are convex-combination coefficients; clip float dust
-        w = np.clip(w, 0.0, 1.0)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
 def consensus_weights_for_epoch(
     schedule: GraphSchedule, t: int, steps_mode: StepsMode
-) -> ConsensusWeights:
+) -> np.ndarray:
     """Mixing coefficients for epoch ``t``: the product over its step block.
 
     Pure function of (schedule, t, mode), so any epoch can be replayed.
+    The result may be a memoized block that callers must not write; a
+    one-factor product is the matrix's own ``weights``.
     """
     if t < 0:
         raise ValueError("epoch must be >= 0")
     start = steps_mode.steps_before_epoch(t)
     count = steps_mode.factors_for_epoch(t)
-    return ConsensusWeights(schedule.transition_product(start, count))
+    return schedule.transition_product(start, count)
 
 
 def _union_connected(edge_sets: list[set[tuple[int, int]]], m: int) -> bool:

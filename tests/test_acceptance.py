@@ -106,7 +106,7 @@ def test_criterion_3_mixing_algebra():
         sched = _random_valid_schedule(rng)
         for mode in (StepsMode.growing(), StepsMode.fixed(int(rng.integers(1, 6)))):
             for t in range(4):
-                w = consensus_weights_for_epoch(sched, t, mode).weights
+                w = consensus_weights_for_epoch(sched, t, mode)
                 worst_sum = max(
                     worst_sum,
                     float(np.abs(w.sum(axis=1) - 1).max()),

@@ -348,7 +348,7 @@ def test_loose_fixture_counts_as_absent(tmp_path):
     ("toy", "strategy: contiguous", "strategy: sideways", "unknown strategy"),
     ("toy", "m: 1", "m: 3", "cannot cover 3 agents"),
     ("synth", "steps_mode: {fixed: 2}", "steps_mode: {fixed: 0}", "fixed mode needs k >= 1"),
-    ("synth", "m: 2, n: 3", "m: two, n: 3", "invalid literal for int()"),
+    ("synth", "m: 2, n: 3", "m: two, n: 3", "m must be an integer, not 'two'"),
     ("synth", "- [[0, 1]]", "- [[0, 1, 2]]", "graph: too many values to unpack"),
     ("synth", "synthetic: {m: 2, n: 3, d: 3, seed: 5, separation: 0.8}", "synthetic: 5",
      "dataset.synthetic: must be a mapping"),
@@ -356,9 +356,24 @@ def test_loose_fixture_counts_as_absent(tmp_path):
      "graph: 5\n", "graph: must be a mapping"),
     ("synth", "seeds: [3]", "seeds: [3]\nx0: abc", "could not convert string to float: 'abc'"),
     ("synth", "seeds: [3]", "seeds: [3]\nsnapshot_cadence: 0", "snapshot_cadence must be >= 1"),
+    # integers are never truncated and flags never coerced
+    ("synth", "T: 4", "T: 2.9", "T must be an integer, not 2.9"),
+    ("synth", "T: 4", "T: true", "T must be an integer, not True"),
+    ("synth", "m: 2, n: 3", "m: 2.5, n: 3", "m must be an integer, not 2.5"),
+    ("synth", "seeds: [3]", 'seeds: [3]\nenforce_step_bound: "false"',
+     "enforce_step_bound must be true or false, not 'false'"),
+    ("synth", "seeds: [3]", 'seeds: [3]\ndiagnostics: {record_v: "yes"}',
+     "record_v must be true or false, not 'yes'"),
+    # the radius bounds G_f and G_phi in the manifest, which must stay JSON
+    ("synth", "seeds: [3]", "seeds: [3]\nleast_squares_radius: .inf",
+     "least_squares_radius must be finite and >= 0"),
+    ("synth", "seeds: [3]", "seeds: [3]\nleast_squares_radius: -1.0",
+     "least_squares_radius must be finite and >= 0"),
 ], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
         "strategy", "too-few-samples", "steps-mode-fixed-0", "synthetic-m", "edge-triple",
-        "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0"])
+        "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0", "T-float", "T-bool",
+        "m-float", "enforce-step-bound-string", "record-v-string", "radius-inf",
+        "radius-negative"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
     cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
     assert old in cfg.read_text()
@@ -368,6 +383,27 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new
         err = capsys.readouterr().err
         assert "config error" in err and message in err, (command, err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("template, penalty, lam", [
+    ("synth", "{kind: l1, lam: 0.05}", 0.05),
+    # 0 * inf was NaN; the toy problem keeps the unpenalized F* solve short
+    ("toy", "{kind: zero}", 0.0),
+], ids=["synth", "toy-lam-0"])
+def test_squared_l2_manifest_bounds_g_phi_on_the_radius(tmp_path, template, penalty, lam):
+    cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
+    text = cfg.read_text()
+    assert penalty in text
+    cfg.write_text(text.replace(penalty, f"{{kind: squared_l2, lam: {lam}}}")
+                   + "least_squares_radius: 3.0\n")
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"manifest holds {constant}, which is not JSON")
+
+    text = (tmp_path / "out" / "manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=reject)
+    assert manifest["G_phi"] == lam * 3.0
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -13,10 +13,12 @@ from dpgrr.engine import (
     StepBoundViolation,
     StepRule,
     run,
+    run_epoch_dpgrr,
     step_scale_bound,
 )
 from dpgrr.netgraph import (
     GraphSchedule,
+    MixingMatrix,
     StepsMode,
     consensus_weights_for_epoch,
     metropolis_weights,
@@ -92,7 +94,7 @@ def test_two_agents_complete_graph_matches_hand_average():
 
 
 def test_identical_agents_stay_identical():
-    # same data, same start, shared sampler streams: trajectories must agree
+    # same data, same start, one shared (1, n) index block: trajectories must agree
     # bit for bit because mixing is doubly stochastic
     features, labels = synthesize_classification(m=1, n=4, d=3, separation=1.0, seed=2)
     problem = ProblemBundle(
@@ -102,13 +104,12 @@ def test_identical_agents_stay_identical():
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
     )
-    cfg = RunConfig(
-        "dpg-rr", 20, StepRule.constant(0.1), seed=3, share_agent_streams=True,
-        store_snapshots=True,
-    )
-    trace = run(cfg, problem)
-    for snap in trace.snapshots.values():
-        assert np.array_equal(snap[0], snap[1])
+    weights = problem.schedule.matrices[0].weights
+    x = np.zeros((2, problem.dim))
+    for t in range(20):
+        perm = epoch_indices(Mode.RR, 3, t, 1, problem.n)
+        x, _ = run_epoch_dpgrr(x, problem, 0.1, weights, perm, t)
+        assert np.array_equal(x[0], x[1])
 
 
 def test_determinism_bit_identical(canonical_problem):
@@ -309,6 +310,21 @@ def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
     assert p == p and hash(p) == hash(p)
 
 
+def test_bundle_rejects_non_stochastic_mixing_rows():
+    features, labels = synthesize_classification(m=2, n=3, d=2, separation=1.0, seed=0)
+
+    def bundle(rows):
+        schedule = GraphSchedule((MixingMatrix(np.array(rows), 0.1),), 1)
+        return ProblemBundle(features, labels, LOG, Regularizer.zero(), schedule)
+
+    with pytest.raises(ValueError, match="schedule matrix 0 is not row stochastic"):
+        bundle([[0.5, 0.6], [0.5, 0.4]])
+    with pytest.raises(ValueError, match="schedule matrix 0 is not row stochastic"):
+        bundle([[1.2, -0.2], [-0.2, 1.2]])
+    # float dust within the 1e-10 row tolerance is accepted
+    assert bundle([[0.5, 0.5 + 1e-12], [0.5, 0.5]]).m == 2
+
+
 # -- diagnostics -------------------------------------------------------------
 
 
@@ -363,7 +379,7 @@ def serial_reference(cfg, problem):
     for t in range(cfg.horizon):
         v_t = None
         if cfg.algorithm == "dgm":
-            w = problem.schedule.matrix(t).weights
+            w = problem.schedule.matrices[t % problem.schedule.period].weights
             mixed = [sum(w[j, k] * xs[k] for k in range(m)) for j in range(m)]
             xs = []
             for v, rows, labels in zip(mixed, problem.features, problem.labels):
@@ -381,21 +397,28 @@ def serial_reference(cfg, problem):
                     a, label = problem.features[j, idx], problem.labels[j, idx]
                     x = x - gamma * sample_value_grad(kind, a, label, x)[1]
                 local.append(x)
-            w = consensus_weights_for_epoch(problem.schedule, t, cfg.steps_mode).weights
+            w = consensus_weights_for_epoch(problem.schedule, t, cfg.steps_mode)
             xs = [prox(reg, gamma, sum(w[j, k] * local[k] for k in range(m))) for j in range(m)]
             v_t = float(np.sum((inner_avg - np.mean(xs, axis=0)) ** 2))
         out[t + 1] = (np.stack(xs), v_t)
     return out
 
 
-@pytest.mark.parametrize("algo", ["dpg-rr", "dpg-sg", "dpg-ig", "dgm"])
-def test_engine_matches_serial_reference(canonical_problem, algo):
+@pytest.mark.parametrize("algo, steps_mode", [
+    ("dpg-rr", StepsMode.growing()),
+    ("dpg-sg", StepsMode.growing()),
+    ("dpg-ig", StepsMode.growing()),
+    ("dgm", StepsMode.growing()),
+    # dgm mixes once per epoch whatever the mode
+    ("dgm", StepsMode.fixed(2)),
+], ids=["dpg-rr", "dpg-sg", "dpg-ig", "dgm", "dgm-fixed-2"])
+def test_engine_matches_serial_reference(canonical_problem, algo, steps_mode):
     p = canonical_problem
-    cfg = RunConfig(algo, 12, StepRule.constant(0.05), seed=9, store_snapshots=True,
-                    record_v=True)
+    cfg = RunConfig(algo, 12, StepRule.constant(0.05), steps_mode=steps_mode, seed=9,
+                    store_snapshots=True, record_v=True)
     trace = run(cfg, p)
     want = serial_reference(cfg, p)
-    w = p.schedule.matrix(0).weights
+    w = p.schedule.matrices[0].weights
     x_hat_sum = np.zeros(p.dim)
     for row in trace.rows:
         snap, v_t = want[row.epoch]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dpgrr.config import build_schedule, load_config
 from dpgrr.netgraph import (
-    ConsensusWeights,
     EmptyGraph,
     EtaViolation,
     GraphSchedule,
@@ -131,7 +130,7 @@ def test_epoch_zero_growing_is_single_matrix():
     mat = ring_matrix(4)
     sched = GraphSchedule((mat,), 1)
     got = consensus_weights_for_epoch(sched, 0, StepsMode.growing())
-    assert np.allclose(got.weights, mat.weights, atol=1e-15)
+    assert np.allclose(got, mat.weights, atol=1e-15)
 
 
 def test_constant_schedule_gives_matrix_powers():
@@ -140,17 +139,17 @@ def test_constant_schedule_gives_matrix_powers():
     for t, mode in [(3, StepsMode.growing()), (0, StepsMode.fixed(6)), (2, StepsMode.fixed(4))]:
         got = consensus_weights_for_epoch(sched, t, mode)
         want = np.linalg.matrix_power(mat.weights, mode.factors_for_epoch(t))
-        assert np.allclose(got.weights, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_path_graph_power_approaches_uniform():
     mat = metropolis_weights({(0, 1), (1, 2)}, 3, 0.1)
     sched = GraphSchedule((mat,), 1)
     got = consensus_weights_for_epoch(sched, 5, StepsMode.growing())  # six factors
-    dev = np.abs(got.weights - 1.0 / 3.0).max()
+    dev = np.abs(got - 1.0 / 3.0).max()
     assert dev <= 0.05
     want = np.linalg.matrix_power(mat.weights, 6)
-    assert np.allclose(got.weights, want, atol=1e-13)
+    assert np.allclose(got, want, atol=1e-13)
 
 
 def test_growing_mode_offsets_walk_the_period():
@@ -161,7 +160,7 @@ def test_growing_mode_offsets_walk_the_period():
     # epoch 2 starts after 1+2=3 consumed steps and multiplies A(5)A(4)A(3)
     got = consensus_weights_for_epoch(sched, 2, mode)
     want = mats[5 % 3].weights @ mats[4 % 3].weights @ mats[3 % 3].weights
-    assert np.allclose(got.weights, want, atol=1e-14)
+    assert np.allclose(got, want, atol=1e-14)
     assert mode.steps_before_epoch(2) == 3
     assert StepsMode.fixed(4).steps_before_epoch(3) == 12
 
@@ -222,7 +221,7 @@ def test_products_stay_doubly_stochastic(m, period, t, fixed_k, seed):
     mats = tuple(random_connected_matrix(rng, m) for _ in range(period))
     sched = GraphSchedule(mats, period)
     for mode in (StepsMode.growing(), StepsMode.fixed(fixed_k)):
-        w = consensus_weights_for_epoch(sched, t, mode).weights
+        w = consensus_weights_for_epoch(sched, t, mode)
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
         assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-10
         assert w.min() >= 0.0 and w.max() <= 1.0
@@ -236,9 +235,14 @@ def test_uniformity_gap_shrinks_with_more_factors():
     assert dev(1000) < 1e-9
 
 
-def test_consensus_weights_reject_bad_rows():
-    with pytest.raises(ValueError):
-        ConsensusWeights(np.array([[0.5, 0.6], [0.5, 0.4]]))
+def test_one_factor_weights_are_the_scheduled_matrix():
+    rng = np.random.default_rng(4)
+    mats = tuple(random_connected_matrix(rng, 4) for _ in range(3))
+    sched = GraphSchedule(mats, 1)
+    for t in range(7):
+        w = consensus_weights_for_epoch(sched, t, StepsMode.fixed(1))
+        assert w is mats[t % 3].weights
+        assert not w.flags.writeable
 
 
 def test_mixing_matrices_compare_and_hash_by_value():

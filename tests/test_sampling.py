@@ -63,8 +63,8 @@ def test_replay_is_bit_exact(mode, m, n, seed, t):
     t=st.integers(0, 500),
 )
 def test_row_does_not_depend_on_agent_count(mode, j, extra, n, seed, t):
-    # `share_agent_streams` draws one row for all agents, and the one-agent
-    # oracle matches row 0: both rely on row j ignoring m
+    # a (1, n) block gives every agent one order, and the one-agent oracle
+    # matches row 0: both rely on row j ignoring m
     row = epoch_indices(mode, seed, t, j + 1, n)[j]
     assert np.array_equal(epoch_indices(mode, seed, t, j + extra, n)[j], row)
 
