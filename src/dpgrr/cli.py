@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -182,9 +183,12 @@ def cmd_run(args) -> int:
     multi_seed = len(cfg.seeds) > 1
     files = {}
     try:
-        for algo in cfg.algorithms:
-            for seed in cfg.seeds:
-                run_cfg = RunConfig(
+        # consecutive algorithms of one epoch body advance as one batch, so
+        # runs fail and CSVs appear in the order of a loop over the runs
+        for _, group in itertools.groupby(cfg.algorithms, key=lambda a: a.name == "dgm"):
+            runs = [(algo, seed) for algo in group for seed in cfg.seeds]
+            run_cfgs = [
+                RunConfig(
                     algorithm=algo.name,
                     horizon=cfg.horizon,
                     step=algo.step,
@@ -196,10 +200,13 @@ def cmd_run(args) -> int:
                     enforce_step_bound=cfg.enforce_step_bound,
                     x0=cfg.x0,
                 )
-                with warnings.catch_warnings():
-                    # `_validate` has already reported an unenforced bound
-                    warnings.simplefilter("ignore", StepBoundWarning)
-                    trace = run(run_cfg, problem)
+                for algo, seed in runs
+            ]
+            with warnings.catch_warnings():
+                # `_validate` has already reported an unenforced bound
+                warnings.simplefilter("ignore", StepBoundWarning)
+                traces = run(run_cfgs, problem)
+            for (algo, seed), trace in zip(runs, traces):
                 name = _csv_name(algo.name, seed, multi_seed)
                 write_metrics_csv(out_dir / name, trace)
                 files[f"{algo.name}/seed{seed}"] = name

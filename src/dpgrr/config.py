@@ -133,6 +133,17 @@ def _typed(value, kind: type, what: str, nullable: bool = False):
     return value
 
 
+def _float(value, what: str) -> float:
+    """``float(value)`` of a YAML number or number string; a YAML bool is an error.
+
+    PyYAML reads ``1e-3`` (no dot in the mantissa) as a string, so number
+    strings stay accepted.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 @contextlib.contextmanager
 def _reading(where: str):
     """Report a malformed value met inside the block as a ``ConfigError``."""
@@ -156,10 +167,10 @@ def _parse_step(raw: dict, where: str) -> StepRule:
     rule = _require(raw, "rule", where)
     with _reading(where):
         if rule == "constant":
-            return StepRule.constant(float(_require(raw, "gamma", where)))
+            return StepRule.constant(_float(_require(raw, "gamma", where), "gamma"))
         if rule == "sqrt_horizon":
             scale = raw.get("scale")
-            return StepRule.sqrt_horizon(None if scale is None else float(scale))
+            return StepRule.sqrt_horizon(None if scale is None else _float(scale, "scale"))
     raise ConfigError(f"{where}: unknown step rule {rule!r}")
 
 
@@ -169,7 +180,7 @@ def _parse_regularizer(raw: dict) -> Regularizer:
         kind = RegKind(kind)
     except ValueError:
         raise ConfigError(f"regularizer: unknown kind {kind!r}") from None
-    lam = float(raw.get("lam", 0.0))
+    lam = _float(raw.get("lam", 0.0), "lam")
     if kind is not RegKind.ZERO and "lam" not in raw:
         raise ConfigError("regularizer: non-zero kinds need 'lam'")
     return Regularizer(kind, lam)
@@ -194,7 +205,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
                 n=_typed(_require(s, "n", "dataset.synthetic"), int, "n"),
                 d=_typed(_require(s, "d", "dataset.synthetic"), int, "d"),
                 seed=_typed(_require(s, "seed", "dataset.synthetic"), int, "seed"),
-                separation=math.inf if sep in ("inf", ".inf") else float(sep),
+                separation=math.inf if sep in ("inf", ".inf") else _float(sep, "separation"),
             )
     elif "libsvm" in ds_raw:
         s = _mapping(ds_raw["libsvm"], "dataset.libsvm")
@@ -226,7 +237,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
         )
         graph = GraphSpec(
             slots=slots,
-            eta=float(_require(graph_raw, "eta", "graph")),
+            eta=_float(_require(graph_raw, "eta", "graph"), "eta"),
             window=_typed(_require(graph_raw, "B", "graph"), int, "B"),
             steps_mode=_parse_steps_mode(graph_raw.get("steps_mode"), "graph"),
         )
@@ -282,8 +293,10 @@ def load_config(path: Path | str) -> ExperimentConfig:
             enforce_step_bound=_typed(
                 raw.get("enforce_step_bound", True), bool, "enforce_step_bound"
             ),
-            least_squares_radius=float(raw.get("least_squares_radius", 10.0)),
-            x0=float(raw.get("x0", 0.0)),
+            least_squares_radius=_float(
+                raw.get("least_squares_radius", 10.0), "least_squares_radius"
+            ),
+            x0=_float(raw.get("x0", 0.0), "x0"),
             fixtures=str(raw.get("fixtures", "fixtures/oracle.json")),
             base_dir=path.resolve().parent,
         )

@@ -1,20 +1,25 @@
 """Synchronous epoch engine for the distributed proximal-gradient algorithms.
 
-The agents' iterates are the rows of one ``(m, d)`` array.  One epoch of
+``run`` advances S runs of one problem together: the agents' iterates of
+run s are the rows of ``x[s]`` in one ``(S, m, d)`` array.  One epoch of
 the proximal algorithms has three barrier-separated phases:
 
   1. every agent takes n local stochastic gradient steps following its
-     epoch index sequence; each step is one vectorized update of all rows,
+     epoch index sequence; each step is one vectorized update of all S*m
+     rows, with each run's own step size,
   2. all agents' phase-1 outputs are mixed through the epoch's consensus
-     weights (a product of schedule matrices),
+     weights (a product of schedule matrices), the same for every run,
   3. every agent applies the proximal map of the shared penalty.
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
 this single code path and differ only in the ``(m, n)`` index block drawn
-for each epoch.
+for each run and epoch, so they advance in one batch.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
-step size.
+step size; its runs batch among themselves.
+
+Every batched operation is elementwise or reduces each run's rows in the
+order a single run does, so a run's trace does not depend on its batch.
 
 Iterates are checked for finiteness once per phase.  Non-finite entries
 stay non-finite under later gradient steps, so when the local phase ends
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +40,7 @@ from . import metrics as metrics_mod
 from . import objectives
 from .netgraph import GraphSchedule, StepsMode, consensus_weights_for_epoch
 from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
-from .proxops import NonPositiveStep, Regularizer, prox, subgradient
+from .proxops import Regularizer, check_step, prox, subgradient
 from .sampling import Mode, epoch_indices
 
 __all__ = [
@@ -51,24 +57,41 @@ __all__ = [
     "run_epoch_dgm",
     "run",
     "default_cadence",
+    "MAX_BATCH_BYTES",
 ]
 
 ALGORITHMS = ("dpg-rr", "dpg-sg", "dpg-ig", "dgm")
 
 _SAMPLER_FOR = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 
+# Bound on the ``(S, m, n, d)`` sample block one epoch gathers; ``run``
+# advances a longer list of runs in consecutive batches under it.
+MAX_BATCH_BYTES = 1 << 20
+
+# RunConfig fields that every run of one ``run`` call must share
+_SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "store_snapshots",
+                  "record_v", "record_sigma_star", "enforce_step_bound")
+
 
 class NonFiniteIterate(FloatingPointError):
-    """An iterate left the representable range; carries run context."""
+    """An iterate left the representable range; carries run context.
 
-    def __init__(self, agent: int, epoch: int, inner_step: int | None, phase: str):
+    ``run`` names the failing run: its algorithm and seed when raised by
+    ``run``, its position in the batch when raised by an epoch function.
+    """
+
+    def __init__(self, agent: int, epoch: int, inner_step: int | None, phase: str,
+                 run: str | int | None = None):
         self.agent = agent
         self.epoch = epoch
         self.inner_step = inner_step
         self.phase = phase
+        self.run = run
         where = f"agent {agent}, epoch {epoch}, phase {phase}"
         if inner_step is not None:
             where += f", inner step {inner_step}"
+        if run is not None:
+            where = f"run {run}, {where}"
         super().__init__(f"non-finite iterate at {where}")
 
 
@@ -224,7 +247,12 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Recorded rows plus the per-record average and running-average iterates."""
+    """Recorded rows and the final iterate of one run.
+
+    With ``store_snapshots`` it also keeps, per recorded epoch, the state
+    and its average and running-average iterates; otherwise those dicts
+    stay empty.
+    """
 
     rows: list[metrics_mod.EpochMetrics]
     x_bar: dict[int, np.ndarray]
@@ -238,10 +266,10 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
-def _inner_step(kind: SmoothLossKind, gamma: float, x, a, y) -> None:
+def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """One gradient step of every row of ``x`` on its sample ``(a, y)``, in place."""
-    z = np.einsum("jd,jd->j", a, x)
-    x -= gamma * (objectives.loss_derivative(kind, z, y)[:, None] * a)
+    z = np.einsum("...d,...d->...", a, x)
+    x -= gamma * (objectives.loss_derivative(kind, z, y)[..., None] * a)
 
 
 def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
@@ -254,115 +282,157 @@ def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
     return None
 
 
-def _check_phases(t: int, *phases: tuple[str, np.ndarray]) -> None:
-    """Raise for the lowest agent with a non-finite row, naming its first bad phase."""
-    bad = np.stack([~np.isfinite(x).all(axis=1) for _, x in phases])
-    if bad.any():
-        agent = int(np.argmax(bad.any(axis=0)))
-        raise NonFiniteIterate(agent, t, None, phases[int(np.argmax(bad[:, agent]))][0])
+def _bad_rows(*phases: np.ndarray) -> np.ndarray:
+    """``(phase, S, m)`` mask of the non-finite rows of each phase's state."""
+    return np.stack([~np.isfinite(x).all(axis=-1) for x in phases])
+
+
+def _phase_failure(t: int, run: int, names: tuple[str, ...], bad: np.ndarray):
+    """Failure of run ``run``: its lowest agent with a non-finite row in
+    ``bad`` ``(phase, m)``, named by that agent's first bad phase."""
+    agent = int(np.argmax(bad.any(axis=0)))
+    return NonFiniteIterate(agent, t, None, names[int(np.argmax(bad[:, agent]))], run=run)
 
 
 def run_epoch_dpgrr(
     x: np.ndarray,
     problem: ProblemBundle,
-    gamma: float,
+    gamma,
     weights: np.ndarray,
     perm: np.ndarray,
     t: int,
     record_inner: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One proximal epoch of all agents from the ``(m, d)`` state ``x``.
+    """One proximal epoch of S runs' agents from the ``(S, m, d)`` state ``x``.
 
-    Row j of the ``(m, n)`` block ``perm`` is the order in which agent j
-    visits its samples; a ``(1, n)`` block is one order for every agent.
-    Returns the next state and, if recorded, the network averages of the
-    n inner iterates.  Phase 2 reads every agent's phase-1 output, exactly
-    as a barrier-synchronized parallel execution would.
+    ``gamma`` is one step or an ``(S, 1, 1)`` array of each run's step.
+    Row ``perm[s, j]`` of the ``(S, m, n)`` block is the order in which
+    agent j of run s visits its samples; a ``(1, 1, n)`` block is one order
+    for every agent.  Returns the next state and, if recorded, the
+    ``(S, n, d)`` network averages of the n inner iterates.  Phase 2 reads
+    every agent's phase-1 output, exactly as a barrier-synchronized
+    parallel execution would.  A non-finite iterate raises for the first
+    failing run, with its position in the batch.
     """
-    if not gamma > 0.0:
-        raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma}")
+    check_step(gamma, "epoch")
     m, n, kind = problem.m, problem.n, problem.kind
-    rows = np.arange(m)[:, None]
-    a, y = problem.features[rows, perm], problem.labels[rows, perm]
+    # step i's samples of all runs are one contiguous (S, m, d) block
+    rows, order = np.arange(m), perm.transpose(2, 0, 1)
+    a, y = problem.features[rows, order], problem.labels[rows, order]
     inner = x.copy()
-    inner_sum = np.empty((n, x.shape[1])) if record_inner else None
+    inner_sum = np.empty((x.shape[0], n, x.shape[2])) if record_inner else None
     with np.errstate(all="ignore"):
         for i in range(n):
             if record_inner:
-                inner_sum[i] = inner.sum(axis=0)
-            _inner_step(kind, gamma, inner, a[:, i], y[:, i])
-        bad = ~np.isfinite(inner).all(axis=1)
-        if bad.any():
-            j = int(np.argmax(bad))
-            step = _first_bad_step(kind, gamma, x[j], a[j], y[j])
-            raise NonFiniteIterate(j, t, step, "inner")
+                inner_sum[:, i] = inner.sum(axis=1)
+            _inner_step(kind, gamma, inner, a[i], y[i])
         mixed = weights @ inner
         x_next = prox(problem.regularizer, gamma, mixed)
-    _check_phases(t, ("mix", mixed), ("prox", x_next))
+    bad = _bad_rows(inner, mixed, x_next)
+    if bad.any():
+        s = int(np.argmax(bad.any(axis=(0, 2))))
+        if bad[0, s].any():
+            j = int(np.argmax(bad[0, s]))
+            gamma_s = np.broadcast_to(gamma, (len(x), 1, 1))[s, 0, 0]
+            step = _first_bad_step(kind, gamma_s, x[s, j], a[:, s, j], y[:, s, j])
+            raise NonFiniteIterate(j, t, step, "inner", run=s)
+        raise _phase_failure(t, s, ("mix", "prox"), bad[1:, s])
     return x_next, (inner_sum / m if record_inner else None)
 
 
 def run_epoch_dgm(
-    x: np.ndarray, problem: ProblemBundle, gamma_t: float, weights: np.ndarray, t: int
+    x: np.ndarray, problem: ProblemBundle, gamma_t, weights: np.ndarray, t: int
 ) -> np.ndarray:
-    """One epoch of the subgradient baseline: mix once, then one local step.
+    """One epoch of the subgradient baseline for S runs: mix once, then one local step.
 
     Each agent combines neighbors through the single matrix at the current
     communication step, then descends the sum of its local gradients plus
-    one penalty subgradient with the (externally decayed) step gamma_t.
+    one penalty subgradient with the (externally decayed) step gamma_t:
+    one value, or an ``(S, 1, 1)`` array of each run's step.
     """
-    if not gamma_t > 0.0:
-        raise NonPositiveStep(f"epoch needs gamma > 0, got {gamma_t}")
+    check_step(gamma_t, "epoch")
     with np.errstate(all="ignore"):
         mixed = weights @ x
         features = problem.features
         coef = objectives.loss_derivative(
-            problem.kind, np.einsum("jnd,jd->jn", features, mixed), problem.labels
+            problem.kind, np.einsum("jnd,sjd->sjn", features, mixed), problem.labels
         )
         grad = subgradient(problem.regularizer, mixed) + np.einsum(
-            "jn,jnd->jd", coef, features
+            "sjn,jnd->sjd", coef, features
         )
         x_next = mixed - gamma_t * grad
-    _check_phases(t, ("mix", mixed), ("step", x_next))
+    bad = _bad_rows(mixed, x_next)
+    if bad.any():
+        s = int(np.argmax(bad.any(axis=(0, 2))))
+        raise _phase_failure(t, s, ("mix", "step"), bad[:, s])
     return x_next
 
 
-def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
-    """Execute the configured algorithm for ``config.horizon`` epochs.
+def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
+    """Execute the configured runs for their shared horizon; one trace each, in order.
 
-    Fully deterministic given the seed: each epoch's index block is a pure
-    function of (seed, epoch) and every reduction has a fixed order.
+    The runs advance together and may differ in algorithm, seed and step;
+    every other ``RunConfig`` field must agree, and dgm runs batch only
+    with dgm runs.  A run's trace is the one it gets alone,
+    ``run([config], problem)[0]``.  Runs beyond ``MAX_BATCH_BYTES`` of
+    gathered samples advance in later batches.
+
+    A non-finite iterate raises for the first failing run in the order
+    given, the one a loop over the runs would stop on, naming its
+    algorithm and seed.  Fully deterministic given the seeds: each
+    epoch's index block is a pure function of (seed, epoch) and every
+    reduction has a fixed order.
     """
-    algo = config.algorithm.lower()
-    horizon = config.horizon
+    configs = list(configs)
+    for cfg in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if getattr(cfg, name) != getattr(configs[0], name):
+                raise ValueError(f"runs in one call must share {name}")
+        if (cfg.algorithm.lower() == "dgm") != (configs[0].algorithm.lower() == "dgm"):
+            raise ValueError("dgm runs batch only with other dgm runs")
+    size = max(1, MAX_BATCH_BYTES // problem.features.nbytes)
+    traces = []
+    for lo in range(0, len(configs), size):
+        traces += _run_batch(configs[lo:lo + size], problem)
+    return traces
+
+
+def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
+    """``run`` for runs whose samples fit one gathered block."""
+    first = configs[0]
+    dgm = first.algorithm.lower() == "dgm"
+    horizon = first.horizon
     m, n, dim = problem.m, problem.n, problem.dim
     kind, reg = problem.kind, problem.regularizer
     features, labels = problem.features, problem.labels
     lipschitz = objectives.lipschitz_constant(features, kind)
-    gamma = None
-    if horizon > 0:
-        gamma = config.step.resolve(lipschitz, n, horizon, config.enforce_step_bound)
-    if algo == "dgm" and config.step.rule != "constant":
-        raise ValueError("the subgradient baseline decays its own step; use a constant rule")
-
-    x = np.full((m, dim), float(config.x0))
+    steps = []
+    for cfg in configs:
+        if horizon > 0:
+            steps.append(cfg.step.resolve(lipschitz, n, horizon, cfg.enforce_step_bound))
+        if dgm and cfg.step.rule != "constant":
+            raise ValueError(
+                "the subgradient baseline decays its own step; use a constant rule")
 
     sigma_star = None
-    if config.record_sigma_star:
+    if first.record_sigma_star:
         if problem.x_star is None:
             raise ValueError("sigma_star recording needs the reference solution point")
         sigma_star = metrics_mod.shuffling_variance(features, labels, kind, problem.x_star)
 
-    cadence = config.cadence if config.cadence is not None else default_cadence(horizon)
+    cadence = first.cadence if first.cadence is not None else default_cadence(horizon)
     # a fixed matrix keeps the rows' disagreement comparable
     designated = problem.schedule.matrices[0].weights
-    mode = _SAMPLER_FOR.get(algo)
-    steps_mode = StepsMode.fixed(1) if algo == "dgm" else config.steps_mode
+    steps_mode = StepsMode.fixed(1) if dgm else first.steps_mode
 
-    trace = RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={}, gamma=gamma,
-                     x_final=x.copy())
+    x = np.full((len(configs), m, dim), float(first.x0))
+    traces = [
+        RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={},
+                 gamma=steps[s] if steps else None, x_final=x[s].copy())
+        for s in range(len(configs))
+    ]
 
-    def record(epoch: int, state: np.ndarray, x_bar: np.ndarray,
+    def record(trace: RunTrace, epoch: int, state: np.ndarray, x_bar: np.ndarray,
                x_hat: np.ndarray | None, v_value: float | None) -> None:
         f_hat = subopt = None
         if x_hat is not None:
@@ -383,33 +453,59 @@ def run(config: RunConfig, problem: ProblemBundle) -> RunTrace:
                 forward_deviation=v_value,
             )
         )
-        trace.x_bar[epoch] = x_bar.copy()
-        if x_hat is not None:
-            trace.x_hat[epoch] = x_hat.copy()
-        if config.store_snapshots:
+        if first.store_snapshots:
             trace.snapshots[epoch] = state.copy()
+            trace.x_bar[epoch] = x_bar.copy()
+            if x_hat is not None:
+                trace.x_hat[epoch] = x_hat.copy()
 
-    record(0, x, x.mean(axis=0), None, None)
+    x_bar = x.mean(axis=1)
+    for s, trace in enumerate(traces):
+        record(trace, 0, x[s], x_bar[s], None, None)
 
-    x_hat_sum = np.zeros(dim)
+    gamma = np.array(steps).reshape(-1, 1, 1)
+    x_hat_sum = np.zeros((len(configs), dim))
+    failure = None
     for t in range(horizon):
         inner_avgs = None
         weights = consensus_weights_for_epoch(problem.schedule, t, steps_mode)
-        if algo == "dgm":
-            x = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), weights, t)
-        else:
-            perm = epoch_indices(mode, config.seed, t, m, n)
-            x, inner_avgs = run_epoch_dpgrr(
-                x, problem, gamma, weights, perm, t, record_inner=config.record_v
-            )
-        x_bar = x.mean(axis=0)
+        while True:
+            try:
+                if dgm:
+                    x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), weights, t)
+                else:
+                    perm = np.stack([
+                        epoch_indices(_SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed, t, m, n)
+                        for cfg in configs
+                    ])
+                    x_next, inner_avgs = run_epoch_dpgrr(
+                        x, problem, gamma, weights, perm, t, record_inner=first.record_v
+                    )
+                break
+            except NonFiniteIterate as exc:
+                # runs after the failing one no longer matter; earlier runs
+                # go on, since one of them may still fail first in order
+                cfg = configs[exc.run]
+                failure = NonFiniteIterate(exc.agent, exc.epoch, exc.inner_step, exc.phase,
+                                           run=f"{cfg.algorithm} seed {cfg.seed}")
+                if exc.run == 0:
+                    raise failure from None
+                configs, x, gamma = configs[:exc.run], x[:exc.run], gamma[:exc.run]
+                x_hat_sum = x_hat_sum[:exc.run]
+        x = x_next
+        x_bar = x.mean(axis=1)
         x_hat_sum += x_bar
         epoch = t + 1
         if epoch % cadence == 0 or epoch == horizon:
-            v_value = None
-            if inner_avgs is not None:
-                v_value = metrics_mod.forward_deviation(inner_avgs, x_bar)
-            record(epoch, x, x_bar, x_hat_sum / epoch, v_value)
+            x_hat = x_hat_sum / epoch
+            for s in range(len(configs)):
+                v_value = None
+                if inner_avgs is not None:
+                    v_value = metrics_mod.forward_deviation(inner_avgs[s], x_bar[s])
+                record(traces[s], epoch, x[s], x_bar[s], x_hat[s], v_value)
 
-    trace.x_final = x.copy()
-    return trace
+    if failure is not None:
+        raise failure
+    for trace, state in zip(traces, x):
+        trace.x_final = state.copy()
+    return traces

@@ -21,7 +21,7 @@ class MissingInnerTrace(RuntimeError):
     """Inner-iterate averages were not recorded for this epoch."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochMetrics:
     """One recorded row of a run.
 

@@ -12,6 +12,7 @@ __all__ = [
     "NonPositiveStep",
     "RegKind",
     "Regularizer",
+    "check_step",
     "prox",
     "inexact_prox_error",
     "subgradient",
@@ -78,14 +79,24 @@ class Regularizer:
         return self.lam * radius
 
 
-def prox(reg: Regularizer, gamma: float, x: np.ndarray) -> np.ndarray:
+def check_step(gamma, what: str) -> None:
+    """Raise ``NonPositiveStep`` unless the step, or every step of an array, is > 0.
+
+    A scalar step skips numpy: the F* solver checks one per iteration.
+    """
+    positive = bool((gamma > 0.0).all()) if isinstance(gamma, np.ndarray) else gamma > 0.0
+    if not positive:
+        raise NonPositiveStep(f"{what} needs gamma > 0, got {gamma}")
+
+
+def prox(reg: Regularizer, gamma, x: np.ndarray) -> np.ndarray:
     """Evaluate ``argmin_z reg.value(z) + ||z - x||^2 / (2 gamma)``.
 
     Soft-thresholding for L1, identity for ZERO, uniform shrinkage for
-    squared L2.
+    squared L2.  ``gamma`` is one step or an array of steps that
+    broadcasts against ``x``, such as one per run of a batch.
     """
-    if not gamma > 0.0:
-        raise NonPositiveStep(f"prox needs gamma > 0, got {gamma}")
+    check_step(gamma, "prox")
     x = np.asarray(x, dtype=float)
     if reg.kind is RegKind.ZERO:
         return x.copy()

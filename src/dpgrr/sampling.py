@@ -3,14 +3,15 @@
 Index draws are counter-based: epoch ``t`` of every agent comes from the
 one Philox generator keyed by ``(seed, 0)`` at counter ``(0, 0, 0, t)``,
 drawn as an ``(m, n)`` block whose row j is agent j's order.  Any epoch
-can be replayed without generating its predecessors, and a draw holds
-no state between calls.
+can be replayed without generating its predecessors, and no draw
+depends on an earlier one.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import threading
 
 import numpy as np
 
@@ -27,6 +28,16 @@ class Mode(enum.Enum):
     SG = "sg"  # n independent uniform draws with replacement
 
 
+# One generator serves every draw: each call overwrites its whole state
+# (key, counter and the emptied output buffers) before drawing, so no draw
+# depends on an earlier one.  Building a fresh Philox costs an OS-entropy
+# seed sequence that the explicit key then discards.  The lock keeps a
+# state and its draw together when threads share the generator.
+_BIT_GENERATOR = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+_GENERATOR = np.random.Generator(_BIT_GENERATOR)
+_DRAW_LOCK = threading.Lock()
+
+
 def epoch_indices(mode: Mode, seed: int, t: int, m: int, n: int) -> np.ndarray:
     """The ``(m, n)`` sample indices the m agents visit in epoch ``t``.
 
@@ -37,13 +48,23 @@ def epoch_indices(mode: Mode, seed: int, t: int, m: int, n: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("epoch must be >= 0")
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = 0 if mode is Mode.IG else t
-    key = np.array([seed, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-    if mode is Mode.SG:
-        return rng.integers(0, n, size=(m, n), dtype=np.int64)
-    return np.argsort(rng.random((m, n)), axis=1, kind="stable")
+    state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, 0, 0 if mode is Mode.IG else t], dtype=np.uint64),
+            "key": np.array([seed, 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    with _DRAW_LOCK:
+        _BIT_GENERATOR.state = state
+        if mode is Mode.SG:
+            return _GENERATOR.integers(0, n, size=(m, n), dtype=np.int64)
+        uniforms = _GENERATOR.random((m, n))
+    return np.argsort(uniforms, axis=1, kind="stable")
 
 
 def prefix_average_stats(

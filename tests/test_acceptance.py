@@ -158,15 +158,16 @@ def test_criterion_4_gradient_checks():
     report("4 gradient finite-difference check", ok, f"worst relative error {worst:.2e}")
 
 
-def _final_row(problem, algo, horizon, step, seed):
-    cfg = RunConfig(algo, horizon, step, seed=seed, cadence=horizon)
-    return run(cfg, problem).rows[-1]
+def _final_rows(problem, horizon, step, runs):
+    """Final rows of the ``(algorithm, seed)`` runs, advanced as one batch."""
+    cfgs = [RunConfig(algo, horizon, step, seed=seed, cadence=horizon) for algo, seed in runs]
+    return [trace.rows[-1] for trace in run(cfgs, problem)]
 
 
 def test_criterion_5_consensus(canonical_problem):
     t0 = time.perf_counter()
     rows = {
-        T: _final_row(canonical_problem, "dpg-rr", T, StepRule.sqrt_horizon(), 42)
+        T: _final_rows(canonical_problem, T, StepRule.sqrt_horizon(), [("dpg-rr", 42)])[0]
         for T in (100, 1600)
     }
     elapsed = time.perf_counter() - t0
@@ -185,9 +186,9 @@ def test_criterion_6_rate(canonical_problem):
     medians = {}
     for T in (100, 1600):
         finals = [
-            _final_row(canonical_problem, "dpg-rr", T, StepRule.sqrt_horizon(), seed)
-            .suboptimality
-            for seed in range(1, 11)
+            row.suboptimality
+            for row in _final_rows(canonical_problem, T, StepRule.sqrt_horizon(),
+                                   [("dpg-rr", seed) for seed in range(1, 11)])
         ]
         assert all(f is not None and f > -1e-9 for f in finals)
         medians[T] = float(np.median(finals))
@@ -209,13 +210,13 @@ def test_criterion_7_sampler_ordering():
     )
     assert sol.converged
     problem = dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
-    finals = {}
-    for algo in ("dpg-rr", "dpg-sg", "dpg-ig"):
-        finals[algo] = [
-            _final_row(problem, algo, cfg.horizon, StepRule.constant(0.3), seed)
-            .suboptimality
-            for seed in cfg.seeds
-        ]
+    algos = ("dpg-rr", "dpg-sg", "dpg-ig")
+    rows = _final_rows(problem, cfg.horizon, StepRule.constant(0.3),
+                       [(algo, seed) for algo in algos for seed in cfg.seeds])
+    finals = {
+        algo: [row.suboptimality for row in rows[k * len(cfg.seeds):(k + 1) * len(cfg.seeds)]]
+        for k, algo in enumerate(algos)
+    }
     rr, sg, ig = finals["dpg-rr"], finals["dpg-sg"], finals["dpg-ig"]
     assert all(v > 0.0 for vals in finals.values() for v in vals)
     wins = sum(1 for a, b in zip(rr, sg) if a <= b)
@@ -247,7 +248,7 @@ def test_criterion_8_oracle_equivalence():
     cfg = RunConfig(
         "dpg-rr", 50, StepRule.constant(0.1), seed=77, store_snapshots=True
     )
-    trace = run(cfg, problem)
+    [trace] = run([cfg], problem)
     iterates = centralized_prox_rr(
         features[0], labels[0], SmoothLossKind.LOGISTIC, reg, gamma=0.1,
         horizon=50, seed=77,

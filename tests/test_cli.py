@@ -369,11 +369,15 @@ def test_loose_fixture_counts_as_absent(tmp_path):
      "least_squares_radius must be finite and >= 0"),
     ("synth", "seeds: [3]", "seeds: [3]\nleast_squares_radius: -1.0",
      "least_squares_radius must be finite and >= 0"),
+    # nor is a flag a number
+    ("synth", "seeds: [3]", "seeds: [3]\nx0: true", "x0 must be a number, not True"),
+    ("synth", "lam: 0.05", "lam: false", "lam must be a number, not False"),
+    ("toy", "gamma: 0.5", "gamma: true", "gamma must be a number, not True"),
 ], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
         "strategy", "too-few-samples", "steps-mode-fixed-0", "synthetic-m", "edge-triple",
         "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0", "T-float", "T-bool",
         "m-float", "enforce-step-bound-string", "record-v-string", "radius-inf",
-        "radius-negative"])
+        "radius-negative", "x0-bool", "lam-bool", "gamma-bool"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
     cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
     assert old in cfg.read_text()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import packed
+from dpgrr import engine
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
     NonFiniteIterate,
@@ -51,14 +52,14 @@ def two_agent_problem(reg=None, labels=(1.0, 3.0)):
 
 def test_single_agent_single_epoch_gradient_step(toy_ls_problem):
     cfg = RunConfig("dpg-rr", 1, StepRule.constant(0.5))
-    trace = run(cfg, toy_ls_problem)
+    [trace] = run([cfg], toy_ls_problem)
     assert trace.x_final.shape == (1, 1)
     assert trace.x_final[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_tiny_step_changes_almost_nothing(toy_ls_problem):
     cfg = RunConfig("dpg-rr", 3, StepRule.constant(1e-300))
-    trace = run(cfg, toy_ls_problem)
+    [trace] = run([cfg], toy_ls_problem)
     assert abs(trace.x_final[0, 0]) < 1e-290
 
 
@@ -68,7 +69,7 @@ def test_zero_step_rejected():
 
 
 def test_t_zero_records_only_initial_row(toy_ls_problem):
-    trace = run(RunConfig("dpg-rr", 0, StepRule.constant(0.1)), toy_ls_problem)
+    [trace] = run([RunConfig("dpg-rr", 0, StepRule.constant(0.1))], toy_ls_problem)
     assert len(trace.rows) == 1
     row = trace.rows[0]
     assert row.epoch == 0
@@ -81,9 +82,10 @@ def test_two_agents_complete_graph_matches_hand_average():
     # network average follows x <- (1 - gamma) x + gamma * mean(labels)
     problem = two_agent_problem()
     cfg = RunConfig(
-        "dpg-rr", 2, StepRule.constant(0.25), steps_mode=StepsMode.fixed(1)
+        "dpg-rr", 2, StepRule.constant(0.25), steps_mode=StepsMode.fixed(1),
+        store_snapshots=True,
     )
-    trace = run(cfg, problem)
+    [trace] = run([cfg], problem)
     x = 0.0
     for _ in range(2):
         x = 0.75 * x + 0.25 * 2.0
@@ -94,7 +96,7 @@ def test_two_agents_complete_graph_matches_hand_average():
 
 
 def test_identical_agents_stay_identical():
-    # same data, same start, one shared (1, n) index block: trajectories must agree
+    # same data, same start, one shared (1, 1, n) index block: trajectories must agree
     # bit for bit because mixing is doubly stochastic
     features, labels = synthesize_classification(m=1, n=4, d=3, separation=1.0, seed=2)
     problem = ProblemBundle(
@@ -105,17 +107,17 @@ def test_identical_agents_stay_identical():
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
     )
     weights = problem.schedule.matrices[0].weights
-    x = np.zeros((2, problem.dim))
+    x = np.zeros((1, 2, problem.dim))
     for t in range(20):
         perm = epoch_indices(Mode.RR, 3, t, 1, problem.n)
-        x, _ = run_epoch_dpgrr(x, problem, 0.1, weights, perm, t)
-        assert np.array_equal(x[0], x[1])
+        x, _ = run_epoch_dpgrr(x, problem, 0.1, weights, perm[None], t)
+        assert np.array_equal(x[0, 0], x[0, 1])
 
 
 def test_determinism_bit_identical(canonical_problem):
     cfg = RunConfig("dpg-rr", 40, StepRule.sqrt_horizon(), seed=11, store_snapshots=True)
-    a = run(cfg, canonical_problem)
-    b = run(cfg, canonical_problem)
+    [a] = run([cfg], canonical_problem)
+    [b] = run([cfg], canonical_problem)
     assert a.rows == b.rows
     for t in a.snapshots:
         assert np.array_equal(a.snapshots[t], b.snapshots[t])
@@ -123,7 +125,7 @@ def test_determinism_bit_identical(canonical_problem):
 
 def test_average_iterate_identities(canonical_problem):
     cfg = RunConfig("dpg-rr", 30, StepRule.sqrt_horizon(), seed=4, store_snapshots=True)
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     accum = np.zeros(canonical_problem.dim)
     for t in range(1, 31):
         snap = trace.snapshots[t]
@@ -134,7 +136,7 @@ def test_average_iterate_identities(canonical_problem):
 
 def test_rows_recomputable_from_snapshots(canonical_problem):
     cfg = RunConfig("dpg-rr", 25, StepRule.sqrt_horizon(), seed=6, store_snapshots=True)
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     for row in trace.rows:
         snap = trace.snapshots[row.epoch]
         f_bar = full_objective(
@@ -152,7 +154,7 @@ def test_samplers_share_the_engine_path():
     # proximal algorithms must produce bit-identical traces
     problem = two_agent_problem(reg=Regularizer.l1(0.05))
     traces = [
-        run(RunConfig(algo, 10, StepRule.constant(0.2), seed=5), problem)
+        run([RunConfig(algo, 10, StepRule.constant(0.2), seed=5)], problem)[0]
         for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
     ]
     for other in traces[1:]:
@@ -162,14 +164,14 @@ def test_samplers_share_the_engine_path():
 
 def test_cadence_controls_recording(canonical_problem):
     cfg = RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=1, cadence=4)
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     assert [r.epoch for r in trace.rows] == [0, 4, 8, 10]
 
 
 def test_sqrt_rule_uses_bound_by_default(canonical_problem):
     lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
     cfg = RunConfig("dpg-rr", 100, StepRule.sqrt_horizon(), seed=1, cadence=100)
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     want = step_scale_bound(lip, canonical_problem.n) / math.sqrt(100)
     assert trace.gamma == pytest.approx(want, rel=1e-15)
 
@@ -179,10 +181,10 @@ def test_step_bound_enforced_and_warned(canonical_problem):
     too_big = 2.0 * step_scale_bound(lip, canonical_problem.n)
     cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(too_big), seed=1)
     with pytest.raises(StepBoundViolation):
-        run(cfg, canonical_problem)
+        run([cfg], canonical_problem)
     relaxed = dataclasses.replace(cfg, enforce_step_bound=False)
     with pytest.warns(UserWarning):
-        run(relaxed, canonical_problem)
+        run([relaxed], canonical_problem)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -195,7 +197,7 @@ def test_nonfinite_iterate_reports_context():
     )
     cfg = RunConfig("dpg-rr", 1, StepRule.constant(1e200), x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
-        run(cfg, problem)
+        run([cfg], problem)
     assert err.value.agent == 0
     assert err.value.epoch == 0
     assert err.value.inner_step == 1
@@ -214,7 +216,7 @@ def test_nonfinite_report_follows_serial_agent_order():
     )
     cfg = RunConfig("dpg-rr", 1, StepRule.constant(1e200), x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
-        run(cfg, problem)
+        run([cfg], problem)
     assert (err.value.agent, err.value.epoch) == (0, 0)
     assert (err.value.phase, err.value.inner_step) == ("inner", 1)
 
@@ -228,13 +230,13 @@ def test_unknown_algorithm_rejected():
 
 
 def test_dgm_single_agent_first_step(toy_ls_problem):
-    trace = run(RunConfig("dgm", 1, StepRule.constant(0.5)), toy_ls_problem)
+    [trace] = run([RunConfig("dgm", 1, StepRule.constant(0.5))], toy_ls_problem)
     # gamma_0 = 0.5 / sqrt(1); gradient at 0 is -1
     assert trace.x_final[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dgm_steps_decay_like_inverse_sqrt(toy_ls_problem):
-    trace = run(RunConfig("dgm", 3, StepRule.constant(0.5)), toy_ls_problem)
+    [trace] = run([RunConfig("dgm", 3, StepRule.constant(0.5))], toy_ls_problem)
     x = 0.0
     for t in range(3):
         gamma_t = 0.5 / math.sqrt(t + 1.0)
@@ -250,7 +252,7 @@ def test_dgm_identity_mixing_keeps_agents_independent():
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((identity,), 1),
     )
-    trace = run(RunConfig("dgm", 4, StepRule.constant(0.3)), problem)
+    [trace] = run([RunConfig("dgm", 4, StepRule.constant(0.3))], problem)
     for j, label in enumerate((1.0, 5.0)):
         x = np.zeros(1)
         for t in range(4):
@@ -262,7 +264,7 @@ def test_dgm_identity_mixing_keeps_agents_independent():
 
 def test_dgm_requires_constant_rule(toy_ls_problem):
     with pytest.raises(ValueError):
-        run(RunConfig("dgm", 2, StepRule.sqrt_horizon()), toy_ls_problem)
+        run([RunConfig("dgm", 2, StepRule.sqrt_horizon())], toy_ls_problem)
 
 
 def test_dgm_slower_than_reshuffling_on_seeded_problem():
@@ -277,8 +279,8 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
         features, labels, kind=LOG, regularizer=reg, schedule=schedule,
         f_star=sol.f_star, x_star=sol.x_star,
     )
-    rr = run(RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200), problem)
-    dgm = run(RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200), problem)
+    [rr] = run([RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
+    [dgm] = run([RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
     assert dgm.rows[-1].suboptimality > rr.rows[-1].suboptimality > -1e-9
 
 
@@ -330,7 +332,7 @@ def test_bundle_rejects_non_stochastic_mixing_rows():
 
 def test_forward_deviation_recorded(canonical_problem):
     cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(), seed=2, record_v=True)
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     assert trace.rows[0].forward_deviation is None
     for row in trace.rows[1:]:
         assert row.forward_deviation is not None
@@ -342,7 +344,7 @@ def test_forward_deviation_shrinks_with_step(canonical_problem):
     # typical deviation by well over 2x (it scales quadratically)
     def median_v(gamma):
         cfg = RunConfig("dpg-rr", 40, StepRule.constant(gamma), seed=3, record_v=True)
-        trace = run(cfg, canonical_problem)
+        [trace] = run([cfg], canonical_problem)
         return float(np.median([r.forward_deviation for r in trace.rows[1:]]))
 
     assert median_v(0.005) <= 0.5 * median_v(0.01)
@@ -352,7 +354,7 @@ def test_sigma_star_recorded(canonical_problem):
     cfg = RunConfig(
         "dpg-rr", 2, StepRule.sqrt_horizon(), seed=2, record_sigma_star=True
     )
-    trace = run(cfg, canonical_problem)
+    [trace] = run([cfg], canonical_problem)
     values = {r.sigma_star_sq for r in trace.rows}
     assert len(values) == 1
     assert values.pop() > 0.0
@@ -362,7 +364,7 @@ def test_sigma_star_needs_reference_point(canonical_problem):
     stripped = dataclasses.replace(canonical_problem, x_star=None)
     cfg = RunConfig("dpg-rr", 1, StepRule.sqrt_horizon(), record_sigma_star=True)
     with pytest.raises(ValueError):
-        run(cfg, stripped)
+        run([cfg], stripped)
 
 
 # -- serial reference ----------------------------------------------------------
@@ -404,19 +406,29 @@ def serial_reference(cfg, problem):
     return out
 
 
-@pytest.mark.parametrize("algo, steps_mode", [
-    ("dpg-rr", StepsMode.growing()),
-    ("dpg-sg", StepsMode.growing()),
-    ("dpg-ig", StepsMode.growing()),
-    ("dgm", StepsMode.growing()),
+@pytest.mark.parametrize("runs, steps_mode", [
+    ([("dpg-rr", 9, 0.05)], StepsMode.growing()),
+    ([("dpg-sg", 9, 0.05)], StepsMode.growing()),
+    ([("dpg-ig", 9, 0.05)], StepsMode.growing()),
+    ([("dgm", 9, 0.05)], StepsMode.growing()),
     # dgm mixes once per epoch whatever the mode
-    ("dgm", StepsMode.fixed(2)),
-], ids=["dpg-rr", "dpg-sg", "dpg-ig", "dgm", "dgm-fixed-2"])
-def test_engine_matches_serial_reference(canonical_problem, algo, steps_mode):
+    ([("dgm", 9, 0.05)], StepsMode.fixed(2)),
+    # one batch of every sampler, seed and step: each run is its own loop
+    ([(algo, seed, gamma) for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
+      for seed in (9, 4) for gamma in (0.05, 0.02)], StepsMode.growing()),
+], ids=["dpg-rr", "dpg-sg", "dpg-ig", "dgm", "dgm-fixed-2", "batch-mixed"])
+def test_engine_matches_serial_reference(canonical_problem, runs, steps_mode):
     p = canonical_problem
-    cfg = RunConfig(algo, 12, StepRule.constant(0.05), steps_mode=steps_mode, seed=9,
-                    store_snapshots=True, record_v=True)
-    trace = run(cfg, p)
+    cfgs = [RunConfig(algo, 12, StepRule.constant(gamma), steps_mode=steps_mode, seed=seed,
+                      store_snapshots=True, record_v=True) for algo, seed, gamma in runs]
+    traces = run(cfgs, p)
+    assert len(traces) == len(cfgs)
+    for cfg, trace in zip(cfgs, traces):
+        assert trace.gamma == cfg.step.gamma
+        _check_against_serial_reference(p, cfg, trace)
+
+
+def _check_against_serial_reference(p, cfg, trace):
     want = serial_reference(cfg, p)
     w = p.schedule.matrices[0].weights
     x_hat_sum = np.zeros(p.dim)
@@ -440,3 +452,100 @@ def test_engine_matches_serial_reference(canonical_problem, algo, steps_mode):
             assert row.forward_deviation is None
         else:
             assert row.forward_deviation == pytest.approx(v_t, abs=1e-12)
+
+
+# -- batches -------------------------------------------------------------------
+
+
+def _assert_same_trace(got, want):
+    assert got.rows == want.rows
+    assert got.gamma == want.gamma
+    assert np.array_equal(got.x_final, want.x_final)
+    for name in ("snapshots", "x_bar", "x_hat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[t], b[t]) for t in a)
+
+
+def test_batched_run_equals_its_solo_run(canonical_problem):
+    steps = (StepRule.sqrt_horizon(), StepRule.constant(0.05))
+    cfgs = [
+        RunConfig(algo, 30, steps[k % 2], seed=seed, cadence=4, store_snapshots=True,
+                  record_v=True)
+        for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
+        for k, seed in enumerate((1, 2, 3, 4))
+    ]
+    for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
+        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+
+
+def test_batched_dgm_runs_equal_their_solo_runs(canonical_problem):
+    cfgs = [RunConfig("dgm", 25, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+            for seed, gamma in ((3, 0.05), (8, 0.2))]
+    for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
+        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+
+
+def test_runs_past_the_batch_cap_advance_in_later_batches(canonical_problem, monkeypatch):
+    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed, store_snapshots=True)
+            for algo in ("dpg-rr", "dpg-sg") for seed in (1, 2, 3)]
+    whole = run(cfgs, canonical_problem)
+    # two runs' samples per gathered block: batches of 2, 2 and 2
+    monkeypatch.setattr(engine, "MAX_BATCH_BYTES", 2 * canonical_problem.features.nbytes)
+    for got, want in zip(run(cfgs, canonical_problem), whole, strict=True):
+        _assert_same_trace(got, want)
+    assert run([], canonical_problem) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_batch_reports_the_first_failing_run_in_order():
+    # agent 1's steps multiply its iterate by 1 - 4 gamma; at gamma 1e10
+    # it passes 1.8e308 at its 30th step, epoch 14 inner step 1, while
+    # gamma 1e200 overflows both agents at inner step 1 of epoch 0
+    problem = ProblemBundle(
+        *packed([([1.0], 0.0)] * 2, [([2.0], 0.0)] * 2),
+        kind=LS,
+        regularizer=Regularizer.zero(),
+        schedule=GraphSchedule((metropolis_weights(set(), 2, 0.5),), 1),
+    )
+    late = RunConfig("dpg-sg", 20, StepRule.constant(1e10), seed=2, x0=1.0)
+    early = RunConfig("dpg-rr", 20, StepRule.constant(1e200), seed=1, x0=1.0)
+    with pytest.raises(NonFiniteIterate) as err:
+        run([late, early], problem)
+    e = err.value
+    assert (e.run, e.agent, e.epoch, e.inner_step, e.phase) == (
+        "dpg-sg seed 2", 1, 14, 1, "inner")
+    assert str(e) == ("non-finite iterate at run dpg-sg seed 2, agent 1, epoch 14, "
+                      "phase inner, inner step 1")
+    with pytest.raises(NonFiniteIterate) as alone:
+        run([late], problem)
+    assert str(alone.value) == str(e)
+    # in the other order the early failure is the first one
+    with pytest.raises(NonFiniteIterate) as err:
+        run([early, late], problem)
+    e = err.value
+    assert (e.run, e.agent, e.epoch, e.inner_step, e.phase) == (
+        "dpg-rr seed 1", 0, 0, 1, "inner")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 7),
+    ("steps_mode", StepsMode.fixed(3)),
+    ("cadence", 2),
+    ("x0", 0.5),
+    ("store_snapshots", True),
+    ("record_v", True),
+    ("record_sigma_star", True),
+    ("enforce_step_bound", False),
+])
+def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
+    base = RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=1)
+    other = dataclasses.replace(base, seed=2, **{field: value})
+    with pytest.raises(ValueError, match=f"runs in one call must share {field}"):
+        run([base, other], canonical_problem)
+
+
+def test_dgm_batches_only_with_dgm(canonical_problem):
+    cfgs = [RunConfig(algo, 5, StepRule.constant(0.05)) for algo in ("dpg-rr", "dgm")]
+    with pytest.raises(ValueError, match="dgm runs batch only with other dgm runs"):
+        run(cfgs, canonical_problem)

@@ -174,8 +174,8 @@ def test_no_convergence_returns_flagged_best_effort(canonical_problem):
 
 
 def test_optimality_floor_over_engine_iterates(canonical_problem):
-    trace = run(
-        RunConfig("dpg-rr", 60, StepRule.sqrt_horizon(), seed=3), canonical_problem
+    [trace] = run(
+        [RunConfig("dpg-rr", 60, StepRule.sqrt_horizon(), seed=3)], canonical_problem
     )
     for row in trace.rows:
         assert row.f_bar >= canonical_problem.f_star - 1e-9
@@ -220,7 +220,7 @@ def test_prox_rr_matches_single_agent_engine():
     cfg = RunConfig(
         "dpg-rr", 50, StepRule.constant(0.1), seed=21, store_snapshots=True
     )
-    trace = run(cfg, problem)
+    [trace] = run([cfg], problem)
     iterates = centralized_prox_rr(
         features[0], labels[0], LOG, reg, gamma=0.1, horizon=50, seed=21
     )

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +53,55 @@ def test_replay_is_bit_exact(mode, m, n, seed, t):
     a = epoch_indices(mode, seed, t, m, n)
     b = epoch_indices(mode, seed, t, m, n)
     assert np.array_equal(a, b)
+
+
+def _fresh_block(mode, seed, t, m, n):
+    """The block drawn from a newly built generator at the documented key and counter."""
+    counter = np.array([0, 0, 0, 0 if mode is Mode.IG else t], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    if mode is Mode.SG:
+        return rng.integers(0, n, size=(m, n), dtype=np.int64)
+    return np.argsort(rng.random((m, n)), axis=1, kind="stable")
+
+
+def test_interleaved_draws_match_a_fresh_generator():
+    # draws of mixed modes, seeds and epochs, with odd-sized SG blocks that
+    # leave half a 64-bit word behind: no block may depend on the one before
+    picks = np.random.default_rng(11)
+    seeds, epochs = (0, 1, 7, 2**63 + 5, 2**64 - 1), (0, 1, 2, 199, 2**40)
+    for _ in range(300):
+        mode = list(Mode)[int(picks.integers(0, 3))]
+        seed, t = seeds[int(picks.integers(0, 5))], epochs[int(picks.integers(0, 5))]
+        m, n = int(picks.integers(1, 8)), int(picks.integers(1, 14))
+        block = epoch_indices(mode, seed, t, m, n)
+        assert np.array_equal(block, _fresh_block(mode, seed, t, m, n)), (mode, seed, t, m, n)
+
+
+def test_threads_sharing_the_generator_draw_their_own_blocks():
+    # more threads than cores, switching often: a state set by one thread
+    # must never feed another thread's draw
+    cases = [(mode, seed, t) for mode in Mode for seed in (1, 2) for t in range(40)]
+    want = {case: _fresh_block(*case, 3, 11) for case in cases}
+    bad = []
+
+    def worker(offset):
+        for case in cases[offset:] + cases[:offset]:
+            if not np.array_equal(epoch_indices(*case, 3, 11), want[case]):
+                bad.append(case)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 30,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []
 
 
 @settings(max_examples=40, deadline=None)
