@@ -127,8 +127,8 @@ def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: 
     A fixture solved at a looser tolerance than ``ORACLE_TOL`` counts as
     absent, so a run never takes a coarser F* than it would solve itself.
     Returns ``(f_star, x_star, source, oracle)``; ``oracle`` reports the
-    on-the-fly solve (``converged``, ``mapping_norm``, ``iterations``) and
-    is None for a fixture.
+    on-the-fly solve (``converged``, ``mapping_norm``, ``iterations``,
+    ``step``) and is None for a fixture.
     """
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
@@ -152,6 +152,7 @@ def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: 
         "converged": solution.converged,
         "mapping_norm": solution.mapping_norm,
         "iterations": solution.iterations,
+        "step": solution.step,
     }
     return solution.f_star, solution.x_star, source, oracle
 

@@ -119,6 +119,14 @@ def _mapping(raw, where: str) -> dict:
     return raw
 
 
+def _known(raw: dict, prefix: str, keys: tuple[str, ...]) -> None:
+    """Reject a key of ``raw`` not in ``keys``; ``prefix`` is its dotted path."""
+    for key in raw:
+        if key not in keys:
+            path = f"{prefix}.{key}" if prefix else str(key)
+            raise ConfigError(f"{path}: unknown key; known here: {', '.join(keys)}")
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in _mapping(mapping, where):
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -158,7 +166,8 @@ def _reading(where: str):
 def _parse_steps_mode(raw, where: str) -> StepsMode:
     if raw == "growing" or raw is None:
         return StepsMode.growing()
-    if isinstance(raw, dict) and set(raw) == {"fixed"}:
+    if isinstance(raw, dict) and "fixed" in raw:
+        _known(raw, f"{where}.steps_mode", ("fixed",))
         return StepsMode.fixed(_typed(raw["fixed"], int, f"{where}: fixed K"))
     raise ConfigError(f"{where}: steps_mode must be 'growing' or {{fixed: K}}")
 
@@ -167,15 +176,26 @@ def _parse_step(raw: dict, where: str) -> StepRule:
     rule = _require(raw, "rule", where)
     with _reading(where):
         if rule == "constant":
+            _known(raw, where, ("rule", "gamma"))
             return StepRule.constant(_float(_require(raw, "gamma", where), "gamma"))
         if rule == "sqrt_horizon":
+            _known(raw, where, ("rule", "scale"))
             scale = raw.get("scale")
             return StepRule.sqrt_horizon(None if scale is None else _float(scale, "scale"))
     raise ConfigError(f"{where}: unknown step rule {rule!r}")
 
 
+def _parse_algorithm(raw, where: str) -> AlgoSpec:
+    _known(_mapping(raw, where), where, ("name", "step"))
+    return AlgoSpec(
+        name=str(_require(raw, "name", where)).lower(),
+        step=_parse_step(_require(raw, "step", where), f"{where}.step"),
+    )
+
+
 def _parse_regularizer(raw: dict) -> Regularizer:
     kind = _require(raw, "kind", "regularizer")
+    _known(raw, "regularizer", ("kind", "lam"))
     try:
         kind = RegKind(kind)
     except ValueError:
@@ -192,12 +212,19 @@ def load_config(path: Path | str) -> ExperimentConfig:
     with path.open() as fh:
         raw = yaml.safe_load(fh)
     raw = _mapping(raw, str(path))
+    _known(raw, "", (
+        "dataset", "loss", "regularizer", "graph", "algorithms", "T", "seeds",
+        "output_dir", "snapshot_cadence", "diagnostics", "enforce_step_bound",
+        "least_squares_radius", "x0", "fixtures",
+    ))
 
     ds_raw = _mapping(_require(raw, "dataset", str(path)), "dataset")
+    _known(ds_raw, "dataset", ("synthetic", "libsvm"))
     if "synthetic" in ds_raw and "libsvm" in ds_raw:
         raise ConfigError("dataset: give either 'synthetic' or 'libsvm', not both")
     if "synthetic" in ds_raw:
         s = _mapping(ds_raw["synthetic"], "dataset.synthetic")
+        _known(s, "dataset.synthetic", ("m", "n", "d", "seed", "separation"))
         sep = s.get("separation", 5.0)
         with _reading("dataset.synthetic"):
             dataset = SyntheticSpec(
@@ -209,6 +236,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
             )
     elif "libsvm" in ds_raw:
         s = _mapping(ds_raw["libsvm"], "dataset.libsvm")
+        _known(s, "dataset.libsvm", ("path", "m", "strategy", "shuffle_seed"))
         with _reading("dataset.libsvm"):
             dataset = LibsvmSpec(
                 path=str(_require(s, "path", "dataset.libsvm")),
@@ -227,6 +255,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
 
     graph_raw = _require(raw, "graph", str(path))
     slots_raw = _require(graph_raw, "slots", "graph")
+    _known(graph_raw, "graph", ("slots", "eta", "B", "steps_mode"))
     if not slots_raw:
         raise ConfigError("graph: need at least one slot")
     with _reading("graph"):
@@ -247,11 +276,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
         raise ConfigError("need at least one algorithm")
     with _reading("algorithms"):
         algorithms = tuple(
-            AlgoSpec(
-                name=str(_require(a, "name", "algorithms")).lower(),
-                step=_parse_step(_require(a, "step", "algorithms"), "algorithms.step"),
-            )
-            for a in algos_raw
+            _parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(algos_raw)
         )
     for algo in algorithms:
         if algo.name not in ALGORITHMS:
@@ -270,6 +295,7 @@ def load_config(path: Path | str) -> ExperimentConfig:
             raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
 
     diag_raw = _mapping(raw.get("diagnostics", {}) or {}, "diagnostics")
+    _known(diag_raw, "diagnostics", ("record_v", "record_sigma_star"))
 
     with _reading(str(path)):
         cfg = ExperimentConfig(

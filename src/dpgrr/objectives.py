@@ -26,6 +26,7 @@ __all__ = [
     "loss_derivative",
     "full_objective",
     "lipschitz_constant",
+    "smooth_curvature",
     "gradient_bound",
 ]
 
@@ -160,6 +161,22 @@ def lipschitz_constant(features: np.ndarray, kind: SmoothLossKind) -> float:
     if kind is SmoothLossKind.LOGISTIC:
         return worst * worst / 4.0
     return worst * worst
+
+
+def smooth_curvature(features: np.ndarray, kind: SmoothLossKind) -> float:
+    """Lipschitz constant of the gradient of the aggregate smooth part.
+
+    ``lambda_max(A^T A) / (4 m)`` for logistic, ``lambda_max(A^T A) / m``
+    for least squares, over the flat ``(m n, d)`` features ``A``: the
+    Hessian is ``A^T D A / m`` with every diagonal weight in ``D`` at most
+    1/4 (logistic) or exactly 1.  Never above ``n * lipschitz_constant``.
+    """
+    flat = features.reshape(-1, features.shape[-1])
+    top = float(np.linalg.eigvalsh(flat.T @ flat)[-1])
+    m = features.shape[0]
+    if kind is SmoothLossKind.LOGISTIC:
+        return top / (4.0 * m)
+    return top / m
 
 
 def gradient_bound(

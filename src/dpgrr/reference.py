@@ -20,9 +20,9 @@ import numpy as np
 from .objectives import (
     SmoothLossKind,
     full_objective,
-    lipschitz_constant,
     packed_smooth_grad,
     sample_value_grad,
+    smooth_curvature,
 )
 from .proxops import Regularizer, prox
 
@@ -44,7 +44,8 @@ class ReferenceSolution:
     ``mapping_norm`` is the proximal-gradient-mapping norm at ``x_star``;
     ``converged`` is False when the iteration budget ran out before the
     mapping norm reached the tolerance, in which case the best iterate so
-    far is returned instead of raising.
+    far is returned instead of raising.  ``step`` is the fixed step the
+    solver took, at which ``mapping_norm`` is measured.
     """
 
     x_star: np.ndarray
@@ -52,6 +53,7 @@ class ReferenceSolution:
     mapping_norm: float
     iterations: int
     converged: bool
+    step: float
 
 
 def solve_centralized(
@@ -65,15 +67,18 @@ def solve_centralized(
     """Full-batch proximal gradient until the gradient mapping is below ``tol``.
 
     ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` are a problem's
-    packed arrays.  The fixed step is 1 / (n L) where L is the per-sample
-    smoothness constant: with the 1/m objective scaling, each of the m
-    sums of n samples contributes at most n L / m to the total curvature.
+    packed arrays.  The fixed step is 1 / L_f, where L_f is the Lipschitz
+    constant of the aggregate smooth gradient (``smooth_curvature``): at
+    that step each iteration decreases the objective and the iterates
+    converge (Beck & Teboulle, SIAM J. Imaging Sci. 2009).  When L_f is 0
+    the features are all zero, the smooth part is constant, any step is
+    exact, and the step is 1.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
-    _, n, dim = features.shape
-    step = 1.0 / (n * lipschitz_constant(features, kind))
-    x = np.zeros(dim)
+    curvature = smooth_curvature(features, kind)
+    step = 1.0 / curvature if curvature > 0.0 else 1.0
+    x = np.zeros(features.shape[-1])
     iterations = 0
     mapping_norm = math.inf
     for _ in range(max_iters + 1):
@@ -90,6 +95,7 @@ def solve_centralized(
         mapping_norm=mapping_norm,
         iterations=iterations,
         converged=mapping_norm <= tol,
+        step=step,
     )
 
 

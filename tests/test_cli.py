@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 import dpgrr.cli
 from dpgrr.cli import CSV_HEADER, main
 from dpgrr.config import ConfigError, build_problem, config_hash, load_config, problem_hash
+from dpgrr.objectives import smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
 TOY_DATA = "3 1:1\n"
@@ -180,13 +184,15 @@ def test_computed_f_star_provenance(tmp_path):
     oracle = manifest["F_star_oracle"]
     assert oracle["converged"] is True
     assert oracle["mapping_norm"] <= 1e-10 and oracle["iterations"] > 0
+    problem, _ = build_problem(load_config(cfg))
+    assert oracle["step"] == 1.0 / smooth_curvature(problem.features, problem.kind)
 
 
 def test_unconverged_f_star_is_best_effort(tmp_path, monkeypatch, capsys):
     def unconverged(features, labels, reg, kind, tol):
         return ReferenceSolution(
             x_star=np.zeros(3), f_star=0.5, mapping_norm=1e-3, iterations=7,
-            converged=False,
+            converged=False, step=0.25,
         )
 
     monkeypatch.setattr(dpgrr.cli, "solve_centralized", unconverged)
@@ -198,7 +204,7 @@ def test_unconverged_f_star_is_best_effort(tmp_path, monkeypatch, capsys):
     assert "best-effort" in manifest["F_star_source"]
     assert manifest["F_star"] == 0.5
     assert manifest["F_star_oracle"] == {
-        "converged": False, "mapping_norm": 1e-3, "iterations": 7,
+        "converged": False, "mapping_norm": 1e-3, "iterations": 7, "step": 0.25,
     }
 
 
@@ -387,6 +393,78 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new
         err = capsys.readouterr().err
         assert "config error" in err and message in err, (command, err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("template, old, new, path", [
+    ("synth", "seeds: [3]", "seed: 3", "seed"),
+    ("synth", "seeds: [3]", "seeds: [3]\nsnapshot_cadance: 1", "snapshot_cadance"),
+    ("synth", "synthetic: {", "shape: 1\n  synthetic: {", "dataset.shape"),
+    ("synth", "separation: 0.8", "separaton: 0.8", "dataset.synthetic.separaton"),
+    ("toy", "strategy: contiguous", "strategy: contiguous, shufle_seed: 1",
+     "dataset.libsvm.shufle_seed"),
+    ("synth", "{kind: l1, lam: 0.05}", "{kind: l1, lam: 0.05, lambda: 0.1}",
+     "regularizer.lambda"),
+    ("synth", "  B: 1\n", "  B: 1\n  steps: 2\n", "graph.steps"),
+    ("synth", "steps_mode: {fixed: 2}", "steps_mode: {fixed: 2, growing: 1}",
+     "graph.steps_mode.growing"),
+    ("synth", "- {name: dpg-rr, step:", "- {name: dpg-rr, seed: 1, step:",
+     "algorithms[0].seed"),
+    ("toy", "{rule: constant, gamma: 0.5}", "{rule: constant, gamma: 0.5, scale: 2.0}",
+     "algorithms[0].step.scale"),
+    ("synth", "{rule: sqrt_horizon}", "{rule: sqrt_horizon, gamma: 0.1}",
+     "algorithms[0].step.gamma"),
+    ("synth", "seeds: [3]", "seeds: [3]\ndiagnostics: {record_x: true}",
+     "diagnostics.record_x"),
+], ids=["top-seed", "top-cadence", "dataset", "synthetic", "libsvm", "regularizer",
+        "graph", "steps-mode", "algorithm", "constant-step", "sqrt-step", "diagnostics"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, template, old, new, path):
+    cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
+    assert old in cfg.read_text()
+    cfg.write_text(cfg.read_text().replace(old, new, 1))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: unknown key; known here: "):
+        load_config(cfg)
+    assert main(["run", "--config", str(cfg), "-q"]) == 1
+    assert f"config error: {path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# the hashes of the parent's manifests; fixtures are keyed on problem_hash
+SHIPPED_HASHES = {
+    "a9a_subset": ("2b8adff4198f9e15149390742bcd83a101ea2c5030ffa52f399c4a1f3947044c",
+                   "9ed6b49b9b7bfa9b85bed5b7973cec24afa17ce219286a42a15972113d28e283"),
+    "sampler_comparison": (
+        "49ca8b7b0a25c2a14b0e524375a05dc05867f212b47fb1d5b283eb6884b46215",
+        "63c672ea740cd7923ba5d13f628a30db0e2b40292d6cb654dcadd9f58549affb"),
+    "synthetic_consensus": (
+        "936beb1adbd385c349275aba39f41dea55c0ecfcd7ffbc6d55bbb8b13c2e9931",
+        "519220e384ea80ebab3629a8d6745ff1a5046a6eac4b46677103b94dca4b6848"),
+    "toy_least_squares": (
+        "ad5b328b2977a54cc7ab3314282d65d8047932b5425c6978462a4ab5f9aebb0c",
+        "62aa157e3193d306f33a31ac98e408e390118979e7eb91d1c941686080192491"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_shipped_config_loads_with_its_hashes(configs_dir, name):
+    cfg = load_config(configs_dir / f"{name}.yaml")
+    assert (config_hash(cfg), problem_hash(cfg)) == SHIPPED_HASHES[name]
+
+
+def test_bench_workload_configs_load(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        rep_dir = tmp_path / name
+        raw = workloads.prepare(workload, root, rep_dir, seed=0)
+        cfg = load_config(rep_dir / "config.yaml")
+        assert cfg.fixtures == raw["fixtures"]
+        assert len(cfg.algorithms) * len(cfg.seeds) == len(workloads.pairs(raw))
 
 
 @pytest.mark.parametrize("template, penalty, lam", [

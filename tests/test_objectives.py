@@ -16,6 +16,7 @@ from dpgrr.objectives import (
     packed_smooth_grad,
     packed_smooth_value,
     sample_value_grad,
+    smooth_curvature,
 )
 from dpgrr.proxops import Regularizer
 
@@ -161,6 +162,55 @@ def test_lipschitz_constant_examples():
     assert lipschitz_constant(one, LOG) == pytest.approx(1.0)
     two, _ = packed([([1.0], 0.0), ([3.0], 0.0)])
     assert lipschitz_constant(two, LS) == pytest.approx(9.0)
+
+
+def _random_pack(seed, kind):
+    """Random sparse ``(m, n, d)`` features with labels of ``kind``."""
+    rng = np.random.default_rng(seed)
+    m, n, d = (int(v) for v in rng.integers(1, 7, size=3))
+    features = rng.normal(scale=2.0, size=(m, n, d)) * (rng.random((m, n, d)) < 0.6)
+    if kind is LOG:
+        labels = rng.choice([-1.0, 1.0], size=(m, n))
+    else:
+        labels = rng.normal(size=(m, n))
+    return features, labels
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_least_squares_curvature_is_the_top_hessian_eigenvalue(seed):
+    features, labels = _random_pack(seed, LS)
+    d = features.shape[-1]
+    # the least-squares gradient is affine: its differences are Hessian columns
+    zero = packed_smooth_grad(features, labels, LS, np.zeros(d))
+    hessian = np.column_stack(
+        [packed_smooth_grad(features, labels, LS, e) - zero for e in np.eye(d)]
+    )
+    top = np.linalg.norm((hessian + hessian.T) / 2.0, 2)
+    assert smooth_curvature(features, LS) == pytest.approx(top, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", [LOG, LS])
+@pytest.mark.parametrize("seed", range(6))
+def test_curvature_is_at_most_n_times_the_per_sample_constant(kind, seed):
+    features, _ = _random_pack(seed, kind)
+    n = features.shape[1]
+    bound = n * lipschitz_constant(features, kind)
+    assert smooth_curvature(features, kind) <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_logistic_descent_lemma_at_the_curvature(seed):
+    features, labels = _random_pack(seed, LOG)
+    curvature = smooth_curvature(features, LOG)
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(200):
+        x, y = rng.normal(scale=3.0, size=(2, features.shape[-1]))
+        fx = packed_smooth_value(features, labels, LOG, x)
+        gx = packed_smooth_grad(features, labels, LOG, x)
+        fy = packed_smooth_value(features, labels, LOG, y)
+        step = y - x
+        upper = fx + gx @ step + 0.5 * curvature * step @ step
+        assert fy <= upper + 1e-12 * max(1.0, abs(upper))
 
 
 def test_gradient_bound_examples():

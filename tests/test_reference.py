@@ -8,9 +8,9 @@ from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import (
     SmoothLossKind,
     full_objective,
-    lipschitz_constant,
     loss_derivative,
     packed_smooth_grad,
+    smooth_curvature,
 )
 from dpgrr.proxops import Regularizer, prox
 from dpgrr.reference import (
@@ -50,9 +50,9 @@ def test_gradient_mapping_certificate_holds(canonical_problem):
     )
     assert sol.converged and sol.mapping_norm <= 1e-10
     # re-evaluate the mapping at the returned point with the solver's step
-    step = 1.0 / (
-        canonical_problem.n
-        * lipschitz_constant(canonical_problem.features, canonical_problem.kind)
+    step = sol.step
+    assert step == 1.0 / smooth_curvature(
+        canonical_problem.features, canonical_problem.kind
     )
     grad = packed_smooth_grad(
         canonical_problem.features,
@@ -70,7 +70,7 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
     """The solver as a loop that takes the loss value with every gradient."""
     m, n, dim = agent_rows.shape
     features, labels = agent_rows.reshape(m * n, dim), labels.reshape(m * n)
-    step = 1.0 / (n * lipschitz_constant(agent_rows, kind))
+    step = 1.0 / smooth_curvature(agent_rows, kind)
 
     def value_grad(x):
         z = features @ x
@@ -133,6 +133,39 @@ def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_conf
     assert entry["f_star"] == pytest.approx(canonical_problem.f_star, abs=1e-8)
     x_star = fixture_x_star(canonical_config.fixtures_path(), entry)
     assert np.allclose(x_star, canonical_problem.x_star, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name", ["a9a_subset", "sampler_comparison", "synthetic_consensus", "toy_least_squares"]
+)
+def test_fresh_solve_reproduces_committed_fixture(configs_dir, name):
+    from dpgrr.config import build_problem, load_config, problem_hash
+
+    cfg = load_config(configs_dir / f"{name}.yaml")
+    problem, _ = build_problem(cfg)
+    entry = load_fixtures(cfg.fixtures_path())[problem_hash(cfg)]
+    sol = solve_centralized(
+        problem.features, problem.labels, problem.regularizer, problem.kind,
+        tol=entry["tol"],
+    )
+    assert sol.converged
+    assert sol.iterations <= entry["iterations"]
+    assert abs(sol.f_star - entry["f_star"]) <= 1e-12
+    x_star = fixture_x_star(cfg.fixtures_path(), entry)
+    assert np.max(np.abs(sol.x_star - x_star)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", [LOG, LS])
+def test_zero_features_solve_at_unit_step(kind):
+    # no curvature: the smooth part is constant, the step is 1, and x = 0
+    # is already optimal under the l1 penalty
+    features, labels = np.zeros((2, 3, 4)), np.ones((2, 3))
+    sol = solve_centralized(features, labels, Regularizer.l1(0.1), kind, tol=1e-12)
+    assert sol.converged and sol.step == 1.0 and sol.iterations == 0
+    assert np.array_equal(sol.x_star, np.zeros(4))
+    assert sol.f_star == full_objective(
+        features, labels, Regularizer.l1(0.1), kind, np.zeros(4)
+    )
 
 
 def test_self_consistency_two_tolerances(canonical_problem):
