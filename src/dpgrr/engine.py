@@ -13,13 +13,16 @@ the proximal algorithms has three barrier-separated phases:
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
 this single code path and differ only in the ``(m, n)`` index block drawn
-for each run and epoch, so they advance in one batch.
+for each run and epoch (the fixed order draws its block once), so they
+advance in one batch.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
 step size; its runs batch among themselves.
 
 Every batched operation is elementwise or reduces each run's rows in the
 order a single run does, so a run's trace does not depend on its batch.
+A recorded epoch evaluates each row quantity once for the whole batch,
+with reductions whose per-run bits do not depend on the stack.
 
 Iterates are checked for finiteness once per phase.  Non-finite entries
 stay non-finite under later gradient steps, so when the local phase ends
@@ -432,40 +435,52 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         for s in range(len(configs))
     ]
 
-    def record(trace: RunTrace, epoch: int, state: np.ndarray, x_bar: np.ndarray,
-               x_hat: np.ndarray | None, v_value: float | None) -> None:
-        f_hat = subopt = None
+    def record(epoch: int, state: np.ndarray, x_bar: np.ndarray, x_hat: np.ndarray | None,
+               inner_avgs: np.ndarray | None) -> None:
+        """One row for each run still in the batch, from one call per quantity."""
+        runs = len(state)
+        points = x_bar if x_hat is None else np.concatenate([x_bar, x_hat])
+        objective = objectives.full_objective(features, labels, reg, kind, points).tolist()
+        f_hat = subopt = [None] * runs
         if x_hat is not None:
-            f_hat = objectives.full_objective(features, labels, reg, kind, x_hat)
+            f_hat = objective[runs:]
             if problem.f_star is not None:
-                subopt = f_hat - problem.f_star
-        trace.rows.append(
-            metrics_mod.EpochMetrics(
-                epoch=epoch,
-                f_bar=objectives.full_objective(features, labels, reg, kind, x_bar),
-                f_hat=f_hat,
-                suboptimality=subopt,
-                disagreement=metrics_mod.consensus_quantity(state, designated),
-                max_consensus_dist=float(
-                    np.linalg.norm(state - x_bar[None, :], axis=1).max()
-                ),
-                sigma_star_sq=sigma_star,
-                forward_deviation=v_value,
+                subopt = [value - problem.f_star for value in f_hat]
+        disagreement = metrics_mod.consensus_quantity(state, designated).tolist()
+        diff = state - x_bar[:, None, :]
+        max_dist = np.sqrt(np.einsum("smd,smd->sm", diff, diff)).max(axis=-1).tolist()
+        v_value = [None] * runs
+        if inner_avgs is not None:
+            v_value = metrics_mod.forward_deviation(inner_avgs, x_bar).tolist()
+        for s, trace in enumerate(traces[:runs]):
+            trace.rows.append(
+                metrics_mod.EpochMetrics(
+                    epoch=epoch,
+                    f_bar=objective[s],
+                    f_hat=f_hat[s],
+                    suboptimality=subopt[s],
+                    disagreement=disagreement[s],
+                    max_consensus_dist=max_dist[s],
+                    sigma_star_sq=sigma_star,
+                    forward_deviation=v_value[s],
+                )
             )
-        )
-        if first.store_snapshots:
-            trace.snapshots[epoch] = state.copy()
-            trace.x_bar[epoch] = x_bar.copy()
-            if x_hat is not None:
-                trace.x_hat[epoch] = x_hat.copy()
+            if first.store_snapshots:
+                trace.snapshots[epoch] = state[s].copy()
+                trace.x_bar[epoch] = x_bar[s].copy()
+                if x_hat is not None:
+                    trace.x_hat[epoch] = x_hat[s].copy()
 
-    x_bar = x.mean(axis=1)
-    for s, trace in enumerate(traces):
-        record(trace, 0, x[s], x_bar[s], None, None)
+    record(0, x, x.mean(axis=1), None, None)
 
     gamma = np.array(steps).reshape(-1, 1, 1)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
+    # dpg-ig visits every epoch in the order it draws at epoch 0
+    fixed_order = {
+        s: epoch_indices(Mode.IG, cfg.seed, 0, m, n) for s, cfg in enumerate(configs)
+        if _SAMPLER_FOR.get(cfg.algorithm.lower()) is Mode.IG
+    }
     for t in range(horizon):
         inner_avgs = None
         weights = consensus_weights_for_epoch(problem.schedule, t, steps_mode)
@@ -475,8 +490,9 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                     x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), weights, t)
                 else:
                     perm = np.stack([
-                        epoch_indices(_SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed, t, m, n)
-                        for cfg in configs
+                        fixed_order[s] if s in fixed_order else epoch_indices(
+                            _SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed, t, m, n)
+                        for s, cfg in enumerate(configs)
                     ])
                     x_next, inner_avgs = run_epoch_dpgrr(
                         x, problem, gamma, weights, perm, t, record_inner=first.record_v
@@ -497,12 +513,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         x_hat_sum += x_bar
         epoch = t + 1
         if epoch % cadence == 0 or epoch == horizon:
-            x_hat = x_hat_sum / epoch
-            for s in range(len(configs)):
-                v_value = None
-                if inner_avgs is not None:
-                    v_value = metrics_mod.forward_deviation(inner_avgs[s], x_bar[s])
-                record(traces[s], epoch, x[s], x_bar[s], x_hat[s], v_value)
+            record(epoch, x, x_bar, x_hat_sum / epoch, inner_avgs)
 
     if failure is not None:
         raise failure

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
+from .proxops import sequential_sum
 
 __all__ = [
     "MissingInnerTrace",
@@ -41,7 +42,7 @@ class EpochMetrics:
     forward_deviation: float | None = None
 
 
-def consensus_quantity(xs, weights: np.ndarray) -> float:
+def consensus_quantity(xs, weights: np.ndarray):
     """Weighted disagreement ``sum_i <x_i, sum_j a_ij (x_i - x_j)>``.
 
     Equals the Laplacian quadratic form of the weighted graph, hence zero
@@ -51,17 +52,21 @@ def consensus_quantity(xs, weights: np.ndarray) -> float:
     weights required here), which stays accurate near consensus where the
     inner-product form cancels catastrophically.  Only the nonzero
     off-diagonal weights of the ``(m, m)`` array contribute, so the cost is
-    O(|E| d).
+    O(|E| d); with none, the value is exactly 0.
+
+    ``xs`` is one state ``(m, d)``, giving a float, or an ``(..., m, d)``
+    stack of states, giving one value per state with the bits it has alone.
     """
     weights = np.asarray(weights)
     stacked = np.asarray(xs, dtype=float)
-    if weights.shape != (stacked.shape[0],) * 2:
-        raise DimensionMismatch(f"{stacked.shape[0]} vectors vs {weights.shape} weights")
+    if stacked.ndim < 2 or weights.shape != (stacked.shape[-2],) * 2:
+        raise DimensionMismatch(f"states {stacked.shape} vs {weights.shape} weights")
     off = weights.copy()
     np.fill_diagonal(off, 0.0)
     i, j = np.nonzero(off)
-    diff = stacked[i] - stacked[j]
-    return 0.5 * float(np.sum(off[i, j] * np.sum(diff * diff, axis=1)))
+    diff = stacked[..., i, :] - stacked[..., j, :]
+    value = 0.5 * sequential_sum(off[i, j] * np.einsum("...ed,...ed->...e", diff, diff))
+    return float(value) if stacked.ndim == 2 else value
 
 
 def shuffling_variance(
@@ -83,15 +88,18 @@ def shuffling_variance(
     return float(np.mean(np.sum(centered * centered, axis=1)))
 
 
-def forward_deviation(inner_averages, x_bar_next: np.ndarray) -> float:
+def forward_deviation(inner_averages, x_bar_next: np.ndarray):
     """Sum of squared distances from each inner-iterate average to the next iterate.
 
     ``inner_averages`` holds the network averages of the n inner iterates
-    of one epoch (the pre-step points); recording them is opt-in, so a
-    missing trace raises rather than silently returning garbage.
+    of one epoch (the pre-step points), ``(n, d)`` against ``x_bar_next``
+    ``(d,)`` for a float, or ``(S, n, d)`` against ``(S, d)`` for one value
+    per run, each with the bits it has alone.  Recording them is opt-in,
+    so a missing trace raises rather than silently returning garbage.
     """
     if inner_averages is None:
         raise MissingInnerTrace("run with inner-average recording enabled")
     inner = np.asarray(inner_averages, dtype=float)
-    diff = inner - np.asarray(x_bar_next, dtype=float)[None, :]
-    return float(np.sum(diff * diff))
+    diff = inner - np.asarray(x_bar_next, dtype=float)[..., None, :]
+    value = sequential_sum(np.einsum("...nd,...nd->...n", diff, diff))
+    return float(value) if inner.ndim == 2 else value

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .proxops import Regularizer
+from .proxops import Regularizer, sequential_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -105,11 +105,11 @@ def loss_derivative(
 def _flat(features: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(m n, d)`` view of the features and ``x`` checked against ``d``."""
     x = np.asarray(x, dtype=float)
-    if x.size != features.shape[-1]:
+    if x.ndim == 0 or x.shape[-1] != features.shape[-1]:
         raise DimensionMismatch(
-            f"x has size {x.size}, data dimension is {features.shape[-1]}"
+            f"x has shape {x.shape}, data dimension is {features.shape[-1]}"
         )
-    return features.reshape(-1, x.size), x
+    return features.reshape(-1, features.shape[-1]), x
 
 
 def packed_smooth_grad(
@@ -123,21 +123,33 @@ def packed_smooth_grad(
 
 def packed_smooth_value(
     features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
-) -> float:
-    """Value of the smooth part against packed arrays, without its gradient."""
+):
+    """Smooth part at each point of an ``(..., d)`` stack; a float for one point.
+
+    The margins are per-point ``einsum`` dot products and the losses are
+    summed in sample order (``sequential_sum``): a ``@`` or ``np.sum`` over
+    the stack would change a point's bits with the points stacked beside it.
+    """
     flat, x = _flat(features, x)
-    z, y, m = flat @ x, labels.reshape(-1), features.shape[0]
+    points = x.reshape(-1, flat.shape[1])
+    z, y, m = np.einsum("kd,sd->sk", flat, points), labels.reshape(-1), features.shape[0]
     if kind is SmoothLossKind.LOGISTIC:
-        return float(np.sum(np.logaddexp(0.0, -(y * z)))) / m
-    r = z - y
-    return 0.5 * float(np.dot(r, r)) / m
+        value = sequential_sum(np.logaddexp(0.0, -(y * z))) / m
+    else:
+        r = z - y
+        value = 0.5 * sequential_sum(r * r) / m
+    return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
 
 
 def full_objective(
     features: np.ndarray, labels: np.ndarray, reg: Regularizer, kind: SmoothLossKind,
     x: np.ndarray,
-) -> float:
-    """Smooth part plus penalty, with the 1/m (not 1/(m n)) scaling."""
+):
+    """Smooth part plus penalty, with the 1/m (not 1/(m n)) scaling.
+
+    ``x`` is one point ``(d,)``, giving a float, or an ``(..., d)`` stack,
+    giving one value per point, each with the bits it has alone.
+    """
     return packed_smooth_value(features, labels, kind, x) + reg.value(x)
 
 

@@ -13,6 +13,7 @@ __all__ = [
     "RegKind",
     "Regularizer",
     "check_step",
+    "sequential_sum",
     "prox",
     "inexact_prox_error",
     "subgradient",
@@ -21,6 +22,19 @@ __all__ = [
 
 class NonPositiveStep(ValueError):
     """The step size of a proximal map must be strictly positive."""
+
+
+def sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right; 0 over an empty axis.
+
+    ``np.sum`` picks its summation order from the shape of the whole
+    array, so a row's sum could change with the rows stacked beside it.
+    A cumulative sum adds each row's terms in order, so every row of a
+    stack sums to the bits it has alone.
+    """
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 class RegKind(enum.Enum):
@@ -59,13 +73,20 @@ class Regularizer:
     def squared_l2(cls, lam: float) -> "Regularizer":
         return cls(RegKind.SQUARED_L2, float(lam))
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """Penalty at each point of an ``(..., d)`` stack; a float for one point.
+
+        Each point's value has the same bits whatever the stack around it.
+        """
         x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, x.shape[-1])
         if self.kind is RegKind.ZERO:
-            return 0.0
-        if self.kind is RegKind.L1:
-            return self.lam * float(np.sum(np.abs(x)))
-        return 0.5 * self.lam * float(np.dot(x, x))
+            value = np.zeros(len(points))
+        elif self.kind is RegKind.L1:
+            value = self.lam * sequential_sum(np.abs(points))
+        else:
+            value = 0.5 * self.lam * np.einsum("sd,sd->s", points, points)
+        return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
 
     def subgradient_bound(self, dim: int, radius: float = math.inf) -> float:
         """Bound on ``||g||`` over subgradients, valid on the ball ``||x|| <= radius``.

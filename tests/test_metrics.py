@@ -62,6 +62,40 @@ def test_zero_iff_consensus_on_connected_graph():
     assert consensus_quantity(same, a) > 0.0
 
 
+STACK_SIZES = (1, 2, 7, 30, 61)
+
+
+@pytest.mark.parametrize(
+    "m, edges",
+    [(1, set()), (4, set()), (10, {(j, (j + 1) % 10) for j in range(10)} | {(0, 5)})],
+    ids=["one_agent", "no_off_diagonal", "ring_and_chord"],
+)
+def test_stacked_disagreement_equals_one_state_at_a_time(m, edges):
+    # the engine evaluates a batch's states in one call; each state must get
+    # the bits it gets alone, whatever the size of the stack around it
+    designated = metropolis_weights(edges, m, 1.0 / m).weights
+    states = np.random.default_rng(m).normal(size=(max(STACK_SIZES), m, 3))
+    one = [consensus_quantity(state, designated) for state in states]
+    assert all(type(value) is float for value in one)
+    for size in STACK_SIZES:
+        assert consensus_quantity(states[:size], designated).tolist() == one[:size]
+    if not edges:
+        assert one == [0.0] * len(states)
+    else:
+        assert min(one) > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 20])
+def test_stacked_forward_deviation_equals_one_run_at_a_time(n):
+    rng = np.random.default_rng(n)
+    inner = rng.normal(size=(max(STACK_SIZES), n, 10))
+    x_next = rng.normal(size=(max(STACK_SIZES), 10))
+    one = [forward_deviation(a, b) for a, b in zip(inner, x_next)]
+    assert all(type(value) is float for value in one)
+    for size in STACK_SIZES:
+        assert forward_deviation(inner[:size], x_next[:size]).tolist() == one[:size]
+
+
 def test_dimension_mismatch():
     a = metropolis_weights({(0, 1)}, 2, 0.1).weights
     with pytest.raises(DimensionMismatch):

@@ -90,6 +90,35 @@ def test_batch_matches_sample_sum():
         assert np.allclose(grad, want_g, atol=1e-12)
 
 
+STACK_SIZES = (1, 2, 7, 30, 61)
+
+
+@pytest.mark.parametrize("m", [1, 10])
+@pytest.mark.parametrize("kind", [LOG, LS])
+@pytest.mark.parametrize(
+    "reg", [Regularizer.zero(), Regularizer.l1(5e-4), Regularizer.squared_l2(0.1)],
+    ids=["zero", "l1", "squared_l2"],
+)
+def test_stacked_objective_and_penalty_equal_one_point_at_a_time(m, kind, reg):
+    # the engine evaluates a batch's points in one call; each point must get
+    # the bits it gets alone, whatever the size of the stack around it
+    features, labels = synthesize_classification(m=m, n=20, d=10, separation=5.0, seed=42)
+    rng = np.random.default_rng(m)
+    if kind is LS:
+        labels = rng.normal(size=labels.shape)
+    points = rng.normal(size=(max(STACK_SIZES), 10))
+    objective = [full_objective(features, labels, reg, kind, x) for x in points]
+    penalty = [reg.value(x) for x in points]
+    assert all(type(value) is float for value in objective + penalty)
+    for size in STACK_SIZES:
+        assert full_objective(features, labels, reg, kind, points[:size]).tolist() == (
+            objective[:size]
+        )
+        assert reg.value(points[:size]).tolist() == penalty[:size]
+    grid = full_objective(features, labels, reg, kind, points[:60].reshape(2, 30, 10))
+    assert grid.shape == (2, 30) and grid.ravel().tolist() == objective[:60]
+
+
 def test_loss_derivative_matches_scalar_form_at_extreme_margins():
     # the vectorized logistic derivative must neither overflow nor lose
     # the tails that the scalar two-branch sigmoid keeps

@@ -74,11 +74,14 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
 
     def value_grad(x):
         z = features @ x
+        # the value takes per-point einsum margins and sums in sample order,
+        # as ``full_objective`` does for every point of a stack
+        margins = np.einsum("kd,sd->sk", features, x[None])[0]
         if kind is LOG:
-            value = float(np.sum(np.logaddexp(0.0, -(labels * z)))) / m
+            value = float(np.cumsum(np.logaddexp(0.0, -(labels * margins)))[-1]) / m
         else:
-            r = z - labels
-            value = 0.5 * float(np.dot(r, r)) / m
+            r = margins - labels
+            value = 0.5 * float(np.cumsum(r * r)[-1]) / m
         return value, features.T @ (loss_derivative(kind, z, labels) / m)
 
     x = np.zeros(dim)
