@@ -144,7 +144,7 @@ def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: 
     if not solution.converged:
         print(
             f"warning: oracle did not reach tol {ORACLE_TOL:g} "
-            f"(mapping norm {solution.mapping_norm:g}); using best value",
+            f"(mapping norm {solution.mapping_norm:g}); using its last point",
             file=sys.stderr,
         )
         source = f"computed(best-effort, tol={ORACLE_TOL:g} not reached)"

@@ -426,6 +426,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     cadence = first.cadence if first.cadence is not None else default_cadence(horizon)
     # a fixed matrix keeps the rows' disagreement comparable
     designated = problem.schedule.matrices[0].weights
+    designated_edges = metrics_mod.consensus_edges(designated)
     steps_mode = StepsMode.fixed(1) if dgm else first.steps_mode
 
     x = np.full((len(configs), m, dim), float(first.x0))
@@ -446,7 +447,8 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
             f_hat = objective[runs:]
             if problem.f_star is not None:
                 subopt = [value - problem.f_star for value in f_hat]
-        disagreement = metrics_mod.consensus_quantity(state, designated).tolist()
+        disagreement = metrics_mod.consensus_quantity(
+            state, designated, designated_edges).tolist()
         diff = state - x_bar[:, None, :]
         max_dist = np.sqrt(np.einsum("smd,smd->sm", diff, diff)).max(axis=-1).tolist()
         v_value = [None] * runs

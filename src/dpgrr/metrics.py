@@ -12,6 +12,7 @@ from .proxops import sequential_sum
 __all__ = [
     "MissingInnerTrace",
     "EpochMetrics",
+    "consensus_edges",
     "consensus_quantity",
     "shuffling_variance",
     "forward_deviation",
@@ -42,7 +43,19 @@ class EpochMetrics:
     forward_deviation: float | None = None
 
 
-def consensus_quantity(xs, weights: np.ndarray):
+def consensus_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero off-diagonal entries ``(i, j, w)`` of an ``(m, m)`` weight array.
+
+    In row-major order; ``w[e]`` is ``weights[i[e], j[e]]``.  A fixed matrix
+    needs this once, however many states ``consensus_quantity`` evaluates.
+    """
+    off = np.array(weights, copy=True)
+    np.fill_diagonal(off, 0.0)
+    i, j = np.nonzero(off)
+    return i, j, off[i, j]
+
+
+def consensus_quantity(xs, weights: np.ndarray, edges=None):
     """Weighted disagreement ``sum_i <x_i, sum_j a_ij (x_i - x_j)>``.
 
     Equals the Laplacian quadratic form of the weighted graph, hence zero
@@ -52,7 +65,8 @@ def consensus_quantity(xs, weights: np.ndarray):
     weights required here), which stays accurate near consensus where the
     inner-product form cancels catastrophically.  Only the nonzero
     off-diagonal weights of the ``(m, m)`` array contribute, so the cost is
-    O(|E| d); with none, the value is exactly 0.
+    O(|E| d); with none, the value is exactly 0.  ``edges`` is
+    ``consensus_edges(weights)``, found here when not given.
 
     ``xs`` is one state ``(m, d)``, giving a float, or an ``(..., m, d)``
     stack of states, giving one value per state with the bits it has alone.
@@ -61,11 +75,9 @@ def consensus_quantity(xs, weights: np.ndarray):
     stacked = np.asarray(xs, dtype=float)
     if stacked.ndim < 2 or weights.shape != (stacked.shape[-2],) * 2:
         raise DimensionMismatch(f"states {stacked.shape} vs {weights.shape} weights")
-    off = weights.copy()
-    np.fill_diagonal(off, 0.0)
-    i, j = np.nonzero(off)
+    i, j, w = consensus_edges(weights) if edges is None else edges
     diff = stacked[..., i, :] - stacked[..., j, :]
-    value = 0.5 * sequential_sum(off[i, j] * np.einsum("...ed,...ed->...e", diff, diff))
+    value = 0.5 * sequential_sum(w * np.einsum("...ed,...ed->...e", diff, diff))
     return float(value) if stacked.ndim == 2 else value
 
 

@@ -5,6 +5,7 @@ from conftest import packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.metrics import (
     MissingInnerTrace,
+    consensus_edges,
     consensus_quantity,
     forward_deviation,
     shuffling_variance,
@@ -83,6 +84,30 @@ def test_stacked_disagreement_equals_one_state_at_a_time(m, edges):
         assert one == [0.0] * len(states)
     else:
         assert min(one) > 0.0
+
+
+@pytest.mark.parametrize(
+    "m, edges",
+    [(1, set()), (4, set()), (10, {(j, (j + 1) % 10) for j in range(10)} | {(0, 5)})],
+    ids=["one_agent", "no_off_diagonal", "ring_and_chord"],
+)
+def test_edges_found_once_give_the_same_bits(m, edges):
+    # the engine finds a fixed matrix's edge list once per batch and passes
+    # it with every recorded stack
+    designated = metropolis_weights(edges, m, 1.0 / m).weights
+    i, j, w = consensus_edges(designated)
+    assert [(a, b) for a, b in zip(i.tolist(), j.tolist())] == sorted(
+        edges | {(b, a) for a, b in edges}
+    )
+    assert np.array_equal(w, designated[i, j])
+    states = np.random.default_rng(m).normal(size=(7, m, 3))
+    given = consensus_quantity(states, designated, (i, j, w))
+    assert given.tolist() == consensus_quantity(states, designated).tolist()
+    assert consensus_quantity(states[0], designated, (i, j, w)) == consensus_quantity(
+        states[0], designated
+    )
+    if not edges:
+        assert given.tolist() == [0.0] * len(states)
 
 
 @pytest.mark.parametrize("n", [1, 20])

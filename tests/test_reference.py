@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,19 +86,26 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
             value = 0.5 * float(np.cumsum(r * r)[-1]) / m
         return value, features.T @ (loss_derivative(kind, z, labels) / m)
 
-    x = np.zeros(dim)
+    # accelerated proximal gradient with gradient restart, spelled out
+    x = y = np.zeros(dim)
+    theta = 1.0
     iterations = 0
-    mapping_norm = float("inf")
-    for _ in range(max_iters + 1):
-        _, grad = value_grad(x)
-        forward = prox(reg, step, x - step * grad)
-        mapping_norm = float(np.linalg.norm(x - forward)) / step
+    while True:
+        _, grad = value_grad(y)
+        forward = prox(reg, step, y - step * grad)
+        mapping_norm = float(np.linalg.norm(y - forward)) / step
         if mapping_norm <= tol or iterations == max_iters:
             break
-        x = forward
+        restart = np.dot(y - forward, forward - x) > 0.0
+        if restart:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        momentum = (theta - 1.0) / theta_next
+        x, y = forward, forward + momentum * (forward - x)
+        theta = theta_next
         iterations += 1
-    value, _ = value_grad(x)
-    return x, value + reg.value(x), mapping_norm, iterations
+    value, _ = value_grad(y)
+    return y, value + reg.value(y), mapping_norm, iterations
 
 
 @pytest.mark.parametrize("kind", [LOG, LS])
@@ -158,6 +167,25 @@ def test_fresh_solve_reproduces_committed_fixture(configs_dir, name):
     assert np.max(np.abs(sol.x_star - x_star)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    # max-abs distance of the x* that plain proximal gradient stored at tol
+    # 1e-10 from a tol-1e-13 solve, before the accelerated solver replaced it
+    ("name", "pg_fixture_distance"),
+    [("a9a_subset", 1.9e-8), ("sampler_comparison", 4.2e-8)],
+)
+def test_solution_is_as_close_to_a_tight_solve_as_plain_pg(
+    configs_dir, name, pg_fixture_distance
+):
+    from dpgrr.config import build_problem, load_config
+
+    problem, _ = build_problem(load_config(configs_dir / f"{name}.yaml"))
+    args = (problem.features, problem.labels, problem.regularizer, problem.kind)
+    loose = solve_centralized(*args, tol=1e-10)
+    tight = solve_centralized(*args, tol=1e-13)
+    assert loose.converged and tight.converged
+    assert np.max(np.abs(loose.x_star - tight.x_star)) <= pg_fixture_distance
+
+
 @pytest.mark.parametrize("kind", [LOG, LS])
 def test_zero_features_solve_at_unit_step(kind):
     # no curvature: the smooth part is constant, the step is 1, and x = 0
@@ -207,6 +235,25 @@ def test_no_convergence_returns_flagged_best_effort(canonical_problem):
     assert not sol.converged
     assert sol.iterations == 5
     assert np.all(np.isfinite(sol.x_star))
+    # the reported mapping norm is the one measured at the returned point
+    grad = packed_smooth_grad(
+        canonical_problem.features,
+        canonical_problem.labels,
+        canonical_problem.kind,
+        sol.x_star,
+    )
+    forward = prox(canonical_problem.regularizer, sol.step, sol.x_star - sol.step * grad)
+    assert float(np.linalg.norm(sol.x_star - forward)) / sol.step == sol.mapping_norm
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_no_budget_returns_the_start_point_it_measured(max_iters):
+    # min 0.5 (x - 2)^2 from x = 0: the mapping there is |0 - 2| / 1
+    sol = solve_centralized(
+        *packed([([1.0], 2.0)]), Regularizer.zero(), LS, max_iters=max_iters
+    )
+    assert not sol.converged and sol.iterations == 0
+    assert sol.x_star.tolist() == [0.0] and sol.mapping_norm == 2.0
 
 
 def test_optimality_floor_over_engine_iterates(canonical_problem):
