@@ -6,7 +6,8 @@ Subcommands
     validate  check the mixing matrices, connectivity windows, and step
               bounds; exit 0 only if everything passes
     oracle    solve the centralized problem to high accuracy and record
-              the certified optimal value in the fixtures store
+              the certified optimal value in the fixtures store;
+              ``--refresh`` re-solves and replaces a stored value
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def cmd_oracle(args) -> int:
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
     existing = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key, args.tol)
-    if existing is not None:
+    if existing is not None and not args.refresh:
         print(f"fixture {key[:16]} already solved at tol {existing['tol']:g}")
         return 0
     solution = solve_centralized(
@@ -265,7 +266,7 @@ def cmd_oracle(args) -> int:
             file=sys.stderr,
         )
         return 1
-    store_fixture(fixtures_path, key, solution, args.tol)
+    store_fixture(fixtures_path, key, solution, args.tol, replace=args.refresh)
     print(f"stored fixture {key[:16]} in {fixtures_path}")
     return 0
 
@@ -302,6 +303,8 @@ def main(argv=None) -> int:
     p_orc = sub.add_parser("oracle", help="precompute the certified optimal value")
     p_orc.add_argument("--config", required=True)
     p_orc.add_argument("--tol", type=_tolerance, default=ORACLE_TOL)
+    p_orc.add_argument("--refresh", action="store_true",
+                       help="re-solve and overwrite a stored fixture (only if converged)")
     p_orc.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)

@@ -21,8 +21,12 @@ step size; its runs batch among themselves.
 
 Every batched operation is elementwise or reduces each run's rows in the
 order a single run does, so a run's trace does not depend on its batch.
-A recorded epoch evaluates each row quantity once for the whole batch,
-with reductions whose per-run bits do not depend on the stack.
+Recorded epochs are buffered and evaluated in chunks: once the buffered
+states and averages reach ``MAX_RECORD_BYTES``, and once at the end of
+the horizon, each row quantity is one call over the ``(R, S, ...)`` stack
+of the R pending epochs, with reductions whose per-row bits do not depend
+on the stack.  The budget is small because the row reductions make
+several chunk-sized temporaries, which would otherwise raise peak memory.
 
 Iterates are checked for finiteness once per phase.  Non-finite entries
 stay non-finite under later gradient steps, so when the local phase ends
@@ -61,6 +65,7 @@ __all__ = [
     "run",
     "default_cadence",
     "MAX_BATCH_BYTES",
+    "MAX_RECORD_BYTES",
 ]
 
 ALGORITHMS = ("dpg-rr", "dpg-sg", "dpg-ig", "dgm")
@@ -70,6 +75,10 @@ _SAMPLER_FOR = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 # Bound on the ``(S, m, n, d)`` sample block one epoch gathers; ``run``
 # advances a longer list of runs in consecutive batches under it.
 MAX_BATCH_BYTES = 1 << 20
+
+# Bound on the buffered states and averages of recorded epochs that the
+# engine evaluates together; each chunk costs one call per row quantity.
+MAX_RECORD_BYTES = 1 << 16
 
 # RunConfig fields that every run of one ``run`` call must share
 _SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "store_snapshots",
@@ -436,44 +445,63 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         for s in range(len(configs))
     ]
 
-    def record(epoch: int, state: np.ndarray, x_bar: np.ndarray, x_hat: np.ndarray | None,
-               inner_avgs: np.ndarray | None) -> None:
-        """One row for each run still in the batch, from one call per quantity."""
-        runs = len(state)
-        points = x_bar if x_hat is None else np.concatenate([x_bar, x_hat])
-        objective = objectives.full_objective(features, labels, reg, kind, points).tolist()
-        f_hat = subopt = [None] * runs
-        if x_hat is not None:
-            f_hat = objective[runs:]
-            if problem.f_star is not None:
-                subopt = [value - problem.f_star for value in f_hat]
-        disagreement = metrics_mod.consensus_quantity(
-            state, designated, designated_edges).tolist()
-        diff = state - x_bar[:, None, :]
-        max_dist = np.sqrt(np.einsum("smd,smd->sm", diff, diff)).max(axis=-1).tolist()
-        v_value = [None] * runs
-        if inner_avgs is not None:
-            v_value = metrics_mod.forward_deviation(inner_avgs, x_bar).tolist()
-        for s, trace in enumerate(traces[:runs]):
-            trace.rows.append(
-                metrics_mod.EpochMetrics(
-                    epoch=epoch,
-                    f_bar=objective[s],
-                    f_hat=f_hat[s],
-                    suboptimality=subopt[s],
-                    disagreement=disagreement[s],
-                    max_consensus_dist=max_dist[s],
-                    sigma_star_sq=sigma_star,
-                    forward_deviation=v_value[s],
-                )
-            )
-            if first.store_snapshots:
-                trace.snapshots[epoch] = state[s].copy()
-                trace.x_bar[epoch] = x_bar[s].copy()
-                if x_hat is not None:
-                    trace.x_hat[epoch] = x_hat[s].copy()
+    def record(epochs: tuple[int, ...], states: np.ndarray, x_bars: np.ndarray,
+               x_hats: np.ndarray | None, inner_avgs: np.ndarray | None) -> None:
+        """Rows of the recorded ``epochs`` for each run still in the batch.
 
-    record(0, x, x.mean(axis=1), None, None)
+        ``states`` ``(R, S, m, d)``, ``x_bars`` and ``x_hats`` ``(R, S, d)``
+        and ``inner_avgs`` ``(R, S, n, d)`` stack the R epochs; each row
+        quantity is one call over the whole stack.
+        """
+        runs = states.shape[1]
+        points = x_bars if x_hats is None else np.concatenate([x_bars, x_hats], axis=1)
+        objective = objectives.full_objective(features, labels, reg, kind, points).tolist()
+        disagreement = metrics_mod.consensus_quantity(
+            states, designated, designated_edges).tolist()
+        diff = states - x_bars[..., None, :]
+        max_dist = np.sqrt(np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).tolist()
+        v_values = None
+        if inner_avgs is not None:
+            v_values = metrics_mod.forward_deviation(inner_avgs, x_bars).tolist()
+        for r, epoch in enumerate(epochs):
+            for s, trace in enumerate(traces[:runs]):
+                f_hat = subopt = None
+                if x_hats is not None:
+                    f_hat = objective[r][runs + s]
+                    if problem.f_star is not None:
+                        subopt = f_hat - problem.f_star
+                trace.rows.append(
+                    metrics_mod.EpochMetrics(
+                        epoch=epoch,
+                        f_bar=objective[r][s],
+                        f_hat=f_hat,
+                        suboptimality=subopt,
+                        disagreement=disagreement[r][s],
+                        max_consensus_dist=max_dist[r][s],
+                        sigma_star_sq=sigma_star,
+                        forward_deviation=None if v_values is None else v_values[r][s],
+                    )
+                )
+                if first.store_snapshots:
+                    trace.snapshots[epoch] = states[r, s].copy()
+                    trace.x_bar[epoch] = x_bars[r, s].copy()
+                    if x_hats is not None:
+                        trace.x_hat[epoch] = x_hats[r, s].copy()
+
+    record((0,), x[None], x.mean(axis=1)[None], None, None)
+
+    # recorded epochs not yet evaluated: (epoch, state, x_bar, x_hat,
+    # inner_avgs), none of them an array that a later epoch changes
+    pending: list[tuple] = []
+    pending_bytes = 0
+
+    def flush() -> None:
+        nonlocal pending_bytes
+        if pending:
+            epochs, *parts = zip(*pending)
+            record(epochs, *(None if p[0] is None else np.stack(p) for p in parts))
+            pending.clear()
+            pending_bytes = 0
 
     gamma = np.array(steps).reshape(-1, 1, 1)
     x_hat_sum = np.zeros((len(configs), dim))
@@ -508,6 +536,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                                            run=f"{cfg.algorithm} seed {cfg.seed}")
                 if exc.run == 0:
                     raise failure from None
+                flush()
                 configs, x, gamma = configs[:exc.run], x[:exc.run], gamma[:exc.run]
                 x_hat_sum = x_hat_sum[:exc.run]
         x = x_next
@@ -515,7 +544,12 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         x_hat_sum += x_bar
         epoch = t + 1
         if epoch % cadence == 0 or epoch == horizon:
-            record(epoch, x, x_bar, x_hat_sum / epoch, inner_avgs)
+            row = (x, x_bar, x_hat_sum / epoch, inner_avgs)
+            pending.append((epoch, *row))
+            pending_bytes += sum(a.nbytes for a in row if a is not None)
+            if pending_bytes >= MAX_RECORD_BYTES:
+                flush()
+    flush()
 
     if failure is not None:
         raise failure

@@ -105,8 +105,8 @@ def forward_deviation(inner_averages, x_bar_next: np.ndarray):
 
     ``inner_averages`` holds the network averages of the n inner iterates
     of one epoch (the pre-step points), ``(n, d)`` against ``x_bar_next``
-    ``(d,)`` for a float, or ``(S, n, d)`` against ``(S, d)`` for one value
-    per run, each with the bits it has alone.  Recording them is opt-in,
+    ``(d,)`` for a float, or an ``(..., n, d)`` stack against ``(..., d)``
+    for one value per epoch and run, each with the bits it has alone.  Recording them is opt-in,
     so a missing trace raises rather than silently returning garbage.
     """
     if inner_averages is None:

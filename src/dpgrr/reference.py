@@ -182,15 +182,17 @@ def usable_fixture(fixtures: dict, path: Path | str, key: str, tol: float) -> di
 
 
 def store_fixture(
-    path: Path | str, key: str, solution: ReferenceSolution, tol: float
+    path: Path | str, key: str, solution: ReferenceSolution, tol: float,
+    replace: bool = False,
 ) -> bool:
     """Record a certified solution under ``key``; returns False on a no-op.
 
-    Idempotent: a usable entry solved at least as tightly is kept.
+    Idempotent: a usable entry solved at least as tightly is kept, unless
+    ``replace`` asks to overwrite it and its solution file.
     """
     path = Path(path)
     fixtures = load_fixtures(path)
-    if usable_fixture(fixtures, path, key, tol) is not None:
+    if not replace and usable_fixture(fixtures, path, key, tol) is not None:
         return False
     entry = {
         "f_star": solution.f_star,

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -218,6 +219,39 @@ def test_oracle_toy_exact_zero(tmp_path, capsys):
     # idempotent rerun
     assert main(["oracle", "--config", str(cfg)]) == 0
     assert "already solved" in capsys.readouterr().out
+
+
+def test_oracle_refresh_replaces_a_stale_fixture(tmp_path, monkeypatch, capsys):
+    cfg = write_synth(tmp_path)
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    store = tmp_path / "fixtures" / "oracle.json"
+    key = problem_hash(load_config(cfg))
+    fresh = json.loads(store.read_text())[key]
+    x_star_path = store.parent / fresh["x_star_file"]
+    fresh_x_star = x_star_path.read_text()
+    stale = {**fresh, "f_star": fresh["f_star"] + 1.0}
+    store.write_text(json.dumps({key: stale}))
+    x_star_path.write_text("0\n0\n0\n")
+    # without the flag the stale entry stands
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    assert "already solved" in capsys.readouterr().out
+    assert json.loads(store.read_text())[key] == stale
+
+    real_solve = dpgrr.cli.solve_centralized
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real_solve(*args, **kwargs), converged=False)
+
+    # a refresh whose solve does not converge stores nothing
+    monkeypatch.setattr(dpgrr.cli, "solve_centralized", unconverged)
+    assert main(["oracle", "--config", str(cfg), "--refresh"]) == 1
+    assert json.loads(store.read_text())[key] == stale
+    assert x_star_path.read_text() == "0\n0\n0\n"
+
+    monkeypatch.setattr(dpgrr.cli, "solve_centralized", real_solve)
+    assert main(["oracle", "--config", str(cfg), "--refresh"]) == 0
+    assert json.loads(store.read_text())[key] == fresh
+    assert x_star_path.read_text() == fresh_x_star
 
 
 def test_oracle_two_tolerances_agree(tmp_path):

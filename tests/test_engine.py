@@ -497,18 +497,29 @@ def test_runs_past_the_batch_cap_advance_in_later_batches(canonical_problem, mon
     assert run([], canonical_problem) == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_batch_reports_the_first_failing_run_in_order():
+def overflow_problem():
     # agent 1's steps multiply its iterate by 1 - 4 gamma; at gamma 1e10
     # it passes 1.8e308 at its 30th step, epoch 14 inner step 1, while
     # gamma 1e200 overflows both agents at inner step 1 of epoch 0
-    problem = ProblemBundle(
+    return ProblemBundle(
         *packed([([1.0], 0.0)] * 2, [([2.0], 0.0)] * 2),
         kind=LS,
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights(set(), 2, 0.5),), 1),
     )
-    late = RunConfig("dpg-sg", 20, StepRule.constant(1e10), seed=2, x0=1.0)
+
+
+LATE = RunConfig("dpg-sg", 20, StepRule.constant(1e10), seed=2, x0=1.0)
+
+
+def _failure(err):
+    e = err.value
+    return e.run, e.agent, e.epoch, e.inner_step, e.phase, str(e)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_batch_reports_the_first_failing_run_in_order():
+    problem, late = overflow_problem(), LATE
     early = RunConfig("dpg-rr", 20, StepRule.constant(1e200), seed=1, x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
         run([late, early], problem)
@@ -526,6 +537,58 @@ def test_batch_reports_the_first_failing_run_in_order():
     e = err.value
     assert (e.run, e.agent, e.epoch, e.inner_step, e.phase) == (
         "dpg-rr seed 1", 0, 0, 1, "inner")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_run_failing_behind_a_healthy_one_reports_as_alone():
+    # the healthy run's rows of epochs 1-13 are still buffered when the
+    # late run fails, and the batch is cut down to the healthy run
+    problem = overflow_problem()
+    healthy = RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0)
+    with pytest.raises(NonFiniteIterate) as batched:
+        run([healthy, LATE], problem)
+    with pytest.raises(NonFiniteIterate) as alone:
+        run([LATE], problem)
+    assert _failure(batched) == _failure(alone)
+    assert _failure(alone)[:5] == ("dpg-sg seed 2", 1, 14, 1, "inner")
+
+
+_CHUNKED = {
+    "samplers": [RunConfig(algo, 13, StepRule.constant(0.05), seed=seed,
+                           store_snapshots=True, record_v=True)
+                 for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)],
+    "off_cadence": [RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=seed, cadence=3,
+                              store_snapshots=True) for seed in (4, 5)],
+    "dgm": [RunConfig("dgm", 10, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+            for seed, gamma in ((3, 0.05), (8, 0.2))],
+    "no_epochs": [RunConfig("dpg-rr", 0, StepRule.constant(0.05), seed=1,
+                            store_snapshots=True)],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 10**6])
+@pytest.mark.parametrize("case", sorted(_CHUNKED))
+def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch, case, rows):
+    cfgs, p = _CHUNKED[case], canonical_problem
+    want = run(cfgs, p)
+    # every buffered byte of one recorded epoch of the batch
+    row_bytes = 8 * len(cfgs) * (p.m * p.dim + 2 * p.dim
+                                 + (p.n * p.dim if cfgs[0].record_v else 0))
+    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * row_bytes)
+    calls = []
+    full_objective = engine.objectives.full_objective
+
+    def counted(*args):
+        calls.append(len(args[-1]))  # the chunk's epochs
+        return full_objective(*args)
+
+    monkeypatch.setattr(engine.objectives, "full_objective", counted)
+    for a, b in zip(run(cfgs, p), want, strict=True):
+        _assert_same_trace(a, b)
+    # the initial row alone, then chunks of `rows` recorded epochs
+    recorded = len(want[0].rows) - 1
+    assert calls == [1] + [
+        min(rows, recorded - lo) for lo in range(0, recorded, rows)]
 
 
 @pytest.mark.parametrize("field, value", [
