@@ -8,7 +8,10 @@ the proximal algorithms has three barrier-separated phases:
      epoch index sequence; each step is one vectorized update of all S*m
      rows, with each run's own step size,
   2. all agents' phase-1 outputs are mixed through the epoch's consensus
-     weights (a product of schedule matrices), the same for every run,
+     weights, the same for every run: the state is multiplied by each of
+     the epoch's memoized power-of-two blocks of schedule matrices in
+     turn, earliest first (``netgraph.mix``), so no ``(m, m)`` product is
+     formed; each run's ``(m, d)`` state is its own matmul,
   3. every agent applies the proximal map of the shared penalty.
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
@@ -27,6 +30,9 @@ the horizon, each row quantity is one call over the ``(R, S, ...)`` stack
 of the R pending epochs, with reductions whose per-row bits do not depend
 on the stack.  The budget is small because the row reductions make
 several chunk-sized temporaries, which would otherwise raise peak memory.
+Once a run behind the first has failed, ``run`` will raise that failure
+and discard the batch's traces, so the pending rows are dropped and no
+more are buffered; the earlier runs only keep stepping.
 
 Iterates are checked for finiteness once per phase.  Non-finite entries
 stay non-finite under later gradient steps, so when the local phase ends
@@ -45,7 +51,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import objectives
-from .netgraph import GraphSchedule, StepsMode, consensus_weights_for_epoch
+from .netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
 from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
 from .proxops import Regularizer, check_step, prox, subgradient
 from .sampling import Mode, epoch_indices
@@ -310,7 +316,7 @@ def run_epoch_dpgrr(
     x: np.ndarray,
     problem: ProblemBundle,
     gamma,
-    weights: np.ndarray,
+    blocks: Sequence[np.ndarray],
     perm: np.ndarray,
     t: int,
     record_inner: bool = False,
@@ -320,11 +326,13 @@ def run_epoch_dpgrr(
     ``gamma`` is one step or an ``(S, 1, 1)`` array of each run's step.
     Row ``perm[s, j]`` of the ``(S, m, n)`` block is the order in which
     agent j of run s visits its samples; a ``(1, 1, n)`` block is one order
-    for every agent.  Returns the next state and, if recorded, the
-    ``(S, n, d)`` network averages of the n inner iterates.  Phase 2 reads
-    every agent's phase-1 output, exactly as a barrier-synchronized
-    parallel execution would.  A non-finite iterate raises for the first
-    failing run, with its position in the batch.
+    for every agent.  ``blocks`` are the epoch's ``netgraph.epoch_blocks``:
+    phase 2 mixes through their product by applying each to the state in
+    turn.  Returns the next state and, if recorded, the ``(S, n, d)``
+    network averages of the n inner iterates.  Phase 2 reads every agent's
+    phase-1 output, exactly as a barrier-synchronized parallel execution
+    would.  A non-finite iterate raises for the first failing run, with
+    its position in the batch.
     """
     check_step(gamma, "epoch")
     m, n, kind = problem.m, problem.n, problem.kind
@@ -338,7 +346,7 @@ def run_epoch_dpgrr(
             if record_inner:
                 inner_sum[:, i] = inner.sum(axis=1)
             _inner_step(kind, gamma, inner, a[i], y[i])
-        mixed = weights @ inner
+        mixed = mix(blocks, inner)
         x_next = prox(problem.regularizer, gamma, mixed)
     bad = _bad_rows(inner, mixed, x_next)
     if bad.any():
@@ -353,18 +361,19 @@ def run_epoch_dpgrr(
 
 
 def run_epoch_dgm(
-    x: np.ndarray, problem: ProblemBundle, gamma_t, weights: np.ndarray, t: int
+    x: np.ndarray, problem: ProblemBundle, gamma_t, blocks: Sequence[np.ndarray], t: int
 ) -> np.ndarray:
     """One epoch of the subgradient baseline for S runs: mix once, then one local step.
 
     Each agent combines neighbors through the single matrix at the current
-    communication step, then descends the sum of its local gradients plus
-    one penalty subgradient with the (externally decayed) step gamma_t:
-    one value, or an ``(S, 1, 1)`` array of each run's step.
+    communication step (``blocks`` holds it alone), then descends the sum
+    of its local gradients plus one penalty subgradient with the
+    (externally decayed) step gamma_t: one value, or an ``(S, 1, 1)``
+    array of each run's step.
     """
     check_step(gamma_t, "epoch")
     with np.errstate(all="ignore"):
-        mixed = weights @ x
+        mixed = mix(blocks, x)
         features = problem.features
         coef = objectives.loss_derivative(
             problem.kind, np.einsum("jnd,sjd->sjn", features, mixed), problem.labels
@@ -513,11 +522,11 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     }
     for t in range(horizon):
         inner_avgs = None
-        weights = consensus_weights_for_epoch(problem.schedule, t, steps_mode)
+        blocks = epoch_blocks(problem.schedule, t, steps_mode)
         while True:
             try:
                 if dgm:
-                    x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), weights, t)
+                    x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), blocks, t)
                 else:
                     perm = np.stack([
                         fixed_order[s] if s in fixed_order else epoch_indices(
@@ -525,25 +534,27 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                         for s, cfg in enumerate(configs)
                     ])
                     x_next, inner_avgs = run_epoch_dpgrr(
-                        x, problem, gamma, weights, perm, t, record_inner=first.record_v
+                        x, problem, gamma, blocks, perm, t, record_inner=first.record_v
                     )
                 break
             except NonFiniteIterate as exc:
                 # runs after the failing one no longer matter; earlier runs
-                # go on, since one of them may still fail first in order
+                # go on, since one of them may still fail first in order,
+                # but ``failure`` is raised at the end either way, so no
+                # row of the batch is evaluated any more
                 cfg = configs[exc.run]
                 failure = NonFiniteIterate(exc.agent, exc.epoch, exc.inner_step, exc.phase,
                                            run=f"{cfg.algorithm} seed {cfg.seed}")
                 if exc.run == 0:
                     raise failure from None
-                flush()
+                pending.clear()
                 configs, x, gamma = configs[:exc.run], x[:exc.run], gamma[:exc.run]
                 x_hat_sum = x_hat_sum[:exc.run]
         x = x_next
         x_bar = x.mean(axis=1)
         x_hat_sum += x_bar
         epoch = t + 1
-        if epoch % cadence == 0 or epoch == horizon:
+        if failure is None and (epoch % cadence == 0 or epoch == horizon):
             row = (x, x_bar, x_hat_sum / epoch, inner_avgs)
             pending.append((epoch, *row))
             pending_bytes += sum(a.nbytes for a in row if a is not None)

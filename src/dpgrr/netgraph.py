@@ -6,11 +6,19 @@ communication steps; the consensus weights for that epoch are the product
 of the block's matrices (latest factor on the left).  In "growing" mode
 epoch ``t`` consumes ``t + 1`` steps, in fixed mode every epoch consumes
 ``K`` steps.
+
+A run of ``count`` steps is split, by the set bits of ``count``, into
+memoized blocks of ``2**k`` steps, earliest first (``epoch_blocks``).
+There is one chain rule over them, ``mix``: apply each block in turn.
+The engine mixes its states through an epoch's blocks without forming
+the ``(m, m)`` product; ``consensus_weights_for_epoch`` is the first
+block mixed through the rest, so the weights and the mixing agree.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +30,9 @@ __all__ = [
     "metropolis_weights",
     "GraphSchedule",
     "StepsMode",
+    "epoch_blocks",
     "consensus_weights_for_epoch",
+    "mix",
     "WindowCheck",
     "ValidationReport",
     "validate_schedule",
@@ -175,8 +185,8 @@ class GraphSchedule:
     ``window`` declares that the union graph of any ``window`` consecutive
     matrices must be connected; ``validate_schedule`` checks the claim.
     Immutable after construction and safe to share across threads: only
-    blocks of ``2**k`` factors are memoized, on (start phase, k), and a
-    product of any length chains the blocks of its length's set bits, so
+    blocks of ``2**k`` factors are memoized, on (start phase, k).  A run
+    of any length is the blocks of its length's set bits (``blocks``), so
     a ``T``-epoch run caches at most ``period * (floor(log2 T) + 1)``.
     """
 
@@ -202,17 +212,26 @@ class GraphSchedule:
     def period(self) -> int:
         return len(self.matrices)
 
-    def transition_product(self, start: int, count: int) -> np.ndarray:
-        """Product of ``count`` matrices from step ``start``, latest on the left."""
+    def blocks(self, start: int, count: int) -> list[np.ndarray]:
+        """Memoized blocks of the ``count`` matrices from step ``start``, earliest first.
+
+        One product of ``2**k`` consecutive matrices per set bit k of
+        ``count``, lowest bit first, so that applying the blocks in turn
+        (``mix``) applies the ``count`` matrices in turn.  Callers must not
+        write them.
+        """
         if count < 1:
             raise ValueError("need at least one factor")
-        phase, product = start % self.period, None
+        out, phase = [], start % self.period
         for k in range(count.bit_length()):
             if count >> k & 1:
-                block = self._block(phase, k)
-                product = block if product is None else block @ product
+                out.append(self._block(phase, k))
                 phase = (phase + (1 << k)) % self.period
-        return product
+        return out
+
+    def transition_product(self, start: int, count: int) -> np.ndarray:
+        """Product of ``count`` matrices from step ``start``, latest on the left."""
+        return _product(self.blocks(start, count))
 
     def _block(self, phase: int, k: int) -> np.ndarray:
         """Product of the ``2**k`` matrices from ``phase``, memoized."""
@@ -229,20 +248,51 @@ class GraphSchedule:
         return result
 
 
-def consensus_weights_for_epoch(
-    schedule: GraphSchedule, t: int, steps_mode: StepsMode
-) -> np.ndarray:
-    """Mixing coefficients for epoch ``t``: the product over its step block.
+def mix(blocks: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``x`` mixed through the product of ``blocks``: each block applied in turn.
 
-    Pure function of (schedule, t, mode), so any epoch can be replayed.
-    The result may be a memoized block that callers must not write; a
-    one-factor product is the matrix's own ``weights``.
+    ``x`` is an ``(m, ...)`` array or an ``(S, m, d)`` stack of states, each
+    of which a block multiplies on its own, so a state's bits do not
+    depend on the stack.  This is the one chain rule over blocks.
+    """
+    for block in blocks:
+        x = block @ x
+    return x
+
+
+def _product(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The blocks' product: the first block mixed through the rest."""
+    first, *rest = blocks
+    return mix(rest, first)
+
+
+def epoch_blocks(
+    schedule: GraphSchedule, t: int, steps_mode: StepsMode
+) -> list[np.ndarray]:
+    """Epoch ``t``'s step block as memoized blocks, earliest first.
+
+    ``mix(epoch_blocks(...), x)`` mixes ``x`` through the epoch's consensus
+    weights without forming them: popcount(steps) products with the state
+    instead of popcount(steps) - 1 products of ``(m, m)`` matrices.
     """
     if t < 0:
         raise ValueError("epoch must be >= 0")
     start = steps_mode.steps_before_epoch(t)
-    count = steps_mode.factors_for_epoch(t)
-    return schedule.transition_product(start, count)
+    return schedule.blocks(start, steps_mode.factors_for_epoch(t))
+
+
+def consensus_weights_for_epoch(
+    schedule: GraphSchedule, t: int, steps_mode: StepsMode
+) -> np.ndarray:
+    """Mixing coefficients for epoch ``t``: the product of its ``epoch_blocks``.
+
+    Pure function of (schedule, t, mode), so any epoch can be replayed.
+    It is the same fold as mixing through the blocks, started at the
+    first block instead of a state.  The result may be a memoized block
+    that callers must not write; a one-factor product is the matrix's own
+    ``weights``.
+    """
+    return _product(epoch_blocks(schedule, t, steps_mode))
 
 
 def _union_connected(edge_sets: list[set[tuple[int, int]]], m: int) -> bool:

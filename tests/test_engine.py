@@ -110,7 +110,7 @@ def test_identical_agents_stay_identical():
     x = np.zeros((1, 2, problem.dim))
     for t in range(20):
         perm = epoch_indices(Mode.RR, 3, t, 1, problem.n)
-        x, _ = run_epoch_dpgrr(x, problem, 0.1, weights, perm[None], t)
+        x, _ = run_epoch_dpgrr(x, problem, 0.1, [weights], perm[None], t)
         assert np.array_equal(x[0, 0], x[0, 1])
 
 
@@ -551,6 +551,34 @@ def test_a_run_failing_behind_a_healthy_one_reports_as_alone():
         run([LATE], problem)
     assert _failure(batched) == _failure(alone)
     assert _failure(alone)[:5] == ("dpg-sg seed 2", 1, 14, 1, "inner")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_no_row_is_evaluated_once_a_later_run_has_failed(monkeypatch):
+    # `run` raises the late run's failure whatever the healthy run does
+    # after it, so the rows of the cut batch are never evaluated
+    events = []
+    full_objective, run_epoch = engine.objectives.full_objective, engine.run_epoch_dpgrr
+
+    def counted(*args):
+        events.append("record")
+        return full_objective(*args)
+
+    def watched(*args, **kwargs):
+        try:
+            return run_epoch(*args, **kwargs)
+        except NonFiniteIterate:
+            events.append("cut")
+            raise
+
+    monkeypatch.setattr(engine.objectives, "full_objective", counted)
+    monkeypatch.setattr(engine, "run_epoch_dpgrr", watched)
+    healthy = RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0)
+    with pytest.raises(NonFiniteIterate):
+        run([healthy, LATE], overflow_problem())
+    assert events.count("cut") == 1
+    assert "record" not in events[events.index("cut"):]
+    assert events[0] == "record"  # the initial row, before any epoch
 
 
 _CHUNKED = {

@@ -12,7 +12,9 @@ from dpgrr.netgraph import (
     MixingMatrix,
     StepsMode,
     consensus_weights_for_epoch,
+    epoch_blocks,
     metropolis_weights,
+    mix,
     validate_schedule,
 )
 
@@ -190,6 +192,45 @@ def test_memoized_product_matches_naive():
         for k in range(start + 1, start + count):
             naive = mats[k % 3].weights @ naive
         assert np.allclose(got, naive, atol=1e-12)
+
+
+def _block_at_a_time_product(sched, start, count):
+    # the product loop that chained the blocks before they were a list
+    phase, product = start % sched.period, None
+    for k in range(count.bit_length()):
+        if count >> k & 1:
+            block = sched._block(phase, k)
+            product = block if product is None else block @ product
+            phase = (phase + (1 << k)) % sched.period
+    return product
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_mixing_through_the_blocks_is_mixing_through_the_weights(period):
+    rng = np.random.default_rng(40 + period)
+    m, runs, d = 6, 3, 4
+    # row stochastic but not symmetric, so the order of the factors shows
+    rows = rng.random((period, m, m)) * (rng.random((period, m, m)) < 0.6) + np.eye(m)
+    sched = GraphSchedule(
+        tuple(MixingMatrix(r / r.sum(axis=1, keepdims=True), 0.0) for r in rows), period)
+    # growing epochs take 1-70 steps, fixed ones 1-70 from a few offsets
+    epochs = [(StepsMode.growing(), t) for t in range(70)]
+    epochs += [(StepsMode.fixed(k), t) for k in range(1, 71) for t in (0, 1, 5)]
+    for mode, t in epochs:
+        count = mode.factors_for_epoch(t)
+        state = rng.uniform(-1.0, 1.0, (runs, m, d))
+        weights = consensus_weights_for_epoch(sched, t, mode)
+        assert np.array_equal(
+            weights, _block_at_a_time_product(sched, mode.steps_before_epoch(t), count))
+        mixed = mix(epoch_blocks(sched, t, mode), state)
+        assert np.abs(mixed - weights @ state).max() <= 1e-14, (mode, t)
+        if count & (count - 1) == 0:  # one block
+            assert np.array_equal(mixed, weights @ state)
+        # and both agree with applying the matrices one step at a time
+        naive = state
+        for k in range(mode.steps_before_epoch(t), mode.steps_before_epoch(t) + count):
+            naive = sched.matrices[k % period].weights @ naive
+        assert np.abs(mixed - naive).max() <= 1e-13
 
 
 def test_product_memo_is_logarithmic_in_horizon():
