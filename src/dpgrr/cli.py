@@ -26,7 +26,6 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
-    LibsvmSpec,
     build_problem,
     canonical_dict,
     config_hash,

@@ -3,17 +3,20 @@
 A config file fully determines a reproducible experiment.  The canonical
 hash covers exactly the semantic fields (with defaults materialized), so
 reformatting or reordering a file never changes the hash while any
-meaningful edit does.
+meaningful edit does.  Each mapping's keys are listed once, in a field
+table (``_Field``/``_Table``) that drives reading, unknown-key rejection
+and the canonical form alike, so the loader and the hash cannot drift
+apart.  Error messages name the dotted path of the offending key.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
@@ -113,97 +116,250 @@ class ExperimentConfig:
         return self.base_dir / self.fixtures
 
 
-def _mapping(raw, where: str) -> dict:
+_REQUIRED = object()
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _mapping(raw, path: str) -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be a mapping")
+        raise ConfigError(f"{path or 'config'}: must be a mapping")
     return raw
 
 
-def _known(raw: dict, prefix: str, keys: tuple[str, ...]) -> None:
-    """Reject a key of ``raw`` not in ``keys``; ``prefix`` is its dotted path."""
-    for key in raw:
-        if key not in keys:
-            path = f"{prefix}.{key}" if prefix else str(key)
-            raise ConfigError(f"{path}: unknown key; known here: {', '.join(keys)}")
+class _Field(NamedTuple):
+    """One key of a config mapping.
+
+    ``read(value, path)`` checks and converts the YAML value found at the
+    dotted ``path``; ``default`` stands in for an absent key, and
+    ``_REQUIRED`` makes its absence an error.  ``attr`` names the
+    dataclass field when it differs from the key.  ``dump`` gives the
+    field's canonical (hashed) form; None leaves it out of the hash.
+    """
+
+    key: str
+    read: Callable[[Any, str], Any]
+    default: Any = _REQUIRED
+    attr: str | None = None
+    dump: Callable[[Any], Any] | None = lambda value: value
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in _mapping(mapping, where):
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+class _Table(NamedTuple):
+    """The fields of one config mapping and the constructor they feed."""
+
+    build: Callable[..., Any]
+    fields: tuple[_Field, ...]
+
+    def read(self, raw, path: str, **extra):
+        """Build the mapping at ``path``; a ``TypeError`` or ``ValueError``
+        met on the way is reported as a ``ConfigError`` on ``path``."""
+        keys = [f.key for f in self.fields]
+        for key in _mapping(raw, path):
+            if key not in keys:
+                raise ConfigError(
+                    f"{_join(path, key)}: unknown key; known here: {', '.join(keys)}"
+                )
+        values = {}
+        try:
+            for f in self.fields:
+                if f.key in raw:
+                    values[f.attr or f.key] = f.read(raw[f.key], _join(path, f.key))
+                elif f.default is _REQUIRED:
+                    raise ConfigError(f"{_join(path, f.key)}: missing required key")
+                else:
+                    values[f.attr or f.key] = f.default
+            return self.build(**values, **extra)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path or 'config'}: {exc}") from None
+
+    def dump(self, obj) -> dict:
+        return {
+            f.key: f.dump(getattr(obj, f.attr or f.key))
+            for f in self.fields
+            if f.dump is not None
+        }
 
 
-def _typed(value, kind: type, what: str, nullable: bool = False):
-    """``value`` if YAML read it as exactly ``kind`` (no bool is an int) or null."""
-    if type(value) is not kind and not (nullable and value is None):
-        name = "an integer" if kind is int else "true or false"
-        raise ConfigError(f"{what} must be {name}, not {value!r}")
+def _exactly(kind: type, name: str):
+    """Reader of a value YAML read as exactly ``kind`` (no bool is an int)."""
+    def read(value, path: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{path} must be {name}, not {value!r}")
+        return value
+    return read
+
+
+_int = _exactly(int, "an integer")
+_bool = _exactly(bool, "true or false")
+_str = _exactly(str, "a string")
+
+
+def _number(accept=math.isfinite, need: str = "finite"):
+    """Reader of a YAML number or number string that ``accept`` admits.
+
+    PyYAML reads ``1e-3`` (no dot in the mantissa) as a string, so number
+    strings (and a quoted ``.inf``) stay accepted; a YAML bool is an error.
+    """
+    def read(value, path: str) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ConfigError(f"{path} must be a number, not {value!r}")
+        try:
+            number = math.inf if value == ".inf" else float(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if not accept(number):
+            raise ConfigError(f"{path} must be {need}, not {value!r}")
+        return number
+    return read
+
+
+_float = _number()
+
+
+def _or_none(read):
+    return lambda value, path: None if value is None else read(value, path)
+
+
+def _items(read, nonempty: bool = True):
+    """Reader of a YAML list into a tuple, item ``i`` read at ``path[i]``."""
+    def read_list(value, path: str) -> tuple:
+        try:
+            items = list(value)
+        except TypeError:
+            raise ConfigError(f"{path} must be a list, not {value!r}") from None
+        if nonempty and not items:
+            raise ConfigError(f"{path} must be nonempty")
+        return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(items))
+    return read_list
+
+
+def _one_of(options, value, path: str):
+    # a list compares an unhashable value instead of hashing it
+    if value not in list(options):
+        raise ConfigError(f"{path} must be one of {', '.join(options)}, not {value!r}")
     return value
 
 
-def _float(value, what: str) -> float:
-    """``float(value)`` of a YAML number or number string; a YAML bool is an error.
-
-    PyYAML reads ``1e-3`` (no dot in the mantissa) as a string, so number
-    strings stay accepted.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, not {value!r}")
-    return float(value)
+def _variant(tag: str, tables: dict[str, _Table]):
+    """Reader of a mapping whose ``tag`` value picks the table that reads it."""
+    def read(raw, path: str):
+        choice = _one_of(tables, _mapping(raw, path).get(tag), _join(path, tag))
+        return tables[choice].read(raw, path)
+    return read
 
 
-@contextlib.contextmanager
-def _reading(where: str):
-    """Report a malformed value met inside the block as a ``ConfigError``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+def _edge(value, path: str) -> tuple[int, int]:
+    i, j = value
+    return _int(i, f"{path}[0]"), _int(j, f"{path}[1]")
 
 
-def _parse_steps_mode(raw, where: str) -> StepsMode:
-    if raw == "growing" or raw is None:
+def _algorithm(value, path: str) -> str:
+    name = _str(value, path).lower()
+    if name not in ALGORITHMS:
+        raise ConfigError(f"{path}: unknown algorithm {name!r}")
+    return name
+
+
+def _one_dataset(synthetic=None, libsvm=None):
+    if (synthetic is None) == (libsvm is None):
+        raise ValueError("give exactly one of 'synthetic' or 'libsvm'")
+    return synthetic or libsvm
+
+
+_SYNTHETIC = _Table(SyntheticSpec, (
+    _Field("m", _int), _Field("n", _int), _Field("d", _int), _Field("seed", _int),
+    # inf gives noiseless labels; the data checks that it is > 0
+    _Field("separation", _number(lambda s: s > -math.inf, "finite or inf"), 5.0,
+           dump=lambda s: "inf" if s == math.inf else s),
+))
+_LIBSVM = _Table(LibsvmSpec, (
+    _Field("path", _str), _Field("m", _int), _Field("strategy", _str, "round_robin"),
+    _Field("shuffle_seed", _or_none(_int), None),
+))
+_DATASET = _Table(_one_dataset, (
+    _Field("synthetic", _SYNTHETIC.read, None), _Field("libsvm", _LIBSVM.read, None),
+))
+
+_KIND = _Field("kind", lambda value, path: RegKind(value), dump=lambda kind: kind.value)
+_PENALTY = _Table(Regularizer, (_KIND, _Field("lam", _float)))
+_REGULARIZER = _variant("kind", {
+    "zero": _Table(Regularizer, (_KIND, _Field("lam", _float, 0.0))),
+    "l1": _PENALTY,
+    "squared_l2": _PENALTY,
+})
+
+_FIXED = _Table(StepsMode.fixed, (_Field("fixed", _int, attr="k"),))
+
+
+def _steps_mode(value, path: str) -> StepsMode:
+    if value in ("growing", None):
         return StepsMode.growing()
-    if isinstance(raw, dict) and "fixed" in raw:
-        _known(raw, f"{where}.steps_mode", ("fixed",))
-        return StepsMode.fixed(_typed(raw["fixed"], int, f"{where}: fixed K"))
-    raise ConfigError(f"{where}: steps_mode must be 'growing' or {{fixed: K}}")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be 'growing' or {{fixed: K}}, not {value!r}")
+    return _FIXED.read(value, path)
 
 
-def _parse_step(raw: dict, where: str) -> StepRule:
-    rule = _require(raw, "rule", where)
-    with _reading(where):
-        if rule == "constant":
-            _known(raw, where, ("rule", "gamma"))
-            return StepRule.constant(_float(_require(raw, "gamma", where), "gamma"))
-        if rule == "sqrt_horizon":
-            _known(raw, where, ("rule", "scale"))
-            scale = raw.get("scale")
-            return StepRule.sqrt_horizon(None if scale is None else _float(scale, "scale"))
-    raise ConfigError(f"{where}: unknown step rule {rule!r}")
+_GRAPH = _Table(GraphSpec, (
+    _Field("slots", _items(_items(_edge, nonempty=False))),
+    _Field("eta", _float),
+    _Field("B", _int, attr="window"),
+    _Field("steps_mode", _steps_mode, StepsMode.growing(),
+           dump=lambda mode: mode.kind if mode.kind == "growing" else _FIXED.dump(mode)),
+))
+
+_RULE = _Field("rule", _str)
+_ALGORITHM = _Table(AlgoSpec, (
+    _Field("name", _algorithm),
+    # the canonical step writes all of rule, gamma and scale
+    _Field("step", _variant("rule", {
+        "constant": _Table(StepRule, (_RULE, _Field("gamma", _float))),
+        "sqrt_horizon": _Table(StepRule, (_RULE, _Field("scale", _or_none(_float), None))),
+    }), dump=asdict),
+))
+
+_DIAGNOSTICS = _Table(Diagnostics, (
+    _Field("record_v", _bool, False), _Field("record_sigma_star", _bool, False),
+))
 
 
-def _parse_algorithm(raw, where: str) -> AlgoSpec:
-    _known(_mapping(raw, where), where, ("name", "step"))
-    return AlgoSpec(
-        name=str(_require(raw, "name", where)).lower(),
-        step=_parse_step(_require(raw, "step", where), f"{where}.step"),
-    )
+def _dump_dataset(spec) -> dict:
+    if isinstance(spec, SyntheticSpec):
+        return {"synthetic": _SYNTHETIC.dump(spec)}
+    return {"libsvm": _LIBSVM.dump(spec)}
 
 
-def _parse_regularizer(raw: dict) -> Regularizer:
-    kind = _require(raw, "kind", "regularizer")
-    _known(raw, "regularizer", ("kind", "lam"))
-    try:
-        kind = RegKind(kind)
-    except ValueError:
-        raise ConfigError(f"regularizer: unknown kind {kind!r}") from None
-    lam = _float(raw.get("lam", 0.0), "lam")
-    if kind is not RegKind.ZERO and "lam" not in raw:
-        raise ConfigError("regularizer: non-zero kinds need 'lam'")
-    return Regularizer(kind, lam)
+def _loss(value, path: str) -> SmoothLossKind:
+    return SmoothLossKind(_one_of([k.value for k in SmoothLossKind], value, path))
+
+
+# the fields that determine the optimal value; fixtures are keyed on their hash
+_PROBLEM = _Table(ExperimentConfig, (
+    _Field("dataset", _DATASET.read, dump=_dump_dataset),
+    _Field("loss", _loss, dump=lambda loss: loss.value),
+    _Field("regularizer", _REGULARIZER, dump=_PENALTY.dump),
+))
+_CONFIG = _Table(ExperimentConfig, _PROBLEM.fields + (
+    _Field("graph", _GRAPH.read, dump=_GRAPH.dump),
+    _Field("algorithms", _items(_ALGORITHM.read),
+           dump=lambda algorithms: [_ALGORITHM.dump(a) for a in algorithms]),
+    _Field("T", _int, attr="horizon"),
+    _Field("seeds", _items(_int), (0,)),
+    _Field("output_dir", _str, "out", dump=None),
+    _Field("snapshot_cadence", _or_none(_int), None),
+    # null, or any empty value, keeps the defaults
+    _Field("diagnostics", lambda value, path: _DIAGNOSTICS.read(value or {}, path),
+           Diagnostics(), dump=_DIAGNOSTICS.dump),
+    _Field("enforce_step_bound", _bool, True),
+    # it bounds G_f and G_phi in the manifest
+    _Field("least_squares_radius", _number(lambda r: 0.0 <= r < math.inf,
+                                           "finite and >= 0"), 10.0),
+    _Field("x0", _float, 0.0),
+    _Field("fixtures", _str, "fixtures/oracle.json", dump=None),
+))
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
@@ -211,186 +367,25 @@ def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     with path.open() as fh:
         raw = yaml.safe_load(fh)
-    raw = _mapping(raw, str(path))
-    _known(raw, "", (
-        "dataset", "loss", "regularizer", "graph", "algorithms", "T", "seeds",
-        "output_dir", "snapshot_cadence", "diagnostics", "enforce_step_bound",
-        "least_squares_radius", "x0", "fixtures",
-    ))
-
-    ds_raw = _mapping(_require(raw, "dataset", str(path)), "dataset")
-    _known(ds_raw, "dataset", ("synthetic", "libsvm"))
-    if "synthetic" in ds_raw and "libsvm" in ds_raw:
-        raise ConfigError("dataset: give either 'synthetic' or 'libsvm', not both")
-    if "synthetic" in ds_raw:
-        s = _mapping(ds_raw["synthetic"], "dataset.synthetic")
-        _known(s, "dataset.synthetic", ("m", "n", "d", "seed", "separation"))
-        sep = s.get("separation", 5.0)
-        with _reading("dataset.synthetic"):
-            dataset = SyntheticSpec(
-                m=_typed(_require(s, "m", "dataset.synthetic"), int, "m"),
-                n=_typed(_require(s, "n", "dataset.synthetic"), int, "n"),
-                d=_typed(_require(s, "d", "dataset.synthetic"), int, "d"),
-                seed=_typed(_require(s, "seed", "dataset.synthetic"), int, "seed"),
-                separation=math.inf if sep in ("inf", ".inf") else _float(sep, "separation"),
-            )
-    elif "libsvm" in ds_raw:
-        s = _mapping(ds_raw["libsvm"], "dataset.libsvm")
-        _known(s, "dataset.libsvm", ("path", "m", "strategy", "shuffle_seed"))
-        with _reading("dataset.libsvm"):
-            dataset = LibsvmSpec(
-                path=str(_require(s, "path", "dataset.libsvm")),
-                m=_typed(_require(s, "m", "dataset.libsvm"), int, "m"),
-                strategy=str(s.get("strategy", "round_robin")),
-                shuffle_seed=_typed(s.get("shuffle_seed"), int, "shuffle_seed", nullable=True),
-            )
-    else:
-        raise ConfigError("dataset: need a 'synthetic' or 'libsvm' entry")
-
-    loss_raw = _require(raw, "loss", str(path))
-    try:
-        loss = SmoothLossKind(loss_raw)
-    except ValueError:
-        raise ConfigError(f"unknown loss {loss_raw!r}") from None
-
-    graph_raw = _require(raw, "graph", str(path))
-    slots_raw = _require(graph_raw, "slots", "graph")
-    _known(graph_raw, "graph", ("slots", "eta", "B", "steps_mode"))
-    if not slots_raw:
-        raise ConfigError("graph: need at least one slot")
-    with _reading("graph"):
-        edge = "graph: an edge index"
-        slots = tuple(
-            tuple((_typed(i, int, edge), _typed(j, int, edge)) for i, j in slot)
-            for slot in slots_raw
-        )
-        graph = GraphSpec(
-            slots=slots,
-            eta=_float(_require(graph_raw, "eta", "graph"), "eta"),
-            window=_typed(_require(graph_raw, "B", "graph"), int, "B"),
-            steps_mode=_parse_steps_mode(graph_raw.get("steps_mode"), "graph"),
-        )
-
-    algos_raw = _require(raw, "algorithms", str(path))
-    if not algos_raw:
-        raise ConfigError("need at least one algorithm")
-    with _reading("algorithms"):
-        algorithms = tuple(
-            _parse_algorithm(a, f"algorithms[{i}]") for i, a in enumerate(algos_raw)
-        )
-    for algo in algorithms:
-        if algo.name not in ALGORITHMS:
-            raise ConfigError(f"algorithms: unknown algorithm {algo.name!r}")
+    cfg = _CONFIG.read(raw, "", base_dir=path.resolve().parent)
+    for algo in cfg.algorithms:
         if algo.name == "dgm" and algo.step.rule != "constant":
             raise ConfigError("algorithms: dgm decays its own step; use a constant rule")
-
-    with _reading("seeds"):
-        seeds = tuple(_typed(s, int, "a seed") for s in raw.get("seeds", [0]))
-    if not seeds:
-        raise ConfigError("seeds must be nonempty")
     # each (algorithm, seed) run writes its own CSV, named by the pair
-    for what, values in (("algorithm", [a.name for a in algorithms]), ("seed", seeds)):
+    for what, values in (("algorithm", [a.name for a in cfg.algorithms]), ("seed", cfg.seeds)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
-
-    diag_raw = _mapping(raw.get("diagnostics", {}) or {}, "diagnostics")
-    _known(diag_raw, "diagnostics", ("record_v", "record_sigma_star"))
-
-    with _reading(str(path)):
-        cfg = ExperimentConfig(
-            dataset=dataset,
-            loss=loss,
-            regularizer=_parse_regularizer(_require(raw, "regularizer", str(path))),
-            graph=graph,
-            algorithms=algorithms,
-            horizon=_typed(_require(raw, "T", str(path)), int, "T"),
-            seeds=seeds,
-            output_dir=str(raw.get("output_dir", "out")),
-            snapshot_cadence=_typed(
-                raw.get("snapshot_cadence"), int, "snapshot_cadence", nullable=True
-            ),
-            diagnostics=Diagnostics(
-                record_v=_typed(diag_raw.get("record_v", False), bool, "record_v"),
-                record_sigma_star=_typed(
-                    diag_raw.get("record_sigma_star", False), bool, "record_sigma_star"
-                ),
-            ),
-            enforce_step_bound=_typed(
-                raw.get("enforce_step_bound", True), bool, "enforce_step_bound"
-            ),
-            least_squares_radius=_float(
-                raw.get("least_squares_radius", 10.0), "least_squares_radius"
-            ),
-            x0=_float(raw.get("x0", 0.0), "x0"),
-            fixtures=str(raw.get("fixtures", "fixtures/oracle.json")),
-            base_dir=path.resolve().parent,
-        )
     if cfg.horizon < 0:
         raise ConfigError("T must be >= 0")
     if cfg.snapshot_cadence is not None and cfg.snapshot_cadence < 1:
         raise ConfigError("snapshot_cadence must be >= 1")
-    if not 0.0 <= cfg.least_squares_radius < math.inf:
-        raise ConfigError("least_squares_radius must be finite and >= 0")
     return cfg
-
-
-def _dataset_dict(cfg: ExperimentConfig) -> dict:
-    if isinstance(cfg.dataset, SyntheticSpec):
-        d = cfg.dataset
-        return {
-            "synthetic": {
-                "m": d.m, "n": d.n, "d": d.d, "seed": d.seed,
-                "separation": "inf" if d.separation == math.inf else d.separation,
-            }
-        }
-    d = cfg.dataset
-    return {
-        "libsvm": {
-            "path": d.path, "m": d.m, "strategy": d.strategy,
-            "shuffle_seed": d.shuffle_seed,
-        }
-    }
-
-
-def _problem_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": _dataset_dict(cfg),
-        "loss": cfg.loss.value,
-        "regularizer": {"kind": cfg.regularizer.kind.value, "lam": cfg.regularizer.lam},
-    }
 
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:
     """Every semantic field with defaults materialized; paths excluded."""
-    mode = cfg.graph.steps_mode
-    return {
-        **_problem_dict(cfg),
-        "graph": {
-            "slots": [[list(e) for e in slot] for slot in cfg.graph.slots],
-            "eta": cfg.graph.eta,
-            "B": cfg.graph.window,
-            "steps_mode": mode.kind if mode.kind == "growing" else {"fixed": mode.k},
-        },
-        "algorithms": [
-            {
-                "name": a.name,
-                "step": {"rule": a.step.rule, "gamma": a.step.gamma,
-                         "scale": a.step.scale},
-            }
-            for a in cfg.algorithms
-        ],
-        "T": cfg.horizon,
-        "seeds": list(cfg.seeds),
-        "snapshot_cadence": cfg.snapshot_cadence,
-        "diagnostics": {
-            "record_v": cfg.diagnostics.record_v,
-            "record_sigma_star": cfg.diagnostics.record_sigma_star,
-        },
-        "enforce_step_bound": cfg.enforce_step_bound,
-        "least_squares_radius": cfg.least_squares_radius,
-        "x0": cfg.x0,
-    }
+    return _CONFIG.dump(cfg)
 
 
 def _digest(payload: dict) -> str:
@@ -404,7 +399,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def problem_hash(cfg: ExperimentConfig) -> str:
     """Hash of the fields that determine the optimal value (data + objective)."""
-    return _digest(_problem_dict(cfg))
+    return _digest(_PROBLEM.dump(cfg))
 
 
 def build_schedule(graph: GraphSpec, m: int) -> GraphSchedule:

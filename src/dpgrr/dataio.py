@@ -159,11 +159,13 @@ def synthesize_classification(
     """Seeded linear-classifier ``(features, labels)``: unit-ball rows, noisy margins.
 
     Labels are the sign of the margin against a hidden weight vector plus
-    Gaussian noise of scale 1/separation; infinite separation gives a
+    Gaussian noise of scale 1/separation (> 0); infinite separation gives a
     perfectly separable set.  Identical seeds give identical arrays.
     """
     if min(m, n, d) < 1:
         raise ValueError("m, n, d must all be >= 1")
+    if not separation > 0.0:
+        raise ValueError(f"separation must be > 0 (inf allowed), got {separation}")
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=d)
     noise_scale = 0.0 if separation == np.inf else 1.0 / separation

@@ -137,10 +137,14 @@ class StepRule:
     def __post_init__(self) -> None:
         if self.rule not in ("constant", "sqrt_horizon"):
             raise ValueError(f"unknown step rule {self.rule!r}")
-        if self.rule == "constant" and (self.gamma is None or self.gamma <= 0.0):
-            raise ValueError("constant rule needs gamma > 0")
-        if self.rule == "sqrt_horizon" and self.scale is not None and self.scale <= 0:
-            raise ValueError("sqrt_horizon scale must be > 0")
+        if self.rule == "constant" and not (
+            self.gamma is not None and 0.0 < self.gamma < math.inf
+        ):
+            raise ValueError(f"constant rule needs a finite gamma > 0, got {self.gamma}")
+        if self.rule == "sqrt_horizon" and self.scale is not None and not (
+            0.0 < self.scale < math.inf
+        ):
+            raise ValueError(f"sqrt_horizon scale must be finite and > 0, got {self.scale}")
 
     @classmethod
     def constant(cls, gamma: float) -> "StepRule":

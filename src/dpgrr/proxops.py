@@ -58,8 +58,8 @@ class Regularizer:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.lam >= 0.0:
-            raise ValueError(f"penalty weight must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"penalty weight must be finite and >= 0, got {self.lam}")
 
     @classmethod
     def zero(cls) -> "Regularizer":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import re
 import sys
 import warnings
@@ -8,10 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dpgrr.cli
 from dpgrr.cli import CSV_HEADER, main
-from dpgrr.config import ConfigError, build_problem, config_hash, load_config, problem_hash
+from dpgrr.config import (
+    ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
+)
 from dpgrr.objectives import smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
@@ -413,11 +418,35 @@ def test_loose_fixture_counts_as_absent(tmp_path):
     ("synth", "seeds: [3]", "seeds: [3]\nx0: true", "x0 must be a number, not True"),
     ("synth", "lam: 0.05", "lam: false", "lam must be a number, not False"),
     ("toy", "gamma: 0.5", "gamma: true", "gamma must be a number, not True"),
+    # every float but separation is finite, so a loaded config has a JSON manifest
+    ("synth", "lam: 0.05", "lam: .inf", "regularizer.lam must be finite, not inf"),
+    ("synth", "seeds: [3]", "seeds: [3]\nx0: .nan", "x0 must be finite, not nan"),
+    ("synth", "eta: 0.2", "eta: .inf", "graph.eta must be finite, not inf"),
+    ("toy", "gamma: 0.5", "gamma: .inf", "algorithms[0].step.gamma must be finite, not inf"),
+    ("toy", "gamma: 0.5", "gamma: .nan", "algorithms[0].step.gamma must be finite, not nan"),
+    ("synth", "{rule: sqrt_horizon}", "{rule: sqrt_horizon, scale: .nan}",
+     "algorithms[0].step.scale must be finite, not nan"),
+    # separation is > 0, or inf for noiseless labels
+    ("synth", "separation: 0.8", "separation: 0", "separation must be > 0"),
+    ("synth", "separation: 0.8", "separation: -1", "separation must be > 0"),
+    ("synth", "separation: 0.8", "separation: .nan",
+     "dataset.synthetic.separation must be finite or inf, not nan"),
+    # strings are never coerced
+    ("synth", "output_dir: ", "output_dir: null\n# ", "output_dir must be a string, not None"),
+    ("synth", "seeds: [3]", "seeds: [3]\nfixtures: null", "fixtures must be a string, not None"),
+    ("toy", "path: toy.libsvm", "path: null", "dataset.libsvm.path must be a string, not None"),
+    ("toy", "strategy: contiguous", "strategy: 5",
+     "dataset.libsvm.strategy must be a string, not 5"),
+    ("synth", "name: dpg-rr", "name: [dpg-rr]",
+     "algorithms[0].name must be a string, not ['dpg-rr']"),
 ], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
         "strategy", "too-few-samples", "steps-mode-fixed-0", "synthetic-m", "edge-triple",
         "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0", "T-float", "T-bool",
         "m-float", "enforce-step-bound-string", "record-v-string", "radius-inf",
-        "radius-negative", "x0-bool", "lam-bool", "gamma-bool"])
+        "radius-negative", "x0-bool", "lam-bool", "gamma-bool", "lam-inf", "x0-nan",
+        "eta-inf", "gamma-inf", "gamma-nan", "scale-nan", "separation-0",
+        "separation-negative", "separation-nan", "output-dir-null", "fixtures-null",
+        "path-null", "strategy-int", "name-list"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
     cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
     assert old in cfg.read_text()
@@ -482,6 +511,71 @@ SHIPPED_HASHES = {
 def test_shipped_config_loads_with_its_hashes(configs_dir, name):
     cfg = load_config(configs_dir / f"{name}.yaml")
     assert (config_hash(cfg), problem_hash(cfg)) == SHIPPED_HASHES[name]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+RETYPES = [None, True, 0, -1, 2.5, math.nan, math.inf, "x", [], {}]
+
+
+def _key_paths(node, prefix=()):
+    """The path of every mapping key and list item in a YAML tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _shipped_raw(name: str) -> dict:
+    raw = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    # the mutated copy lives elsewhere; it must still find its data file
+    libsvm = raw["dataset"].get("libsvm")
+    if libsvm:
+        libsvm["path"] = str(CONFIGS / libsvm["path"])
+    return raw
+
+
+@st.composite
+def config_mutations(draw):
+    """A shipped config, a key at any depth, and a drop, rename or new value."""
+    name = draw(st.sampled_from(sorted(SHIPPED_HASHES)))
+    where = draw(st.sampled_from(list(_key_paths(_shipped_raw(name)))))
+    renamable = isinstance(where[-1], str)
+    change = draw(st.sampled_from(["drop", *(["rename"] * renamable), *RETYPES]))
+    return name, where, change
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=config_mutations())
+@example(mutation=("synthetic_consensus", ("dataset", "synthetic", "separation"), 0))
+@example(mutation=("a9a_subset", ("regularizer", "lam"), math.inf))
+def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, mutation):
+    name, where, change = mutation
+    raw = _shipped_raw(name)
+    node = raw
+    for key in where[:-1]:
+        node = node[key]
+    if change == "drop":
+        del node[where[-1]]
+    elif change == "rename":
+        node[where[-1] + "_renamed"] = node.pop(where[-1])
+    else:
+        node[where[-1]] = change
+    path = tmp_path / "mutated.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        pass
+    else:
+        # a loaded config's hash input and manifest entry are strict JSON
+        json.dumps(canonical_dict(cfg), allow_nan=False)
+    assert main(["validate", "--config", str(path)]) in (0, 1)
 
 
 def test_bench_workload_configs_load(tmp_path, monkeypatch):

@@ -196,3 +196,9 @@ def test_synthesize_no_noise_is_separable():
     rng = np.random.default_rng(3)
     hidden = rng.normal(size=5)
     assert np.all(labels * (features @ hidden) >= 0.0)
+
+
+@pytest.mark.parametrize("separation", [0.0, -1.0, np.nan, -np.inf])
+def test_synthesize_needs_positive_separation(separation):
+    with pytest.raises(ValueError, match="separation must be > 0"):
+        synthesize_classification(2, 3, 4, separation=separation, seed=0)

@@ -68,6 +68,14 @@ def test_zero_step_rejected():
         StepRule.constant(0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_step_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        StepRule.constant(value)
+    with pytest.raises(ValueError, match="finite"):
+        StepRule.sqrt_horizon(value)
+
+
 def test_t_zero_records_only_initial_row(toy_ls_problem):
     [trace] = run([RunConfig("dpg-rr", 0, StepRule.constant(0.1))], toy_ls_problem)
     assert len(trace.rows) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,3 +159,10 @@ def test_subgradient_bound_values():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         Regularizer.l1(-0.1)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_non_finite_weight_rejected(lam):
+    for make in (Regularizer.l1, Regularizer.squared_l2):
+        with pytest.raises(ValueError, match="finite"):
+            make(lam)
