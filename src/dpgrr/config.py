@@ -224,13 +224,17 @@ def _or_none(read):
     return lambda value, path: None if value is None else read(value, path)
 
 
+def _list(value, path: str) -> list:
+    # a mapping or a string iterates too, but is not a list
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list, not {value!r}")
+    return value
+
+
 def _items(read, nonempty: bool = True):
     """Reader of a YAML list into a tuple, item ``i`` read at ``path[i]``."""
     def read_list(value, path: str) -> tuple:
-        try:
-            items = list(value)
-        except TypeError:
-            raise ConfigError(f"{path} must be a list, not {value!r}") from None
+        items = _list(value, path)
         if nonempty and not items:
             raise ConfigError(f"{path} must be nonempty")
         return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(items))
@@ -253,7 +257,7 @@ def _variant(tag: str, tables: dict[str, _Table]):
 
 
 def _edge(value, path: str) -> tuple[int, int]:
-    i, j = value
+    i, j = _list(value, path)
     return _int(i, f"{path}[0]"), _int(j, f"{path}[1]")
 
 
@@ -363,10 +367,17 @@ _CONFIG = _Table(ExperimentConfig, _PROBLEM.fields + (
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
-    """Read and check a config file; every malformed value is a ``ConfigError``."""
+    """Read and check a config file; a file that cannot be read or parsed,
+    and every malformed value, is a ``ConfigError``."""
     path = Path(path)
-    with path.open() as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with path.open() as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     cfg = _CONFIG.read(raw, "", base_dir=path.resolve().parent)
     for algo in cfg.algorithms:
         if algo.name == "dgm" and algo.step.rule != "constant":

@@ -34,10 +34,21 @@ Once a run behind the first has failed, ``run`` will raise that failure
 and discard the batch's traces, so the pending rows are dropped and no
 more are buffered; the earlier runs only keep stepping.
 
-Iterates are checked for finiteness once per phase.  Non-finite entries
-stay non-finite under later gradient steps, so when the local phase ends
-non-finite, replaying the lowest failing agent from its pre-epoch row
-finds the first inner step that overflowed.
+A logistic step reads only the sample's signed row ``y * a``, which the
+problem keeps once: labels are exactly +-1, so ``y <a, x> = <y a, x>`` and
+``-y sigma(-y z) a = -sigma(-u) (y a)`` hold bit for bit, and no label is
+gathered or multiplied per step.  Least squares steps on rows and labels.
+
+Each epoch tests its phase-1 output and its next state for finiteness,
+one whole-array test each.  That covers the mixed state too: mixing a
+finite state with finite weights gives finite values unless it
+overflows, and a non-finite mixed entry stays non-finite under every
+prox and under dgm's step.  Only when a test fails are the phases
+examined row by row, and the report names the first failing run, its
+lowest failing agent and that agent's first bad phase.  Non-finite
+entries stay non-finite under later gradient steps, so when the local
+phase ends non-finite, replaying the lowest failing agent from its
+pre-epoch row finds the first inner step that overflowed.
 """
 
 from __future__ import annotations
@@ -186,7 +197,10 @@ class ProblemBundle:
 
     ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` hold agent j's i-th
     sample at ``[j, i]``.  The bundle keeps checked read-only copies of
-    them, never freezing the caller's arrays.  Its schedule's matrices, and
+    them, never freezing the caller's arrays.  Logistic labels must be
+    exactly -1 or +1; for logistic problems ``signed`` is the read-only
+    ``labels[..., None] * features``, the rows the engine steps on (None
+    for least squares).  Its schedule's matrices, and
     so all their products, are nonnegative with unit row sums.  Compares
     by identity.
     """
@@ -198,6 +212,7 @@ class ProblemBundle:
     schedule: GraphSchedule
     f_star: float | None = None
     x_star: np.ndarray | None = None
+    signed: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=float)
@@ -211,6 +226,12 @@ class ProblemBundle:
             raise EmptyData(f"no samples: (m, n) = {labels.shape}")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("problem data contains non-finite values")
+        if self.kind is SmoothLossKind.LOGISTIC:
+            if not (np.abs(labels) == 1.0).all():
+                raise ValueError("logistic labels must be -1 or +1")
+            signed = labels[..., None] * features
+            signed.setflags(write=False)
+            object.__setattr__(self, "signed", signed)
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -288,17 +309,31 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
+def _sigmoid_of_minus(u: np.ndarray) -> np.ndarray:
+    """``sigma(-u)``, the branches of the stable sigmoid in one pass."""
+    e = np.exp(-np.abs(u))
+    return np.where(u <= 0.0, 1.0, e) / (1.0 + e)
+
+
 def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
-    """One gradient step of every row of ``x`` on its sample ``(a, y)``, in place."""
-    z = np.einsum("...d,...d->...", a, x)
-    x -= gamma * (objectives.loss_derivative(kind, z, y)[..., None] * a)
+    """One gradient step of every row of ``x`` on its sample, in place.
+
+    A logistic sample is its signed row ``a`` alone (``y`` is None); a
+    least-squares sample is its row ``a`` and target ``y``.
+    """
+    u = np.einsum("...d,...d->...", a, x)
+    if y is None:
+        # gamma * (c * a), not (gamma * c) * a: the grouping keeps the bits
+        x += gamma * (_sigmoid_of_minus(u)[..., None] * a)
+    else:
+        x -= gamma * (objectives.loss_derivative(kind, u, y)[..., None] * a)
 
 
 def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
     """Replay one agent's local pass from ``x`` to its first non-finite step."""
     x = x[None, :].copy()
-    for i in range(y.size):
-        _inner_step(kind, gamma, x, a[None, i], y[None, i])
+    for i in range(len(a)):
+        _inner_step(kind, gamma, x, a[None, i], None if y is None else y[None, i])
         if not np.isfinite(x).all():
             return i
     return None
@@ -342,23 +377,27 @@ def run_epoch_dpgrr(
     m, n, kind = problem.m, problem.n, problem.kind
     # step i's samples of all runs are one contiguous (S, m, d) block
     rows, order = np.arange(m), perm.transpose(2, 0, 1)
-    a, y = problem.features[rows, order], problem.labels[rows, order]
+    if problem.signed is not None:
+        a, y = problem.signed[rows, order], None
+    else:
+        a, y = problem.features[rows, order], problem.labels[rows, order]
     inner = x.copy()
     inner_sum = np.empty((x.shape[0], n, x.shape[2])) if record_inner else None
     with np.errstate(all="ignore"):
         for i in range(n):
             if record_inner:
                 inner_sum[:, i] = inner.sum(axis=1)
-            _inner_step(kind, gamma, inner, a[i], y[i])
+            _inner_step(kind, gamma, inner, a[i], None if y is None else y[i])
         mixed = mix(blocks, inner)
         x_next = prox(problem.regularizer, gamma, mixed)
-    bad = _bad_rows(inner, mixed, x_next)
-    if bad.any():
+    if not (np.isfinite(inner).all() and np.isfinite(x_next).all()):
+        bad = _bad_rows(inner, mixed, x_next)
         s = int(np.argmax(bad.any(axis=(0, 2))))
         if bad[0, s].any():
             j = int(np.argmax(bad[0, s]))
             gamma_s = np.broadcast_to(gamma, (len(x), 1, 1))[s, 0, 0]
-            step = _first_bad_step(kind, gamma_s, x[s, j], a[:, s, j], y[:, s, j])
+            y_j = None if y is None else y[:, s, j]
+            step = _first_bad_step(kind, gamma_s, x[s, j], a[:, s, j], y_j)
             raise NonFiniteIterate(j, t, step, "inner", run=s)
         raise _phase_failure(t, s, ("mix", "prox"), bad[1:, s])
     return x_next, (inner_sum / m if record_inner else None)
@@ -378,16 +417,22 @@ def run_epoch_dgm(
     check_step(gamma_t, "epoch")
     with np.errstate(all="ignore"):
         mixed = mix(blocks, x)
-        features = problem.features
-        coef = objectives.loss_derivative(
-            problem.kind, np.einsum("jnd,sjd->sjn", features, mixed), problem.labels
-        )
+        if problem.signed is not None:
+            rows = problem.signed
+            # -sigma(-u) times the signed row is each term's old product
+            # -y sigma(-y z) times the row, so the sums keep their bits
+            coef = -_sigmoid_of_minus(np.einsum("jnd,sjd->sjn", rows, mixed))
+        else:
+            rows = problem.features
+            coef = objectives.loss_derivative(
+                problem.kind, np.einsum("jnd,sjd->sjn", rows, mixed), problem.labels
+            )
         grad = subgradient(problem.regularizer, mixed) + np.einsum(
-            "sjn,jnd->sjd", coef, features
+            "sjn,jnd->sjd", coef, rows
         )
         x_next = mixed - gamma_t * grad
-    bad = _bad_rows(mixed, x_next)
-    if bad.any():
+    if not np.isfinite(x_next).all():
+        bad = _bad_rows(mixed, x_next)
         s = int(np.argmax(bad.any(axis=(0, 2))))
         raise _phase_failure(t, s, ("mix", "step"), bad[:, s])
     return x_next

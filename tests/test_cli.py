@@ -439,6 +439,14 @@ def test_loose_fixture_counts_as_absent(tmp_path):
      "dataset.libsvm.strategy must be a string, not 5"),
     ("synth", "name: dpg-rr", "name: [dpg-rr]",
      "algorithms[0].name must be a string, not ['dpg-rr']"),
+    # nor is a mapping or a string a list
+    ("synth", "seeds: [3]", "seeds: {3: 1}", "seeds must be a list, not {3: 1}"),
+    ("synth", "seeds: [3]", "seeds: '3'", "seeds must be a list, not '3'"),
+    ("synth", "- [[0, 1]]", "- {}", "graph.slots[0] must be a list, not {}"),
+    ("synth", "- [[0, 1]]", "- [{0: 1}]", "graph.slots[0][0] must be a list, not {0: 1}"),
+    # a file that is not YAML at all
+    ("synth", "seeds: [3]", "seeds: [3", "synth.yaml is not valid YAML"),
+    ("synth", "seeds: [3]", "seeds: [3]\na: b: c", "synth.yaml is not valid YAML"),
 ], ids=["negative-seed", "seed-2**64", "eta", "edge", "synthetic-d", "algorithm",
         "strategy", "too-few-samples", "steps-mode-fixed-0", "synthetic-m", "edge-triple",
         "synthetic-scalar", "graph-scalar", "x0", "snapshot-cadence-0", "T-float", "T-bool",
@@ -446,7 +454,8 @@ def test_loose_fixture_counts_as_absent(tmp_path):
         "radius-negative", "x0-bool", "lam-bool", "gamma-bool", "lam-inf", "x0-nan",
         "eta-inf", "gamma-inf", "gamma-nan", "scale-nan", "separation-0",
         "separation-negative", "separation-nan", "output-dir-null", "fixtures-null",
-        "path-null", "strategy-int", "name-list"])
+        "path-null", "strategy-int", "name-list", "seeds-mapping", "seeds-string",
+        "slot-mapping", "edge-mapping", "yaml-unclosed", "yaml-mapping"])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new, message):
     cfg = write_synth(tmp_path) if template == "synth" else write_toy(tmp_path)
     assert old in cfg.read_text()
@@ -455,6 +464,18 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, template, old, new
         assert main([command, "--config", str(cfg)]) == 1, command
         err = capsys.readouterr().err
         assert "config error" in err and message in err, (command, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["missing.yaml", "a_directory"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
+        load_config(path)
+    for command in ("validate", "run", "oracle"):
+        assert main([command, "--config", str(path)]) == 1, command
+        assert f"config error: cannot read {path}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -23,7 +23,9 @@ from dpgrr.netgraph import (
     StepsMode,
     consensus_weights_for_epoch,
     metropolis_weights,
+    mix,
 )
+from dpgrr import objectives
 from dpgrr.objectives import (
     DimensionMismatch,
     EmptyData,
@@ -229,6 +231,113 @@ def test_nonfinite_report_follows_serial_agent_order():
     assert (err.value.phase, err.value.inner_step) == ("inner", 1)
 
 
+# margins where the two sigmoid branches meet, where exp underflows, and
+# where the margin itself is near the largest float
+MARGINS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("gamma", [0.5, np.array([0.5, 3.0]).reshape(2, 1, 1)])
+def test_fused_logistic_step_matches_the_loss_derivative_form(gamma):
+    # the step on signed rows y * a against the label form
+    # x -= gamma * (loss_derivative(z, y) * a), with z = <a, x>
+    rng = np.random.default_rng(0)
+    margins = np.array(MARGINS).reshape(2, 5, 1)
+    cases = [(margins, np.ones_like(margins))]  # <a, x> is the margin itself
+    for scale in (1.0, 1e3):
+        cases.append((rng.normal(size=(2, 5, 7)) * scale, rng.normal(size=(2, 5, 7))))
+    for x, a in cases:
+        for y in (np.ones(x.shape[:2]), -np.ones(x.shape[:2]),
+                  rng.choice([-1.0, 1.0], size=x.shape[:2])):
+            want = x.copy()
+            z = np.einsum("...d,...d->...", a, want)
+            want -= gamma * (objectives.loss_derivative(LOG, z, y)[..., None] * a)
+            got = x.copy()
+            engine._inner_step(LOG, gamma, got, y[..., None] * a, None)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("reg", [Regularizer.zero(), Regularizer.l1(0.1),
+                                 Regularizer.squared_l2(0.3)], ids=lambda r: r.kind.value)
+def test_dgm_gradient_on_signed_rows_matches_the_loss_derivative_form(reg):
+    rng = np.random.default_rng(1)
+    features = rng.normal(size=(3, 4, 5))
+    features[..., 0] = 0.0  # a feature no sample has: its sums are all zeros
+    features[0, :, 1] = -0.0
+    labels = rng.choice([-1.0, 1.0], size=(3, 4))
+    schedule = GraphSchedule((metropolis_weights({(0, 1), (1, 2)}, 3, 0.3),), 1)
+    problem = ProblemBundle(features, labels, LOG, reg, schedule)
+    gamma = np.array([0.2, 0.7]).reshape(2, 1, 1)
+    x = rng.normal(size=(2, 3, 5))
+    x[0, :, 0] = -0.0  # and a zero coordinate, so a zero's sign shows in the step
+    # one agent whose two samples have margin +-x, x in MARGINS
+    probe = ProblemBundle(np.ones((1, 2, 1)), np.array([[1.0, -1.0]]), LOG, reg,
+                          GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1))
+    edge = np.array(MARGINS).reshape(-1, 1, 1)
+    # no block mixes through the identity, keeping the state's zero signs
+    for p, blocks, state, g in ((problem, [schedule.matrices[0].weights], x, gamma),
+                                (problem, [], x, gamma), (probe, [], edge, 0.5)):
+        with np.errstate(all="ignore"):
+            mixed = mix(blocks, state)
+            z = np.einsum("jnd,sjd->sjn", p.features, mixed)
+            coef = objectives.loss_derivative(LOG, z, p.labels)
+            grad = subgradient(reg, mixed) + np.einsum("sjn,jnd->sjd", coef, p.features)
+            want = mixed - g * grad
+        got = engine.run_epoch_dgm(state, p, g, blocks, 0)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _crafted_failure(epoch, *args):
+    with pytest.raises(NonFiniteIterate) as err:
+        epoch(*args)
+    e = err.value
+    return e.run, e.agent, e.epoch, e.inner_step, e.phase
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind", [LOG, LS])
+def test_a_block_that_overflows_reports_phase_mix(kind):
+    # every inner iterate is finite; the block's first row overflows them
+    features = np.ones((2, 2, 1))
+    labels = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    schedule = GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1)
+    problem = ProblemBundle(features, labels, kind, Regularizer.l1(0.1), schedule)
+    overflow = np.array([[1e10, 0.0], [0.0, 1.0]])
+    perm = np.array([[[0, 1], [1, 0]]] * 2)
+    x = np.full((2, 2, 1), 1e300)
+    x[0] = 1.0  # run 0 mixes finitely, run 1 overflows
+    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], perm, 4) == (
+        1, 0, 4, None, "mix")
+    # both runs fail; the first is reported, with its own lowest bad agent
+    x[0, 1] = -1e300
+    overflow[1] = [0.0, 1e10]
+    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], perm, 4) == (
+        0, 1, 4, None, "mix")
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+def test_dgm_reports_phase_mix_and_step():
+    features = np.ones((2, 2, 1))
+    labels = np.array([[1000.0, 1000.0], [1.0, 1.0]])
+    schedule = GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1)
+    problem = ProblemBundle(features, labels, LS, Regularizer.zero(), schedule)
+    dgm = engine.run_epoch_dgm
+    overflow = [np.array([[1.0, 0.0], [0.0, 1e10]])]
+    x = np.zeros((2, 2, 1))
+    x[1, 1] = 1e300
+    assert _crafted_failure(dgm, x, problem, 1e-3, overflow, 3) == (1, 1, 3, None, "mix")
+    # finite mixing; agent 0's step -gamma * 2 * (0 - 1000) overflows
+    assert _crafted_failure(dgm, np.zeros((2, 2, 1)), problem, 1e306, [np.eye(2)], 5) == (
+        0, 0, 5, None, "step")
+    # the lowest failing agent is reported: agent 0's step, not agent 1's mix
+    x = np.zeros((1, 2, 1))
+    x[0, 1] = 1e300
+    assert _crafted_failure(dgm, x, problem, 1e306, overflow, 6) == (0, 0, 6, None, "step")
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         RunConfig("dpg-xx", 1, StepRule.constant(0.1))
@@ -318,6 +427,23 @@ def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
     # identity comparison: neither == nor hash raises on the arrays
     assert (p == dataclasses.replace(p)) is False
     assert p == p and hash(p) == hash(p)
+
+
+def test_logistic_labels_are_plus_or_minus_one():
+    features, labels = synthesize_classification(m=2, n=3, d=2, separation=1.0, seed=0)
+    schedule = GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1)
+    p = ProblemBundle(features, labels, LOG, Regularizer.zero(), schedule)
+    # the engine steps on the signed rows, kept once and read-only
+    assert np.array_equal(p.signed, labels[..., None] * features)
+    with pytest.raises(ValueError):
+        p.signed[0, 0, 0] = 5.0
+    for bad in (0.0, 2.0, -0.5):
+        other = labels.copy()
+        other[1, 2] = bad
+        with pytest.raises(ValueError, match="logistic labels must be -1 or \\+1"):
+            ProblemBundle(features, other, LOG, Regularizer.zero(), schedule)
+        # least squares takes any finite target and keeps no signed rows
+        assert ProblemBundle(features, other, LS, Regularizer.zero(), schedule).signed is None
 
 
 def test_bundle_rejects_non_stochastic_mixing_rows():
