@@ -366,13 +366,19 @@ _CONFIG = _Table(ExperimentConfig, _PROBLEM.fields + (
 ))
 
 
+# libyaml scans and parses; PyYAML's safe constructor and resolver still
+# build the values, so both loaders give the same Python objects.  The
+# pure-Python loader serves only a PyYAML built without libyaml.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: Path | str) -> ExperimentConfig:
     """Read and check a config file; a file that cannot be read or parsed,
     and every malformed value, is a ``ConfigError``."""
     path = Path(path)
     try:
         with path.open() as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read {path}: {reason}") from None

@@ -168,16 +168,16 @@ def synthesize_classification(
         raise ValueError(f"separation must be > 0 (inf allowed), got {separation}")
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=d)
-    noise_scale = 0.0 if separation == np.inf else 1.0 / separation
-    features = np.empty((m, n, d))
-    labels = np.empty((m, n))
-    for j in range(m):
-        for i in range(n):
-            g = rng.normal(size=d)
-            a = g / max(1.0, float(np.linalg.norm(g)))
-            margin = float(a @ hidden)
-            if noise_scale > 0.0:
-                margin += noise_scale * rng.normal()
-            features[j, i] = a
-            labels[j, i] = 1.0 if margin >= 0.0 else -1.0
-    return features, labels
+    noisy = separation != np.inf
+    # sample k's d normals, then its noise normal if any: one row each, in
+    # the generator's order, so the block holds the per-sample draws
+    draws = rng.normal(size=(m * n, d + noisy))
+    gs = draws[:, :d]
+    # one dot per row: a batched norm or matvec would sum in another order
+    norms = np.sqrt([g.dot(g) for g in gs])
+    features = gs / np.maximum(1.0, norms)[:, None]
+    margins = np.array([a @ hidden for a in features])
+    if noisy:
+        margins += (1.0 / separation) * draws[:, d]
+    labels = np.where(margins >= 0.0, 1.0, -1.0)
+    return features.reshape(m, n, d), labels.reshape(m, n)

@@ -391,7 +391,9 @@ def run_epoch_dpgrr(
         mixed = mix(blocks, inner)
         x_next = prox(problem.regularizer, gamma, mixed)
     if not (np.isfinite(inner).all() and np.isfinite(x_next).all()):
-        bad = _bad_rows(inner, mixed, x_next)
+        # every prox maps a finite row to a finite row, so a non-finite
+        # next state has a non-finite inner or mixed row first
+        bad = _bad_rows(inner, mixed)
         s = int(np.argmax(bad.any(axis=(0, 2))))
         if bad[0, s].any():
             j = int(np.argmax(bad[0, s]))
@@ -399,7 +401,7 @@ def run_epoch_dpgrr(
             y_j = None if y is None else y[:, s, j]
             step = _first_bad_step(kind, gamma_s, x[s, j], a[:, s, j], y_j)
             raise NonFiniteIterate(j, t, step, "inner", run=s)
-        raise _phase_failure(t, s, ("mix", "prox"), bad[1:, s])
+        raise _phase_failure(t, s, ("mix",), bad[1:, s])
     return x_next, (inner_sum / m if record_inner else None)
 
 

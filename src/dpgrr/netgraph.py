@@ -84,13 +84,9 @@ class MixingMatrix:
 
     def edges(self) -> set[tuple[int, int]]:
         """Undirected edges carried by nonzero off-diagonal weights."""
-        m = self.size
-        return {
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if self.weights[i, j] > 0.0 or self.weights[j, i] > 0.0
-        }
+        w = self.weights
+        rows, cols = np.nonzero(np.triu((w > 0.0) | (w.T > 0.0), 1))
+        return set(zip(rows.tolist(), cols.tolist()))
 
     def issues(self) -> list[str]:
         w = self.weights

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dpgrr.cli
+import dpgrr.config
 from dpgrr.cli import CSV_HEADER, main
 from dpgrr.config import (
     ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
@@ -532,6 +533,62 @@ SHIPPED_HASHES = {
 def test_shipped_config_loads_with_its_hashes(configs_dir, name):
     cfg = load_config(configs_dir / f"{name}.yaml")
     assert (config_hash(cfg), problem_hash(cfg)) == SHIPPED_HASHES[name]
+
+
+def _two_matching_rings(tmp_path: Path, m: int = 100) -> list[Path]:
+    """A generated config like the wide_ring bench workload's, written as
+    the bench writes it (JSON, which is YAML) and as block YAML."""
+    raw = {
+        "dataset": {"synthetic": {"m": m, "n": 2, "d": 20, "seed": 7, "separation": 2.0}},
+        "loss": "logistic",
+        "regularizer": {"kind": "l1", "lam": 0.01},
+        "graph": {"eta": 0.01, "B": 2, "steps_mode": "growing", "slots": [
+            [[i, i + 1] for i in range(0, m, 2)],
+            [[i, (i + 1) % m] for i in range(1, m, 2)],
+        ]},
+        "algorithms": [{"name": "dpg-rr", "step": {"rule": "sqrt_horizon"}}],
+        "T": 800,
+        "seeds": [1],
+        "snapshot_cadence": 1,
+    }
+    paths = [tmp_path / "ring_json.yaml", tmp_path / "ring_block.yaml"]
+    paths[0].write_text(json.dumps(raw, indent=1) + "\n")
+    paths[1].write_text(yaml.safe_dump(raw))
+    return paths
+
+
+# the parent's hashes of both ring files, loaded with the pure loader
+RING_HASHES = ("77758b00bc37c8acbf81ad5b968b86b940de505b5b2990a9cd2b3bf818e658a5",
+               "e0d1861f9f77ea16c1063896c64726bdec6706e63582fc43fbd064fc531aabb3")
+
+
+@pytest.mark.parametrize("loader", [
+    yaml.SafeLoader,
+    pytest.param(getattr(yaml, "CSafeLoader", None), marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")),
+], ids=["pure", "libyaml"])
+def test_both_yaml_loaders_load_the_same_configs(configs_dir, tmp_path, monkeypatch, loader):
+    names = sorted(SHIPPED_HASHES)
+    paths = [configs_dir / f"{name}.yaml" for name in names] + _two_matching_rings(tmp_path)
+    hashes = [SHIPPED_HASHES[name] for name in names] + [RING_HASHES] * 2
+    monkeypatch.setattr(dpgrr.config, "_LOADER", yaml.SafeLoader)
+    pure = [load_config(path) for path in paths]
+    monkeypatch.setattr(dpgrr.config, "_LOADER", loader)
+    for path, want, expected in zip(paths, pure, hashes):
+        cfg = load_config(path)
+        assert cfg == want, path.name
+        assert (config_hash(cfg), problem_hash(cfg)) == expected, path.name
+    # a malformed file is a config error under either loader
+    for text in ("seeds: [3\n", "a: b: c\n"):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match="bad.yaml is not valid YAML"):
+            load_config(bad)
+
+
+def test_the_default_loader_is_libyaml_when_built_in():
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert dpgrr.config._LOADER is want
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

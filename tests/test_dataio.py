@@ -102,6 +102,35 @@ def test_packed_arrays_of_shipped_text_configs_are_pinned(configs_dir, name):
     assert hashlib.sha256(blob).hexdigest() == PACKED_DIGESTS[name]
 
 
+# the same digest of the shipped synthetic problems and of two direct
+# draws: the wide_ring bench shape, and a noiseless one (no noise draws)
+SYNTHETIC_DIGESTS = {
+    "sampler_comparison": "6eebeba9664e96511bfed6446b7508f400fe8c6218a3b4b114c1739fa373409e",
+    "synthetic_consensus": "ff058d696aed7e387f3992c59b77daa1244ee4c27a05462d2380ee01c53c7175",
+}
+SYNTHESIZED_DIGESTS = {
+    (100, 2, 20, 2.0, 7): "110cf00471740e5d463917ea2eb2ca52c704e0b3b05dfa314a909bd9c668d22c",
+    (4, 10, 5, np.inf, 3): "06371e1328fd4b22666565a11c0eb1477fcbe1fc395cd34c7b2abbcbb4a34795",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_DIGESTS))
+def test_packed_arrays_of_shipped_synthetic_configs_are_pinned(configs_dir, name):
+    problem, _ = build_problem(load_config(configs_dir / f"{name}.yaml"))
+    blob = problem.features.tobytes() + problem.labels.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == SYNTHETIC_DIGESTS[name]
+
+
+@pytest.mark.parametrize("shape", sorted(SYNTHESIZED_DIGESTS), ids=str)
+def test_synthesized_arrays_are_pinned(shape):
+    m, n, d, separation, seed = shape
+    features, labels = synthesize_classification(m, n, d, separation=separation, seed=seed)
+    assert features.shape == (m, n, d) and labels.shape == (m, n)
+    assert features.flags.c_contiguous and labels.flags.c_contiguous
+    blob = features.tobytes() + labels.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == SYNTHESIZED_DIGESTS[shape]
+
+
 def test_roundtrip_preserves_samples():
     rng = np.random.default_rng(0)
     features = np.zeros((25, 50))

@@ -2,7 +2,8 @@ import glob
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpgrr.config import build_schedule, load_config
 from dpgrr.netgraph import (
@@ -66,6 +67,33 @@ def test_metropolis_preconditions():
         metropolis_weights({(0, 5)}, 3, 0.1)  # out of range
     with pytest.raises(ValueError):
         metropolis_weights({(0, 1)}, 3, 0.5)  # eta > 1/m
+
+
+def _edges_by_double_loop(w: np.ndarray) -> set[tuple[int, int]]:
+    m = len(w)
+    return {
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if w[i, j] > 0.0 or w[j, i] > 0.0
+    }
+
+
+# zeros of both signs, subnormals and tiny normals beside ordinary weights
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda m: arrays(float, (m, m), elements=WEIGHTS)))
+@example(np.array([[0.0, 5e-324, -0.0], [-0.0, 1.0, 0.0], [1e-310, 0.0, 0.0]]))
+def test_edges_match_the_double_loop_over_any_support(weights):
+    # the support need not be symmetric: either direction carries the edge
+    edges = MixingMatrix(weights, 0.1).edges()
+    assert edges == _edges_by_double_loop(weights)
+    assert all(type(i) is int and type(j) is int for i, j in edges)
 
 
 def test_eta_violation_detected_on_doctored_matrix():
