@@ -6,7 +6,8 @@ the proximal algorithms has three barrier-separated phases:
 
   1. every agent takes n local stochastic gradient steps following its
      epoch index sequence; each step is one vectorized update of all S*m
-     rows, with each run's own step size,
+     rows, with each run's own step size (one float when the runs share
+     it, as the products are the same and a float skips broadcasting),
   2. all agents' phase-1 outputs are mixed through the epoch's consensus
      weights, the same for every run: the state is multiplied by each of
      the epoch's memoized power-of-two blocks of schedule matrices in
@@ -16,8 +17,12 @@ the proximal algorithms has three barrier-separated phases:
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
 this single code path and differ only in the ``(m, n)`` index block drawn
-for each run and epoch (the fixed order draws its block once), so they
-advance in one batch.
+for each run and epoch, so they advance in one batch.  A batch keeps one
+``(S, m, n)`` index buffer and a table of each run's (row, sampler, seed):
+every epoch ``sampling.fill_indices`` redraws the rows of the reshuffled
+and with-replacement runs, and the fixed order's rows are filled once.
+Each epoch gathers its samples with one ``take`` on the flat ``(m n, d)``
+rows.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
 step size; its runs batch among themselves.
@@ -37,7 +42,9 @@ more are buffered; the earlier runs only keep stepping.
 A logistic step reads only the sample's signed row ``y * a``, which the
 problem keeps once: labels are exactly +-1, so ``y <a, x> = <y a, x>`` and
 ``-y sigma(-y z) a = -sigma(-u) (y a)`` hold bit for bit, and no label is
-gathered or multiplied per step.  Least squares steps on rows and labels.
+gathered or multiplied per step.  ``sigma(-u)`` is ``objectives.sigmoid``,
+the package's one vectorized sigmoid, for the inner step and dgm alike.
+Least squares steps on rows and labels.
 
 Each epoch tests its phase-1 output and its next state for finiteness,
 one whole-array test each.  That covers the mixed state too: mixing a
@@ -65,7 +72,7 @@ from . import objectives
 from .netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
 from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
 from .proxops import Regularizer, check_step, prox, subgradient
-from .sampling import Mode, epoch_indices
+from .sampling import Mode, fill_indices
 
 __all__ = [
     "ALGORITHMS",
@@ -286,6 +293,9 @@ class RunConfig:
             raise ValueError("horizon must be >= 0")
         if self.cadence is not None and self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        # a seed keys the uint64 Philox index streams
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2**64)")
 
 
 @dataclass
@@ -309,12 +319,6 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
-def _sigmoid_of_minus(u: np.ndarray) -> np.ndarray:
-    """``sigma(-u)``, the branches of the stable sigmoid in one pass."""
-    e = np.exp(-np.abs(u))
-    return np.where(u <= 0.0, 1.0, e) / (1.0 + e)
-
-
 def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """One gradient step of every row of ``x`` on its sample, in place.
 
@@ -324,7 +328,7 @@ def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     u = np.einsum("...d,...d->...", a, x)
     if y is None:
         # gamma * (c * a), not (gamma * c) * a: the grouping keeps the bits
-        x += gamma * (_sigmoid_of_minus(u)[..., None] * a)
+        x += gamma * (objectives.sigmoid(-u)[..., None] * a)
     else:
         x -= gamma * (objectives.loss_derivative(kind, u, y)[..., None] * a)
 
@@ -375,12 +379,14 @@ def run_epoch_dpgrr(
     """
     check_step(gamma, "epoch")
     m, n, kind = problem.m, problem.n, problem.kind
-    # step i's samples of all runs are one contiguous (S, m, d) block
-    rows, order = np.arange(m), perm.transpose(2, 0, 1)
+    # step i's samples of all runs are one contiguous (S, m, d) block,
+    # taken from the flat (m n, d) rows: agent j's sample k is row j n + k
+    order = perm.transpose(2, 0, 1) + np.arange(0, m * n, n)
     if problem.signed is not None:
-        a, y = problem.signed[rows, order], None
+        a, y = problem.signed.reshape(m * n, -1).take(order, axis=0), None
     else:
-        a, y = problem.features[rows, order], problem.labels[rows, order]
+        a = problem.features.reshape(m * n, -1).take(order, axis=0)
+        y = problem.labels.reshape(-1).take(order)
     inner = x.copy()
     inner_sum = np.empty((x.shape[0], n, x.shape[2])) if record_inner else None
     with np.errstate(all="ignore"):
@@ -423,7 +429,7 @@ def run_epoch_dgm(
             rows = problem.signed
             # -sigma(-u) times the signed row is each term's old product
             # -y sigma(-y z) times the row, so the sums keep their bits
-            coef = -_sigmoid_of_minus(np.einsum("jnd,sjd->sjn", rows, mixed))
+            coef = -objectives.sigmoid(-np.einsum("jnd,sjd->sjn", rows, mixed))
         else:
             rows = problem.features
             coef = objectives.loss_derivative(
@@ -467,6 +473,15 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     for lo in range(0, len(configs), size):
         traces += _run_batch(configs[lo:lo + size], problem)
     return traces
+
+
+def _batch_step(steps: list[float]):
+    """The step of a batch's runs: one float when they all share it, else
+    the ``(S, 1, 1)`` array of each run's step.  Either gives the same
+    products; a float skips broadcasting in every step."""
+    if len(set(steps)) == 1:
+        return steps[0]
+    return np.array(steps).reshape(-1, 1, 1)
 
 
 def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
@@ -548,7 +563,8 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                     if x_hats is not None:
                         trace.x_hat[epoch] = x_hats[r, s].copy()
 
-    record((0,), x[None], x.mean(axis=1)[None], None, None)
+    # sum / m has the bits of mean(axis=1) and skips its dispatch
+    record((0,), x[None], (x.sum(axis=1) / m)[None], None, None)
 
     # recorded epochs not yet evaluated: (epoch, state, x_bar, x_hat,
     # inner_avgs), none of them an array that a later epoch changes
@@ -563,27 +579,31 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
             pending.clear()
             pending_bytes = 0
 
-    gamma = np.array(steps).reshape(-1, 1, 1)
+    gamma = _batch_step(steps)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
-    # dpg-ig visits every epoch in the order it draws at epoch 0
-    fixed_order = {
-        s: epoch_indices(Mode.IG, cfg.seed, 0, m, n) for s, cfg in enumerate(configs)
-        if _SAMPLER_FOR.get(cfg.algorithm.lower()) is Mode.IG
-    }
+    # bytes one recorded epoch buffers: its state, x_bar and x_hat, and
+    # with record_v its (S, n, d) inner averages
+    row_bytes = x.itemsize * len(configs) * (
+        (m + 2) * dim + (n * dim if first.record_v and not dgm else 0))
+    # each run's (row, sampler, seed) fills its row of one (S, m, n) index
+    # buffer; dpg-ig visits every epoch in the order it draws at epoch 0,
+    # so its rows are filled once
+    draws = [] if dgm else [(s, _SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed)
+                            for s, cfg in enumerate(configs)]
+    perm = np.empty((len(draws), m, n), dtype=np.int64)
+    fill_indices(perm, [d for d in draws if d[1] is Mode.IG], 0)
+    draws = [d for d in draws if d[1] is not Mode.IG]
     for t in range(horizon):
         inner_avgs = None
         blocks = epoch_blocks(problem.schedule, t, steps_mode)
+        if not dgm:
+            fill_indices(perm, draws, t)
         while True:
             try:
                 if dgm:
                     x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), blocks, t)
                 else:
-                    perm = np.stack([
-                        fixed_order[s] if s in fixed_order else epoch_indices(
-                            _SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed, t, m, n)
-                        for s, cfg in enumerate(configs)
-                    ])
                     x_next, inner_avgs = run_epoch_dpgrr(
                         x, problem, gamma, blocks, perm, t, record_inner=first.record_v
                     )
@@ -599,16 +619,17 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                 if exc.run == 0:
                     raise failure from None
                 pending.clear()
-                configs, x, gamma = configs[:exc.run], x[:exc.run], gamma[:exc.run]
-                x_hat_sum = x_hat_sum[:exc.run]
+                configs, x, steps = configs[:exc.run], x[:exc.run], steps[:exc.run]
+                gamma = _batch_step(steps)
+                x_hat_sum, perm = x_hat_sum[:exc.run], perm[:exc.run]
+                draws = [d for d in draws if d[0] < exc.run]
         x = x_next
-        x_bar = x.mean(axis=1)
+        x_bar = x.sum(axis=1) / m
         x_hat_sum += x_bar
         epoch = t + 1
         if failure is None and (epoch % cadence == 0 or epoch == horizon):
-            row = (x, x_bar, x_hat_sum / epoch, inner_avgs)
-            pending.append((epoch, *row))
-            pending_bytes += sum(a.nbytes for a in row if a is not None)
+            pending.append((epoch, x, x_bar, x_hat_sum / epoch, inner_avgs))
+            pending_bytes += row_bytes
             if pending_bytes >= MAX_RECORD_BYTES:
                 flush()
     flush()

@@ -128,15 +128,12 @@ def metropolis_weights(edges, m: int, eta: float) -> MixingMatrix:
         if not (0 <= i < m and 0 <= j < m):
             raise ValueError(f"edge ({i}, {j}) out of range for m={m}")
         edge_set.add((min(i, j), max(i, j)))
-    degree = [0] * m
-    for i, j in edge_set:
-        degree[i] += 1
-        degree[j] += 1
+    lo, hi = np.array(list(edge_set), dtype=np.intp).reshape(-1, 2).T
+    degree = np.bincount(np.concatenate([lo, hi]), minlength=m)
     w = np.zeros((m, m))
-    for i, j in edge_set:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
-    for i in range(m):
-        w[i, i] = 1.0 - w[i].sum()
+    w[lo, hi] = w[hi, lo] = 1.0 / (1.0 + np.maximum(degree[lo], degree[hi]))
+    # each row's sum is its off-diagonal weights' alone, as the diagonal is 0
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     matrix = MixingMatrix(w, eta)
     bad = [issue for issue in matrix.issues() if issue.startswith("eta bound")]
     if bad:

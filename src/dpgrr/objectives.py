@@ -7,6 +7,9 @@ The aggregate objective over ``m`` agents with ``n`` local samples each is
 Note the 1/m scaling: the inner sums over an agent's samples are *not*
 averaged.  Everything downstream (engine, reference solver, metrics)
 relies on this exact scaling, so it lives in one place here.
+
+``sigmoid`` is the one vectorized sigmoid: ``loss_derivative``, the
+engine's logistic inner step and its dgm gradient all call it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "SmoothLossKind",
     "sample_value_grad",
     "loss_derivative",
+    "sigmoid",
     "full_objective",
     "lipschitz_constant",
     "smooth_curvature",
@@ -84,10 +88,18 @@ def sample_value_grad(
     return value, coef * a
 
 
-def _sigmoid_vec(u: np.ndarray) -> np.ndarray:
-    # the two branches of ``_sigmoid`` in one pass: exp(-|u|) never overflows
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-v))`` elementwise, the package's one vectorized sigmoid.
+
+    The two branches of ``_sigmoid`` in one pass: with ``e = exp(-|v|)``,
+    which never overflows, the numerator is 1 for ``v >= 0`` and ``e``
+    below.  ``max(e, heaviside(v, 1))`` picks it without ``np.where``: the
+    step is 1 from ``v = -0.0`` on, where ``e <= 1``, and 0 below, where
+    ``e >= 0``; a NaN stays NaN.  It has the bits of
+    ``where(v >= 0, 1, e) / (1 + e)`` everywhere, infinities included.
+    """
+    e = np.exp(-np.abs(v))
+    return np.maximum(e, np.heaviside(v, 1.0)) / (1.0 + e)
 
 
 def loss_derivative(
@@ -98,7 +110,7 @@ def loss_derivative(
     A sample's gradient is this coefficient times its feature vector.
     """
     if kind is SmoothLossKind.LOGISTIC:
-        return -labels * _sigmoid_vec(-(labels * z))
+        return -labels * sigmoid(-(labels * z))
     return z - labels
 
 

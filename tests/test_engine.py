@@ -240,6 +240,31 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _where_sigmoid(v):
+    """The two-branch sigmoid, ``where(v >= 0, 1, e) / (1 + e)``."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _where_sigmoid_of_minus(u):
+    """``sigma(-u)`` in two-branch form: ``where(u <= 0, 1, e) / (1 + e)``."""
+    e = np.exp(-np.abs(u))
+    return np.where(u <= 0.0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_has_the_bits_of_the_two_branch_form():
+    rng = np.random.default_rng(20)
+    values = np.concatenate([
+        MARGINS, [math.inf, -math.inf, math.nan, 5e-324, -5e-324],
+        rng.normal(size=20000), rng.normal(size=20000) * 40.0,
+        rng.standard_cauchy(size=20000), rng.uniform(-746.0, 746.0, size=20000),
+    ])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(objectives.sigmoid(values)), _bits(_where_sigmoid(values)))
+        assert np.array_equal(_bits(objectives.sigmoid(-values)),
+                              _bits(_where_sigmoid_of_minus(values)))
+
+
 @pytest.mark.parametrize("gamma", [0.5, np.array([0.5, 3.0]).reshape(2, 1, 1)])
 def test_fused_logistic_step_matches_the_loss_derivative_form(gamma):
     # the step on signed rows y * a against the label form
@@ -399,6 +424,18 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
     [rr] = run([RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
     [dgm] = run([RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
     assert dgm.rows[-1].suboptimality > rr.rows[-1].suboptimality > -1e-9
+
+
+def test_run_config_takes_exactly_the_uint64_seeds(toy_ls_problem):
+    # a seed keys the Philox index streams: both ends of [0, 2**64) run,
+    # and the seeds just outside are rejected before anything is recorded
+    for seed in (0, 2**64 - 1):
+        [trace] = run([RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)],
+                      toy_ls_problem)
+        assert len(trace.rows) == 3
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)
 
 
 def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
@@ -673,18 +710,41 @@ def test_batch_reports_the_first_failing_run_in_order():
         "dpg-rr seed 1", 0, 0, 1, "inner")
 
 
+def reset_problem():
+    # one agent: a step on sample 0 puts its iterate back near 0.5 (as
+    # 0.25 * 2**2 = 1), a step on sample 1 multiplies it by about -2**398;
+    # a fixed order alternates the two, but four draws of sample 1 in a
+    # row overflow
+    return ProblemBundle(
+        *packed([([2.0], 1.0), ([2.0**200], 0.0)]),
+        kind=LS,
+        regularizer=Regularizer.zero(),
+        schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
+    )
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_a_run_failing_behind_a_healthy_one_reports_as_alone():
-    # the healthy run's rows of epochs 1-13 are still buffered when the
-    # late run fails, and the batch is cut down to the healthy run
-    problem = overflow_problem()
-    healthy = RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0)
+@pytest.mark.parametrize("problem, healthy, late, want", [
+    (overflow_problem, RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0),
+     LATE, ("dpg-sg seed 2", 1, 14, 1, "inner")),
+    # runs that share one step advance with it as one float, before the
+    # cut and after it
+    (reset_problem, RunConfig("dpg-ig", 20, StepRule.constant(0.25), seed=2, x0=1.0),
+     RunConfig("dpg-sg", 20, StepRule.constant(0.25), seed=6, x0=1.0),
+     ("dpg-sg seed 6", 0, 6, 1, "inner")),
+], ids=["own-steps", "shared-step"])
+def test_a_run_failing_behind_a_healthy_one_reports_as_alone(problem, healthy, late, want):
+    # the healthy run's rows of the epochs before the failure are still
+    # buffered when the late run fails, and the batch is cut down to the
+    # healthy run
+    problem = problem()
+    run([healthy], problem)
     with pytest.raises(NonFiniteIterate) as batched:
-        run([healthy, LATE], problem)
+        run([healthy, late], problem)
     with pytest.raises(NonFiniteIterate) as alone:
-        run([LATE], problem)
+        run([late], problem)
     assert _failure(batched) == _failure(alone)
-    assert _failure(alone)[:5] == ("dpg-sg seed 2", 1, 14, 1, "inner")
+    assert _failure(alone)[:5] == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

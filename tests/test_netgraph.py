@@ -69,6 +69,38 @@ def test_metropolis_preconditions():
         metropolis_weights({(0, 1)}, 3, 0.5)  # eta > 1/m
 
 
+def _metropolis_by_loop(edges, m: int) -> np.ndarray:
+    """The weights filled one edge and one row at a time."""
+    edge_set = {(min(i, j), max(i, j)) for i, j in edges}
+    degree = [0] * m
+    for i, j in edge_set:
+        degree[i] += 1
+        degree[j] += 1
+    w = np.zeros((m, m))
+    for i, j in edge_set:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    for i in range(m):
+        w[i, i] = 1.0 - w[i].sum()
+    return w
+
+
+def test_metropolis_array_fill_has_the_bits_of_the_loop():
+    # the two perfect matchings of a 100-ring, then random graphs whose
+    # edge lists repeat and reverse edges
+    m = 100
+    cases = [([(i, i + 1) for i in range(0, m, 2)], m),
+             ([(i, (i + 1) % m) for i in range(1, m, 2)], m)]
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        m = int(rng.integers(1, 40))
+        pairs = rng.integers(0, m, size=(int(rng.integers(0, 3 * m)), 2))
+        cases.append(([(int(i), int(j)) for i, j in pairs if i != j], m))
+    for edges, m in cases:
+        got = metropolis_weights(edges, m, 0.5 / m).weights
+        want = _metropolis_by_loop(edges, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (edges, m)
+
+
 def _edges_by_double_loop(w: np.ndarray) -> set[tuple[int, int]]:
     m = len(w)
     return {
