@@ -57,23 +57,20 @@ def _fmt(value) -> str:
 
 
 def write_metrics_csv(path: Path, trace: RunTrace) -> None:
-    lines = [CSV_HEADER]
-    for row in trace.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.epoch),
-                    _fmt(row.f_bar),
-                    _fmt(row.f_hat),
-                    _fmt(row.suboptimality),
-                    _fmt(row.disagreement),
-                    _fmt(row.max_consensus_dist),
-                    _fmt(row.sigma_star_sq),
-                    _fmt(row.forward_deviation),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    """One line per row under ``CSV_HEADER``; an empty cell is a None.
+
+    Formats column by column: the epoch with ``str``, the columns that are
+    always floats with ``repr``, and only those that can be None through
+    ``_fmt``, so every cell reads as it would row by row.
+    """
+    epoch, f_bar, f_hat, subopt, disagreement, max_dist, sigma_star, v_t = (
+        zip(*trace.rows) if trace.rows else [()] * 8)
+    cells = zip(
+        map(str, epoch), map(repr, map(float, f_bar)), map(_fmt, f_hat), map(_fmt, subopt),
+        map(repr, map(float, disagreement)), map(repr, map(float, max_dist)),
+        map(_fmt, sigma_star), map(_fmt, v_t),
+    )
+    path.write_text("\n".join([CSV_HEADER, *map(",".join, cells)]) + "\n")
 
 
 def _csv_name(algo: str, seed: int, multi_seed: bool) -> str:

@@ -35,6 +35,8 @@ the horizon, each row quantity is one call over the ``(R, S, ...)`` stack
 of the R pending epochs, with reductions whose per-row bits do not depend
 on the stack.  The budget is small because the row reductions make
 several chunk-sized temporaries, which would otherwise raise peak memory.
+A run's rows of a chunk are built from its column of each row quantity,
+one ``EpochMetrics`` tuple per row, without a loop over rows.
 Once a run behind the first has failed, ``run`` will raise that failure
 and discard the batch's traces, so the pending rows are dropped and no
 more are buffered; the earlier runs only keep stepping.
@@ -64,6 +66,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -530,34 +533,26 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         """
         runs = states.shape[1]
         points = x_bars if x_hats is None else np.concatenate([x_bars, x_hats], axis=1)
-        objective = objectives.full_objective(features, labels, reg, kind, points).tolist()
+        # every quantity transposed to one column of R values per run
+        objective = objectives.full_objective(features, labels, reg, kind, points).T
         disagreement = metrics_mod.consensus_quantity(
-            states, designated, designated_edges).tolist()
+            states, designated, designated_edges).T.tolist()
         diff = states - x_bars[..., None, :]
-        max_dist = np.sqrt(np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).tolist()
-        v_values = None
+        max_dist = np.sqrt(np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).T.tolist()
+        f_bar = objective[:runs].tolist()
+        f_hat = subopt = v_values = [repeat(None)] * runs
+        if x_hats is not None:
+            f_hat = objective[runs:].tolist()
+            if problem.f_star is not None:
+                subopt = (objective[runs:] - problem.f_star).tolist()
         if inner_avgs is not None:
-            v_values = metrics_mod.forward_deviation(inner_avgs, x_bars).tolist()
-        for r, epoch in enumerate(epochs):
-            for s, trace in enumerate(traces[:runs]):
-                f_hat = subopt = None
-                if x_hats is not None:
-                    f_hat = objective[r][runs + s]
-                    if problem.f_star is not None:
-                        subopt = f_hat - problem.f_star
-                trace.rows.append(
-                    metrics_mod.EpochMetrics(
-                        epoch=epoch,
-                        f_bar=objective[r][s],
-                        f_hat=f_hat,
-                        suboptimality=subopt,
-                        disagreement=disagreement[r][s],
-                        max_consensus_dist=max_dist[r][s],
-                        sigma_star_sq=sigma_star,
-                        forward_deviation=None if v_values is None else v_values[r][s],
-                    )
-                )
-                if first.store_snapshots:
+            v_values = metrics_mod.forward_deviation(inner_avgs, x_bars).T.tolist()
+        for s, trace in enumerate(traces[:runs]):
+            trace.rows += map(metrics_mod.EpochMetrics._make, zip(
+                epochs, f_bar[s], f_hat[s], subopt[s], disagreement[s], max_dist[s],
+                repeat(sigma_star), v_values[s]))
+            if first.store_snapshots:
+                for r, epoch in enumerate(epochs):
                     trace.snapshots[epoch] = states[r, s].copy()
                     trace.x_bar[epoch] = x_bars[r, s].copy()
                     if x_hats is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +23,8 @@ class MissingInnerTrace(RuntimeError):
     """Inner-iterate averages were not recorded for this epoch."""
 
 
-@dataclass(frozen=True, slots=True)
-class EpochMetrics:
-    """One recorded row of a run.
+class EpochMetrics(NamedTuple):
+    """One recorded row of a run, an immutable tuple of its fields.
 
     ``f_hat`` and ``suboptimality`` concern the running average of
     iterates, which starts at epoch 1, so they are None on the initial

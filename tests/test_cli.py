@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dpgrr.cli
 import dpgrr.config
-from dpgrr.cli import CSV_HEADER, main
+from dpgrr.cli import CSV_HEADER, main, write_metrics_csv
 from dpgrr.config import (
     ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
 )
+from dpgrr.engine import RunConfig, StepRule, run
+from dpgrr.metrics import EpochMetrics
 from dpgrr.objectives import smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
@@ -324,6 +326,56 @@ def test_diagnostics_columns_populated(tmp_path):
     first, last = lines[1].split(","), lines[-1].split(",")
     assert first[sigma_col] != "" and last[sigma_col] != ""
     assert first[v_col] == "" and last[v_col] != ""
+
+
+def _row_by_row_csv(trace) -> str:
+    """The metrics CSV written a row at a time, every float cell through
+    ``_fmt``: the writer's former loop, kept as its oracle."""
+    fmt = dpgrr.cli._fmt
+    lines = [CSV_HEADER]
+    for row in trace.rows:
+        lines.append(",".join([
+            str(row.epoch), fmt(row.f_bar), fmt(row.f_hat), fmt(row.suboptimality),
+            fmt(row.disagreement), fmt(row.max_consensus_dist), fmt(row.sigma_star_sq),
+            fmt(row.forward_deviation),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_f_star", [True, False], ids=["f_star", "no_f_star"])
+@pytest.mark.parametrize("record_sigma_star", [False, True], ids=["no_sigma", "sigma"])
+@pytest.mark.parametrize("record_v", [False, True], ids=["no_v", "v"])
+def test_column_writer_writes_the_row_by_row_bytes(
+    canonical_problem, tmp_path, record_v, record_sigma_star, with_f_star
+):
+    problem = canonical_problem
+    if not with_f_star:
+        problem = dataclasses.replace(problem, f_star=None)
+    shared = dict(horizon=5, record_v=record_v, record_sigma_star=record_sigma_star)
+    traces = run([RunConfig(name, step=StepRule.sqrt_horizon(), **shared)
+                  for name in ("dpg-rr", "dpg-sg")], problem)
+    traces += run([RunConfig("dgm", step=StepRule.constant(0.05), **shared)], problem)
+    for trace, dgm in zip(traces, (False, False, True)):
+        first, last = trace.rows[0], trace.rows[-1]
+        assert first.f_hat is None and first.suboptimality is None
+        assert (last.suboptimality is None) == (not with_f_star)
+        assert (last.sigma_star_sq is None) == (not record_sigma_star)
+        assert (last.forward_deviation is None) == (dgm or not record_v)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, trace)
+        assert path.read_bytes() == _row_by_row_csv(trace).encode()
+
+
+def test_epoch_metrics_rows_are_immutable():
+    row = EpochMetrics(epoch=0, f_bar=1.0, f_hat=None, suboptimality=None,
+                       disagreement=0.0, max_consensus_dist=0.0)
+    assert (row.sigma_star_sq, row.forward_deviation) == (None, None)
+    for name in EpochMetrics._fields:
+        with pytest.raises(AttributeError):
+            setattr(row, name, 2.0)
+    with pytest.raises(AttributeError):
+        row.extra = 1.0
+    assert row.f_bar == 1.0
 
 
 def test_config_error_is_reported(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,8 +18,10 @@ from dpgrr.objectives import (
     packed_smooth_value,
     sample_value_grad,
     smooth_curvature,
+    softplus,
 )
 from dpgrr.proxops import Regularizer
+from test_engine import MARGINS
 
 LOG = SmoothLossKind.LOGISTIC
 LS = SmoothLossKind.LEAST_SQUARES
@@ -295,3 +298,36 @@ def test_constants_equal_per_sample_forms_bit_for_bit(d, sparse):
         assert gradient_bound(features, labels, LOG) == a
         want = max(r * (r * radius + abs(rows[k][1])) for r, k in zip(norms, group))
         assert gradient_bound(features, labels, LS, radius) == want
+
+
+def test_softplus_is_within_two_ulp_of_logaddexp():
+    rng = np.random.default_rng(21)
+    # near v = -4.155 numpy's vectorized exp and log1p can both round down
+    # where libm's round up: the one band found 3 ULP apart
+    band = np.linspace(-4.16, -4.15, 20001)
+    values = np.concatenate([
+        MARGINS, [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 710.0, -710.0,
+                  1e308, -1e308],
+        rng.normal(size=20000) * 40.0, rng.standard_cauchy(size=20000) * 10.0, band,
+    ])
+    with np.errstate(invalid="ignore"):  # logaddexp warns on NaN
+        want = np.logaddexp(0.0, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = softplus(values)
+        in_place = values.copy()
+        assert softplus(in_place, out=in_place) is in_place
+        strided = softplus(values[::2])
+    # the results are >= 0, where the integer view orders floats by ULP
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    in_band = (values >= band[0]) & (values <= band[-1])
+    assert ulps[~np.isnan(want) & ~in_band].max() <= 2
+    assert ulps[in_band].max() <= 3
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(in_place.view(np.int64), got.view(np.int64))
+    assert np.array_equal(strided.view(np.int64), got[::2].view(np.int64))
+    edges = np.array([0.0, -0.0, math.inf, -math.inf])
+    assert softplus(edges).tolist() == [math.log(2.0), math.log(2.0), math.inf, 0.0]
+    assert softplus(edges).tolist() == np.logaddexp(0.0, edges).tolist()
+    assert math.isnan(softplus(np.array([math.nan]))[0])
+    assert np.signbit(softplus(edges)).sum() == 0

@@ -76,11 +76,14 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
 
     def value_grad(x):
         z = features @ x
-        # the value takes per-point einsum margins and sums in sample order,
-        # as ``full_objective`` does for every point of a stack
+        # the value takes per-point einsum margins, the softplus form
+        # max(u, 0) + log1p(exp(-|u|)) and sums in sample order, as
+        # ``full_objective`` does for every point of a stack
         margins = np.einsum("kd,sd->sk", features, x[None])[0]
         if kind is LOG:
-            value = float(np.cumsum(np.logaddexp(0.0, -(labels * margins)))[-1]) / m
+            u = -(labels * margins)
+            losses = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+            value = float(np.cumsum(losses)[-1]) / m
         else:
             r = margins - labels
             value = 0.5 * float(np.cumsum(r * r)[-1]) / m
