@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
-import itertools
 import json
 import math
 import sys
@@ -38,6 +37,7 @@ from .engine import (
     RunTrace,
     StepBoundViolation,
     StepBoundWarning,
+    WorkerLost,
     run,
     step_scale_bound,
 )
@@ -177,44 +177,43 @@ def cmd_run(args) -> int:
     )
     problem = dataclasses.replace(problem, f_star=f_star, x_star=x_star)
 
+    runs = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
+    run_cfgs = [
+        RunConfig(
+            algorithm=algo.name,
+            horizon=cfg.horizon,
+            step=algo.step,
+            steps_mode=cfg.graph.steps_mode,
+            seed=seed,
+            cadence=cfg.snapshot_cadence,
+            record_v=cfg.diagnostics.record_v,
+            record_sigma_star=cfg.diagnostics.record_sigma_star,
+            enforce_step_bound=cfg.enforce_step_bound,
+            x0=cfg.x0,
+        )
+        for algo, seed in runs
+    ]
+    try:
+        with warnings.catch_warnings():
+            # `_validate` has already reported an unenforced bound
+            warnings.simplefilter("ignore", StepBoundWarning)
+            traces = run(run_cfgs, problem)
+    except (StepBoundViolation, FloatingPointError, ValueError, WorkerLost) as exc:
+        # one call runs the whole config, so a failed run leaves no CSV
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+
     out_dir.mkdir(parents=True, exist_ok=True)
     multi_seed = len(cfg.seeds) > 1
     files = {}
-    try:
-        # consecutive algorithms of one epoch body advance as one batch, so
-        # runs fail and CSVs appear in the order of a loop over the runs
-        for _, group in itertools.groupby(cfg.algorithms, key=lambda a: a.name == "dgm"):
-            runs = [(algo, seed) for algo in group for seed in cfg.seeds]
-            run_cfgs = [
-                RunConfig(
-                    algorithm=algo.name,
-                    horizon=cfg.horizon,
-                    step=algo.step,
-                    steps_mode=cfg.graph.steps_mode,
-                    seed=seed,
-                    cadence=cfg.snapshot_cadence,
-                    record_v=cfg.diagnostics.record_v,
-                    record_sigma_star=cfg.diagnostics.record_sigma_star,
-                    enforce_step_bound=cfg.enforce_step_bound,
-                    x0=cfg.x0,
-                )
-                for algo, seed in runs
-            ]
-            with warnings.catch_warnings():
-                # `_validate` has already reported an unenforced bound
-                warnings.simplefilter("ignore", StepBoundWarning)
-                traces = run(run_cfgs, problem)
-            for (algo, seed), trace in zip(runs, traces):
-                name = _csv_name(algo.name, seed, multi_seed)
-                write_metrics_csv(out_dir / name, trace)
-                files[f"{algo.name}/seed{seed}"] = name
-                if not args.quiet:
-                    final = trace.rows[-1]
-                    sub = "" if final.suboptimality is None else f" subopt={final.suboptimality:.6g}"
-                    print(f"{algo.name} seed={seed}: {len(trace.rows)} rows{sub}")
-    except (StepBoundViolation, FloatingPointError, ValueError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    for (algo, seed), trace in zip(runs, traces):
+        name = _csv_name(algo.name, seed, multi_seed)
+        write_metrics_csv(out_dir / name, trace)
+        files[f"{algo.name}/seed{seed}"] = name
+        if not args.quiet:
+            final = trace.rows[-1]
+            sub = "" if final.suboptimality is None else f" subopt={final.suboptimality:.6g}"
+            print(f"{algo.name} seed={seed}: {len(trace.rows)} rows{sub}")
 
     manifest = {
         "version": __version__,

@@ -58,11 +58,30 @@ lowest failing agent and that agent's first bad phase.  Non-finite
 entries stay non-finite under later gradient steps, so when the local
 phase ends non-finite, replaying the lowest failing agent from its
 pre-epoch row finds the first inner step that overflowed.
+
+``run`` takes every run of a problem, proximal and dgm mixed, and cuts
+them into batches of one epoch body under ``MAX_BATCH_BYTES``.  When
+more than one CPU is usable and each would get at least ``_LANE_WORK``
+run-epochs, it first cuts the runs into that many lanes of consecutive
+runs, one per CPU, and cuts each lane into its own batches.  The caller's
+process runs the first lane; every other lane runs in a worker made
+with ``os.fork``, which sends back its traces, or its failure, pickled
+over a pipe.  Every check and step resolution, with its warning or
+error, happens before the fork, and the failure of the first failing
+run in order is the one raised.  Workers are always reaped, and killed
+first when the caller's lane fails or is interrupted.  Since a run's
+trace does not depend on its batch, the lanes give the traces a single
+process gives; ``taskset -c 0`` runs every batch in one process.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import signal
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -87,6 +106,7 @@ __all__ = [
     "ProblemBundle",
     "RunConfig",
     "RunTrace",
+    "WorkerLost",
     "run_epoch_dpgrr",
     "run_epoch_dgm",
     "run",
@@ -102,6 +122,14 @@ _SAMPLER_FOR = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 # Bound on the ``(S, m, n, d)`` sample block one epoch gathers; ``run``
 # advances a longer list of runs in consecutive batches under it.
 MAX_BATCH_BYTES = 1 << 20
+
+# Run-epochs (runs times horizon) each lane must carry before ``run``
+# forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
+# host a run-epoch that records its row took at least 52 us, so a lane
+# at this bound runs for at least about 100 ms; its fork costs the caller
+# about 0.5 ms and unpickling its traces about 0.7 us a row, together
+# under 2% of the lane.
+_LANE_WORK = 2000
 
 # Bound on the buffered states and averages of recorded epochs that the
 # engine evaluates together; each chunk costs one call per row quantity.
@@ -132,6 +160,14 @@ class NonFiniteIterate(FloatingPointError):
         if run is not None:
             where = f"run {run}, {where}"
         super().__init__(f"non-finite iterate at {where}")
+
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ rejects
+        return type(self), (self.agent, self.epoch, self.inner_step, self.phase, self.run)
+
+
+class WorkerLost(RuntimeError):
+    """A worker process ended without sending back its lane's result."""
 
 
 class StepBoundViolation(ValueError):
@@ -317,6 +353,18 @@ class RunTrace:
     gamma: float | None
     x_final: np.ndarray
 
+    def __reduce__(self):
+        # rows travel as one tuple per column: a pickled row would be one
+        # named-tuple rebuild call per row on each side
+        return _trace_from_columns, (tuple(zip(*self.rows)), self.x_bar, self.x_hat,
+                                     self.snapshots, self.gamma, self.x_final)
+
+
+def _trace_from_columns(columns, *rest) -> RunTrace:
+    # tuple.__new__ builds each row in C, where _make is a Python call
+    rows = map(tuple.__new__, repeat(metrics_mod.EpochMetrics), zip(*columns))
+    return RunTrace(list(rows), *rest)
+
 
 def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
@@ -339,10 +387,11 @@ def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
 def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
     """Replay one agent's local pass from ``x`` to its first non-finite step."""
     x = x[None, :].copy()
-    for i in range(len(a)):
-        _inner_step(kind, gamma, x, a[None, i], None if y is None else y[None, i])
-        if not np.isfinite(x).all():
-            return i
+    with np.errstate(all="ignore"):  # the overflow found is reported, not warned
+        for i in range(len(a)):
+            _inner_step(kind, gamma, x, a[None, i], None if y is None else y[None, i])
+            if not np.isfinite(x).all():
+                return i
     return None
 
 
@@ -452,11 +501,13 @@ def run_epoch_dgm(
 def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     """Execute the configured runs for their shared horizon; one trace each, in order.
 
-    The runs advance together and may differ in algorithm, seed and step;
-    every other ``RunConfig`` field must agree, and dgm runs batch only
-    with dgm runs.  A run's trace is the one it gets alone,
-    ``run([config], problem)[0]``.  Runs beyond ``MAX_BATCH_BYTES`` of
-    gathered samples advance in later batches.
+    The runs may differ in algorithm, seed and step; every other
+    ``RunConfig`` field must agree.  A run's trace is the one it gets
+    alone, ``run([config], problem)[0]``.  Consecutive runs of one epoch
+    body (proximal or dgm) advance together, in batches under
+    ``MAX_BATCH_BYTES`` of gathered samples; given the CPUs and the work,
+    lanes of them advance at once in forked workers (see the module
+    docstring).
 
     A non-finite iterate raises for the first failing run in the order
     given, the one a loop over the runs would stop on, naming its
@@ -469,13 +520,159 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
         for name in _SHARED_FIELDS:
             if getattr(cfg, name) != getattr(configs[0], name):
                 raise ValueError(f"runs in one call must share {name}")
-        if (cfg.algorithm.lower() == "dgm") != (configs[0].algorithm.lower() == "dgm"):
-            raise ValueError("dgm runs batch only with other dgm runs")
-    size = max(1, MAX_BATCH_BYTES // problem.features.nbytes)
-    traces = []
-    for lo in range(0, len(configs), size):
-        traces += _run_batch(configs[lo:lo + size], problem)
-    return traces
+    if not configs:
+        return []
+    lipschitz = objectives.lipschitz_constant(problem.features, problem.kind)
+    steps = []
+    for cfg in configs:
+        steps.append(None if cfg.horizon == 0 else cfg.step.resolve(
+            lipschitz, problem.n, cfg.horizon, cfg.enforce_step_bound))
+        if _is_dgm(cfg) and cfg.step.rule != "constant":
+            raise ValueError(
+                "the subgradient baseline decays its own step; use a constant rule")
+    sigma_star = None
+    if configs[0].record_sigma_star:
+        if problem.x_star is None:
+            raise ValueError("sigma_star recording needs the reference solution point")
+        sigma_star = metrics_mod.shuffling_variance(
+            problem.features, problem.labels, problem.kind, problem.x_star)
+
+    def run_lane(batches: list[tuple[int, int]]) -> list[RunTrace]:
+        traces = []
+        for lo, hi in batches:
+            traces += _run_batch(configs[lo:hi], steps[lo:hi], sigma_star, problem)
+        return traces
+
+    lanes = _lanes(configs, max(1, MAX_BATCH_BYTES // problem.features.nbytes))
+    workers = []
+    try:
+        for batches in lanes[1:]:
+            runs = [cfg for lo, hi in batches for cfg in configs[lo:hi]]
+            workers.append(_Worker(", ".join(f"{c.algorithm} seed {c.seed}" for c in runs)))
+            workers[-1].start(run_lane, batches)
+        traces = run_lane(lanes[0])
+        for batches, worker in zip(lanes[1:], workers):
+            # a lane that got no process runs here, in its turn
+            traces += run_lane(batches) if worker.pid is None else worker.result()
+        return traces
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def _is_dgm(cfg: RunConfig) -> bool:
+    return cfg.algorithm.lower() == "dgm"
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _lanes(configs: list[RunConfig], size: int) -> list[list[tuple[int, int]]]:
+    """The ``(lo, hi)`` batches of each lane, lanes and batches in run order.
+
+    The runs split into as many lanes of consecutive runs, of equal
+    counts to within one, as there are usable CPUs with ``_LANE_WORK``
+    run-epochs each; one lane unless this process can fork safely, which
+    needs ``os.fork`` and no other thread that may hold a lock.  A lane
+    cuts each stretch of one epoch body into batches of at most ``size``.
+    """
+    count = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        work = len(configs) * configs[0].horizon
+        count = max(1, min(_cpu_count(), len(configs), work // _LANE_WORK))
+    # the first lane, the caller's, is the shorter: it also unpickles the rest
+    bounds = [len(configs) * k // count for k in range(count + 1)]
+    lanes = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        batches = []
+        for _, body in itertools.groupby(range(lo, hi), key=lambda s: _is_dgm(configs[s])):
+            body = list(body)
+            batches += [(b, min(b + size, body[-1] + 1)) for b in body[::size]]
+        lanes.append(batches)
+    return lanes
+
+
+class _Worker:
+    """One lane run in a forked process, which sends back its traces, or its
+    failure, pickled over a pipe."""
+
+    def __init__(self, runs: str):
+        self.runs = runs  # names the lane's runs if the process is lost
+        self.pid: int | None = None
+        self.pipe: int | None = None
+
+    def start(self, run_lane, batches) -> None:
+        """Fork the worker; ``pid`` stays None if the system has no process
+        to spare."""
+        read, write = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # CPython 3.12+ warns on every fork while numpy's BLAS pool
+                # has threads; that pool re-forms itself in the child, and
+                # the caller has checked that no other Python thread runs
+                warnings.filterwarnings("ignore", ".* is multi-threaded", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if self.pid == 0:
+            os.close(read)
+            _serve(run_lane, batches, write)
+        os.close(write)
+        self.pipe = read
+
+    def result(self) -> list[RunTrace]:
+        """The lane's traces, once the worker has ended; raises its failure."""
+        with open(self.pipe, "rb") as pipe:
+            self.pipe = None
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+            raise WorkerLost(f"the worker running {self.runs} {how}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill and reap the worker if it is still running; idempotent."""
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        if self.pid:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(run_lane, batches, pipe: int):
+    """The worker's whole life: run the lane, send the outcome, exit."""
+    status = 1
+    try:
+        try:
+            outcome = True, run_lane(batches)
+        except BaseException as exc:  # the caller raises it, in its turn
+            outcome = False, exc
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle travels as its text
+            data = pickle.dumps((False, RuntimeError(repr(outcome[1]))))
+        with open(pipe, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        # never back into the caller's code, nor its exit handlers and buffers
+        os._exit(status)
 
 
 def _batch_step(steps: list[float]):
@@ -487,28 +684,16 @@ def _batch_step(steps: list[float]):
     return np.array(steps).reshape(-1, 1, 1)
 
 
-def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
-    """``run`` for runs whose samples fit one gathered block."""
+def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: float | None,
+               problem: ProblemBundle) -> list[RunTrace]:
+    """``run`` for runs of one epoch body whose samples fit one gathered
+    block, with their resolved ``steps`` (None at horizon 0)."""
     first = configs[0]
-    dgm = first.algorithm.lower() == "dgm"
+    dgm = _is_dgm(first)
     horizon = first.horizon
     m, n, dim = problem.m, problem.n, problem.dim
     kind, reg = problem.kind, problem.regularizer
     features, labels = problem.features, problem.labels
-    lipschitz = objectives.lipschitz_constant(features, kind)
-    steps = []
-    for cfg in configs:
-        if horizon > 0:
-            steps.append(cfg.step.resolve(lipschitz, n, horizon, cfg.enforce_step_bound))
-        if dgm and cfg.step.rule != "constant":
-            raise ValueError(
-                "the subgradient baseline decays its own step; use a constant rule")
-
-    sigma_star = None
-    if first.record_sigma_star:
-        if problem.x_star is None:
-            raise ValueError("sigma_star recording needs the reference solution point")
-        sigma_star = metrics_mod.shuffling_variance(features, labels, kind, problem.x_star)
 
     cadence = first.cadence if first.cadence is not None else default_cadence(horizon)
     # a fixed matrix keeps the rows' disagreement comparable
@@ -519,7 +704,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     x = np.full((len(configs), m, dim), float(first.x0))
     traces = [
         RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={},
-                 gamma=steps[s] if steps else None, x_final=x[s].copy())
+                 gamma=steps[s], x_final=x[s].copy())
         for s in range(len(configs))
     ]
 

@@ -168,6 +168,37 @@ def test_run_rejects_invalid_config_before_running(tmp_path):
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").glob("*.csv"))
 
 
+def test_a_config_whose_later_run_fails_writes_no_csv(tmp_path, capsys):
+    # the second algorithm's first step overflows; the first run is healthy
+    cfg = write_toy(tmp_path, seeds="[1, 2]")
+    rr = "  - {name: dpg-rr, step: {rule: constant, gamma: 0.5}}"
+    cfg.write_text(cfg.read_text().replace(
+        rr, rr + "\n  - {name: dpg-sg, step: {rule: constant, gamma: 1.0e308}}"))
+    assert main(["run", "--config", str(cfg), "-q"]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: non-finite iterate at run dpg-sg seed 1," in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mixed_algorithms_write_the_csvs_of_each_alone(tmp_path):
+    algos = ["  - {name: dpg-rr, step: {rule: constant, gamma: 0.3}}",
+             "  - {name: dgm, step: {rule: constant, gamma: 0.2}}",
+             "  - {name: dpg-sg, step: {rule: constant, gamma: 0.3}}"]
+    rr = "  - {name: dpg-rr, step: {rule: sqrt_horizon}}"
+    mixed = write_synth(tmp_path, T=6)
+    mixed.write_text(mixed.read_text().replace(rr, "\n".join(algos)))
+    assert main(["run", "--config", str(mixed), "--output", str(tmp_path / "mixed"),
+                 "-q"]) == 0
+    for algo in algos:
+        alone = write_synth(tmp_path, T=6, name="alone.yaml")
+        alone.write_text(alone.read_text().replace(rr, algo))
+        assert main(["run", "--config", str(alone), "--output", str(tmp_path / "alone"),
+                     "-q"]) == 0
+        [csv] = (tmp_path / "alone").glob("*.csv")
+        assert csv.read_bytes() == (tmp_path / "mixed" / csv.name).read_bytes()
+        csv.unlink()
+
+
 def test_unenforced_step_bound_only_warns(tmp_path, capsys):
     cfg = write_synth(
         tmp_path, scale=", scale: 1.0e6", extra="enforce_step_bound: false\n"

@@ -1,18 +1,26 @@
 import dataclasses
 import math
+import os
+import pickle
+import signal
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import packed
 from dpgrr import engine
 from dpgrr.dataio import synthesize_classification
+from dpgrr.metrics import EpochMetrics
 from dpgrr.engine import (
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,
     StepBoundViolation,
+    StepBoundWarning,
     StepRule,
+    WorkerLost,
     run,
     run_epoch_dpgrr,
     step_scale_bound,
@@ -830,7 +838,271 @@ def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
         run([base, other], canonical_problem)
 
 
-def test_dgm_batches_only_with_dgm(canonical_problem):
-    cfgs = [RunConfig(algo, 5, StepRule.constant(0.05)) for algo in ("dpg-rr", "dgm")]
-    with pytest.raises(ValueError, match="dgm runs batch only with other dgm runs"):
+def test_a_mixed_list_equals_its_groups_run_apart(canonical_problem):
+    # each stretch of one epoch body is its own batch, in the order given
+    cfgs = [RunConfig(algo, 7, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+            for algo, gamma, seed in (("dgm", 0.2, 1), ("dpg-rr", 0.05, 2), ("dpg-sg", 0.3, 3),
+                                      ("dgm", 0.05, 4), ("dgm", 0.3, 5), ("dpg-ig", 0.05, 6))]
+    groups = [cfgs[:1], cfgs[1:3], cfgs[3:5], cfgs[5:]]
+    apart = [trace for group in groups for trace in run(group, canonical_problem)]
+    for got, want in zip(run(cfgs, canonical_problem), apart, strict=True):
+        _assert_same_trace(got, want)
+
+
+def test_nonfinite_iterate_survives_pickling():
+    for err in (NonFiniteIterate(2, 5, 3, "inner", run="dpg-rr seed 1"),
+                NonFiniteIterate(0, 7, None, "mix")):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NonFiniteIterate
+        assert (back.agent, back.epoch, back.inner_step, back.phase, back.run) == (
+            err.agent, err.epoch, err.inner_step, err.phase, err.run)
+        assert str(back) == str(err)
+
+
+def test_a_trace_survives_pickling(canonical_problem):
+    # with every optional column and snapshot dict filled, and without
+    for extra in ({}, {"store_snapshots": True, "record_v": True}):
+        [trace] = run([RunConfig("dpg-rr", 6, StepRule.constant(0.05), seed=4, **extra)],
+                      canonical_problem)
+        back = pickle.loads(pickle.dumps(trace))
+        _assert_same_trace(back, trace)
+        assert all(type(row) is EpochMetrics for row in back.rows)
+
+
+# -- lanes: batches advanced in forked workers ------------------------------
+
+
+@pytest.fixture()
+def lanes(monkeypatch):
+    """Make ``run`` fork a worker per lane for any work, up to three lanes;
+    yields the list of forks made.  A test that waits on a worker for a
+    minute fails instead of hanging."""
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(engine, "_LANE_WORK", 1)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    def expire(signum, frame):
+        raise TimeoutError("a lane test ran for a minute")
+
+    monkeypatch.setattr(os, "fork", counted)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield forks
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_lanes_give_the_serial_traces(canonical_problem, lanes):
+    cfgs = [RunConfig(algo, 8, StepRule.constant(0.05), seed=seed, store_snapshots=True,
+                      record_v=True)
+            for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)]
+    got = run(cfgs, canonical_problem)
+    assert len(lanes) == 2
+    assert_no_child_left()
+    for cfg, trace in zip(cfgs, got, strict=True):
+        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+
+
+def test_a_lane_that_gets_no_process_runs_in_the_caller(canonical_problem, lanes,
+                                                        monkeypatch):
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    cfgs = [RunConfig("dpg-rr", 4, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
+        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("failing", [0, 2], ids=["caller-lane", "worker-lane"])
+def test_a_failing_lane_reports_as_alone_and_leaves_no_worker(lanes, failing):
+    problem = overflow_problem()
+    cfgs = [RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=seed, x0=1.0)
+            for seed in (1, 2, 3)]
+    cfgs[failing] = LATE
+    with pytest.raises(NonFiniteIterate) as err:
+        run(cfgs, problem)
+    assert len(lanes) == 2
+    assert_no_child_left()
+    with pytest.raises(NonFiniteIterate) as alone:
+        run([LATE], problem)
+    assert _failure(err) == _failure(alone)
+
+
+class Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_an_exception_in_a_lane_reaches_the_caller(canonical_problem, lanes, monkeypatch,
+                                                    where):
+    caller, run_batch = os.getpid(), engine._run_batch
+
+    def failing(*args):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise Injected(where)
+        return run_batch(*args)
+
+    monkeypatch.setattr(engine, "_run_batch", failing)
+    cfgs = [RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    with pytest.raises(Injected, match=where):
         run(cfgs, canonical_problem)
+    assert len(lanes) == 2
+    assert_no_child_left()
+
+
+def test_a_killed_worker_is_an_error_naming_its_runs(canonical_problem, lanes, monkeypatch):
+    caller, run_batch = os.getpid(), engine._run_batch
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_batch(*args)
+
+    monkeypatch.setattr(engine, "_run_batch", killed)
+    cfgs = [RunConfig(algo, 5, StepRule.constant(0.05), seed=seed)
+            for algo, seed in (("dpg-rr", 1), ("dpg-sg", 2), ("dpg-ig", 3), ("dpg-rr", 4))]
+    with pytest.raises(WorkerLost) as err:
+        run(cfgs, canonical_problem)
+    assert str(err.value) == (
+        f"the worker running dpg-sg seed 2 was killed by signal {int(signal.SIGKILL)}")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cfg, error", [
+    (RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(1e9), seed=3), StepBoundViolation),
+    (RunConfig("dgm", 5, StepRule.sqrt_horizon(), seed=3), ValueError),
+    (RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=3, record_sigma_star=True),
+     ValueError),
+], ids=["step-bound", "dgm-rule", "sigma-star"])
+def test_every_check_comes_before_any_fork(canonical_problem, lanes, cfg, error):
+    ok = dataclasses.replace(cfg, step=StepRule.constant(0.05), algorithm="dpg-rr")
+    with pytest.raises(error):
+        run([ok, ok, cfg], dataclasses.replace(canonical_problem, x_star=None))
+    assert lanes == []
+
+
+def test_an_unenforced_bound_warns_in_the_caller(canonical_problem, lanes):
+    relaxed = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(1e9), seed=3,
+                        enforce_step_bound=False)
+    ok = dataclasses.replace(relaxed, step=StepRule.constant(0.05))
+    with pytest.warns(StepBoundWarning):
+        # the relaxed run is the worker's, but its step is resolved here
+        run([ok, relaxed], canonical_problem)
+    assert len(lanes) == 1
+    assert_no_child_left()
+
+
+def test_lanes_need_a_spare_cpu_a_fork_and_one_thread(monkeypatch):
+    cfgs = [RunConfig(algo, 2000, StepRule.constant(0.05), seed=s)
+            for s, algo in enumerate(("dpg-rr", "dpg-sg", "dgm", "dgm"))]
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    # a lane per CPU, of consecutive runs, the first the shorter; each lane
+    # cuts its own batches, one epoch body and at most `size` runs each
+    assert engine._lanes(cfgs, 64) == [[(0, 2)], [(2, 4)]]
+    assert engine._lanes(cfgs[1:], 64) == [[(0, 1)], [(1, 3)]]
+    assert engine._lanes(cfgs[:3], 1) == [[(0, 1)], [(1, 2), (2, 3)]]
+    assert engine._lanes(cfgs[:1], 64) == [[(0, 1)]]
+    # each lane must carry _LANE_WORK run-epochs
+    assert engine._lanes([dataclasses.replace(c, horizon=999) for c in cfgs], 64) == [
+        [(0, 2), (2, 4)]]
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+    assert engine._lanes(cfgs, 64) == [[(0, 2), (2, 4)]]
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 8)
+    assert len(engine._lanes(cfgs, 64)) == 4  # one run each
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert len(engine._lanes(cfgs, 64)) == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert len(engine._lanes(cfgs, 64)) == 1
+
+
+# -- batch invariance on random problems ------------------------------------
+
+
+@st.composite
+def random_runs(draw):
+    """A small random problem and a list of runs for it, some of which
+    may overflow."""
+    kind = draw(st.sampled_from([LS, LOG]))
+    m, n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    features = np.array(draw(st.lists(value, min_size=m * n * d, max_size=m * n * d)))
+    if kind is LOG:
+        labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m * n, max_size=m * n))
+    else:
+        labels = draw(st.lists(value, min_size=m * n, max_size=m * n))
+    edges = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+                         .filter(lambda e: e[0] < e[1])))
+    reg = draw(st.sampled_from([Regularizer.zero(), Regularizer.l1(0.05)]))
+    problem = ProblemBundle(
+        features.reshape(m, n, d), np.array(labels).reshape(m, n), kind=kind,
+        regularizer=reg, schedule=GraphSchedule((metropolis_weights(edges, m, 0.1 / m),), 1))
+    # a huge step overflows a least-squares run within a few epochs, the
+    # largest any run at its first steps
+    gammas = st.sampled_from([0.05, 0.3, 1e10, 1e308])
+    shared = draw(st.none() | gammas)
+    shape = dict(horizon=draw(st.integers(1, 6)), cadence=draw(st.none() | st.integers(1, 3)),
+                 record_v=draw(st.booleans()), store_snapshots=True,
+                 x0=draw(st.sampled_from([0.0, 1.0])))
+    cfgs = [
+        RunConfig(draw(st.sampled_from(engine.ALGORITHMS)),
+                  step=StepRule.constant(draw(gammas) if shared is None else shared),
+                  seed=draw(st.integers(0, 5)), **shape)
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    return problem, cfgs
+
+
+def _assert_same_bits(got, want):
+    """``_assert_same_trace`` for traces that may hold NaN, as a run whose
+    state nears the largest float records: a float's repr and an array's
+    bytes are its bits."""
+    assert repr(got.rows) == repr(want.rows)
+    assert got.gamma == want.gamma
+    for name in ("snapshots", "x_bar", "x_hat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.keys() == b.keys()
+        assert all(a[t].tobytes() == b[t].tobytes() for t in a)
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+
+
+def _outcome(cfgs, problem):
+    try:
+        return run(cfgs, problem), None
+    except NonFiniteIterate as exc:
+        return None, (exc.run, exc.agent, exc.epoch, exc.inner_step, exc.phase, str(exc))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("path", ["serial", "forked"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=random_runs())
+def test_a_batch_gives_each_run_its_solo_trace(monkeypatch, path, case):
+    problem, cfgs = case
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1 if path == "serial" else 3)
+    monkeypatch.setattr(engine, "_LANE_WORK", 1)
+    solo = [_outcome([cfg], problem) for cfg in cfgs]
+    traces, failure = _outcome(cfgs, problem)
+    assert_no_child_left()
+    # the failure raised is that of the first run that fails alone
+    want = next((f for _, f in solo if f is not None), None)
+    assert failure == want
+    if want is None:
+        for got, (expected, _) in zip(traces, solo, strict=True):
+            _assert_same_bits(got, expected[0])
