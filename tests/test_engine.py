@@ -964,21 +964,26 @@ def test_an_exception_in_a_lane_reaches_the_caller(canonical_problem, lanes, mon
     assert_no_child_left()
 
 
-def test_a_killed_worker_is_an_error_naming_its_runs(canonical_problem, lanes, monkeypatch):
+@pytest.mark.parametrize("end, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d}"),
+    (lambda: os._exit(3), "exited with 3"),
+], ids=["sigkill", "exit"])
+def test_a_lost_worker_is_an_error_naming_its_runs(canonical_problem, lanes, monkeypatch,
+                                                   end, how):
     caller, run_batch = os.getpid(), engine._run_batch
 
-    def killed(*args):
+    def lost(*args):
         if os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
+            end()
         return run_batch(*args)
 
-    monkeypatch.setattr(engine, "_run_batch", killed)
+    monkeypatch.setattr(engine, "_run_batch", lost)
     cfgs = [RunConfig(algo, 5, StepRule.constant(0.05), seed=seed)
             for algo, seed in (("dpg-rr", 1), ("dpg-sg", 2), ("dpg-ig", 3), ("dpg-rr", 4))]
     with pytest.raises(WorkerLost) as err:
         run(cfgs, canonical_problem)
-    assert str(err.value) == (
-        f"the worker running dpg-sg seed 2 was killed by signal {int(signal.SIGKILL)}")
+    # the first worker's lane is dpg-sg seed 2 alone; its loss is raised first
+    assert str(err.value) == f"the worker running dpg-sg seed 2 {how}"
     assert_no_child_left()
 
 
