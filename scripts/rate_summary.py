@@ -34,9 +34,9 @@ def main() -> int:
             RunConfig("dpg-rr", horizon, StepRule.sqrt_horizon(), seed=seed, cadence=horizon)
             for seed in range(1, 6)
         ]
-        finals = [trace.rows[-1] for trace in run(cfgs, problem)]
-        med = float(np.median([r.suboptimality for r in finals]))
-        dist = float(np.median([r.max_consensus_dist for r in finals]))
+        traces = run(cfgs, problem)
+        med = float(np.median([trace.suboptimality[-1] for trace in traces]))
+        dist = float(np.median([trace.max_consensus_dist[-1] for trace in traces]))
         print(f"{horizon:>6} {med:>15.6f} {dist:>20.3e}")
     return 0
 

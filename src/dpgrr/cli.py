@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -52,25 +53,27 @@ CSV_HEADER = "epoch,F_bar,F_hat,subopt,D,max_consensus_dist,sigma_star_sq,V_t"
 ORACLE_TOL = 1e-10
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_metrics_csv(path: Path, trace: RunTrace) -> None:
-    """One line per row under ``CSV_HEADER``; an empty cell is a None.
+    """One line per recorded epoch under ``CSV_HEADER``, a column at a time:
+    the epochs with ``str``, the floats with ``repr``, and an empty cell
+    where the trace has no value (the initial row of a column that starts
+    at epoch 1, every row of one not recorded), so every cell reads as it
+    would row by row."""
+    rows = len(trace.epochs)
 
-    Formats column by column: the epoch with ``str``, the columns that are
-    always floats with ``repr``, and only those that can be None through
-    ``_fmt``, so every cell reads as it would row by row.
-    """
-    epoch, f_bar, f_hat, subopt, disagreement, max_dist, sigma_star, v_t = (
-        zip(*trace.rows) if trace.rows else [()] * 8)
-    cells = zip(
-        map(str, epoch), map(repr, map(float, f_bar)), map(_fmt, f_hat), map(_fmt, subopt),
-        map(repr, map(float, disagreement)), map(repr, map(float, max_dist)),
-        map(_fmt, sigma_star), map(_fmt, v_t),
+    def cells(column):
+        return map(repr, column.tolist())
+
+    def later(column):
+        return repeat("", rows) if column is None else chain([""], cells(column))
+
+    sigma = "" if trace.sigma_star_sq is None else repr(float(trace.sigma_star_sq))
+    lines = zip(
+        map(str, trace.epochs.tolist()), cells(trace.f_bar), later(trace.f_hat),
+        later(trace.suboptimality), cells(trace.disagreement),
+        cells(trace.max_consensus_dist), repeat(sigma, rows), later(trace.forward_deviation),
     )
-    path.write_text("\n".join([CSV_HEADER, *map(",".join, cells)]) + "\n")
+    path.write_text("\n".join([CSV_HEADER, *map(",".join, lines)]) + "\n")
 
 
 def _csv_name(algo: str, seed: int, multi_seed: bool) -> str:
@@ -211,9 +214,9 @@ def cmd_run(args) -> int:
         write_metrics_csv(out_dir / name, trace)
         files[f"{algo.name}/seed{seed}"] = name
         if not args.quiet:
-            final = trace.rows[-1]
-            sub = "" if final.suboptimality is None else f" subopt={final.suboptimality:.6g}"
-            print(f"{algo.name} seed={seed}: {len(trace.rows)} rows{sub}")
+            subopt = trace.suboptimality
+            sub = "" if subopt is None or not len(subopt) else f" subopt={subopt[-1]:.6g}"
+            print(f"{algo.name} seed={seed}: {len(trace.epochs)} rows{sub}")
 
     manifest = {
         "version": __version__,

@@ -33,10 +33,10 @@ Recorded epochs are buffered and evaluated in chunks: once the buffered
 states and averages reach ``MAX_RECORD_BYTES``, and once at the end of
 the horizon, each row quantity is one call over the ``(R, S, ...)`` stack
 of the R pending epochs, with reductions whose per-row bits do not depend
-on the stack.  The budget is small because the row reductions make
-several chunk-sized temporaries, which would otherwise raise peak memory.
-A run's rows of a chunk are built from its column of each row quantity,
-one ``EpochMetrics`` tuple per row, without a loop over rows.
+on the stack, written into the chunk's slice of the batch's float
+columns, allocated once.  The budget is small because the row reductions
+make several chunk-sized temporaries, which would otherwise raise peak
+memory.
 Once a run behind the first has failed, ``run`` will raise that failure
 and discard the batch's traces, so the pending rows are dropped and no
 more are buffered; the earlier runs only keep stepping.
@@ -66,12 +66,13 @@ run-epochs, it first cuts the runs into that many lanes of consecutive
 runs, one per CPU, and cuts each lane into its own batches.  The caller's
 process runs the first lane; every other lane runs in a worker made
 with ``os.fork``, which sends back its traces, or its failure, pickled
-over a pipe.  Every check and step resolution, with its warning or
-error, happens before the fork, and the failure of the first failing
-run in order is the one raised.  Workers are always reaped, and killed
-first when the caller's lane fails or is interrupted.  Since a run's
-trace does not depend on its batch, the lanes give the traces a single
-process gives; ``taskset -c 0`` runs every batch in one process.
+over a pipe; a trace's columns travel as the arrays they are.  Every
+check and step resolution, with its warning or error, happens before
+the fork, and the failure of the first failing run in order is the one
+raised.  Workers are always reaped, and killed first when the caller's
+lane fails or is interrupted.  Since a run's trace does not depend on
+its batch, the lanes give the traces a single process gives;
+``taskset -c 0`` runs every batch in one process.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -127,8 +127,8 @@ MAX_BATCH_BYTES = 1 << 20
 # forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
 # host a run-epoch that records its row took at least 52 us, so a lane
 # at this bound runs for at least about 100 ms; its fork costs the caller
-# about 0.5 ms and unpickling its traces about 0.7 us a row, together
-# under 2% of the lane.
+# about 0.5 ms and unpickling its traces about 0.1 us a row, together
+# under 1% of the lane.
 _LANE_WORK = 2000
 
 # Bound on the buffered states and averages of recorded epochs that the
@@ -339,31 +339,29 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Recorded rows and the final iterate of one run.
+    """Recorded columns and the final iterate of one run.
 
-    With ``store_snapshots`` it also keeps, per recorded epoch, the state
-    and its average and running-average iterates; otherwise those dicts
-    stay empty.
+    A column has a float per entry of ``epochs``, the batch's read-only
+    int64 array; ``f_hat``, ``suboptimality`` (None without an F*) and
+    ``forward_deviation`` (None without ``record_v`` or on dgm) start at
+    epoch 1, so align with ``epochs[1:]``.  With ``store_snapshots`` the
+    dicts keep, per recorded epoch, the state and its average and
+    running-average iterates; otherwise they stay empty.
     """
 
-    rows: list[metrics_mod.EpochMetrics]
+    epochs: np.ndarray
+    f_bar: np.ndarray
+    f_hat: np.ndarray
+    suboptimality: np.ndarray | None
+    disagreement: np.ndarray
+    max_consensus_dist: np.ndarray
+    sigma_star_sq: float | None
+    forward_deviation: np.ndarray | None
     x_bar: dict[int, np.ndarray]
     x_hat: dict[int, np.ndarray]
     snapshots: dict[int, np.ndarray]
     gamma: float | None
     x_final: np.ndarray
-
-    def __reduce__(self):
-        # rows travel as one tuple per column: a pickled row would be one
-        # named-tuple rebuild call per row on each side
-        return _trace_from_columns, (tuple(zip(*self.rows)), self.x_bar, self.x_hat,
-                                     self.snapshots, self.gamma, self.x_final)
-
-
-def _trace_from_columns(columns, *rest) -> RunTrace:
-    # tuple.__new__ builds each row in C, where _make is a Python call
-    rows = map(tuple.__new__, repeat(metrics_mod.EpochMetrics), zip(*columns))
-    return RunTrace(list(rows), *rest)
 
 
 def default_cadence(horizon: int) -> int:
@@ -702,60 +700,73 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
     steps_mode = StepsMode.fixed(1) if dgm else first.steps_mode
 
     x = np.full((len(configs), m, dim), float(first.x0))
+    # epoch 0, every cadence-th epoch and the last: one entry of each column
+    epochs = np.arange(0, horizon + 1, cadence, dtype=np.int64)
+    if epochs[-1] != horizon:
+        epochs = np.append(epochs, horizon)
+    epochs.setflags(write=False)
+    f_bar, disagreement, max_dist = (np.empty((len(configs), len(epochs))) for _ in range(3))
+    # the running average and the inner pass start at epoch 1
+    f_hat = np.empty((len(configs), len(epochs) - 1))
+    subopt = None if problem.f_star is None else np.empty_like(f_hat)
+    v_values = np.empty_like(f_hat) if first.record_v and not dgm else None
     traces = [
-        RunTrace(rows=[], x_bar={}, x_hat={}, snapshots={},
-                 gamma=steps[s], x_final=x[s].copy())
+        RunTrace(epochs, f_bar[s], f_hat[s], None if subopt is None else subopt[s],
+                 disagreement[s], max_dist[s], sigma_star,
+                 None if v_values is None else v_values[s],
+                 x_bar={}, x_hat={}, snapshots={}, gamma=steps[s], x_final=x[s].copy())
         for s in range(len(configs))
     ]
 
-    def record(epochs: tuple[int, ...], states: np.ndarray, x_bars: np.ndarray,
-               x_hats: np.ndarray | None, inner_avgs: np.ndarray | None) -> None:
-        """Rows of the recorded ``epochs`` for each run still in the batch.
+    def record(row: int, states: np.ndarray, x_bars: np.ndarray, x_hats: np.ndarray | None,
+               inner_avgs: np.ndarray | None) -> None:
+        """Columns from entry ``row`` on, for each run still in the batch.
 
         ``states`` ``(R, S, m, d)``, ``x_bars`` and ``x_hats`` ``(R, S, d)``
         and ``inner_avgs`` ``(R, S, n, d)`` stack the R epochs; each row
         quantity is one call over the whole stack.
         """
-        runs = states.shape[1]
+        runs, span = states.shape[1], slice(row, row + len(states))
         points = x_bars if x_hats is None else np.concatenate([x_bars, x_hats], axis=1)
         # every quantity transposed to one column of R values per run
         objective = objectives.full_objective(features, labels, reg, kind, points).T
-        disagreement = metrics_mod.consensus_quantity(
-            states, designated, designated_edges).T.tolist()
+        f_bar[:runs, span] = objective[:runs]
+        disagreement[:runs, span] = metrics_mod.consensus_quantity(
+            states, designated, designated_edges).T
         diff = states - x_bars[..., None, :]
-        max_dist = np.sqrt(np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).T.tolist()
-        f_bar = objective[:runs].tolist()
-        f_hat = subopt = v_values = [repeat(None)] * runs
+        max_dist[:runs, span] = np.sqrt(
+            np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).T
         if x_hats is not None:
-            f_hat = objective[runs:].tolist()
-            if problem.f_star is not None:
-                subopt = (objective[runs:] - problem.f_star).tolist()
-        if inner_avgs is not None:
-            v_values = metrics_mod.forward_deviation(inner_avgs, x_bars).T.tolist()
-        for s, trace in enumerate(traces[:runs]):
-            trace.rows += map(metrics_mod.EpochMetrics._make, zip(
-                epochs, f_bar[s], f_hat[s], subopt[s], disagreement[s], max_dist[s],
-                repeat(sigma_star), v_values[s]))
-            if first.store_snapshots:
-                for r, epoch in enumerate(epochs):
+            later = slice(row - 1, row - 1 + len(states))
+            f_hat[:runs, later] = objective[runs:]
+            if subopt is not None:
+                subopt[:runs, later] = objective[runs:] - problem.f_star
+            if v_values is not None:
+                v_values[:runs, later] = metrics_mod.forward_deviation(inner_avgs, x_bars).T
+        if first.store_snapshots:
+            recorded = epochs[span].tolist()
+            for s, trace in enumerate(traces[:runs]):
+                for r, epoch in enumerate(recorded):
                     trace.snapshots[epoch] = states[r, s].copy()
                     trace.x_bar[epoch] = x_bars[r, s].copy()
                     if x_hats is not None:
                         trace.x_hat[epoch] = x_hats[r, s].copy()
 
     # sum / m has the bits of mean(axis=1) and skips its dispatch
-    record((0,), x[None], (x.sum(axis=1) / m)[None], None, None)
+    record(0, x[None], (x.sum(axis=1) / m)[None], None, None)
 
-    # recorded epochs not yet evaluated: (epoch, state, x_bar, x_hat,
-    # inner_avgs), none of them an array that a later epoch changes
+    # recorded epochs not yet evaluated, the column entries from ``filled``
+    # on: (state, x_bar, x_hat, inner_avgs), none of them an array that a
+    # later epoch changes
     pending: list[tuple] = []
     pending_bytes = 0
+    filled = 1
 
     def flush() -> None:
-        nonlocal pending_bytes
+        nonlocal pending_bytes, filled
         if pending:
-            epochs, *parts = zip(*pending)
-            record(epochs, *(None if p[0] is None else np.stack(p) for p in parts))
+            record(filled, *(None if p[0] is None else np.stack(p) for p in zip(*pending)))
+            filled += len(pending)
             pending.clear()
             pending_bytes = 0
 
@@ -808,7 +819,7 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
         x_hat_sum += x_bar
         epoch = t + 1
         if failure is None and (epoch % cadence == 0 or epoch == horizon):
-            pending.append((epoch, x, x_bar, x_hat_sum / epoch, inner_avgs))
+            pending.append((x, x_bar, x_hat_sum / epoch, inner_avgs))
             pending_bytes += row_bytes
             if pending_bytes >= MAX_RECORD_BYTES:
                 flush()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
@@ -11,7 +9,6 @@ from .proxops import sequential_sum
 
 __all__ = [
     "MissingInnerTrace",
-    "EpochMetrics",
     "consensus_edges",
     "consensus_quantity",
     "shuffling_variance",
@@ -21,25 +18,6 @@ __all__ = [
 
 class MissingInnerTrace(RuntimeError):
     """Inner-iterate averages were not recorded for this epoch."""
-
-
-class EpochMetrics(NamedTuple):
-    """One recorded row of a run, an immutable tuple of its fields.
-
-    ``f_hat`` and ``suboptimality`` concern the running average of
-    iterates, which starts at epoch 1, so they are None on the initial
-    row.  ``forward_deviation`` of the epoch that produced this row and
-    ``sigma_star_sq`` are diagnostics and None unless enabled.
-    """
-
-    epoch: int
-    f_bar: float
-    f_hat: float | None
-    suboptimality: float | None
-    disagreement: float
-    max_consensus_dist: float
-    sigma_star_sq: float | None = None
-    forward_deviation: float | None = None
 
 
 def consensus_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -168,15 +168,15 @@ def packed_smooth_value(
     summed in sample order (``sequential_sum``): a ``@`` or ``np.sum`` over
     the stack would change a point's bits with the points stacked beside it.
     A logistic point's losses are ``softplus`` of its negated margins,
-    taken in place on the margin buffer.
+    both taken in place on the margin buffer.
     """
     flat, x = _flat(features, x)
     points = x.reshape(-1, flat.shape[1])
     z, y, m = np.einsum("kd,sd->sk", flat, points), labels.reshape(-1), features.shape[0]
     if kind is SmoothLossKind.LOGISTIC:
-        # (-y) z has the bits of -(y z) and is one fresh (points, m n) buffer
-        losses = -y * z
-        value = sequential_sum(softplus(losses, out=losses)) / m
+        # (-y) z has the bits of -(y z); it and its softplus overwrite z
+        np.multiply(-y, z, out=z)
+        value = sequential_sum(softplus(z, out=z)) / m
     else:
         r = z - y
         value = 0.5 * sequential_sum(r * r) / m

@@ -70,6 +70,23 @@ def golden_section_prox_1d(penalty, gamma: float, xi: float) -> float:
     return float((lo + hi) / 2)
 
 
+# the recorded columns of a ``RunTrace``
+COLUMNS = ("epochs", "f_bar", "f_hat", "suboptimality", "disagreement",
+           "max_consensus_dist", "forward_deviation")
+
+
+def assert_same_columns(got, want):
+    """Every column of two traces has the same dtype, shape and bits, or is
+    None in both, and so is ``sigma_star_sq``: an array's bytes and a
+    float's repr are its bits, so a NaN equals itself."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert repr(got.sigma_star_sq) == repr(want.sigma_star_sq)
+
+
 def packed(*agents):
     """``(features, labels)`` of agents given as lists of ``(a, label)`` pairs."""
     features = np.array([[np.atleast_1d(a) for a, _ in pairs] for pairs in agents], float)

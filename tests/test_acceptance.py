@@ -158,39 +158,41 @@ def test_criterion_4_gradient_checks():
     report("4 gradient finite-difference check", ok, f"worst relative error {worst:.2e}")
 
 
-def _final_rows(problem, horizon, step, runs):
-    """Final rows of the ``(algorithm, seed)`` runs, advanced as one batch."""
+def _traces(problem, horizon, step, runs):
+    """Traces of the ``(algorithm, seed)`` runs, advanced as one batch,
+    each recording its first and last epoch."""
     cfgs = [RunConfig(algo, horizon, step, seed=seed, cadence=horizon) for algo, seed in runs]
-    return [trace.rows[-1] for trace in run(cfgs, problem)]
+    return run(cfgs, problem)
 
 
 def test_criterion_5_consensus(canonical_problem):
     t0 = time.perf_counter()
-    rows = {
-        T: _final_rows(canonical_problem, T, StepRule.sqrt_horizon(), [("dpg-rr", 42)])[0]
+    traces = {
+        T: _traces(canonical_problem, T, StepRule.sqrt_horizon(), [("dpg-rr", 42)])[0]
         for T in (100, 1600)
     }
     elapsed = time.perf_counter() - t0
-    dist_ok = rows[1600].max_consensus_dist <= 0.1 * rows[100].max_consensus_dist
-    d_ok = rows[1600].disagreement <= 0.01 * rows[100].disagreement
+    dist = {T: trace.max_consensus_dist[-1] for T, trace in traces.items()}
+    energy = {T: trace.disagreement[-1] for T, trace in traces.items()}
+    dist_ok = dist[1600] <= 0.1 * dist[100]
+    d_ok = energy[1600] <= 0.01 * energy[100]
     ok = dist_ok and d_ok and elapsed < 120.0
     report(
         "5 consensus decay",
         ok,
-        f"dist {rows[100].max_consensus_dist:.2e} -> {rows[1600].max_consensus_dist:.2e}, "
-        f"D {rows[100].disagreement:.2e} -> {rows[1600].disagreement:.2e}, {elapsed:.1f}s",
+        f"dist {dist[100]:.2e} -> {dist[1600]:.2e}, "
+        f"D {energy[100]:.2e} -> {energy[1600]:.2e}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_6_rate(canonical_problem):
     medians = {}
     for T in (100, 1600):
-        finals = [
-            row.suboptimality
-            for row in _final_rows(canonical_problem, T, StepRule.sqrt_horizon(),
-                                   [("dpg-rr", seed) for seed in range(1, 11)])
-        ]
-        assert all(f is not None and f > -1e-9 for f in finals)
+        traces = _traces(canonical_problem, T, StepRule.sqrt_horizon(),
+                         [("dpg-rr", seed) for seed in range(1, 11)])
+        assert all(trace.suboptimality is not None for trace in traces)
+        finals = [trace.suboptimality[-1] for trace in traces]
+        assert all(f > -1e-9 for f in finals)
         medians[T] = float(np.median(finals))
     ratio = medians[1600] / medians[100]
     ok = ratio <= 0.5
@@ -211,10 +213,11 @@ def test_criterion_7_sampler_ordering():
     assert sol.converged
     problem = dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
     algos = ("dpg-rr", "dpg-sg", "dpg-ig")
-    rows = _final_rows(problem, cfg.horizon, StepRule.constant(0.3),
-                       [(algo, seed) for algo in algos for seed in cfg.seeds])
+    traces = _traces(problem, cfg.horizon, StepRule.constant(0.3),
+                     [(algo, seed) for algo in algos for seed in cfg.seeds])
     finals = {
-        algo: [row.suboptimality for row in rows[k * len(cfg.seeds):(k + 1) * len(cfg.seeds)]]
+        algo: [trace.suboptimality[-1]
+               for trace in traces[k * len(cfg.seeds):(k + 1) * len(cfg.seeds)]]
         for k, algo in enumerate(algos)
     }
     rr, sg, ig = finals["dpg-rr"], finals["dpg-sg"], finals["dpg-ig"]

@@ -19,7 +19,6 @@ from dpgrr.config import (
     ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
 )
 from dpgrr.engine import RunConfig, StepRule, run
-from dpgrr.metrics import EpochMetrics
 from dpgrr.objectives import smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
@@ -106,6 +105,20 @@ def test_run_horizon_zero_writes_only_initial_row(tmp_path):
     assert lines[1].startswith("0,")
     # running average is undefined before the first epoch
     assert lines[1].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("T", [4, 0])
+def test_run_prints_each_runs_rows_and_final_subopt(tmp_path, capsys, T):
+    cfg = write_synth(tmp_path, T=T)
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["F_star"] > 0.0
+    final = read_csv(tmp_path / "out" / "dpg_rr_metrics.csv")[-1].split(",")
+    if T:
+        assert summary == f"dpg-rr seed=3: {T + 1} rows subopt={float(final[3]):.6g}"
+    else:
+        # the initial row has no running average, so no suboptimality
+        assert final[3] == "" and summary == "dpg-rr seed=3: 1 rows"
 
 
 def test_run_twice_byte_identical(tmp_path):
@@ -361,14 +374,23 @@ def test_diagnostics_columns_populated(tmp_path):
 
 def _row_by_row_csv(trace) -> str:
     """The metrics CSV written a row at a time, every float cell through
-    ``_fmt``: the writer's former loop, kept as its oracle."""
-    fmt = dpgrr.cli._fmt
+    ``fmt``: the writer's former loop, kept as its oracle, reading each
+    row's entries from the columns."""
+
+    def fmt(value) -> str:
+        return "" if value is None else repr(float(value))
+
+    def later(column, k):
+        # entry of row k in a column that starts at epoch 1
+        return None if column is None or k == 0 else column[k - 1]
+
     lines = [CSV_HEADER]
-    for row in trace.rows:
+    for k, epoch in enumerate(trace.epochs):
         lines.append(",".join([
-            str(row.epoch), fmt(row.f_bar), fmt(row.f_hat), fmt(row.suboptimality),
-            fmt(row.disagreement), fmt(row.max_consensus_dist), fmt(row.sigma_star_sq),
-            fmt(row.forward_deviation),
+            str(int(epoch)), fmt(trace.f_bar[k]), fmt(later(trace.f_hat, k)),
+            fmt(later(trace.suboptimality, k)), fmt(trace.disagreement[k]),
+            fmt(trace.max_consensus_dist[k]), fmt(trace.sigma_star_sq),
+            fmt(later(trace.forward_deviation, k)),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -387,26 +409,16 @@ def test_column_writer_writes_the_row_by_row_bytes(
                   for name in ("dpg-rr", "dpg-sg")], problem)
     traces += run([RunConfig("dgm", step=StepRule.constant(0.05), **shared)], problem)
     for trace, dgm in zip(traces, (False, False, True)):
-        first, last = trace.rows[0], trace.rows[-1]
-        assert first.f_hat is None and first.suboptimality is None
-        assert (last.suboptimality is None) == (not with_f_star)
-        assert (last.sigma_star_sq is None) == (not record_sigma_star)
-        assert (last.forward_deviation is None) == (dgm or not record_v)
+        # f_hat, subopt and V_t start at epoch 1, so the first row has none
+        assert trace.epochs.tolist() == [0, 1, 2, 3, 4, 5] and len(trace.f_hat) == 5
+        assert (trace.suboptimality is None) == (not with_f_star)
+        assert (trace.sigma_star_sq is None) == (not record_sigma_star)
+        assert (trace.forward_deviation is None) == (dgm or not record_v)
+        for column in (trace.suboptimality, trace.forward_deviation):
+            assert column is None or len(column) == 5
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, trace)
         assert path.read_bytes() == _row_by_row_csv(trace).encode()
-
-
-def test_epoch_metrics_rows_are_immutable():
-    row = EpochMetrics(epoch=0, f_bar=1.0, f_hat=None, suboptimality=None,
-                       disagreement=0.0, max_consensus_dist=0.0)
-    assert (row.sigma_star_sq, row.forward_deviation) == (None, None)
-    for name in EpochMetrics._fields:
-        with pytest.raises(AttributeError):
-            setattr(row, name, 2.0)
-    with pytest.raises(AttributeError):
-        row.extra = 1.0
-    assert row.f_bar == 1.0
 
 
 def test_config_error_is_reported(tmp_path, capsys):

@@ -4,15 +4,15 @@ import os
 import pickle
 import signal
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import packed
+from conftest import COLUMNS, assert_same_columns, packed
 from dpgrr import engine
 from dpgrr.dataio import synthesize_classification
-from dpgrr.metrics import EpochMetrics
 from dpgrr.engine import (
     NonFiniteIterate,
     ProblemBundle,
@@ -88,11 +88,9 @@ def test_non_finite_step_rejected(value):
 
 def test_t_zero_records_only_initial_row(toy_ls_problem):
     [trace] = run([RunConfig("dpg-rr", 0, StepRule.constant(0.1))], toy_ls_problem)
-    assert len(trace.rows) == 1
-    row = trace.rows[0]
-    assert row.epoch == 0
-    assert row.f_hat is None and row.suboptimality is None
-    assert row.disagreement == 0.0 and row.max_consensus_dist == 0.0
+    assert trace.epochs.tolist() == [0]
+    assert trace.f_hat.size == 0 and trace.suboptimality is None
+    assert trace.disagreement.tolist() == [0.0] and trace.max_consensus_dist.tolist() == [0.0]
 
 
 def test_two_agents_complete_graph_matches_hand_average():
@@ -136,7 +134,7 @@ def test_determinism_bit_identical(canonical_problem):
     cfg = RunConfig("dpg-rr", 40, StepRule.sqrt_horizon(), seed=11, store_snapshots=True)
     [a] = run([cfg], canonical_problem)
     [b] = run([cfg], canonical_problem)
-    assert a.rows == b.rows
+    assert_same_columns(a, b)
     for t in a.snapshots:
         assert np.array_equal(a.snapshots[t], b.snapshots[t])
 
@@ -155,8 +153,8 @@ def test_average_iterate_identities(canonical_problem):
 def test_rows_recomputable_from_snapshots(canonical_problem):
     cfg = RunConfig("dpg-rr", 25, StepRule.sqrt_horizon(), seed=6, store_snapshots=True)
     [trace] = run([cfg], canonical_problem)
-    for row in trace.rows:
-        snap = trace.snapshots[row.epoch]
+    for epoch, value in zip(trace.epochs.tolist(), trace.f_bar.tolist(), strict=True):
+        snap = trace.snapshots[epoch]
         f_bar = full_objective(
             canonical_problem.features,
             canonical_problem.labels,
@@ -164,7 +162,7 @@ def test_rows_recomputable_from_snapshots(canonical_problem):
             canonical_problem.kind,
             snap.mean(axis=0),
         )
-        assert row.f_bar == pytest.approx(f_bar, abs=1e-10)
+        assert value == pytest.approx(f_bar, abs=1e-10)
 
 
 def test_samplers_share_the_engine_path():
@@ -177,13 +175,19 @@ def test_samplers_share_the_engine_path():
     ]
     for other in traces[1:]:
         assert np.array_equal(traces[0].x_final, other.x_final)
-        assert traces[0].rows == other.rows
+        assert_same_columns(traces[0], other)
 
 
 def test_cadence_controls_recording(canonical_problem):
     cfg = RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=1, cadence=4)
     [trace] = run([cfg], canonical_problem)
-    assert [r.epoch for r in trace.rows] == [0, 4, 8, 10]
+    assert trace.epochs.dtype == np.int64 and trace.epochs.tolist() == [0, 4, 8, 10]
+    # f_hat and suboptimality start at epoch 1; the rest have every epoch
+    for name in COLUMNS[1:-1]:
+        column = getattr(trace, name)
+        assert column.dtype == np.float64
+        assert len(column) == (3 if name in ("f_hat", "suboptimality") else 4)
+    assert trace.forward_deviation is None
 
 
 def test_sqrt_rule_uses_bound_by_default(canonical_problem):
@@ -431,7 +435,7 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
     )
     [rr] = run([RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
     [dgm] = run([RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
-    assert dgm.rows[-1].suboptimality > rr.rows[-1].suboptimality > -1e-9
+    assert dgm.suboptimality[-1] > rr.suboptimality[-1] > -1e-9
 
 
 def test_run_config_takes_exactly_the_uint64_seeds(toy_ls_problem):
@@ -440,7 +444,7 @@ def test_run_config_takes_exactly_the_uint64_seeds(toy_ls_problem):
     for seed in (0, 2**64 - 1):
         [trace] = run([RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)],
                       toy_ls_problem)
-        assert len(trace.rows) == 3
+        assert len(trace.epochs) == 3
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
             RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)
@@ -512,10 +516,11 @@ def test_bundle_rejects_non_stochastic_mixing_rows():
 def test_forward_deviation_recorded(canonical_problem):
     cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(), seed=2, record_v=True)
     [trace] = run([cfg], canonical_problem)
-    assert trace.rows[0].forward_deviation is None
-    for row in trace.rows[1:]:
-        assert row.forward_deviation is not None
-        assert row.forward_deviation >= 0.0
+    # one value per epoch after epoch 0, whose row has no inner pass
+    assert trace.epochs.tolist() == [0, 1, 2, 3, 4, 5]
+    assert trace.forward_deviation.dtype == np.float64
+    assert len(trace.forward_deviation) == 5
+    assert (trace.forward_deviation >= 0.0).all()
 
 
 def test_forward_deviation_shrinks_with_step(canonical_problem):
@@ -524,7 +529,7 @@ def test_forward_deviation_shrinks_with_step(canonical_problem):
     def median_v(gamma):
         cfg = RunConfig("dpg-rr", 40, StepRule.constant(gamma), seed=3, record_v=True)
         [trace] = run([cfg], canonical_problem)
-        return float(np.median([r.forward_deviation for r in trace.rows[1:]]))
+        return float(np.median(trace.forward_deviation))
 
     assert median_v(0.005) <= 0.5 * median_v(0.01)
 
@@ -534,9 +539,8 @@ def test_sigma_star_recorded(canonical_problem):
         "dpg-rr", 2, StepRule.sqrt_horizon(), seed=2, record_sigma_star=True
     )
     [trace] = run([cfg], canonical_problem)
-    values = {r.sigma_star_sq for r in trace.rows}
-    assert len(values) == 1
-    assert values.pop() > 0.0
+    assert type(trace.sigma_star_sq) is float
+    assert trace.sigma_star_sq > 0.0
 
 
 def test_sigma_star_needs_reference_point(canonical_problem):
@@ -611,33 +615,35 @@ def _check_against_serial_reference(p, cfg, trace):
     want = serial_reference(cfg, p)
     w = p.schedule.matrices[0].weights
     x_hat_sum = np.zeros(p.dim)
-    for row in trace.rows:
-        snap, v_t = want[row.epoch]
-        assert np.abs(trace.snapshots[row.epoch] - snap).max() <= 1e-12
+    for k, epoch in enumerate(trace.epochs.tolist()):
+        snap, v_t = want[epoch]
+        assert np.abs(trace.snapshots[epoch] - snap).max() <= 1e-12
         x_bar = snap.mean(axis=0)
-        x_hat_sum += x_bar if row.epoch else 0.0
-        assert row.f_bar == pytest.approx(
+        x_hat_sum += x_bar if epoch else 0.0
+        assert trace.f_bar[k] == pytest.approx(
             full_objective(p.features, p.labels, p.regularizer, p.kind, x_bar), abs=1e-12)
-        if row.epoch:
+        if epoch:
             f_hat = full_objective(
-                p.features, p.labels, p.regularizer, p.kind, x_hat_sum / row.epoch)
-            assert row.f_hat == pytest.approx(f_hat, abs=1e-12)
+                p.features, p.labels, p.regularizer, p.kind, x_hat_sum / epoch)
+            assert trace.f_hat[k - 1] == pytest.approx(f_hat, abs=1e-12)
         energy = 0.5 * sum(w[i, j] * np.sum((snap[i] - snap[j]) ** 2)
                            for i in range(p.m) for j in range(p.m))
-        assert row.disagreement == pytest.approx(energy, abs=1e-12)
+        assert trace.disagreement[k] == pytest.approx(energy, abs=1e-12)
         dist = max(np.linalg.norm(x - x_bar) for x in snap)
-        assert row.max_consensus_dist == pytest.approx(dist, abs=1e-12)
+        assert trace.max_consensus_dist[k] == pytest.approx(dist, abs=1e-12)
+        # forward_deviation starts at epoch 1
+        v = None if not epoch or trace.forward_deviation is None else trace.forward_deviation[k - 1]
         if v_t is None:
-            assert row.forward_deviation is None
+            assert v is None
         else:
-            assert row.forward_deviation == pytest.approx(v_t, abs=1e-12)
+            assert v == pytest.approx(v_t, abs=1e-12)
 
 
 # -- batches -------------------------------------------------------------------
 
 
 def _assert_same_trace(got, want):
-    assert got.rows == want.rows
+    assert_same_columns(got, want)
     assert got.gamma == want.gamma
     assert np.array_equal(got.x_final, want.x_final)
     for name in ("snapshots", "x_bar", "x_hat"):
@@ -816,9 +822,34 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
     for a, b in zip(run(cfgs, p), want, strict=True):
         _assert_same_trace(a, b)
     # the initial row alone, then chunks of `rows` recorded epochs
-    recorded = len(want[0].rows) - 1
+    recorded = len(want[0].epochs) - 1
     assert calls == [1] + [
         min(rows, recorded - lo) for lo in range(0, recorded, rows)]
+
+
+def test_a_recorded_row_holds_a_few_floats():
+    # what four cadence-1 traces hold once ``run`` returns: a row is its
+    # floats, about 51 bytes with the shared epochs; a tuple of Python
+    # floats per row held about 265
+    features, labels = synthesize_classification(m=2, n=2, d=2, separation=1.0, seed=0)
+    problem = ProblemBundle(
+        features, labels, LOG, Regularizer.l1(0.01),
+        GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1), f_star=0.5)
+    cfgs = [RunConfig(algo, 2000, StepRule.constant(0.1), seed=seed, cadence=1)
+            for seed, algo in enumerate(("dpg-rr", "dpg-sg", "dpg-ig", "dpg-rr"))]
+    run([dataclasses.replace(cfgs[0], horizon=2)], problem)  # the engine's own caches
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = run(cfgs, problem)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    rows = sum(len(trace.epochs) for trace in traces)
+    assert rows == 4 * 2001
+    assert held <= 80 * rows
 
 
 @pytest.mark.parametrize("field, value", [
@@ -865,8 +896,12 @@ def test_a_trace_survives_pickling(canonical_problem):
         [trace] = run([RunConfig("dpg-rr", 6, StepRule.constant(0.05), seed=4, **extra)],
                       canonical_problem)
         back = pickle.loads(pickle.dumps(trace))
+        # every column comes back with its dtype, shape and bytes
         _assert_same_trace(back, trace)
-        assert all(type(row) is EpochMetrics for row in back.rows)
+        assert back.epochs.dtype == np.int64
+        assert all(getattr(back, name).dtype == np.float64
+                   for name in COLUMNS[1:] if getattr(back, name) is not None)
+        assert (back.forward_deviation is None) == (not extra)
 
 
 # -- lanes: batches advanced in forked workers ------------------------------
@@ -1075,9 +1110,8 @@ def random_runs(draw):
 
 def _assert_same_bits(got, want):
     """``_assert_same_trace`` for traces that may hold NaN, as a run whose
-    state nears the largest float records: a float's repr and an array's
-    bytes are its bits."""
-    assert repr(got.rows) == repr(want.rows)
+    state nears the largest float records: an array's bytes are its bits."""
+    assert_same_columns(got, want)
     assert got.gamma == want.gamma
     for name in ("snapshots", "x_bar", "x_hat"):
         a, b = getattr(got, name), getattr(want, name)
