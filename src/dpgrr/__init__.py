@@ -32,14 +32,12 @@ from .objectives import (  # noqa: F401
     full_objective,
     gradient_bound,
     lipschitz_constant,
-    sample_value_grad,
 )
 from .proxops import (  # noqa: F401
     Regularizer,
     RegKind,
-    inexact_prox_error,
     prox,
     subgradient,
 )
-from .reference import ReferenceSolution, centralized_prox_rr, solve_centralized  # noqa: F401
-from .sampling import Mode, epoch_indices, prefix_average_stats  # noqa: F401
+from .reference import ReferenceSolution, solve_centralized  # noqa: F401
+from .sampling import Mode  # noqa: F401

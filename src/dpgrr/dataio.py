@@ -22,7 +22,6 @@ __all__ = [
     "LabelError",
     "TooFewSamples",
     "parse_libsvm",
-    "format_libsvm",
     "Partition",
     "partition",
     "synthesize_classification",
@@ -95,19 +94,6 @@ def parse_libsvm(source, classification: bool = True) -> tuple[np.ndarray, np.nd
     for row, (idx, val) in zip(features, rows):
         row[idx] = val
     return features, np.array(labels, dtype=float)
-
-
-def format_libsvm(features: np.ndarray, labels: np.ndarray) -> str:
-    """Each row's nonzeros as a sparse-text line, 17 significant digits.
-
-    ``parse_libsvm`` reads back the same arrays, less any trailing all-zero
-    columns, which no line records.
-    """
-    lines = []
-    for a, label in zip(features, labels):
-        feats = " ".join(f"{i + 1}:{a[i]:.17g}" for i in np.flatnonzero(a))
-        lines.append(f"{label:.17g} {feats}".rstrip())
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,8 @@ _LANE_WORK = 2000
 MAX_RECORD_BYTES = 1 << 16
 
 # RunConfig fields that every run of one ``run`` call must share
-_SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "store_snapshots",
-                  "record_v", "record_sigma_star", "enforce_step_bound")
+_SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v",
+                  "record_sigma_star", "enforce_step_bound")
 
 
 class NonFiniteIterate(FloatingPointError):
@@ -319,7 +319,6 @@ class RunConfig:
     steps_mode: StepsMode = field(default_factory=StepsMode.growing)
     seed: int = 0
     cadence: int | None = None
-    store_snapshots: bool = False
     record_v: bool = False
     record_sigma_star: bool = False
     enforce_step_bound: bool = True
@@ -344,9 +343,7 @@ class RunTrace:
     A column has a float per entry of ``epochs``, the batch's read-only
     int64 array; ``f_hat``, ``suboptimality`` (None without an F*) and
     ``forward_deviation`` (None without ``record_v`` or on dgm) start at
-    epoch 1, so align with ``epochs[1:]``.  With ``store_snapshots`` the
-    dicts keep, per recorded epoch, the state and its average and
-    running-average iterates; otherwise they stay empty.
+    epoch 1, so align with ``epochs[1:]``.
     """
 
     epochs: np.ndarray
@@ -357,9 +354,6 @@ class RunTrace:
     max_consensus_dist: np.ndarray
     sigma_star_sq: float | None
     forward_deviation: np.ndarray | None
-    x_bar: dict[int, np.ndarray]
-    x_hat: dict[int, np.ndarray]
-    snapshots: dict[int, np.ndarray]
     gamma: float | None
     x_final: np.ndarray
 
@@ -710,13 +704,6 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
     f_hat = np.empty((len(configs), len(epochs) - 1))
     subopt = None if problem.f_star is None else np.empty_like(f_hat)
     v_values = np.empty_like(f_hat) if first.record_v and not dgm else None
-    traces = [
-        RunTrace(epochs, f_bar[s], f_hat[s], None if subopt is None else subopt[s],
-                 disagreement[s], max_dist[s], sigma_star,
-                 None if v_values is None else v_values[s],
-                 x_bar={}, x_hat={}, snapshots={}, gamma=steps[s], x_final=x[s].copy())
-        for s in range(len(configs))
-    ]
 
     def record(row: int, states: np.ndarray, x_bars: np.ndarray, x_hats: np.ndarray | None,
                inner_avgs: np.ndarray | None) -> None:
@@ -743,14 +730,6 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
                 subopt[:runs, later] = objective[runs:] - problem.f_star
             if v_values is not None:
                 v_values[:runs, later] = metrics_mod.forward_deviation(inner_avgs, x_bars).T
-        if first.store_snapshots:
-            recorded = epochs[span].tolist()
-            for s, trace in enumerate(traces[:runs]):
-                for r, epoch in enumerate(recorded):
-                    trace.snapshots[epoch] = states[r, s].copy()
-                    trace.x_bar[epoch] = x_bars[r, s].copy()
-                    if x_hats is not None:
-                        trace.x_hat[epoch] = x_hats[r, s].copy()
 
     # sum / m has the bits of mean(axis=1) and skips its dispatch
     record(0, x[None], (x.sum(axis=1) / m)[None], None, None)
@@ -827,6 +806,9 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
 
     if failure is not None:
         raise failure
-    for trace, state in zip(traces, x):
-        trace.x_final = state.copy()
-    return traces
+    return [
+        RunTrace(epochs, f_bar[s], f_hat[s], None if subopt is None else subopt[s],
+                 disagreement[s], max_dist[s], sigma_star,
+                 None if v_values is None else v_values[s], gamma=steps[s], x_final=x[s])
+        for s in range(len(configs))
+    ]

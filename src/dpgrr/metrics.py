@@ -1,4 +1,5 @@
-"""Measured quantities: disagreement energy, suboptimality, shuffling variance."""
+"""Row quantities the engine records: disagreement energy, shuffling variance,
+forward deviation."""
 
 from __future__ import annotations
 
@@ -8,16 +9,11 @@ from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
 from .proxops import sequential_sum
 
 __all__ = [
-    "MissingInnerTrace",
     "consensus_edges",
     "consensus_quantity",
     "shuffling_variance",
     "forward_deviation",
 ]
-
-
-class MissingInnerTrace(RuntimeError):
-    """Inner-iterate averages were not recorded for this epoch."""
 
 
 def consensus_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,17 +73,14 @@ def shuffling_variance(
     return float(np.mean(np.sum(centered * centered, axis=1)))
 
 
-def forward_deviation(inner_averages, x_bar_next: np.ndarray):
+def forward_deviation(inner_averages: np.ndarray, x_bar_next: np.ndarray):
     """Sum of squared distances from each inner-iterate average to the next iterate.
 
     ``inner_averages`` holds the network averages of the n inner iterates
     of one epoch (the pre-step points), ``(n, d)`` against ``x_bar_next``
     ``(d,)`` for a float, or an ``(..., n, d)`` stack against ``(..., d)``
-    for one value per epoch and run, each with the bits it has alone.  Recording them is opt-in,
-    so a missing trace raises rather than silently returning garbage.
+    for one value per epoch and run, each with the bits it has alone.
     """
-    if inner_averages is None:
-        raise MissingInnerTrace("run with inner-average recording enabled")
     inner = np.asarray(inner_averages, dtype=float)
     diff = inner - np.asarray(x_bar_next, dtype=float)[..., None, :]
     value = sequential_sum(np.einsum("...nd,...nd->...n", diff, diff))

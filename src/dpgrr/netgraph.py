@@ -55,7 +55,7 @@ class MixingMatrix:
 
     Construction does not validate; ``issues`` reports violations so that
     schedule validation can collect them instead of aborting.  Compares
-    and hashes by value: equal ``eta`` and equal (read-only) weights.
+    by identity, so neither ``==`` nor ``hash`` touches the weights array.
     """
 
     weights: np.ndarray
@@ -68,15 +68,6 @@ class MixingMatrix:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MixingMatrix):
-            return NotImplemented
-        return self.eta == other.eta and np.array_equal(self.weights, other.weights)
-
-    def __hash__(self) -> int:
-        # + 0.0 maps -0.0 to 0.0, which array_equal treats as equal
-        return hash((self.eta, self.weights.shape, (self.weights + 0.0).tobytes()))
 
     @property
     def size(self) -> int:

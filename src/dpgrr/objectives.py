@@ -1,4 +1,4 @@
-"""Per-sample smooth losses, the aggregate objective, and smoothness constants.
+"""Vectorized smooth losses, the aggregate objective, and smoothness constants.
 
 The aggregate objective over ``m`` agents with ``n`` local samples each is
 
@@ -12,13 +12,12 @@ relies on this exact scaling, so it lives in one place here.
 engine's logistic inner step and its dgm gradient all call it.
 ``softplus`` is the one vectorized softplus: the logistic value of
 ``full_objective``, and so every recorded F and the reference F*, takes
-it; ``_softplus`` stays the scalar oracle of ``sample_value_grad``.
+it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "DimensionMismatch",
     "EmptyData",
     "SmoothLossKind",
-    "sample_value_grad",
     "loss_derivative",
     "sigmoid",
     "softplus",
@@ -52,50 +50,10 @@ class SmoothLossKind(enum.Enum):
     LEAST_SQUARES = "least_squares"
 
 
-def _softplus(u: float) -> float:
-    # log(1 + exp(u)) without overflow on either tail
-    if u > 0.0:
-        return u + math.log1p(math.exp(-u))
-    return math.log1p(math.exp(u))
-
-
-def _sigmoid(u: float) -> float:
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
-def sample_value_grad(
-    kind: SmoothLossKind, a: np.ndarray, label: float, x: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Loss value and gradient of the sample ``(a, label)`` at ``x``.
-
-    ``a`` is the sample's dense feature row.  Logistic:
-    ``log(1 + exp(-label * <a, x>))`` evaluated through the stable softplus
-    form; least squares: ``(1/2) (<a, x> - label)^2``.  A scalar reference
-    oracle, independent of the vectorized ``loss_derivative``.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a.shape != x.shape:
-        raise DimensionMismatch(f"row has size {a.size}, x has size {x.size}")
-    z = float(a @ x)
-    if kind is SmoothLossKind.LOGISTIC:
-        margin = label * z
-        value = _softplus(-margin)
-        coef = -label * _sigmoid(-margin)
-    else:
-        r = z - label
-        value = 0.5 * r * r
-        coef = r
-    return value, coef * a
-
-
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-v))`` elementwise, the package's one vectorized sigmoid.
 
-    The two branches of ``_sigmoid`` in one pass: with ``e = exp(-|v|)``,
+    The two branches of the scalar sigmoid in one pass: with ``e = exp(-|v|)``,
     which never overflows, the numerator is 1 for ``v >= 0`` and ``e``
     below.  ``max(e, heaviside(v, 1))`` picks it without ``np.where``: the
     step is 1 from ``v = -0.0`` on, where ``e <= 1``, and 0 below, where

@@ -15,7 +15,6 @@ __all__ = [
     "check_step",
     "sequential_sum",
     "prox",
-    "inexact_prox_error",
     "subgradient",
 ]
 
@@ -125,28 +124,6 @@ def prox(reg: Regularizer, gamma, x: np.ndarray) -> np.ndarray:
         thr = gamma * reg.lam
         return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
     return x / (1.0 + gamma * reg.lam)
-
-
-def inexact_prox_error(
-    reg: Regularizer, gamma: float, x: np.ndarray, candidate: np.ndarray
-) -> float:
-    """Objective gap of ``candidate`` in the prox problem centered at ``x``.
-
-    Returns ``[reg(c) + ||c - x||^2/(2 gamma)] - min_z [...]`` using the
-    exact prox for the minimum.  The gap is nonnegative by construction;
-    floating-point residue below zero (within 1e-14) is clamped to 0.
-    """
-    if not gamma > 0.0:
-        raise NonPositiveStep(f"inexact prox error needs gamma > 0, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    candidate = np.asarray(candidate, dtype=float)
-
-    def objective(z: np.ndarray) -> float:
-        diff = z - x
-        return reg.value(z) + float(np.dot(diff, diff)) / (2.0 * gamma)
-
-    gap = objective(candidate) - objective(prox(reg, gamma, x))
-    return gap if gap > 0.0 else 0.0
 
 
 def subgradient(reg: Regularizer, x: np.ndarray) -> np.ndarray:

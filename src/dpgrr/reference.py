@@ -1,13 +1,11 @@
-"""Independent centralized oracles: a certified solver and a one-agent baseline.
+"""The certified centralized solver and the store of its optimal values.
 
 The solver is full-batch accelerated proximal gradient (FISTA) with
 gradient-based adaptive restart, a fixed step and a gradient-mapping
 stopping rule: it evaluates gradients only, and it is independent of the
 distributed engine so it can certify optimal values the engine is judged
 against.  It is not monotone in the objective; the certificate is the
-mapping norm at the returned point.  The one-agent reshuffling baseline
-below it deliberately does not reuse the engine's epoch loop either; the
-two implementations are compared against each other in tests.
+mapping norm at the returned point.
 """
 
 from __future__ import annotations
@@ -19,19 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .objectives import (
-    SmoothLossKind,
-    full_objective,
-    packed_smooth_grad,
-    sample_value_grad,
-    smooth_curvature,
-)
+from .config import ConfigError
+from .objectives import SmoothLossKind, full_objective, packed_smooth_grad, smooth_curvature
 from .proxops import Regularizer, prox
 
 __all__ = [
     "ReferenceSolution",
     "solve_centralized",
-    "centralized_prox_rr",
     "load_fixtures",
     "usable_fixture",
     "store_fixture",
@@ -113,43 +105,6 @@ def solve_centralized(
     )
 
 
-def centralized_prox_rr(
-    features: np.ndarray,
-    labels: np.ndarray,
-    kind: SmoothLossKind,
-    reg: Regularizer,
-    gamma: float,
-    horizon: int,
-    seed: int,
-    x0: float = 0.0,
-) -> np.ndarray:
-    """Single-machine reshuffled proximal gradient over ``N`` flat rows.
-
-    ``features`` ``(N, d)`` and ``labels`` ``(N,)`` are the samples.  Per
-    epoch: one reshuffled pass of gradient steps over all rows, then a
-    single proximal step.  Returns the (horizon + 1, d) array of per-epoch
-    iterates, starting with the initial point.  Epoch t visits the rows in
-    the stable argsort of N uniforms from Philox keyed by (seed, 0) at
-    counter (0, 0, 0, t), so a one-agent distributed run with the same seed
-    visits them in the same order.
-    """
-    if not gamma > 0.0:
-        raise ValueError("gamma must be > 0")
-    x = np.full(features.shape[1], float(x0))
-    out = np.empty((horizon + 1, x.size))
-    out[0] = x
-    for t in range(horizon):
-        key = np.array([seed, 0], dtype=np.uint64)
-        counter = np.array([0, 0, 0, t], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
-        for idx in np.argsort(rng.random(len(labels)), kind="stable"):
-            _, grad = sample_value_grad(kind, features[idx], labels[idx], x)
-            x = x - gamma * grad
-        x = prox(reg, gamma, x)
-        out[t + 1] = x
-    return out
-
-
 # -- optimal-value fixtures ------------------------------------------------
 #
 # Plain-text store: a JSON map from problem key to the certified value,
@@ -157,11 +112,21 @@ def centralized_prox_rr(
 
 
 def load_fixtures(path: Path | str) -> dict:
+    """The store at ``path``, empty if there is none.
+
+    A store that is not a JSON object is a ``ConfigError`` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         return {}
     with path.open() as fh:
-        return json.load(fh)
+        try:
+            fixtures = json.load(fh)
+        except ValueError as exc:  # not JSON, or not even text
+            raise ConfigError(f"fixtures store {path} is not valid JSON: {exc}") from None
+    if not isinstance(fixtures, dict):
+        raise ConfigError(f"fixtures store {path} is not a JSON object")
+    return fixtures
 
 
 def _x_star_filename(key: str) -> str:

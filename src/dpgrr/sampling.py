@@ -5,22 +5,17 @@ one Philox generator keyed by ``(seed, 0)`` at counter ``(0, 0, 0, t)``,
 drawn as an ``(m, n)`` block whose row j is agent j's order.  Any epoch
 can be replayed without generating its predecessors, and no draw
 depends on an earlier one.  ``fill_indices`` draws the blocks of many
-runs into one ``(S, m, n)`` buffer; ``epoch_indices`` is its one-run case.
+runs into one ``(S, m, n)`` buffer.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import threading
 
 import numpy as np
 
-__all__ = ["BadK", "Mode", "epoch_indices", "fill_indices", "prefix_average_stats"]
-
-
-class BadK(ValueError):
-    """Prefix length outside ``1..n``."""
+__all__ = ["Mode", "fill_indices"]
 
 
 class Mode(enum.Enum):
@@ -80,56 +75,3 @@ def fill_indices(out: np.ndarray, draws, t: int) -> None:
                 k += 1
     if shuffled:
         out[shuffled] = np.argsort(uniforms, axis=-1, kind="stable")
-
-
-def epoch_indices(mode: Mode, seed: int, t: int, m: int, n: int) -> np.ndarray:
-    """The ``(m, n)`` sample indices the m agents visit in epoch ``t``.
-
-    The one-run case of ``fill_indices``.
-    """
-    out = np.empty((1, m, n), dtype=np.int64)
-    fill_indices(out, ((0, mode, seed),), t)
-    return out[0]
-
-
-def prefix_average_stats(
-    values, k: int, trials: int = 20000, seed: int = 0
-) -> tuple[np.ndarray, float]:
-    """Mean and mean squared deviation of k-prefix averages drawn without replacement.
-
-    Draws ``k`` of the ``n`` vectors without replacement and averages them.
-    Enumerates all ordered prefixes exhaustively when ``n <= 6``, otherwise
-    Monte Carlo with ``trials`` draws.  Returns the empirical expectation of
-    the prefix average and the empirical ``E[||avg - mean||^2]`` against the
-    population mean, for comparison with the closed form
-    ``(n - k) / (k (n - 1)) * population_variance``.
-    """
-    vecs = np.stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
-    n = vecs.shape[0]
-    if n < 2:
-        raise ValueError("need at least two vectors")
-    if not 1 <= k <= n:
-        raise BadK(f"k={k} outside 1..{n}")
-    center = vecs.mean(axis=0)
-
-    if n <= 6:
-        prefixes = itertools.permutations(range(n), k)
-        total = np.zeros_like(center)
-        total_sq = 0.0
-        count = 0
-        for pref in prefixes:
-            avg = vecs[list(pref)].mean(axis=0)
-            total += avg
-            diff = avg - center
-            total_sq += float(np.dot(diff, diff))
-            count += 1
-        return total / count, total_sq / count
-    rng = np.random.default_rng(seed)
-    total = np.zeros_like(center)
-    total_sq = 0.0
-    for _ in range(trials):
-        avg = vecs[rng.choice(n, size=k, replace=False)].mean(axis=0)
-        total += avg
-        diff = avg - center
-        total_sq += float(np.dot(diff, diff))
-    return total / trials, total_sq / trials

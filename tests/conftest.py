@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpgrr.config import build_problem, load_config
-from dpgrr.engine import ProblemBundle
+from dpgrr.engine import ProblemBundle, StepRule, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import SmoothLossKind
 from dpgrr.proxops import Regularizer
@@ -85,6 +85,34 @@ def assert_same_columns(got, want):
         if a is not None:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert repr(got.sigma_star_sq) == repr(want.sigma_star_sq)
+
+
+def iterates(cfgs, problem, traces):
+    """Each run's state after every epoch: ``out[s][h]`` is run s's
+    ``(m, d)`` state after h epochs, for h from 0 to the horizon.
+
+    An epoch depends only on the run's seed and step and on the epochs
+    before it, so the state after h epochs is the ``x_final`` of the same
+    list of runs rerun to horizon h, each at its trace's resolved step;
+    after the last epoch it is the trace's own ``x_final``.  A rerun must
+    record the run's own rows, bit for bit, at the epochs both record.
+    """
+    steps = [cfg.step if trace.gamma is None else StepRule.constant(trace.gamma)
+             for cfg, trace in zip(cfgs, traces, strict=True)]
+    finals = []
+    for h in range(cfgs[0].horizon):
+        reruns = run([dataclasses.replace(cfg, horizon=h, step=step)
+                      for cfg, step in zip(cfgs, steps)], problem)
+        for rerun, trace in zip(reruns, traces):
+            # the epochs both record lead both traces
+            k = len(np.intersect1d(rerun.epochs, trace.epochs))
+            for name, rows in (("f_bar", k), ("f_hat", k - 1), ("disagreement", k),
+                               ("max_consensus_dist", k)):
+                got, want = getattr(rerun, name)[:rows], getattr(trace, name)[:rows]
+                assert got.tobytes() == want.tobytes(), name
+        finals.append([rerun.x_final for rerun in reruns])
+    finals.append([trace.x_final for trace in traces])
+    return [np.stack(states) for states in zip(*finals)]
 
 
 def packed(*agents):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import CONFIGS, golden_section_prox_1d
+from conftest import CONFIGS, golden_section_prox_1d, iterates
 from dpgrr.cli import main as cli_main
 from dpgrr.config import build_problem, load_config
 from dpgrr.dataio import synthesize_classification
@@ -19,10 +19,10 @@ from dpgrr.netgraph import (
     consensus_weights_for_epoch,
     metropolis_weights,
 )
-from dpgrr.objectives import SmoothLossKind, sample_value_grad
+from dpgrr.objectives import SmoothLossKind
 from dpgrr.proxops import Regularizer, prox
-from dpgrr.reference import centralized_prox_rr, solve_centralized
-from dpgrr.sampling import prefix_average_stats
+from dpgrr.reference import solve_centralized
+from oracles import centralized_prox_rr, prefix_average_stats, sample_value_grad
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -248,16 +248,14 @@ def test_criterion_8_oracle_equivalence():
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
     )
-    cfg = RunConfig(
-        "dpg-rr", 50, StepRule.constant(0.1), seed=77, store_snapshots=True
-    )
-    [trace] = run([cfg], problem)
-    iterates = centralized_prox_rr(
+    cfg = RunConfig("dpg-rr", 50, StepRule.constant(0.1), seed=77)
+    [states] = iterates([cfg], problem, run([cfg], problem))
+    oracle = centralized_prox_rr(
         features[0], labels[0], SmoothLossKind.LOGISTIC, reg, gamma=0.1,
         horizon=50, seed=77,
     )
     worst = max(
-        float(np.abs(trace.snapshots[t][0] - iterates[t]).max()) for t in range(51)
+        float(np.abs(states[t][0] - oracle[t]).max()) for t in range(51)
     )
     ok = worst <= 1e-12
     report(

@@ -448,6 +448,20 @@ def test_fixture_without_its_solution_file_is_solved_again(tmp_path, capsys):
     assert manifest["F_star_source"] == f"fixture:{key[:16]}"
 
 
+@pytest.mark.parametrize("store", ['{"a": ', "[1, 2]"], ids=["not-json", "not-an-object"])
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_corrupt_fixtures_store_is_a_config_error(tmp_path, capsys, command, store):
+    cfg = write_synth(tmp_path)
+    path = tmp_path / "fixtures" / "oracle.json"
+    path.parent.mkdir()
+    path.write_text(store)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: fixtures store {path} is not ")
+    assert err.count("\n") == 1
+    assert path.read_text() == store and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, repeated", [
     ("  - {name: dpg-rr, step: {rule: sqrt_horizon}}",
      "  - {name: dpg-rr, step: {rule: sqrt_horizon}}\n"

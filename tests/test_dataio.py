@@ -9,11 +9,11 @@ from dpgrr.dataio import (
     LabelError,
     ParseError,
     TooFewSamples,
-    format_libsvm,
     parse_libsvm,
     partition,
     synthesize_classification,
 )
+from oracles import format_libsvm
 
 
 def test_parse_basic_line():

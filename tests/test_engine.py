@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import COLUMNS, assert_same_columns, packed
+from conftest import COLUMNS, assert_same_columns, iterates, packed
 from dpgrr import engine
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
@@ -40,11 +40,11 @@ from dpgrr.objectives import (
     SmoothLossKind,
     full_objective,
     lipschitz_constant,
-    sample_value_grad,
 )
 from dpgrr.proxops import Regularizer, prox, subgradient
 from dpgrr.reference import solve_centralized
-from dpgrr.sampling import Mode, epoch_indices
+from dpgrr.sampling import Mode
+from oracles import epoch_indices, sample_value_grad
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -97,10 +97,7 @@ def test_two_agents_complete_graph_matches_hand_average():
     # one sample each, zero penalty, one communication step per epoch: the
     # network average follows x <- (1 - gamma) x + gamma * mean(labels)
     problem = two_agent_problem()
-    cfg = RunConfig(
-        "dpg-rr", 2, StepRule.constant(0.25), steps_mode=StepsMode.fixed(1),
-        store_snapshots=True,
-    )
+    cfg = RunConfig("dpg-rr", 2, StepRule.constant(0.25), steps_mode=StepsMode.fixed(1))
     [trace] = run([cfg], problem)
     x = 0.0
     for _ in range(2):
@@ -108,7 +105,8 @@ def test_two_agents_complete_graph_matches_hand_average():
     assert trace.x_final[0, 0] == pytest.approx(x, abs=1e-12)
     assert trace.x_final[1, 0] == pytest.approx(x, abs=1e-12)
     # intermediate epoch too
-    assert trace.x_bar[1][0] == pytest.approx(0.5, abs=1e-12)
+    [states] = iterates([cfg], problem, [trace])
+    assert states[1].mean(axis=0)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_identical_agents_stay_identical():
@@ -131,30 +129,38 @@ def test_identical_agents_stay_identical():
 
 
 def test_determinism_bit_identical(canonical_problem):
-    cfg = RunConfig("dpg-rr", 40, StepRule.sqrt_horizon(), seed=11, store_snapshots=True)
+    cfg = RunConfig("dpg-rr", 40, StepRule.sqrt_horizon(), seed=11)
     [a] = run([cfg], canonical_problem)
     [b] = run([cfg], canonical_problem)
     assert_same_columns(a, b)
-    for t in a.snapshots:
-        assert np.array_equal(a.snapshots[t], b.snapshots[t])
+    assert np.array_equal(iterates([cfg], canonical_problem, [a])[0],
+                          iterates([cfg], canonical_problem, [b])[0])
 
 
 def test_average_iterate_identities(canonical_problem):
-    cfg = RunConfig("dpg-rr", 30, StepRule.sqrt_horizon(), seed=4, store_snapshots=True)
-    [trace] = run([cfg], canonical_problem)
-    accum = np.zeros(canonical_problem.dim)
-    for t in range(1, 31):
-        snap = trace.snapshots[t]
-        assert np.array_equal(trace.x_bar[t], snap.mean(axis=0))
-        accum += snap.mean(axis=0)
-        assert np.array_equal(trace.x_hat[t], accum / t)
+    # F_bar is F at each iterate's agent average, F_hat at the running mean
+    # of the averages since epoch 1, both with their bits
+    p = canonical_problem
+    cfg = RunConfig("dpg-rr", 30, StepRule.sqrt_horizon(), seed=4)
+    [trace] = run([cfg], p)
+    [states] = iterates([cfg], p, [trace])
+    accum = np.zeros(p.dim)
+    for t, state in enumerate(states):
+        x_bar = state.mean(axis=0)
+        assert trace.f_bar[t] == full_objective(p.features, p.labels, p.regularizer, p.kind,
+                                                x_bar)
+        if t:
+            accum += x_bar
+            assert trace.f_hat[t - 1] == full_objective(
+                p.features, p.labels, p.regularizer, p.kind, accum / t)
 
 
-def test_rows_recomputable_from_snapshots(canonical_problem):
-    cfg = RunConfig("dpg-rr", 25, StepRule.sqrt_horizon(), seed=6, store_snapshots=True)
+def test_rows_recomputable_from_iterates(canonical_problem):
+    cfg = RunConfig("dpg-rr", 25, StepRule.sqrt_horizon(), seed=6)
     [trace] = run([cfg], canonical_problem)
+    [states] = iterates([cfg], canonical_problem, [trace])
     for epoch, value in zip(trace.epochs.tolist(), trace.f_bar.tolist(), strict=True):
-        snap = trace.snapshots[epoch]
+        snap = states[epoch]
         f_bar = full_objective(
             canonical_problem.features,
             canonical_problem.labels,
@@ -603,21 +609,24 @@ def serial_reference(cfg, problem):
 def test_engine_matches_serial_reference(canonical_problem, runs, steps_mode):
     p = canonical_problem
     cfgs = [RunConfig(algo, 12, StepRule.constant(gamma), steps_mode=steps_mode, seed=seed,
-                      store_snapshots=True, record_v=True) for algo, seed, gamma in runs]
+                      record_v=True) for algo, seed, gamma in runs]
     traces = run(cfgs, p)
     assert len(traces) == len(cfgs)
-    for cfg, trace in zip(cfgs, traces):
+    for cfg, trace, states in zip(cfgs, traces, iterates(cfgs, p, traces)):
         assert trace.gamma == cfg.step.gamma
-        _check_against_serial_reference(p, cfg, trace)
+        _check_against_serial_reference(p, cfg, trace, states)
 
 
-def _check_against_serial_reference(p, cfg, trace):
+def _check_against_serial_reference(p, cfg, trace, states):
+    """``trace`` and ``states``, the run's state after each epoch within
+    its batch, against the serial loop."""
     want = serial_reference(cfg, p)
     w = p.schedule.matrices[0].weights
     x_hat_sum = np.zeros(p.dim)
+    for epoch, (snap, _) in want.items():
+        assert np.abs(states[epoch] - snap).max() <= 1e-12
     for k, epoch in enumerate(trace.epochs.tolist()):
         snap, v_t = want[epoch]
-        assert np.abs(trace.snapshots[epoch] - snap).max() <= 1e-12
         x_bar = snap.mean(axis=0)
         x_hat_sum += x_bar if epoch else 0.0
         assert trace.f_bar[k] == pytest.approx(
@@ -642,43 +651,57 @@ def _check_against_serial_reference(p, cfg, trace):
 # -- batches -------------------------------------------------------------------
 
 
+def _assert_same_states(got, want):
+    """Two lists of state arrays, one by one, by their bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+
 def _assert_same_trace(got, want):
+    """The same columns, step and final state, arrays by their bytes."""
     assert_same_columns(got, want)
     assert got.gamma == want.gamma
-    assert np.array_equal(got.x_final, want.x_final)
-    for name in ("snapshots", "x_bar", "x_hat"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.keys() == b.keys()
-        assert all(np.array_equal(a[t], b[t]) for t in a)
+    _assert_same_states([got.x_final], [want.x_final])
+
+
+def _assert_each_run_is_alone(cfgs, problem, traces):
+    """``traces`` of ``cfgs`` run in one call against each run alone: the
+    same columns, step and state after every epoch."""
+    states = iterates(cfgs, problem, traces)
+    for cfg, trace, got in zip(cfgs, traces, states, strict=True):
+        alone = run([cfg], problem)
+        _assert_same_trace(trace, alone[0])
+        _assert_same_states([got], iterates([cfg], problem, alone))
 
 
 def test_batched_run_equals_its_solo_run(canonical_problem):
     steps = (StepRule.sqrt_horizon(), StepRule.constant(0.05))
     cfgs = [
-        RunConfig(algo, 30, steps[k % 2], seed=seed, cadence=4, store_snapshots=True,
-                  record_v=True)
+        RunConfig(algo, 30, steps[k % 2], seed=seed, cadence=4, record_v=True)
         for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
         for k, seed in enumerate((1, 2, 3, 4))
     ]
-    for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
-        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+    _assert_each_run_is_alone(cfgs, canonical_problem, run(cfgs, canonical_problem))
 
 
 def test_batched_dgm_runs_equal_their_solo_runs(canonical_problem):
-    cfgs = [RunConfig("dgm", 25, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+    cfgs = [RunConfig("dgm", 25, StepRule.constant(gamma), seed=seed)
             for seed, gamma in ((3, 0.05), (8, 0.2))]
-    for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
-        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+    _assert_each_run_is_alone(cfgs, canonical_problem, run(cfgs, canonical_problem))
 
 
 def test_runs_past_the_batch_cap_advance_in_later_batches(canonical_problem, monkeypatch):
-    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed, store_snapshots=True)
+    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed)
             for algo in ("dpg-rr", "dpg-sg") for seed in (1, 2, 3)]
     whole = run(cfgs, canonical_problem)
+    want = iterates(cfgs, canonical_problem, whole)
     # two runs' samples per gathered block: batches of 2, 2 and 2
     monkeypatch.setattr(engine, "MAX_BATCH_BYTES", 2 * canonical_problem.features.nbytes)
-    for got, want in zip(run(cfgs, canonical_problem), whole, strict=True):
-        _assert_same_trace(got, want)
+    got = run(cfgs, canonical_problem)
+    for a, b in zip(got, whole, strict=True):
+        _assert_same_trace(a, b)
+    _assert_same_states(iterates(cfgs, canonical_problem, got), want)
     assert run([], canonical_problem) == []
 
 
@@ -790,15 +813,13 @@ def test_no_row_is_evaluated_once_a_later_run_has_failed(monkeypatch):
 
 
 _CHUNKED = {
-    "samplers": [RunConfig(algo, 13, StepRule.constant(0.05), seed=seed,
-                           store_snapshots=True, record_v=True)
+    "samplers": [RunConfig(algo, 13, StepRule.constant(0.05), seed=seed, record_v=True)
                  for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)],
-    "off_cadence": [RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=seed, cadence=3,
-                              store_snapshots=True) for seed in (4, 5)],
-    "dgm": [RunConfig("dgm", 10, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+    "off_cadence": [RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=seed, cadence=3)
+                    for seed in (4, 5)],
+    "dgm": [RunConfig("dgm", 10, StepRule.constant(gamma), seed=seed)
             for seed, gamma in ((3, 0.05), (8, 0.2))],
-    "no_epochs": [RunConfig("dpg-rr", 0, StepRule.constant(0.05), seed=1,
-                            store_snapshots=True)],
+    "no_epochs": [RunConfig("dpg-rr", 0, StepRule.constant(0.05), seed=1)],
 }
 
 
@@ -807,6 +828,7 @@ _CHUNKED = {
 def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch, case, rows):
     cfgs, p = _CHUNKED[case], canonical_problem
     want = run(cfgs, p)
+    want_states = iterates(cfgs, p, want)
     # every buffered byte of one recorded epoch of the batch
     row_bytes = 8 * len(cfgs) * (p.m * p.dim + 2 * p.dim
                                  + (p.n * p.dim if cfgs[0].record_v else 0))
@@ -819,12 +841,14 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
         return full_objective(*args)
 
     monkeypatch.setattr(engine.objectives, "full_objective", counted)
-    for a, b in zip(run(cfgs, p), want, strict=True):
+    got = run(cfgs, p)
+    for a, b in zip(got, want, strict=True):
         _assert_same_trace(a, b)
     # the initial row alone, then chunks of `rows` recorded epochs
     recorded = len(want[0].epochs) - 1
     assert calls == [1] + [
         min(rows, recorded - lo) for lo in range(0, recorded, rows)]
+    _assert_same_states(iterates(cfgs, p, got), want_states)
 
 
 def test_a_recorded_row_holds_a_few_floats():
@@ -857,7 +881,6 @@ def test_a_recorded_row_holds_a_few_floats():
     ("steps_mode", StepsMode.fixed(3)),
     ("cadence", 2),
     ("x0", 0.5),
-    ("store_snapshots", True),
     ("record_v", True),
     ("record_sigma_star", True),
     ("enforce_step_bound", False),
@@ -871,13 +894,17 @@ def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
 
 def test_a_mixed_list_equals_its_groups_run_apart(canonical_problem):
     # each stretch of one epoch body is its own batch, in the order given
-    cfgs = [RunConfig(algo, 7, StepRule.constant(gamma), seed=seed, store_snapshots=True)
+    p = canonical_problem
+    cfgs = [RunConfig(algo, 7, StepRule.constant(gamma), seed=seed)
             for algo, gamma, seed in (("dgm", 0.2, 1), ("dpg-rr", 0.05, 2), ("dpg-sg", 0.3, 3),
                                       ("dgm", 0.05, 4), ("dgm", 0.3, 5), ("dpg-ig", 0.05, 6))]
     groups = [cfgs[:1], cfgs[1:3], cfgs[3:5], cfgs[5:]]
-    apart = [trace for group in groups for trace in run(group, canonical_problem)]
-    for got, want in zip(run(cfgs, canonical_problem), apart, strict=True):
-        _assert_same_trace(got, want)
+    apart = [run(group, p) for group in groups]
+    got = run(cfgs, p)
+    for a, b in zip(got, [trace for traces in apart for trace in traces], strict=True):
+        _assert_same_trace(a, b)
+    _assert_same_states(iterates(cfgs, p, got), [
+        states for group, traces in zip(groups, apart) for states in iterates(group, p, traces)])
 
 
 def test_nonfinite_iterate_survives_pickling():
@@ -891,8 +918,8 @@ def test_nonfinite_iterate_survives_pickling():
 
 
 def test_a_trace_survives_pickling(canonical_problem):
-    # with every optional column and snapshot dict filled, and without
-    for extra in ({}, {"store_snapshots": True, "record_v": True}):
+    # with every optional column filled, and without
+    for extra in ({}, {"record_v": True}):
         [trace] = run([RunConfig("dpg-rr", 6, StepRule.constant(0.05), seed=4, **extra)],
                       canonical_problem)
         back = pickle.loads(pickle.dumps(trace))
@@ -940,14 +967,14 @@ def assert_no_child_left():
 
 
 def test_lanes_give_the_serial_traces(canonical_problem, lanes):
-    cfgs = [RunConfig(algo, 8, StepRule.constant(0.05), seed=seed, store_snapshots=True,
-                      record_v=True)
+    cfgs = [RunConfig(algo, 8, StepRule.constant(0.05), seed=seed, record_v=True)
             for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)]
     got = run(cfgs, canonical_problem)
     assert len(lanes) == 2
     assert_no_child_left()
-    for cfg, trace in zip(cfgs, got, strict=True):
-        _assert_same_trace(trace, run([cfg], canonical_problem)[0])
+    # the states after each epoch come from reruns in lanes too
+    _assert_each_run_is_alone(cfgs, canonical_problem, got)
+    assert_no_child_left()
 
 
 def test_a_lane_that_gets_no_process_runs_in_the_caller(canonical_problem, lanes,
@@ -1097,8 +1124,7 @@ def random_runs(draw):
     gammas = st.sampled_from([0.05, 0.3, 1e10, 1e308])
     shared = draw(st.none() | gammas)
     shape = dict(horizon=draw(st.integers(1, 6)), cadence=draw(st.none() | st.integers(1, 3)),
-                 record_v=draw(st.booleans()), store_snapshots=True,
-                 x0=draw(st.sampled_from([0.0, 1.0])))
+                 record_v=draw(st.booleans()), x0=draw(st.sampled_from([0.0, 1.0])))
     cfgs = [
         RunConfig(draw(st.sampled_from(engine.ALGORITHMS)),
                   step=StepRule.constant(draw(gammas) if shared is None else shared),
@@ -1106,18 +1132,6 @@ def random_runs(draw):
         for _ in range(draw(st.integers(2, 5)))
     ]
     return problem, cfgs
-
-
-def _assert_same_bits(got, want):
-    """``_assert_same_trace`` for traces that may hold NaN, as a run whose
-    state nears the largest float records: an array's bytes are its bits."""
-    assert_same_columns(got, want)
-    assert got.gamma == want.gamma
-    for name in ("snapshots", "x_bar", "x_hat"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.keys() == b.keys()
-        assert all(a[t].tobytes() == b[t].tobytes() for t in a)
-    assert got.x_final.tobytes() == want.x_final.tobytes()
 
 
 def _outcome(cfgs, problem):
@@ -1144,4 +1158,8 @@ def test_a_batch_gives_each_run_its_solo_trace(monkeypatch, path, case):
     assert failure == want
     if want is None:
         for got, (expected, _) in zip(traces, solo, strict=True):
-            _assert_same_bits(got, expected[0])
+            _assert_same_trace(got, expected[0])
+        _assert_same_states(iterates(cfgs, problem, traces), [
+            states for cfg, (expected, _) in zip(cfgs, solo)
+            for states in iterates([cfg], problem, expected)])
+        assert_no_child_left()

@@ -4,14 +4,14 @@ import pytest
 from conftest import packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.metrics import (
-    MissingInnerTrace,
     consensus_edges,
     consensus_quantity,
     forward_deviation,
     shuffling_variance,
 )
 from dpgrr.netgraph import metropolis_weights
-from dpgrr.objectives import DimensionMismatch, SmoothLossKind, sample_value_grad
+from dpgrr.objectives import DimensionMismatch, SmoothLossKind
+from oracles import sample_value_grad
 
 
 def laplacian_form(xs, weights) -> float:
@@ -178,8 +178,3 @@ def test_forward_deviation_values():
     assert forward_deviation(inner, x_next) == 0.0
     inner = np.stack([x_next + [1.0, 0.0], x_next + [2.0, 0.0]])
     assert forward_deviation(inner, x_next) == pytest.approx(5.0, abs=1e-15)
-
-
-def test_forward_deviation_requires_trace():
-    with pytest.raises(MissingInnerTrace):
-        forward_deviation(None, np.zeros(2))

@@ -344,22 +344,3 @@ def test_one_factor_weights_are_the_scheduled_matrix():
         w = consensus_weights_for_epoch(sched, t, StepsMode.fixed(1))
         assert w is mats[t % 3].weights
         assert not w.flags.writeable
-
-
-def test_mixing_matrices_compare_and_hash_by_value():
-    a = metropolis_weights([(0, 1), (1, 2)], 3, 0.1)
-    b = metropolis_weights([(0, 1), (1, 2)], 3, 0.1)
-    assert a is not b
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != MixingMatrix(a.weights, 0.2)
-    other = metropolis_weights([(0, 1), (0, 2)], 3, 0.1)
-    assert a != other
-    # -0.0 equals 0.0, so the hashes must agree too
-    signed = a.weights.copy()
-    signed[0, 2] = -0.0
-    assert MixingMatrix(signed, 0.1) == a
-    assert hash(MixingMatrix(signed, 0.1)) == hash(a)
-    assert GraphSchedule((a, other), 2) == GraphSchedule((b, other), 2)
-    assert hash(GraphSchedule((a, other), 2)) == hash(GraphSchedule((b, other), 2))
-    assert GraphSchedule((a, other), 2) != GraphSchedule((other, a), 2)

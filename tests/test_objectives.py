@@ -16,11 +16,11 @@ from dpgrr.objectives import (
     loss_derivative,
     packed_smooth_grad,
     packed_smooth_value,
-    sample_value_grad,
     smooth_curvature,
     softplus,
 )
 from dpgrr.proxops import Regularizer
+from oracles import sample_value_grad
 from test_engine import MARGINS
 
 LOG = SmoothLossKind.LOGISTIC

@@ -6,14 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import golden_section_prox_1d
-from dpgrr.proxops import (
-    NonPositiveStep,
-    RegKind,
-    Regularizer,
-    inexact_prox_error,
-    prox,
-    subgradient,
-)
+from dpgrr.proxops import NonPositiveStep, RegKind, Regularizer, prox, subgradient
+from oracles import inexact_prox_error
 
 ALL_KINDS = [Regularizer.zero(), Regularizer.l1(1.0), Regularizer.squared_l2(0.7)]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import packed
+from conftest import iterates, packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
@@ -15,13 +15,8 @@ from dpgrr.objectives import (
     smooth_curvature,
 )
 from dpgrr.proxops import Regularizer, prox
-from dpgrr.reference import (
-    centralized_prox_rr,
-    load_fixtures,
-    solve_centralized,
-    store_fixture,
-    fixture_x_star,
-)
+from dpgrr.reference import fixture_x_star, load_fixtures, solve_centralized, store_fixture
+from oracles import centralized_prox_rr
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -272,22 +267,22 @@ def test_optimality_floor_over_engine_iterates(canonical_problem):
 
 
 def test_prox_rr_single_sample_is_gradient_descent():
-    iterates = centralized_prox_rr(
+    oracle = centralized_prox_rr(
         np.array([[1.0]]), np.array([1.0]), LS, Regularizer.zero(), gamma=0.5, horizon=1,
         seed=0,
     )
-    assert iterates.shape == (2, 1)
-    assert iterates[1, 0] == pytest.approx(0.5, abs=1e-15)
+    assert oracle.shape == (2, 1)
+    assert oracle[1, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_prox_rr_monotone_descent_small_step():
     features, labels = synthesize_classification(m=1, n=8, d=4, separation=1.0, seed=3)
-    iterates = centralized_prox_rr(
+    oracle = centralized_prox_rr(
         features[0], labels[0], LOG, Regularizer.zero(), gamma=0.01,
         horizon=30, seed=1,
     )
     values = [
-        full_objective(features, labels, Regularizer.zero(), LOG, x) for x in iterates
+        full_objective(features, labels, Regularizer.zero(), LOG, x) for x in oracle
     ]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -302,15 +297,13 @@ def test_prox_rr_matches_single_agent_engine():
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
     )
-    cfg = RunConfig(
-        "dpg-rr", 50, StepRule.constant(0.1), seed=21, store_snapshots=True
-    )
-    [trace] = run([cfg], problem)
-    iterates = centralized_prox_rr(
+    cfg = RunConfig("dpg-rr", 50, StepRule.constant(0.1), seed=21)
+    [states] = iterates([cfg], problem, run([cfg], problem))
+    oracle = centralized_prox_rr(
         features[0], labels[0], LOG, reg, gamma=0.1, horizon=50, seed=21
     )
     for t in range(51):
-        assert np.allclose(trace.snapshots[t][0], iterates[t], atol=1e-12)
+        assert np.allclose(states[t][0], oracle[t], atol=1e-12)
 
 
 # -- fixture store -----------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpgrr.sampling import BadK, Mode, epoch_indices, prefix_average_stats
+from dpgrr.sampling import Mode
+from oracles import BadK, epoch_indices, prefix_average_stats
 
 
 def test_single_sample_all_modes():
