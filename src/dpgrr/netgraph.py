@@ -345,6 +345,8 @@ def validate_schedule(schedule: GraphSchedule) -> ValidationReport:
 
     Windows of ``schedule.window`` consecutive steps starting at each
     phase of the period cover all distinct windows of the cyclic sequence.
+    A window of at least ``period`` steps holds every slot, so its union
+    is taken over ``min(window, period)`` steps, whatever the window.
     """
     issues = []
     for slot, matrix in enumerate(schedule.matrices):
@@ -352,9 +354,9 @@ def validate_schedule(schedule: GraphSchedule) -> ValidationReport:
             issues.append((slot, issue))
     edge_sets = [matrix.edges() for matrix in schedule.matrices]
     windows = []
+    span = min(schedule.window, schedule.period)
     for start in range(schedule.period):
-        union = [edge_sets[(start + offset) % schedule.period]
-                 for offset in range(schedule.window)]
+        union = [edge_sets[(start + offset) % schedule.period] for offset in range(span)]
         merged: set[tuple[int, int]] = set().union(*union)
         windows.append(
             WindowCheck(

@@ -108,15 +108,6 @@ def _flat(features: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return features.reshape(-1, features.shape[-1]), x
 
 
-def packed_smooth_grad(
-    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
-) -> np.ndarray:
-    """Gradient of the smooth part against packed arrays, without its value."""
-    flat, x = _flat(features, x)
-    coef = loss_derivative(kind, flat @ x, labels.reshape(-1))
-    return flat.T @ (coef / features.shape[0])
-
-
 def packed_smooth_value(
     features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
 ):

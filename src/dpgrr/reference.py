@@ -5,20 +5,24 @@ gradient-based adaptive restart, a fixed step and a gradient-mapping
 stopping rule: it evaluates gradients only, and it is independent of the
 distributed engine so it can certify optimal values the engine is judged
 against.  It is not monotone in the objective; the certificate is the
-mapping norm at the returned point.
+mapping norm at the returned point.  Logistic gradients are taken on rows
+signed once per solve, whose every term has the bits of the unsigned
+``a (-y sigma(-y z) / m)``, so iteration counts and F* bits are those of
+the unsigned form.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError
-from .objectives import SmoothLossKind, full_objective, packed_smooth_grad, smooth_curvature
+from .objectives import SmoothLossKind, full_objective, sigmoid, smooth_curvature
 from .proxops import Regularizer, prox
 
 __all__ = [
@@ -83,18 +87,35 @@ def solve_centralized(
         raise ValueError("tolerance must be finite and > 0")
     curvature = smooth_curvature(features, kind)
     step = 1.0 / curvature if curvature > 0.0 else 1.0
+    m = features.shape[0]
+    flat = features.reshape(-1, features.shape[-1])
+    if kind is SmoothLossKind.LOGISTIC:
+        # rows signed once: with labels +-1 each term of (-y a) @ x and of
+        # (-y a)^T @ (sigma / m) has the bits of the unsigned form's term
+        # in -(y (a @ x)) and in a^T @ (-y sigma(-y z) / m), so every sum,
+        # and the iteration count, is unchanged
+        rows = -(labels.reshape(-1, 1) * flat)
+    else:
+        rows, labels = flat, labels.reshape(-1)
+    rows_t = rows.T
     x = y = np.zeros(features.shape[-1])
     theta = 1.0
     for iterations in range(max(max_iters, 0) + 1):
-        grad = packed_smooth_grad(features, labels, kind, y)
+        if kind is SmoothLossKind.LOGISTIC:
+            grad = rows_t @ (sigmoid(rows @ y) / m)
+        else:
+            grad = rows_t @ ((rows @ y - labels) / m)
         forward = prox(reg, step, y - step * grad)
-        mapping_norm = float(np.linalg.norm(y - forward)) / step
+        # sqrt(back . back) has the bits of the 1-D np.linalg.norm
+        back = y - forward
+        mapping_norm = math.sqrt(back.dot(back)) / step
         if mapping_norm <= tol or iterations >= max_iters:
             break
-        if np.dot(y - forward, forward - x) > 0.0:
+        ahead = forward - x
+        if back.dot(ahead) > 0.0:
             theta = 1.0
         theta, previous = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)), theta
-        x, y = forward, forward + ((previous - 1.0) / theta) * (forward - x)
+        x, y = forward, forward + ((previous - 1.0) / theta) * ahead
     return ReferenceSolution(
         x_star=y,
         f_star=full_objective(features, labels, reg, kind, y),
@@ -133,15 +154,40 @@ def _x_star_filename(key: str) -> str:
     return f"x_star_{key[:16]}.txt"
 
 
+def _entry_fault(entry) -> str | None:
+    """Why a store entry is malformed, or None."""
+    if not isinstance(entry, dict):
+        return "is not a JSON object"
+    for name in ("f_star", "tol", "x_star_file"):
+        if name not in entry:
+            return f"has no {name!r}"
+    for name in ("f_star", "tol"):
+        value = entry[name]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            return f"has {name} {value!r}, not a finite number"
+    if not isinstance(entry["x_star_file"], str):
+        return f"has x_star_file {entry['x_star_file']!r}, not a file name"
+    return None
+
+
 def usable_fixture(fixtures: dict, path: Path | str, key: str, tol: float) -> dict | None:
     """``fixtures[key]`` (the store at ``path``, loaded) if it is usable, else None.
 
     Usable: solved at ``tol`` or tighter, with its solution file present.
+    An entry that is not a mapping, lacks ``f_star``, ``tol`` or
+    ``x_star_file``, or whose ``f_star`` or ``tol`` is not a finite number
+    is a ``ConfigError`` naming the store and the key.
     """
-    entry = fixtures.get(key)
-    if entry is None or entry["tol"] > tol:
+    if key not in fixtures:
         return None
-    if not (Path(path).parent / entry["x_star_file"]).exists():
+    entry = fixtures[key]
+    fault = _entry_fault(entry)
+    if fault is not None:
+        raise ConfigError(f"fixtures store {path}: entry {key} {fault}")
+    if entry["tol"] > tol:
+        return None
+    if not (Path(path).parent / entry["x_star_file"]).is_file():
         return None
     return entry
 
@@ -153,7 +199,10 @@ def store_fixture(
     """Record a certified solution under ``key``; returns False on a no-op.
 
     Idempotent: a usable entry solved at least as tightly is kept, unless
-    ``replace`` asks to overwrite it and its solution file.
+    ``replace`` asks to overwrite it and its solution file.  Both files are
+    written to temporary files beside the store first, then moved into
+    place, the solution file before the JSON, so an interrupted store
+    leaves the old JSON whole.
     """
     path = Path(path)
     fixtures = load_fixtures(path)
@@ -168,10 +217,20 @@ def store_fixture(
     }
     fixtures[key] = entry
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path.parent / entry["x_star_file"], solution.x_star, fmt="%.17e")
-    with path.open("w") as fh:
-        json.dump(fixtures, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    x_star_path = path.parent / entry["x_star_file"]
+    staged_x_star, staged_json = (
+        target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in (x_star_path, path)
+    )
+    try:
+        np.savetxt(staged_x_star, solution.x_star, fmt="%.17e")
+        with staged_json.open("w") as fh:
+            json.dump(fixtures, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(staged_x_star, x_star_path)
+        os.replace(staged_json, path)
+    finally:
+        staged_x_star.unlink(missing_ok=True)
+        staged_json.unlink(missing_ok=True)
     return True
 
 

@@ -1,10 +1,11 @@
 """Reference oracles the tests check the package against.
 
 None of them uses ``dpgrr.engine``: the scalar loss and gradient of one
-sample, the one-agent reshuffled proximal gradient baseline, the one-run
-index draw, the exhaustive or Monte Carlo prefix-average statistics, the
-proximal objective gap, and the sparse-text writer that ``parse_libsvm``
-reads back.
+sample, the unsigned gradient of the packed smooth part, the one-agent
+reshuffled proximal gradient baseline, the one-run index draw, the
+exhaustive or Monte Carlo prefix-average statistics, the proximal
+objective gap, and the sparse-text writer that ``parse_libsvm`` reads
+back.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from dpgrr.objectives import DimensionMismatch, SmoothLossKind
+from dpgrr.objectives import DimensionMismatch, SmoothLossKind, loss_derivative
 from dpgrr.proxops import NonPositiveStep, Regularizer, prox
 from dpgrr.sampling import Mode, fill_indices
 
@@ -55,6 +56,20 @@ def sample_value_grad(
         value = 0.5 * r * r
         coef = r
     return value, coef * a
+
+
+def packed_smooth_grad(
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind, x: np.ndarray
+) -> np.ndarray:
+    """Gradient of the smooth part at ``x`` against packed arrays.
+
+    The unsigned form ``A^T @ (loss_derivative(A @ x) / m)`` over the flat
+    ``(m n, d)`` features ``A``, whose bits the reference solver's signed
+    logistic rows reproduce.
+    """
+    flat = features.reshape(-1, features.shape[-1])
+    coef = loss_derivative(kind, flat @ x, labels.reshape(-1))
+    return flat.T @ (coef / features.shape[0])
 
 
 def centralized_prox_rr(

@@ -3,7 +3,9 @@ import importlib.util
 import json
 import math
 import re
+import signal
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -460,6 +462,60 @@ def test_a_corrupt_fixtures_store_is_a_config_error(tmp_path, capsys, command, s
     assert err.startswith(f"config error: fixtures store {path} is not ")
     assert err.count("\n") == 1
     assert path.read_text() == store and not (tmp_path / "out").exists()
+
+
+_ENTRY = '"tol": 1e-10, "x_star_file": "x_star.txt"'
+
+
+@pytest.mark.parametrize("entry, fault", [
+    ("[0.5]", "is not a JSON object"),
+    ("null", "is not a JSON object"),
+    ('{"tol": 1e-10, "x_star_file": "x_star.txt"}', "has no 'f_star'"),
+    ('{"f_star": 0.0}', "has no 'tol'"),
+    ('{"f_star": 0.0, "tol": 1e-10}', "has no 'x_star_file'"),
+    ('{"f_star": 0.0, "tol": "1e-10", "x_star_file": "x_star.txt"}',
+     "has tol '1e-10', not a finite number"),
+    ('{"f_star": 0.0, "tol": NaN, "x_star_file": "x_star.txt"}',
+     "has tol nan, not a finite number"),
+    ('{"f_star": Infinity, ' + _ENTRY + "}", "has f_star inf, not a finite number"),
+    ('{"f_star": true, ' + _ENTRY + "}", "has f_star True, not a finite number"),
+    ('{"f_star": 0.0, "tol": 1e-10, "x_star_file": 7}', "has x_star_file 7, not a file name"),
+], ids=["list", "null", "no-f_star", "no-tol", "no-x_star_file", "text-tol", "nan-tol",
+        "inf-f_star", "bool-f_star", "number-file"])
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_malformed_fixture_entry_is_a_config_error(tmp_path, capsys, command, entry, fault):
+    cfg = write_synth(tmp_path)
+    key = problem_hash(load_config(cfg))
+    path = tmp_path / "fixtures" / "oracle.json"
+    path.parent.mkdir()
+    (path.parent / "x_star.txt").write_text("0\n0\n0\n")
+    store = f'{{"{key}": {entry}}}'
+    path.write_text(store)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: fixtures store {path}: entry {key} {fault}\n"
+    assert path.read_text() == store and not (tmp_path / "out").exists()
+
+
+def test_a_huge_window_validates_at_once(tmp_path):
+    # a window of at least the period's steps holds every slot; the union
+    # over all 10**30 of its steps never finished, so a timer stops the check
+    cfg = write_synth(tmp_path)
+    cfg.write_text(cfg.read_text().replace("B: 1", f"B: {10**30}"))
+
+    def stop(signum, frame):
+        raise TimeoutError("validate took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        status = main(["validate", "--config", str(cfg)])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == 0 and elapsed < 1.0
 
 
 @pytest.mark.parametrize("line, repeated", [

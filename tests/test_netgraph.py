@@ -176,6 +176,15 @@ def test_ring_fragments_connected_with_window_three():
     assert report.passed
 
 
+@pytest.mark.parametrize("window", [3, 4, 7])
+def test_a_window_past_the_period_holds_every_slot(window):
+    slots = [[(0, 1), (1, 2)], [(2, 3), (3, 4)], [(0, 4)]]
+    matrices = tuple(metropolis_weights(s, 5, 0.05) for s in slots)
+    report = validate_schedule(GraphSchedule(matrices, window))
+    assert report.passed
+    assert [(w.start, w.union_edges) for w in report.windows] == [(0, 5), (1, 5), (2, 5)]
+
+
 def test_all_shipped_config_schedules_validate(configs_dir):
     paths = sorted(glob.glob(str(configs_dir / "*.yaml")))
     assert paths, "no shipped configs found"

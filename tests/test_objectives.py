@@ -14,13 +14,12 @@ from dpgrr.objectives import (
     gradient_bound,
     lipschitz_constant,
     loss_derivative,
-    packed_smooth_grad,
     packed_smooth_value,
     smooth_curvature,
     softplus,
 )
 from dpgrr.proxops import Regularizer
-from oracles import sample_value_grad
+from oracles import packed_smooth_grad, sample_value_grad
 from test_engine import MARGINS
 
 LOG = SmoothLossKind.LOGISTIC

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +14,17 @@ from dpgrr.objectives import (
     SmoothLossKind,
     full_objective,
     loss_derivative,
-    packed_smooth_grad,
     smooth_curvature,
 )
 from dpgrr.proxops import Regularizer, prox
-from dpgrr.reference import fixture_x_star, load_fixtures, solve_centralized, store_fixture
-from oracles import centralized_prox_rr
+from dpgrr.reference import (
+    fixture_x_star, load_fixtures, solve_centralized, store_fixture, usable_fixture,
+)
+from oracles import centralized_prox_rr, packed_smooth_grad
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
+SHIPPED = ["a9a_subset", "sampler_comparison", "synthetic_consensus", "toy_least_squares"]
 
 
 def test_exact_fit_toy():
@@ -119,18 +124,36 @@ def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
         idx = np.sort(rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False))
         labels[j, i] = float(rng.choice([-1.0, 1.0])) if kind is LOG else float(rng.normal())
         features[j, i, idx] = rng.normal(size=idx.size)
-    for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
-        sol = solve_centralized(
-            features, labels, reg, kind, tol=tol, max_iters=max_iters
-        )
-        x, f, mapping_norm, iterations = _value_and_gradient_solve(
-            features, labels, reg, kind, tol, max_iters
-        )
-        assert np.array_equal(sol.x_star, x)
-        assert sol.iterations == iterations
-        assert sol.mapping_norm == mapping_norm
-        assert sol.f_star == f
-        assert sol.converged == (mapping_norm <= tol)
+    unseen = features.copy()
+    unseen[..., 2] = 0.0  # a feature no sample has: its gradient sums are zeros
+    signed_zero = features.copy()
+    signed_zero[0, :, 1] = -0.0
+    for data in (features, unseen, signed_zero):
+        for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
+            _assert_solves_as_the_loop(data, labels, reg, kind, tol, max_iters)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_solver_matches_value_and_gradient_loop_on_shipped_problems(configs_dir, name):
+    from dpgrr.config import build_problem, load_config
+
+    problem, _ = build_problem(load_config(configs_dir / f"{name}.yaml"))
+    _assert_solves_as_the_loop(
+        problem.features, problem.labels, problem.regularizer, problem.kind,
+        1e-10, 500_000,
+    )
+
+
+def _assert_solves_as_the_loop(features, labels, reg, kind, tol, max_iters):
+    sol = solve_centralized(features, labels, reg, kind, tol=tol, max_iters=max_iters)
+    x, f, mapping_norm, iterations = _value_and_gradient_solve(
+        features, labels, reg, kind, tol, max_iters
+    )
+    assert sol.x_star.tobytes() == x.tobytes()  # zeros' signs included
+    assert sol.iterations == iterations
+    assert sol.mapping_norm == mapping_norm
+    assert sol.f_star == f
+    assert sol.converged == (mapping_norm <= tol)
 
 
 def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_config):
@@ -145,9 +168,7 @@ def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_conf
     assert np.allclose(x_star, canonical_problem.x_star, atol=1e-6)
 
 
-@pytest.mark.parametrize(
-    "name", ["a9a_subset", "sampler_comparison", "synthetic_consensus", "toy_least_squares"]
-)
+@pytest.mark.parametrize("name", SHIPPED)
 def test_fresh_solve_reproduces_committed_fixture(configs_dir, name):
     from dpgrr.config import build_problem, load_config, problem_hash
 
@@ -321,3 +342,41 @@ def test_fixture_store_roundtrip_and_idempotence(tmp_path):
     assert not store_fixture(path, "abc123", sol, 1e-8)
     # a tighter request re-solves
     assert store_fixture(path, "abc123", sol, 1e-13)
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("point", ["json.dump", "os.replace"])
+def test_an_interrupted_store_leaves_the_old_store_loadable(tmp_path, monkeypatch, point):
+    path = tmp_path / "fixtures" / "oracle.json"
+    old = solve_centralized(*packed([([1.0], 2.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
+    assert store_fixture(path, "abc123", old, 1e-12)
+    before = path.read_bytes()
+    if point == "json.dump":
+        # the JSON is half written when the process stops
+        def interrupted(obj, fh, **kwargs):
+            fh.write('{"abc')
+            raise _Interrupted
+        monkeypatch.setattr(json, "dump", interrupted)
+    else:
+        # the solution file is in place, the JSON not yet
+        replace = os.replace
+
+        def interrupted(source, target):
+            if Path(target) == path:
+                raise _Interrupted
+            replace(source, target)
+        monkeypatch.setattr(os, "replace", interrupted)
+    new = solve_centralized(*packed([([1.0], 5.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
+    with pytest.raises(_Interrupted):
+        store_fixture(path, "def456", new, 1e-12)
+    assert path.read_bytes() == before
+    entry = usable_fixture(load_fixtures(path), path, "abc123", 1e-12)
+    assert entry["f_star"] == old.f_star
+    assert np.array_equal(fixture_x_star(path, entry), old.x_star)
+    # no temporary file is left beside the store
+    assert {p.name for p in path.parent.iterdir()} <= {
+        "oracle.json", entry["x_star_file"], "x_star_def456.txt"
+    }
