@@ -44,9 +44,7 @@ from .engine import (
 )
 from .netgraph import validate_schedule
 from .objectives import gradient_bound, lipschitz_constant
-from .reference import (
-    fixture_x_star, load_fixtures, solve_centralized, store_fixture, usable_fixture,
-)
+from .reference import solve_centralized, store_fixture, usable_fixture
 
 CSV_HEADER = "epoch,F_bar,F_hat,subopt,D,max_consensus_dist,sigma_star_sq,V_t"
 
@@ -121,25 +119,20 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle, need_x_star: bool):
+def _resolve_f_star(cfg: ExperimentConfig, problem: ProblemBundle):
     """Optimal value from a usable fixture, else computed on the fly.
 
-    A fixture solved at a looser tolerance than ``ORACLE_TOL`` counts as
-    absent, so a run never takes a coarser F* than it would solve itself.
+    A fixture solved at a looser tolerance than ``ORACLE_TOL``, or on other
+    data, counts as absent, so a run never takes a coarser or a stale F*.
     Returns ``(f_star, x_star, source, oracle)``; ``oracle`` reports the
     on-the-fly solve (``converged``, ``mapping_norm``, ``iterations``,
     ``step``) and is None for a fixture.
     """
     key = problem_hash(cfg)
-    fixtures_path = cfg.fixtures_path()
-    entry = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key, ORACLE_TOL)
-    if entry is not None:
-        x_star = fixture_x_star(fixtures_path, entry) if need_x_star else None
-        return entry["f_star"], x_star, f"fixture:{key[:16]}", None
-    solution = solve_centralized(
-        problem.features, problem.labels, problem.regularizer, problem.kind,
-        tol=ORACLE_TOL,
-    )
+    data = (problem.features, problem.labels)
+    if fixture := usable_fixture(cfg.fixtures_path(), key, *data, ORACLE_TOL):
+        return (*fixture, f"fixture:{key[:16]}", None)
+    solution = solve_centralized(*data, problem.regularizer, problem.kind, tol=ORACLE_TOL)
     source = f"computed(tol={ORACLE_TOL:g})"
     if not solution.converged:
         print(
@@ -175,9 +168,7 @@ def cmd_run(args) -> int:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
 
-    f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(
-        cfg, problem, need_x_star=cfg.diagnostics.record_sigma_star
-    )
+    f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(cfg, problem)
     problem = dataclasses.replace(problem, f_star=f_star, x_star=x_star)
 
     runs = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
@@ -245,14 +236,12 @@ def cmd_oracle(args) -> int:
     problem, _ = build_problem(cfg)
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
-    existing = usable_fixture(load_fixtures(fixtures_path), fixtures_path, key, args.tol)
-    if existing is not None and not args.refresh:
-        print(f"fixture {key[:16]} already solved at tol {existing['tol']:g}")
+    data = (problem.features, problem.labels)
+    # a refresh reads no entry, so it also repairs a malformed one
+    if not args.refresh and usable_fixture(fixtures_path, key, *data, args.tol):
+        print(f"fixture {key[:16]} already solved at tol {args.tol:g}")
         return 0
-    solution = solve_centralized(
-        problem.features, problem.labels, problem.regularizer, problem.kind,
-        tol=args.tol,
-    )
+    solution = solve_centralized(*data, problem.regularizer, problem.kind, tol=args.tol)
     print(
         f"F* = {solution.f_star!r} (mapping norm {solution.mapping_norm:.3g}, "
         f"{solution.iterations} iterations)"
@@ -264,7 +253,7 @@ def cmd_oracle(args) -> int:
             file=sys.stderr,
         )
         return 1
-    store_fixture(fixtures_path, key, solution, args.tol, replace=args.refresh)
+    store_fixture(fixtures_path, key, solution, args.tol, *data)
     print(f"stored fixture {key[:16]} in {fixtures_path}")
     return 0
 

@@ -13,9 +13,11 @@ the unsigned form.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,10 +30,8 @@ from .proxops import Regularizer, prox
 __all__ = [
     "ReferenceSolution",
     "solve_centralized",
-    "load_fixtures",
     "usable_fixture",
     "store_fixture",
-    "fixture_x_star",
 ]
 
 
@@ -128,11 +128,13 @@ def solve_centralized(
 
 # -- optimal-value fixtures ------------------------------------------------
 #
-# Plain-text store: a JSON map from problem key to the certified value,
-# with the solution point saved as a text vector beside it.
+# One JSON file, read and written only here: a map from problem key to the
+# certified value, its solve's report, ``x_star`` as a list of floats (which
+# ``json`` writes by ``repr``, so every bit round-trips) and ``data_sha256``,
+# the digest of the packed arrays it was solved on.
 
 
-def load_fixtures(path: Path | str) -> dict:
+def _load_fixtures(path: Path | str) -> dict:
     """The store at ``path``, empty if there is none.
 
     A store that is not a JSON object is a ``ConfigError`` naming the file.
@@ -150,89 +152,91 @@ def load_fixtures(path: Path | str) -> dict:
     return fixtures
 
 
-def _x_star_filename(key: str) -> str:
-    return f"x_star_{key[:16]}.txt"
+def _data_sha256(features: np.ndarray, labels: np.ndarray) -> str:
+    """sha256 of the packed arrays' shapes, then their float64 bytes."""
+    digest = hashlib.sha256(repr((features.shape, labels.shape)).encode())
+    for array in (features, labels):
+        digest.update(np.ascontiguousarray(array, dtype=float))
+    return digest.hexdigest()
 
 
-def _entry_fault(entry) -> str | None:
-    """Why a store entry is malformed, or None."""
+def _finite(value) -> bool:
+    # not a bool; an int is compared exactly, so one past the float range fails
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _entry_fault(entry, dim: int) -> str | None:
+    """Why a store entry is malformed for a ``dim``-dimensional problem, or None."""
     if not isinstance(entry, dict):
         return "is not a JSON object"
-    for name in ("f_star", "tol", "x_star_file"):
+    for name in ("f_star", "tol", "x_star", "data_sha256"):
         if name not in entry:
             return f"has no {name!r}"
     for name in ("f_star", "tol"):
-        value = entry[name]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)):
-            return f"has {name} {value!r}, not a finite number"
-    if not isinstance(entry["x_star_file"], str):
-        return f"has x_star_file {entry['x_star_file']!r}, not a file name"
+        if not _finite(entry[name]):
+            return f"has {name} {entry[name]!r}, not a finite number"
+    x_star = entry["x_star"]
+    if not isinstance(x_star, list):
+        return f"has x_star {x_star!r}, not a list"
+    if len(x_star) != dim:
+        return f"has x_star of length {len(x_star)}, not {dim}"
+    for i, value in enumerate(x_star):
+        if not _finite(value):
+            return f"has x_star[{i}] {value!r}, not a finite number"
+    if not isinstance(entry["data_sha256"], str):
+        return f"has data_sha256 {entry['data_sha256']!r}, not a string"
     return None
 
 
-def usable_fixture(fixtures: dict, path: Path | str, key: str, tol: float) -> dict | None:
-    """``fixtures[key]`` (the store at ``path``, loaded) if it is usable, else None.
+def usable_fixture(
+    path: Path | str, key: str, features: np.ndarray, labels: np.ndarray, tol: float,
+) -> tuple[float, np.ndarray] | None:
+    """``(f_star, x_star)`` stored under ``key`` at ``path`` if usable, else None.
 
-    Usable: solved at ``tol`` or tighter, with its solution file present.
-    An entry that is not a mapping, lacks ``f_star``, ``tol`` or
-    ``x_star_file``, or whose ``f_star`` or ``tol`` is not a finite number
-    is a ``ConfigError`` naming the store and the key.
+    Usable: solved at ``tol`` or tighter, on these packed arrays; an entry
+    solved on other data is stale, and one stderr note names it.  A
+    malformed entry is a ``ConfigError`` naming the store and the key.
     """
+    fixtures = _load_fixtures(path)
     if key not in fixtures:
         return None
     entry = fixtures[key]
-    fault = _entry_fault(entry)
+    fault = _entry_fault(entry, features.shape[-1])
     if fault is not None:
         raise ConfigError(f"fixtures store {path}: entry {key} {fault}")
     if entry["tol"] > tol:
         return None
-    if not (Path(path).parent / entry["x_star_file"]).is_file():
+    if entry["data_sha256"] != _data_sha256(features, labels):
+        print(f"note: fixture {key[:16]} was solved on other data; solving F* again",
+              file=sys.stderr)
         return None
-    return entry
+    return float(entry["f_star"]), np.array(entry["x_star"], dtype=float)
 
 
 def store_fixture(
     path: Path | str, key: str, solution: ReferenceSolution, tol: float,
-    replace: bool = False,
-) -> bool:
-    """Record a certified solution under ``key``; returns False on a no-op.
-
-    Idempotent: a usable entry solved at least as tightly is kept, unless
-    ``replace`` asks to overwrite it and its solution file.  Both files are
-    written to temporary files beside the store first, then moved into
-    place, the solution file before the JSON, so an interrupted store
-    leaves the old JSON whole.
+    features: np.ndarray, labels: np.ndarray,
+) -> None:
+    """Record ``solution``, solved at ``tol`` on these packed arrays, under
+    ``key``, replacing any entry there.  The store is written beside itself,
+    then moved into place, so an interrupted store leaves the old file whole.
     """
     path = Path(path)
-    fixtures = load_fixtures(path)
-    if not replace and usable_fixture(fixtures, path, key, tol) is not None:
-        return False
-    entry = {
+    fixtures = _load_fixtures(path)
+    fixtures[key] = {
+        "data_sha256": _data_sha256(features, labels),
         "f_star": solution.f_star,
-        "tol": tol,
-        "mapping_norm": solution.mapping_norm,
         "iterations": solution.iterations,
-        "x_star_file": _x_star_filename(key),
+        "mapping_norm": solution.mapping_norm,
+        "tol": tol,
+        "x_star": solution.x_star.tolist(),
     }
-    fixtures[key] = entry
     path.parent.mkdir(parents=True, exist_ok=True)
-    x_star_path = path.parent / entry["x_star_file"]
-    staged_x_star, staged_json = (
-        target.with_name(f".{target.name}.{os.getpid()}.tmp") for target in (x_star_path, path)
-    )
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        np.savetxt(staged_x_star, solution.x_star, fmt="%.17e")
-        with staged_json.open("w") as fh:
+        with staged.open("w") as fh:
             json.dump(fixtures, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(staged_x_star, x_star_path)
-        os.replace(staged_json, path)
+        os.replace(staged, path)
     finally:
-        staged_x_star.unlink(missing_ok=True)
-        staged_json.unlink(missing_ok=True)
-    return True
-
-
-def fixture_x_star(path: Path | str, entry: dict) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(Path(path).parent / entry["x_star_file"]))
+        staged.unlink(missing_ok=True)

@@ -281,11 +281,9 @@ def test_oracle_refresh_replaces_a_stale_fixture(tmp_path, monkeypatch, capsys):
     store = tmp_path / "fixtures" / "oracle.json"
     key = problem_hash(load_config(cfg))
     fresh = json.loads(store.read_text())[key]
-    x_star_path = store.parent / fresh["x_star_file"]
-    fresh_x_star = x_star_path.read_text()
-    stale = {**fresh, "f_star": fresh["f_star"] + 1.0}
+    fresh_x_star = fresh["x_star"]
+    stale = {**fresh, "f_star": fresh["f_star"] + 1.0, "x_star": [0.0, 0.0, 0.0]}
     store.write_text(json.dumps({key: stale}))
-    x_star_path.write_text("0\n0\n0\n")
     # without the flag the stale entry stands
     assert main(["oracle", "--config", str(cfg)]) == 0
     assert "already solved" in capsys.readouterr().out
@@ -300,12 +298,12 @@ def test_oracle_refresh_replaces_a_stale_fixture(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dpgrr.cli, "solve_centralized", unconverged)
     assert main(["oracle", "--config", str(cfg), "--refresh"]) == 1
     assert json.loads(store.read_text())[key] == stale
-    assert x_star_path.read_text() == "0\n0\n0\n"
+    assert json.loads(store.read_text())[key]["x_star"] == [0.0, 0.0, 0.0]
 
     monkeypatch.setattr(dpgrr.cli, "solve_centralized", real_solve)
     assert main(["oracle", "--config", str(cfg), "--refresh"]) == 0
     assert json.loads(store.read_text())[key] == fresh
-    assert x_star_path.read_text() == fresh_x_star
+    assert json.loads(store.read_text())[key]["x_star"] == fresh_x_star
 
 
 def test_oracle_two_tolerances_agree(tmp_path):
@@ -430,24 +428,46 @@ def test_config_error_is_reported(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_fixture_without_its_solution_file_is_solved_again(tmp_path, capsys):
-    cfg = write_synth(
-        tmp_path, extra="diagnostics: {record_v: false, record_sigma_star: true}\n"
-    )
-    assert main(["oracle", "--config", str(cfg)]) == 0
+def test_a_fixture_solved_on_other_data_is_solved_again(configs_dir, tmp_path, capsys):
+    # a copy of the shipped a9a config, its data and the committed store,
+    # laid out as shipped, so its problem key is the committed one
+    for name in ("a9a_subset.yaml", "data/a9a_subset.libsvm", "fixtures/oracle.json"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes((configs_dir / name).read_bytes())
+    cfg = tmp_path / "a9a_subset.yaml"
     key = problem_hash(load_config(cfg))
-    fixtures = tmp_path / "fixtures"
-    (fixtures / json.loads((fixtures / "oracle.json").read_text())[key]["x_star_file"]).unlink()
-    assert main(["run", "--config", str(cfg), "-q"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["F_star_source"] == "computed(tol=1e-10)"
-    # the oracle treats the entry as absent too, and restores the file
-    capsys.readouterr()
-    assert main(["oracle", "--config", str(cfg)]) == 0
-    assert "stored fixture" in capsys.readouterr().out
-    assert main(["run", "--config", str(cfg), "-q"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert key.startswith("9ed6b49b9b7bfa9b")
+    run_args = ["run", "--config", str(cfg), "--output", str(tmp_path / "out"), "-q"]
+    manifest_path = tmp_path / "out" / "manifest.json"
+    assert main(run_args) == 0
+    manifest = json.loads(manifest_path.read_text())
     assert manifest["F_star_source"] == f"fixture:{key[:16]}"
+    assert manifest["F_star"] == 2.213679185081233
+    assert "note: fixture" not in capsys.readouterr().err
+
+    # the first label flipped: same key, other data
+    data = tmp_path / "data" / "a9a_subset.libsvm"
+    text = data.read_text()
+    assert text.startswith("-1 ")
+    data.write_text("+1 " + text[3:])
+    store = (tmp_path / "fixtures" / "oracle.json").read_bytes()
+    assert main(run_args) == 0
+    note = f"note: fixture {key[:16]} was solved on other data; solving F* again\n"
+    assert capsys.readouterr().err.count(note) == 1
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["F_star_source"] == "computed(tol=1e-10)"
+    assert manifest["F_star"] == 2.2185252648207063
+    assert (tmp_path / "fixtures" / "oracle.json").read_bytes() == store
+
+    # plain `oracle` solves it again and replaces the entry
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert "stored fixture" in out and err.count(note) == 1
+    assert main(run_args) == 0
+    assert "note: fixture" not in capsys.readouterr().err
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["F_star_source"] == f"fixture:{key[:16]}"
+    assert manifest["F_star"] == 2.2185252648207063
 
 
 @pytest.mark.parametrize("store", ['{"a": ', "[1, 2]"], ids=["not-json", "not-an-object"])
@@ -464,37 +484,137 @@ def test_a_corrupt_fixtures_store_is_a_config_error(tmp_path, capsys, command, s
     assert path.read_text() == store and not (tmp_path / "out").exists()
 
 
-_ENTRY = '"tol": 1e-10, "x_star_file": "x_star.txt"'
+_DIGEST = '"data_sha256": "' + "0" * 64 + '"'
+_X_STAR = '"x_star": [0.0, 0.0, 0.0]'
+_ENTRY = '"tol": 1e-10, ' + _X_STAR + ", " + _DIGEST
+_VALUES = '"f_star": 0.0, "tol": 1e-10, '
 
 
 @pytest.mark.parametrize("entry, fault", [
     ("[0.5]", "is not a JSON object"),
     ("null", "is not a JSON object"),
-    ('{"tol": 1e-10, "x_star_file": "x_star.txt"}', "has no 'f_star'"),
+    ("{" + _ENTRY + "}", "has no 'f_star'"),
     ('{"f_star": 0.0}', "has no 'tol'"),
-    ('{"f_star": 0.0, "tol": 1e-10}', "has no 'x_star_file'"),
-    ('{"f_star": 0.0, "tol": "1e-10", "x_star_file": "x_star.txt"}',
+    # the former format, whose x* was a text file beside the store
+    ("{" + _VALUES + '"x_star_file": "x_star.txt"}', "has no 'x_star'"),
+    ("{" + _VALUES + _X_STAR + "}", "has no 'data_sha256'"),
+    ('{"f_star": 0.0, "tol": "1e-10", ' + _X_STAR + ", " + _DIGEST + "}",
      "has tol '1e-10', not a finite number"),
-    ('{"f_star": 0.0, "tol": NaN, "x_star_file": "x_star.txt"}',
+    ('{"f_star": 0.0, "tol": NaN, ' + _X_STAR + ", " + _DIGEST + "}",
      "has tol nan, not a finite number"),
     ('{"f_star": Infinity, ' + _ENTRY + "}", "has f_star inf, not a finite number"),
     ('{"f_star": true, ' + _ENTRY + "}", "has f_star True, not a finite number"),
-    ('{"f_star": 0.0, "tol": 1e-10, "x_star_file": 7}', "has x_star_file 7, not a file name"),
-], ids=["list", "null", "no-f_star", "no-tol", "no-x_star_file", "text-tol", "nan-tol",
-        "inf-f_star", "bool-f_star", "number-file"])
-@pytest.mark.parametrize("command", ["run", "oracle"])
-def test_a_malformed_fixture_entry_is_a_config_error(tmp_path, capsys, command, entry, fault):
-    cfg = write_synth(tmp_path)
+    ("{" + _VALUES + '"x_star": "0 0 0", ' + _DIGEST + "}",
+     "has x_star '0 0 0', not a list"),
+    ("{" + _VALUES + '"x_star": [0.0], ' + _DIGEST + "}", "has x_star of length 1, not 3"),
+    ("{" + _VALUES + '"x_star": [0.0, NaN, 0.0], ' + _DIGEST + "}",
+     "has x_star[1] nan, not a finite number"),
+    ("{" + _VALUES + '"x_star": [0.0, 0.0, true], ' + _DIGEST + "}",
+     "has x_star[2] True, not a finite number"),
+    ("{" + _VALUES + _X_STAR + ', "data_sha256": 7}', "has data_sha256 7, not a string"),
+], ids=["list", "null", "no-f_star", "no-tol", "x_star_file", "no-data_sha256", "text-tol",
+        "nan-tol", "inf-f_star", "bool-f_star", "text-x_star", "short-x_star",
+        "nan-x_star", "bool-x_star", "number-data_sha256"])
+@pytest.mark.parametrize("command, extra", [
+    ("run", ""),
+    ("oracle", ""),
+    # a run that records sigma_star is the one that uses the stored x*
+    ("run", "diagnostics: {record_v: false, record_sigma_star: true}\n"),
+], ids=["run", "oracle", "run-sigma_star"])
+def test_a_malformed_fixture_entry_is_a_config_error(
+    tmp_path, capsys, command, extra, entry, fault
+):
+    cfg = write_synth(tmp_path, extra=extra)
     key = problem_hash(load_config(cfg))
     path = tmp_path / "fixtures" / "oracle.json"
     path.parent.mkdir()
-    (path.parent / "x_star.txt").write_text("0\n0\n0\n")
     store = f'{{"{key}": {entry}}}'
     path.write_text(store)
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == f"config error: fixtures store {path}: entry {key} {fault}\n"
     assert path.read_text() == store and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    "null",
+    "{" + _VALUES + '"x_star_file": "x_star.txt"}',
+    "{" + _VALUES + '"x_star": "abc", ' + _DIGEST + "}",
+], ids=["null", "former-format", "text-x_star"])
+def test_oracle_refresh_repairs_a_malformed_entry(tmp_path, capsys, entry):
+    cfg = write_synth(tmp_path)
+    key = problem_hash(load_config(cfg))
+    path = tmp_path / "fixtures" / "oracle.json"
+    path.parent.mkdir()
+    other = {"f_star": 1.0, "tol": 1e-10, "x_star": [1.0], "data_sha256": "a"}
+    path.write_text(f'{{"{key}": {entry}, "other": {json.dumps(other)}}}')
+    assert main(["oracle", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert main(["oracle", "--config", str(cfg), "--refresh"]) == 0
+    assert "stored fixture" in capsys.readouterr().out
+    # the entry is whole again, and the store's other entries are kept
+    assert json.loads(path.read_text())["other"] == other
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    assert "already solved" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["F_star_source"] == f"fixture:{key[:16]}"
+
+
+_RETYPED = st.sampled_from([None, True, "text", [], {}, -1.5, 10**400, math.nan, [1.0]])
+
+
+@st.composite
+def entry_mutations(draw):
+    """One change to a stored entry: a field dropped or retyped, the
+    solution point cut short, or the digest changed."""
+    field = draw(st.sampled_from(["f_star", "tol", "x_star", "data_sha256",
+                                  "iterations", "mapping_norm"]))
+    how = draw(st.sampled_from(["drop", "retype", "truncate", "digest"]))
+    if how == "retype":
+        return how, field, draw(_RETYPED)
+    if how == "truncate":
+        return how, "x_star", draw(st.integers(0, 2))
+    if how == "digest":
+        return how, "data_sha256", draw(st.text("0123456789abcdef", min_size=0, max_size=64))
+    return how, field, None
+
+
+@pytest.fixture()
+def stored_synth(tmp_path):
+    """A small synthetic config whose store holds its solved entry."""
+    cfg = write_synth(tmp_path, T=2)
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    path = tmp_path / "fixtures" / "oracle.json"
+    return cfg, path, path.read_text()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=entry_mutations())
+@example(mutation=("retype", "tol", 10**400))
+@example(mutation=("truncate", "x_star", 0))
+def test_a_mutated_store_entry_is_served_solved_again_or_a_config_error(
+    stored_synth, capsys, mutation
+):
+    cfg, path, original = stored_synth
+    how, field, value = mutation
+    store = json.loads(original)
+    (key, entry), = store.items()
+    if how == "drop":
+        del entry[field]
+    elif how == "truncate":
+        entry["x_star"] = entry["x_star"][:value]
+    else:
+        entry[field] = value
+    capsys.readouterr()
+    for argv in (["run", "--config", str(cfg), "-q"], ["oracle", "--config", str(cfg)]):
+        path.write_text(json.dumps(store))
+        status = main(argv)
+        err = capsys.readouterr().err
+        assert status in (0, 1)
+        assert err.count("config error:") == (status == 1)
+        assert "Traceback" not in err
 
 
 def test_a_huge_window_validates_at_once(tmp_path):

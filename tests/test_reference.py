@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,9 +18,7 @@ from dpgrr.objectives import (
     smooth_curvature,
 )
 from dpgrr.proxops import Regularizer, prox
-from dpgrr.reference import (
-    fixture_x_star, load_fixtures, solve_centralized, store_fixture, usable_fixture,
-)
+from dpgrr.reference import solve_centralized, store_fixture, usable_fixture
 from oracles import centralized_prox_rr, packed_smooth_grad
 
 LS = SmoothLossKind.LEAST_SQUARES
@@ -161,10 +160,11 @@ def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_conf
     # with a from-scratch solve on this platform
     from dpgrr.config import problem_hash
 
-    fixtures = load_fixtures(canonical_config.fixtures_path())
-    entry = fixtures[problem_hash(canonical_config)]
-    assert entry["f_star"] == pytest.approx(canonical_problem.f_star, abs=1e-8)
-    x_star = fixture_x_star(canonical_config.fixtures_path(), entry)
+    f_star, x_star = usable_fixture(
+        canonical_config.fixtures_path(), problem_hash(canonical_config),
+        canonical_problem.features, canonical_problem.labels, 1e-10,
+    )
+    assert f_star == pytest.approx(canonical_problem.f_star, abs=1e-8)
     assert np.allclose(x_star, canonical_problem.x_star, atol=1e-6)
 
 
@@ -174,7 +174,7 @@ def test_fresh_solve_reproduces_committed_fixture(configs_dir, name):
 
     cfg = load_config(configs_dir / f"{name}.yaml")
     problem, _ = build_problem(cfg)
-    entry = load_fixtures(cfg.fixtures_path())[problem_hash(cfg)]
+    entry = json.loads(cfg.fixtures_path().read_text())[problem_hash(cfg)]
     sol = solve_centralized(
         problem.features, problem.labels, problem.regularizer, problem.kind,
         tol=entry["tol"],
@@ -182,8 +182,27 @@ def test_fresh_solve_reproduces_committed_fixture(configs_dir, name):
     assert sol.converged
     assert sol.iterations <= entry["iterations"]
     assert abs(sol.f_star - entry["f_star"]) <= 1e-12
-    x_star = fixture_x_star(cfg.fixtures_path(), entry)
+    _, x_star = usable_fixture(
+        cfg.fixtures_path(), problem_hash(cfg), problem.features, problem.labels, entry["tol"])
     assert np.max(np.abs(sol.x_star - x_star)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_committed_digest_matches_its_shipped_config(configs_dir, name, capsys):
+    from dpgrr.config import build_problem, load_config, problem_hash
+
+    cfg = load_config(configs_dir / f"{name}.yaml")
+    problem, _ = build_problem(cfg)
+    args = (cfg.fixtures_path(), problem_hash(cfg))
+    assert usable_fixture(*args, problem.features, problem.labels, 1e-10) is not None
+    assert capsys.readouterr().err == ""
+    # one changed label is other data: the entry is stale, and says so
+    labels = problem.labels.copy()
+    labels[0, 0] = -labels[0, 0] if labels[0, 0] else 1.0
+    assert usable_fixture(*args, problem.features, labels, 1e-10) is None
+    assert capsys.readouterr().err == (
+        f"note: fixture {args[1][:16]} was solved on other data; solving F* again\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -330,18 +349,24 @@ def test_prox_rr_matches_single_agent_engine():
 # -- fixture store -----------------------------------------------------------
 
 
-def test_fixture_store_roundtrip_and_idempotence(tmp_path):
-    sol = solve_centralized(*packed([([1.0], 2.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
+def test_fixture_store_roundtrip(tmp_path):
+    data = packed([([1.0, 0.0, 0.0], 2.0)])
+    sol = solve_centralized(*data, Regularizer.l1(1.0), LS, tol=1e-12)
+    # a point whose every bit must survive: a signed zero, a subnormal
+    sol = dataclasses.replace(sol, x_star=np.array([sol.x_star[0], -0.0, 5e-324]))
     path = tmp_path / "fixtures" / "oracle.json"
-    assert store_fixture(path, "abc123", sol, 1e-12)
-    entry = load_fixtures(path)["abc123"]
-    assert entry["f_star"] == sol.f_star  # exact round trip through JSON
-    assert np.allclose(fixture_x_star(path, entry), sol.x_star, atol=1e-15)
-    # re-storing at an equal or looser tolerance is a no-op
-    assert not store_fixture(path, "abc123", sol, 1e-12)
-    assert not store_fixture(path, "abc123", sol, 1e-8)
-    # a tighter request re-solves
-    assert store_fixture(path, "abc123", sol, 1e-13)
+    store_fixture(path, "abc123", sol, 1e-12, *data)
+    f_star, x_star = usable_fixture(path, "abc123", *data, 1e-12)
+    assert f_star == sol.f_star  # exact round trip through JSON
+    assert x_star.tobytes() == sol.x_star.tobytes()
+    # an entry at an equal or looser tolerance than asked serves it; the
+    # oracle then stores nothing
+    assert usable_fixture(path, "abc123", *data, 1e-8) is not None
+    # a tighter request finds none, and storing replaces the entry
+    assert usable_fixture(path, "abc123", *data, 1e-13) is None
+    store_fixture(path, "abc123", sol, 1e-13, *data)
+    assert usable_fixture(path, "abc123", *data, 1e-13)[0] == sol.f_star
+    assert list(json.loads(path.read_text())) == ["abc123"]
 
 
 class _Interrupted(Exception):
@@ -351,8 +376,9 @@ class _Interrupted(Exception):
 @pytest.mark.parametrize("point", ["json.dump", "os.replace"])
 def test_an_interrupted_store_leaves_the_old_store_loadable(tmp_path, monkeypatch, point):
     path = tmp_path / "fixtures" / "oracle.json"
-    old = solve_centralized(*packed([([1.0], 2.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
-    assert store_fixture(path, "abc123", old, 1e-12)
+    old_data = packed([([1.0], 2.0)])
+    old = solve_centralized(*old_data, Regularizer.l1(1.0), LS, tol=1e-12)
+    store_fixture(path, "abc123", old, 1e-12, *old_data)
     before = path.read_bytes()
     if point == "json.dump":
         # the JSON is half written when the process stops
@@ -361,22 +387,19 @@ def test_an_interrupted_store_leaves_the_old_store_loadable(tmp_path, monkeypatc
             raise _Interrupted
         monkeypatch.setattr(json, "dump", interrupted)
     else:
-        # the solution file is in place, the JSON not yet
-        replace = os.replace
-
+        # the new store is written in full, but not yet moved into place
         def interrupted(source, target):
-            if Path(target) == path:
-                raise _Interrupted
-            replace(source, target)
+            assert Path(target) == path and Path(source).parent == path.parent
+            raise _Interrupted
         monkeypatch.setattr(os, "replace", interrupted)
-    new = solve_centralized(*packed([([1.0], 5.0)]), Regularizer.l1(1.0), LS, tol=1e-12)
+    new_data = packed([([1.0], 5.0)])
+    new = solve_centralized(*new_data, Regularizer.l1(1.0), LS, tol=1e-12)
     with pytest.raises(_Interrupted):
-        store_fixture(path, "def456", new, 1e-12)
+        store_fixture(path, "def456", new, 1e-12, *new_data)
     assert path.read_bytes() == before
-    entry = usable_fixture(load_fixtures(path), path, "abc123", 1e-12)
-    assert entry["f_star"] == old.f_star
-    assert np.array_equal(fixture_x_star(path, entry), old.x_star)
+    f_star, x_star = usable_fixture(path, "abc123", *old_data, 1e-12)
+    assert f_star == old.f_star
+    assert np.array_equal(x_star, old.x_star)
+    assert usable_fixture(path, "def456", *new_data, 1e-12) is None
     # no temporary file is left beside the store
-    assert {p.name for p in path.parent.iterdir()} <= {
-        "oracle.json", entry["x_star_file"], "x_star_def456.txt"
-    }
+    assert [p.name for p in path.parent.iterdir()] == ["oracle.json"]
