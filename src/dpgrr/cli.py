@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -37,11 +36,12 @@ from .engine import (
     RunConfig,
     RunTrace,
     StepBoundViolation,
-    StepBoundWarning,
+    StepRule,
     WorkerLost,
     run,
     step_scale_bound,
 )
+from .metrics import shuffling_variance
 from .netgraph import validate_schedule
 from .objectives import gradient_bound, lipschitz_constant
 from .reference import solve_centralized, store_fixture, usable_fixture
@@ -51,12 +51,14 @@ CSV_HEADER = "epoch,F_bar,F_hat,subopt,D,max_consensus_dist,sigma_star_sq,V_t"
 ORACLE_TOL = 1e-10
 
 
-def write_metrics_csv(path: Path, trace: RunTrace) -> None:
+def write_metrics_csv(path: Path, trace: RunTrace, f_star: float | None = None,
+                      sigma_star_sq: float | None = None) -> None:
     """One line per recorded epoch under ``CSV_HEADER``, a column at a time:
     the epochs with ``str``, the floats with ``repr``, and an empty cell
-    where the trace has no value (the initial row of a column that starts
-    at epoch 1, every row of one not recorded), so every cell reads as it
-    would row by row."""
+    where there is no value (the initial row of a column that starts at
+    epoch 1, every row of one not recorded), so every cell reads as it
+    would row by row.  ``subopt`` is ``F_hat - f_star``; it and
+    ``sigma_star_sq`` are empty when not given."""
     rows = len(trace.epochs)
 
     def cells(column):
@@ -65,10 +67,11 @@ def write_metrics_csv(path: Path, trace: RunTrace) -> None:
     def later(column):
         return repeat("", rows) if column is None else chain([""], cells(column))
 
-    sigma = "" if trace.sigma_star_sq is None else repr(float(trace.sigma_star_sq))
+    subopt = None if f_star is None else trace.f_hat - f_star
+    sigma = "" if sigma_star_sq is None else repr(float(sigma_star_sq))
     lines = zip(
         map(str, trace.epochs.tolist()), cells(trace.f_bar), later(trace.f_hat),
-        later(trace.suboptimality), cells(trace.disagreement),
+        later(subopt), cells(trace.disagreement),
         cells(trace.max_consensus_dist), repeat(sigma, rows), later(trace.forward_deviation),
     )
     path.write_text("\n".join([CSV_HEADER, *map(",".join, lines)]) + "\n")
@@ -79,16 +82,17 @@ def _csv_name(algo: str, seed: int, multi_seed: bool) -> str:
     return f"{base}_seed{seed}_metrics.csv" if multi_seed else f"{base}_metrics.csv"
 
 
-def _validate(cfg: ExperimentConfig, problem: ProblemBundle, out) -> str | None:
+def _validate(cfg: ExperimentConfig, problem: ProblemBundle, lipschitz: float,
+              out) -> str | None:
     """Print validation results; return the first violated assumption, if any.
 
     A step scale above its bound is a violation only while
     ``enforce_step_bound`` holds; otherwise it is reported as a warning.
+    A rule that has no step is always a violation.
     """
     report = validate_schedule(problem.schedule)
     print(report.render(), file=out)
     first = report.first_failure()
-    lipschitz = lipschitz_constant(problem.features, problem.kind)
     print(
         f"step-size bound for sqrt rule: scale <= "
         f"{step_scale_bound(lipschitz, problem.n):.6g}",
@@ -99,7 +103,7 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, out) -> str | None:
         if violation is None:
             continue
         message = f"step-size bound: {algo.name} {violation}"
-        if not cfg.enforce_step_bound:
+        if not cfg.enforce_step_bound and algo.step.scale is not None:
             print(f"warning: {message}", file=sys.stderr)
             continue
         print(message, file=out)
@@ -111,7 +115,8 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, out) -> str | None:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     problem, _ = build_problem(cfg)
-    first = _validate(cfg, problem, sys.stdout)
+    first = _validate(cfg, problem, lipschitz_constant(problem.features, problem.kind),
+                      sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
@@ -163,50 +168,53 @@ def cmd_run(args) -> int:
             f"samples to give every agent exactly {part.n}",
             file=sys.stderr,
         )
-    first = _validate(cfg, problem, io.StringIO() if args.quiet else sys.stdout)
+    lipschitz = lipschitz_constant(problem.features, problem.kind)
+    first = _validate(cfg, problem, lipschitz, io.StringIO() if args.quiet else sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
 
     f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(cfg, problem)
-    problem = dataclasses.replace(problem, f_star=f_star, x_star=x_star)
+
+    def step(rule: StepRule) -> StepRule:
+        # a bound that `_validate` waived: the engine takes the step as given
+        if cfg.horizon and rule.bound_violation(lipschitz, problem.n):
+            return StepRule.constant(rule.resolve(lipschitz, problem.n, cfg.horizon))
+        return rule
 
     runs = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     run_cfgs = [
         RunConfig(
             algorithm=algo.name,
             horizon=cfg.horizon,
-            step=algo.step,
+            step=step(algo.step),
             steps_mode=cfg.graph.steps_mode,
             seed=seed,
             cadence=cfg.snapshot_cadence,
             record_v=cfg.diagnostics.record_v,
-            record_sigma_star=cfg.diagnostics.record_sigma_star,
-            enforce_step_bound=cfg.enforce_step_bound,
             x0=cfg.x0,
         )
         for algo, seed in runs
     ]
     try:
-        with warnings.catch_warnings():
-            # `_validate` has already reported an unenforced bound
-            warnings.simplefilter("ignore", StepBoundWarning)
-            traces = run(run_cfgs, problem)
+        traces = run(run_cfgs, problem)
     except (StepBoundViolation, FloatingPointError, ValueError, WorkerLost) as exc:
         # one call runs the whole config, so a failed run leaves no CSV
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    sigma_star_sq = None
+    if cfg.diagnostics.record_sigma_star:
+        sigma_star_sq = shuffling_variance(problem.features, problem.labels, problem.kind, x_star)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     multi_seed = len(cfg.seeds) > 1
     files = {}
     for (algo, seed), trace in zip(runs, traces):
         name = _csv_name(algo.name, seed, multi_seed)
-        write_metrics_csv(out_dir / name, trace)
+        write_metrics_csv(out_dir / name, trace, f_star, sigma_star_sq)
         files[f"{algo.name}/seed{seed}"] = name
         if not args.quiet:
-            subopt = trace.suboptimality
-            sub = "" if subopt is None or not len(subopt) else f" subopt={subopt[-1]:.6g}"
+            sub = f" subopt={trace.f_hat[-1] - f_star:.6g}" if len(trace.f_hat) else ""
             print(f"{algo.name} seed={seed}: {len(trace.epochs)} rows{sub}")
 
     manifest = {
@@ -214,7 +222,7 @@ def cmd_run(args) -> int:
         "config_hash": config_hash(cfg),
         "problem_hash": problem_hash(cfg),
         "config": canonical_dict(cfg),
-        "L": lipschitz_constant(problem.features, problem.kind),
+        "L": lipschitz,
         "G_f": gradient_bound(
             problem.features, problem.labels, problem.kind, cfg.least_squares_radius
         ),

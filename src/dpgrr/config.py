@@ -431,7 +431,7 @@ def build_problem(
 ) -> tuple[ProblemBundle, Partition | None]:
     """The problem, built from arrays that synthesis or partitioning packs.
 
-    ``f_star`` is left unset; the ``Partition`` is None for synthetic data.
+    The ``Partition`` is None for synthetic data.
     Every ``ValueError`` raised while building (bad data, bad graph) is
     reported as a ``ConfigError``.
     """

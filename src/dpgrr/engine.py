@@ -67,11 +67,11 @@ runs, one per CPU, and cuts each lane into its own batches.  The caller's
 process runs the first lane; every other lane runs in a worker made
 with ``os.fork``, which sends back its traces, or its failure, pickled
 over a pipe; a trace's columns travel as the arrays they are.  Every
-check and step resolution, with its warning or error, happens before
-the fork, and the failure of the first failing run in order is the one
-raised.  Workers are always reaped, and killed first when the caller's
-lane fails or is interrupted.  Since a run's trace does not depend on
-its batch, the lanes give the traces a single process gives;
+check and step resolution, with its error, happens before the fork,
+and the failure of the first failing run in order is the one raised.
+Workers are always reaped, and killed first when the caller's lane
+fails or is interrupted.  Since a run's trace does not depend on its
+batch, the lanes give the traces a single process gives;
 ``taskset -c 0`` runs every batch in one process.
 """
 
@@ -100,7 +100,6 @@ __all__ = [
     "ALGORITHMS",
     "NonFiniteIterate",
     "StepBoundViolation",
-    "StepBoundWarning",
     "step_scale_bound",
     "StepRule",
     "ProblemBundle",
@@ -136,8 +135,7 @@ _LANE_WORK = 2000
 MAX_RECORD_BYTES = 1 << 16
 
 # RunConfig fields that every run of one ``run`` call must share
-_SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v",
-                  "record_sigma_star", "enforce_step_bound")
+_SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v")
 
 
 class NonFiniteIterate(FloatingPointError):
@@ -171,16 +169,14 @@ class WorkerLost(RuntimeError):
 
 
 class StepBoundViolation(ValueError):
-    """The 1/sqrt(T) rule's scale exceeds its admissible bound."""
-
-
-class StepBoundWarning(UserWarning):
-    """An unenforced 1/sqrt(T) scale exceeds its admissible bound."""
+    """The 1/sqrt(T) rule's scale exceeds its admissible bound, or the rule
+    has no scale where L = 0 leaves the bound infinite."""
 
 
 def step_scale_bound(lipschitz: float, n: int) -> float:
-    """Largest admissible scale M of the gamma = M / sqrt(T) rule."""
-    return math.sqrt(6.0) / (6.0 * lipschitz * n)
+    """Largest admissible scale M of the gamma = M / sqrt(T) rule; infinite
+    when every sample is zero (L = 0)."""
+    return math.sqrt(6.0) / (6.0 * lipschitz * n) if lipschitz else math.inf
 
 
 @dataclass(frozen=True)
@@ -212,27 +208,26 @@ class StepRule:
         return cls("sqrt_horizon", scale=None if scale is None else float(scale))
 
     def bound_violation(self, lipschitz: float, n: int) -> str | None:
-        """Why the rule's scale is inadmissible, or None if it is admissible."""
-        if self.rule != "sqrt_horizon" or self.scale is None:
+        """Why the rule's scale is inadmissible, or None if it is admissible.
+
+        A rule without a scale takes the bound, so it has no step when the
+        bound is infinite.
+        """
+        if self.rule != "sqrt_horizon":
             return None
         bound = step_scale_bound(lipschitz, n)
+        if self.scale is None:
+            return None if bound < math.inf else "needs a scale: L = 0 leaves no bound"
         if self.scale > bound * (1.0 + 1e-12):
             return f"step scale {self.scale:g} exceeds admissible bound {bound:g}"
         return None
 
-    def resolve(
-        self, lipschitz: float, n: int, horizon: int, enforce_bound: bool = True
-    ) -> float:
-        """Concrete step size for a run of ``horizon`` epochs."""
+    def resolve(self, lipschitz: float, n: int, horizon: int) -> float:
+        """Concrete step size for a run of ``horizon`` epochs; checks no bound."""
         if self.rule == "constant":
             return self.gamma
         if horizon < 1:
             raise ValueError("sqrt_horizon rule needs horizon >= 1")
-        violation = self.bound_violation(lipschitz, n)
-        if violation is not None:
-            if enforce_bound:
-                raise StepBoundViolation(violation)
-            warnings.warn(violation, StepBoundWarning, stacklevel=2)
         scale = step_scale_bound(lipschitz, n) if self.scale is None else self.scale
         return scale / math.sqrt(horizon)
 
@@ -256,8 +251,6 @@ class ProblemBundle:
     kind: SmoothLossKind
     regularizer: Regularizer
     schedule: GraphSchedule
-    f_star: float | None = None
-    x_star: np.ndarray | None = None
     signed: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -270,6 +263,8 @@ class ProblemBundle:
             )
         if labels.size == 0:
             raise EmptyData(f"no samples: (m, n) = {labels.shape}")
+        if features.shape[2] == 0:
+            raise EmptyData("no features: every sample has d = 0")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("problem data contains non-finite values")
         if self.kind is SmoothLossKind.LOGISTIC:
@@ -320,8 +315,6 @@ class RunConfig:
     seed: int = 0
     cadence: int | None = None
     record_v: bool = False
-    record_sigma_star: bool = False
-    enforce_step_bound: bool = True
     x0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -341,18 +334,15 @@ class RunTrace:
     """Recorded columns and the final iterate of one run.
 
     A column has a float per entry of ``epochs``, the batch's read-only
-    int64 array; ``f_hat``, ``suboptimality`` (None without an F*) and
-    ``forward_deviation`` (None without ``record_v`` or on dgm) start at
-    epoch 1, so align with ``epochs[1:]``.
+    int64 array; ``f_hat`` and ``forward_deviation`` (None without
+    ``record_v`` or on dgm) start at epoch 1, so align with ``epochs[1:]``.
     """
 
     epochs: np.ndarray
     f_bar: np.ndarray
     f_hat: np.ndarray
-    suboptimality: np.ndarray | None
     disagreement: np.ndarray
     max_consensus_dist: np.ndarray
-    sigma_star_sq: float | None
     forward_deviation: np.ndarray | None
     gamma: float | None
     x_final: np.ndarray
@@ -517,22 +507,18 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     lipschitz = objectives.lipschitz_constant(problem.features, problem.kind)
     steps = []
     for cfg in configs:
-        steps.append(None if cfg.horizon == 0 else cfg.step.resolve(
-            lipschitz, problem.n, cfg.horizon, cfg.enforce_step_bound))
+        # a run of horizon 0 takes no step, so its rule is not checked
+        if cfg.horizon and (violation := cfg.step.bound_violation(lipschitz, problem.n)):
+            raise StepBoundViolation(violation)
+        steps.append(cfg.step.resolve(lipschitz, problem.n, cfg.horizon) if cfg.horizon else None)
         if _is_dgm(cfg) and cfg.step.rule != "constant":
             raise ValueError(
                 "the subgradient baseline decays its own step; use a constant rule")
-    sigma_star = None
-    if configs[0].record_sigma_star:
-        if problem.x_star is None:
-            raise ValueError("sigma_star recording needs the reference solution point")
-        sigma_star = metrics_mod.shuffling_variance(
-            problem.features, problem.labels, problem.kind, problem.x_star)
 
     def run_lane(batches: list[tuple[int, int]]) -> list[RunTrace]:
         traces = []
         for lo, hi in batches:
-            traces += _run_batch(configs[lo:hi], steps[lo:hi], sigma_star, problem)
+            traces += _run_batch(configs[lo:hi], steps[lo:hi], problem)
         return traces
 
     lanes = _lanes(configs, max(1, MAX_BATCH_BYTES // problem.features.nbytes))
@@ -676,7 +662,7 @@ def _batch_step(steps: list[float]):
     return np.array(steps).reshape(-1, 1, 1)
 
 
-def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: float | None,
+def _run_batch(configs: list[RunConfig], steps: list[float | None],
                problem: ProblemBundle) -> list[RunTrace]:
     """``run`` for runs of one epoch body whose samples fit one gathered
     block, with their resolved ``steps`` (None at horizon 0)."""
@@ -702,7 +688,6 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
     f_bar, disagreement, max_dist = (np.empty((len(configs), len(epochs))) for _ in range(3))
     # the running average and the inner pass start at epoch 1
     f_hat = np.empty((len(configs), len(epochs) - 1))
-    subopt = None if problem.f_star is None else np.empty_like(f_hat)
     v_values = np.empty_like(f_hat) if first.record_v and not dgm else None
 
     def record(row: int, states: np.ndarray, x_bars: np.ndarray, x_hats: np.ndarray | None,
@@ -726,8 +711,6 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
         if x_hats is not None:
             later = slice(row - 1, row - 1 + len(states))
             f_hat[:runs, later] = objective[runs:]
-            if subopt is not None:
-                subopt[:runs, later] = objective[runs:] - problem.f_star
             if v_values is not None:
                 v_values[:runs, later] = metrics_mod.forward_deviation(inner_avgs, x_bars).T
 
@@ -738,24 +721,24 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
     # on: (state, x_bar, x_hat, inner_avgs), none of them an array that a
     # later epoch changes
     pending: list[tuple] = []
-    pending_bytes = 0
     filled = 1
 
     def flush() -> None:
-        nonlocal pending_bytes, filled
+        nonlocal filled
         if pending:
             record(filled, *(None if p[0] is None else np.stack(p) for p in zip(*pending)))
             filled += len(pending)
             pending.clear()
-            pending_bytes = 0
 
     gamma = _batch_step(steps)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
     # bytes one recorded epoch buffers: its state, x_bar and x_hat, and
-    # with record_v its (S, n, d) inner averages
+    # with record_v its (S, n, d) inner averages; a chunk is the fewest
+    # epochs that reach the budget
     row_bytes = x.itemsize * len(configs) * (
         (m + 2) * dim + (n * dim if first.record_v and not dgm else 0))
+    chunk = -(-MAX_RECORD_BYTES // row_bytes)
     # each run's (row, sampler, seed) fills its row of one (S, m, n) index
     # buffer; dpg-ig visits every epoch in the order it draws at epoch 0,
     # so its rows are filled once
@@ -799,16 +782,14 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None], sigma_star: 
         epoch = t + 1
         if failure is None and (epoch % cadence == 0 or epoch == horizon):
             pending.append((x, x_bar, x_hat_sum / epoch, inner_avgs))
-            pending_bytes += row_bytes
-            if pending_bytes >= MAX_RECORD_BYTES:
+            if len(pending) == chunk:
                 flush()
     flush()
 
     if failure is not None:
         raise failure
     return [
-        RunTrace(epochs, f_bar[s], f_hat[s], None if subopt is None else subopt[s],
-                 disagreement[s], max_dist[s], sigma_star,
+        RunTrace(epochs, f_bar[s], f_hat[s], disagreement[s], max_dist[s],
                  None if v_values is None else v_values[s], gamma=steps[s], x_final=x[s])
         for s in range(len(configs))
     ]

@@ -1,12 +1,12 @@
-import dataclasses
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from dpgrr import engine
 from dpgrr.config import build_problem, load_config
-from dpgrr.engine import ProblemBundle, StepRule, run
+from dpgrr.engine import ProblemBundle, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import SmoothLossKind
 from dpgrr.proxops import Regularizer
@@ -28,13 +28,18 @@ def canonical_config():
 
 @pytest.fixture(scope="session")
 def canonical_problem(canonical_config) -> ProblemBundle:
-    """The shipped 5-agent problem with a freshly certified optimal value."""
+    """The shipped 5-agent problem."""
     problem, _ = build_problem(canonical_config)
-    sol = solve_centralized(
-        problem.features, problem.labels, problem.regularizer, problem.kind, tol=1e-10
-    )
+    return problem
+
+
+@pytest.fixture(scope="session")
+def canonical_solution(canonical_problem):
+    """The canonical problem's freshly certified optimum, ``f_star`` and ``x_star``."""
+    p = canonical_problem
+    sol = solve_centralized(p.features, p.labels, p.regularizer, p.kind, tol=1e-10)
     assert sol.converged
-    return dataclasses.replace(problem, f_star=sol.f_star, x_star=sol.x_star)
+    return sol
 
 
 def golden_section_prox_1d(penalty, gamma: float, xi: float) -> float:
@@ -71,48 +76,51 @@ def golden_section_prox_1d(penalty, gamma: float, xi: float) -> float:
 
 
 # the recorded columns of a ``RunTrace``
-COLUMNS = ("epochs", "f_bar", "f_hat", "suboptimality", "disagreement",
-           "max_consensus_dist", "forward_deviation")
+COLUMNS = ("epochs", "f_bar", "f_hat", "disagreement", "max_consensus_dist",
+           "forward_deviation")
 
 
 def assert_same_columns(got, want):
     """Every column of two traces has the same dtype, shape and bits, or is
-    None in both, and so is ``sigma_star_sq``: an array's bytes and a
-    float's repr are its bits, so a NaN equals itself."""
+    None in both: an array's bytes are its bits, so a NaN equals itself."""
     for name in COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    assert repr(got.sigma_star_sq) == repr(want.sigma_star_sq)
 
 
 def iterates(cfgs, problem, traces):
     """Each run's state after every epoch: ``out[s][h]`` is run s's
     ``(m, d)`` state after h epochs, for h from 0 to the horizon.
 
-    An epoch depends only on the run's seed and step and on the epochs
-    before it, so the state after h epochs is the ``x_final`` of the same
-    list of runs rerun to horizon h, each at its trace's resolved step;
-    after the last epoch it is the trace's own ``x_final``.  A rerun must
-    record the run's own rows, bit for bit, at the epochs both record.
+    Runs ``cfgs`` once more, in this process, keeping each batch's state
+    that enters epoch 0 and every state an epoch returns.  That run must
+    give ``traces`` bit for bit: every column, the step and the final state.
     """
-    steps = [cfg.step if trace.gamma is None else StepRule.constant(trace.gamma)
-             for cfg, trace in zip(cfgs, traces, strict=True)]
-    finals = []
-    for h in range(cfgs[0].horizon):
-        reruns = run([dataclasses.replace(cfg, horizon=h, step=step)
-                      for cfg, step in zip(cfgs, steps)], problem)
-        for rerun, trace in zip(reruns, traces):
-            # the epochs both record lead both traces
-            k = len(np.intersect1d(rerun.epochs, trace.epochs))
-            for name, rows in (("f_bar", k), ("f_hat", k - 1), ("disagreement", k),
-                               ("max_consensus_dist", k)):
-                got, want = getattr(rerun, name)[:rows], getattr(trace, name)[:rows]
-                assert got.tobytes() == want.tobytes(), name
-        finals.append([rerun.x_final for rerun in reruns])
-    finals.append([trace.x_final for trace in traces])
-    return [np.stack(states) for states in zip(*finals)]
+    batches = []
+
+    def keeping(epoch):
+        def kept(x, *args, **kwargs):
+            out = epoch(x, *args, **kwargs)
+            if args[-1] == 0:  # both take the epoch's index last
+                batches.append([x.copy()])
+            batches[-1].append((out[0] if isinstance(out, tuple) else out).copy())
+            return out
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_cpu_count", lambda: 1)
+        for name in ("run_epoch_dpgrr", "run_epoch_dgm"):
+            patch.setattr(engine, name, keeping(getattr(engine, name)))
+        reruns = run(cfgs, problem)
+    for rerun, trace in zip(reruns, traces, strict=True):
+        assert_same_columns(rerun, trace)
+        assert rerun.gamma == trace.gamma
+        assert rerun.x_final.tobytes() == trace.x_final.tobytes()
+    if not batches:  # horizon 0: the final state is the only one
+        return [trace.x_final[None] for trace in traces]
+    return [states for batch in batches for states in np.stack(batch, axis=1)]
 
 
 def packed(*agents):

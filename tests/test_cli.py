@@ -21,6 +21,7 @@ from dpgrr.config import (
     ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
 )
 from dpgrr.engine import RunConfig, StepRule, run
+from dpgrr.metrics import shuffling_variance
 from dpgrr.objectives import smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
@@ -63,12 +64,11 @@ output_dir: {out}
 {extra}"""
 
 
-def write_toy(tmp_path: Path, T=5, seeds="[7]", name="toy.yaml") -> Path:
-    data = tmp_path / "toy.libsvm"
-    data.write_text(TOY_DATA)
+def write_toy(tmp_path: Path, T=5, seeds="[7]", name="toy.yaml", data=TOY_DATA) -> Path:
+    (tmp_path / "toy.libsvm").write_text(data)
     cfg = tmp_path / name
     cfg.write_text(
-        TOY_YAML.format(data=data.name, T=T, seeds=seeds, out=tmp_path / "out")
+        TOY_YAML.format(data="toy.libsvm", T=T, seeds=seeds, out=tmp_path / "out")
     )
     return cfg
 
@@ -231,6 +231,34 @@ def test_unenforced_step_bound_only_warns(tmp_path, capsys):
     assert (tmp_path / "out" / "dpg_rr_metrics.csv").exists()
 
 
+@pytest.mark.parametrize("step, status", [
+    ("{rule: constant, gamma: 0.5}", 0),
+    ("{rule: sqrt_horizon, scale: 2.0}", 0),
+    # the rule takes the bound, which L = 0 leaves infinite
+    ("{rule: sqrt_horizon}", 1),
+], ids=["constant", "sqrt-scale", "sqrt-no-scale"])
+def test_all_zero_features_run_or_fail_in_one_line(tmp_path, capsys, step, status):
+    cfg = write_toy(tmp_path, data="3 1:0\n")
+    cfg.write_text(cfg.read_text().replace("{rule: constant, gamma: 0.5}", step))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg)]) == status, command
+        out, err = capsys.readouterr()
+        assert "scale <= inf" in out
+        if status:
+            assert err == "FAIL: step-size bound: dpg-rr needs a scale: L = 0 leaves no bound\n"
+    assert (tmp_path / "out" / "manifest.json").exists() == (status == 0)
+    if status == 0:
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["L"] == 0.0
+
+
+def test_labels_only_rows_are_a_config_error(tmp_path, capsys):
+    cfg = write_toy(tmp_path, data="3\n")
+    for command in ("validate", "oracle", "run"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        assert capsys.readouterr().err == "config error: no features: every sample has d = 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_computed_f_star_provenance(tmp_path):
     cfg = write_synth(tmp_path)
     assert main(["run", "--config", str(cfg), "-q"]) == 0
@@ -372,10 +400,11 @@ def test_diagnostics_columns_populated(tmp_path):
     assert first[v_col] == "" and last[v_col] != ""
 
 
-def _row_by_row_csv(trace) -> str:
+def _row_by_row_csv(trace, f_star, sigma_star_sq) -> str:
     """The metrics CSV written a row at a time, every float cell through
     ``fmt``: the writer's former loop, kept as its oracle, reading each
-    row's entries from the columns."""
+    row's entries from the columns, and each subopt as ``F_hat - f_star``
+    in Python floats."""
 
     def fmt(value) -> str:
         return "" if value is None else repr(float(value))
@@ -386,11 +415,12 @@ def _row_by_row_csv(trace) -> str:
 
     lines = [CSV_HEADER]
     for k, epoch in enumerate(trace.epochs):
+        f_hat = later(trace.f_hat, k)
+        subopt = None if f_hat is None or f_star is None else float(f_hat) - f_star
         lines.append(",".join([
-            str(int(epoch)), fmt(trace.f_bar[k]), fmt(later(trace.f_hat, k)),
-            fmt(later(trace.suboptimality, k)), fmt(trace.disagreement[k]),
-            fmt(trace.max_consensus_dist[k]), fmt(trace.sigma_star_sq),
-            fmt(later(trace.forward_deviation, k)),
+            str(int(epoch)), fmt(trace.f_bar[k]), fmt(f_hat), fmt(subopt),
+            fmt(trace.disagreement[k]), fmt(trace.max_consensus_dist[k]),
+            fmt(sigma_star_sq), fmt(later(trace.forward_deviation, k)),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -399,26 +429,24 @@ def _row_by_row_csv(trace) -> str:
 @pytest.mark.parametrize("record_sigma_star", [False, True], ids=["no_sigma", "sigma"])
 @pytest.mark.parametrize("record_v", [False, True], ids=["no_v", "v"])
 def test_column_writer_writes_the_row_by_row_bytes(
-    canonical_problem, tmp_path, record_v, record_sigma_star, with_f_star
+    canonical_problem, canonical_solution, tmp_path, record_v, record_sigma_star, with_f_star
 ):
     problem = canonical_problem
-    if not with_f_star:
-        problem = dataclasses.replace(problem, f_star=None)
-    shared = dict(horizon=5, record_v=record_v, record_sigma_star=record_sigma_star)
+    f_star = canonical_solution.f_star if with_f_star else None
+    sigma = shuffling_variance(problem.features, problem.labels, problem.kind,
+                               canonical_solution.x_star) if record_sigma_star else None
+    shared = dict(horizon=5, record_v=record_v)
     traces = run([RunConfig(name, step=StepRule.sqrt_horizon(), **shared)
                   for name in ("dpg-rr", "dpg-sg")], problem)
     traces += run([RunConfig("dgm", step=StepRule.constant(0.05), **shared)], problem)
     for trace, dgm in zip(traces, (False, False, True)):
         # f_hat, subopt and V_t start at epoch 1, so the first row has none
         assert trace.epochs.tolist() == [0, 1, 2, 3, 4, 5] and len(trace.f_hat) == 5
-        assert (trace.suboptimality is None) == (not with_f_star)
-        assert (trace.sigma_star_sq is None) == (not record_sigma_star)
         assert (trace.forward_deviation is None) == (dgm or not record_v)
-        for column in (trace.suboptimality, trace.forward_deviation):
-            assert column is None or len(column) == 5
+        assert trace.forward_deviation is None or len(trace.forward_deviation) == 5
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, trace)
-        assert path.read_bytes() == _row_by_row_csv(trace).encode()
+        write_metrics_csv(path, trace, f_star, sigma)
+        assert path.read_bytes() == _row_by_row_csv(trace, f_star, sigma).encode()
 
 
 def test_config_error_is_reported(tmp_path, capsys):
@@ -917,7 +945,7 @@ def config_mutations(draw):
 @given(mutation=config_mutations())
 @example(mutation=("synthetic_consensus", ("dataset", "synthetic", "separation"), 0))
 @example(mutation=("a9a_subset", ("regularizer", "lam"), math.inf))
-def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, mutation):
+def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, capsys, mutation):
     name, where, change = mutation
     raw = _shipped_raw(name)
     node = raw
@@ -929,6 +957,13 @@ def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, mutation)
         node[where[-1] + "_renamed"] = node.pop(where[-1])
     else:
         node[where[-1]] = change
+    # a short run of the mutated config; its data are the shipped ones, so
+    # an unchanged problem finds its F* in the committed store, which `run`
+    # only reads
+    if type(raw.get("T")) is int and raw["T"] > 3:
+        raw["T"] = 3
+    if "fixtures" not in raw:
+        raw["fixtures"] = str(CONFIGS / "fixtures" / "oracle.json")
     path = tmp_path / "mutated.yaml"
     path.write_text(yaml.safe_dump(raw))
     try:
@@ -939,6 +974,14 @@ def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, mutation)
         # a loaded config's hash input and manifest entry are strict JSON
         json.dumps(canonical_dict(cfg), allow_nan=False)
     assert main(["validate", "--config", str(path)]) in (0, 1)
+    capsys.readouterr()
+    status = main(["run", "--config", str(path), "--output", str(tmp_path / "out"), "-q"])
+    # a failure is one line, and only a failure has one
+    err = capsys.readouterr().err.splitlines()
+    failures = [line for line in err
+                if line.startswith(("config error:", "run failed:", "FAIL:"))]
+    assert status in (0, 1)
+    assert len(failures) == (status == 1), err
 
 
 def test_bench_workload_configs_load(tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from dpgrr.engine import (
     ProblemBundle,
     RunConfig,
     StepBoundViolation,
-    StepBoundWarning,
     StepRule,
     WorkerLost,
     run,
@@ -89,7 +88,7 @@ def test_non_finite_step_rejected(value):
 def test_t_zero_records_only_initial_row(toy_ls_problem):
     [trace] = run([RunConfig("dpg-rr", 0, StepRule.constant(0.1))], toy_ls_problem)
     assert trace.epochs.tolist() == [0]
-    assert trace.f_hat.size == 0 and trace.suboptimality is None
+    assert trace.f_hat.size == 0
     assert trace.disagreement.tolist() == [0.0] and trace.max_consensus_dist.tolist() == [0.0]
 
 
@@ -188,11 +187,11 @@ def test_cadence_controls_recording(canonical_problem):
     cfg = RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=1, cadence=4)
     [trace] = run([cfg], canonical_problem)
     assert trace.epochs.dtype == np.int64 and trace.epochs.tolist() == [0, 4, 8, 10]
-    # f_hat and suboptimality start at epoch 1; the rest have every epoch
+    # f_hat starts at epoch 1; the rest have every epoch
     for name in COLUMNS[1:-1]:
         column = getattr(trace, name)
         assert column.dtype == np.float64
-        assert len(column) == (3 if name in ("f_hat", "suboptimality") else 4)
+        assert len(column) == (3 if name == "f_hat" else 4)
     assert trace.forward_deviation is None
 
 
@@ -204,15 +203,30 @@ def test_sqrt_rule_uses_bound_by_default(canonical_problem):
     assert trace.gamma == pytest.approx(want, rel=1e-15)
 
 
-def test_step_bound_enforced_and_warned(canonical_problem):
+def test_step_bound_enforced(canonical_problem):
     lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
     too_big = 2.0 * step_scale_bound(lip, canonical_problem.n)
-    cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(too_big), seed=1)
-    with pytest.raises(StepBoundViolation):
+    rule = StepRule.sqrt_horizon(too_big)
+    cfg = RunConfig("dpg-rr", 5, rule, seed=1)
+    with pytest.raises(StepBoundViolation, match="exceeds admissible bound"):
         run([cfg], canonical_problem)
-    relaxed = dataclasses.replace(cfg, enforce_step_bound=False)
-    with pytest.warns(UserWarning):
-        run([relaxed], canonical_problem)
+    # at horizon 0 no step is taken, so the rule is not checked
+    run([dataclasses.replace(cfg, horizon=0)], canonical_problem)
+    # the step a waived bound gives, taken as a constant
+    gamma = rule.resolve(lip, canonical_problem.n, 5)
+    assert gamma == too_big / math.sqrt(5)
+    [trace] = run([dataclasses.replace(cfg, step=StepRule.constant(gamma))], canonical_problem)
+    assert trace.gamma == gamma
+
+
+def test_all_zero_features_leave_the_bound_infinite(toy_ls_problem):
+    # L = 0: any scale is admissible, and a rule without one has no step
+    zero = dataclasses.replace(toy_ls_problem, features=np.zeros((1, 1, 1)))
+    assert step_scale_bound(lipschitz_constant(zero.features, zero.kind), zero.n) == math.inf
+    [trace] = run([RunConfig("dpg-rr", 4, StepRule.sqrt_horizon(4.0))], zero)
+    assert trace.gamma == 2.0
+    with pytest.raises(StepBoundViolation, match="needs a scale: L = 0 leaves no bound"):
+        run([RunConfig("dpg-rr", 2, StepRule.sqrt_horizon())], zero)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -435,13 +449,10 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
         tuple(metropolis_weights(s, 3, 0.1) for s in slots), 3
     )
     sol = solve_centralized(features, labels, reg, LOG, tol=1e-10)
-    problem = ProblemBundle(
-        features, labels, kind=LOG, regularizer=reg, schedule=schedule,
-        f_star=sol.f_star, x_star=sol.x_star,
-    )
+    problem = ProblemBundle(features, labels, kind=LOG, regularizer=reg, schedule=schedule)
     [rr] = run([RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
     [dgm] = run([RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
-    assert dgm.suboptimality[-1] > rr.suboptimality[-1] > -1e-9
+    assert dgm.f_hat[-1] > rr.f_hat[-1] > sol.f_star - 1e-9
 
 
 def test_run_config_takes_exactly_the_uint64_seeds(toy_ls_problem):
@@ -472,8 +483,10 @@ def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
         with pytest.raises(DimensionMismatch):
             dataclasses.replace(p, features=shapes[0], labels=shapes[1])
     for empty in ((features[:, :0], labels[:, :0]), (features[:0], labels[:0])):
-        with pytest.raises(EmptyData):
+        with pytest.raises(EmptyData, match="no samples"):
             dataclasses.replace(p, features=empty[0], labels=empty[1])
+    with pytest.raises(EmptyData, match="no features"):
+        dataclasses.replace(p, features=features[..., :0], labels=labels)
     nan_features, nan_labels = features.copy(), labels.copy()
     nan_features[0, 1, 1] = nan_labels[0, 1] = np.nan
     for bad in ({"features": nan_features}, {"labels": nan_labels}):
@@ -538,22 +551,6 @@ def test_forward_deviation_shrinks_with_step(canonical_problem):
         return float(np.median(trace.forward_deviation))
 
     assert median_v(0.005) <= 0.5 * median_v(0.01)
-
-
-def test_sigma_star_recorded(canonical_problem):
-    cfg = RunConfig(
-        "dpg-rr", 2, StepRule.sqrt_horizon(), seed=2, record_sigma_star=True
-    )
-    [trace] = run([cfg], canonical_problem)
-    assert type(trace.sigma_star_sq) is float
-    assert trace.sigma_star_sq > 0.0
-
-
-def test_sigma_star_needs_reference_point(canonical_problem):
-    stripped = dataclasses.replace(canonical_problem, x_star=None)
-    cfg = RunConfig("dpg-rr", 1, StepRule.sqrt_horizon(), record_sigma_star=True)
-    with pytest.raises(ValueError):
-        run([cfg], stripped)
 
 
 # -- serial reference ----------------------------------------------------------
@@ -853,12 +850,12 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
 
 def test_a_recorded_row_holds_a_few_floats():
     # what four cadence-1 traces hold once ``run`` returns: a row is its
-    # floats, about 51 bytes with the shared epochs; a tuple of Python
+    # floats, about 42 bytes with the shared epochs; a tuple of Python
     # floats per row held about 265
     features, labels = synthesize_classification(m=2, n=2, d=2, separation=1.0, seed=0)
     problem = ProblemBundle(
         features, labels, LOG, Regularizer.l1(0.01),
-        GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1), f_star=0.5)
+        GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1))
     cfgs = [RunConfig(algo, 2000, StepRule.constant(0.1), seed=seed, cadence=1)
             for seed, algo in enumerate(("dpg-rr", "dpg-sg", "dpg-ig", "dpg-rr"))]
     run([dataclasses.replace(cfgs[0], horizon=2)], problem)  # the engine's own caches
@@ -882,8 +879,6 @@ def test_a_recorded_row_holds_a_few_floats():
     ("cadence", 2),
     ("x0", 0.5),
     ("record_v", True),
-    ("record_sigma_star", True),
-    ("enforce_step_bound", False),
 ])
 def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
     base = RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=1)
@@ -972,7 +967,6 @@ def test_lanes_give_the_serial_traces(canonical_problem, lanes):
     got = run(cfgs, canonical_problem)
     assert len(lanes) == 2
     assert_no_child_left()
-    # the states after each epoch come from reruns in lanes too
     _assert_each_run_is_alone(cfgs, canonical_problem, got)
     assert_no_child_left()
 
@@ -1052,25 +1046,12 @@ def test_a_lost_worker_is_an_error_naming_its_runs(canonical_problem, lanes, mon
 @pytest.mark.parametrize("cfg, error", [
     (RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(1e9), seed=3), StepBoundViolation),
     (RunConfig("dgm", 5, StepRule.sqrt_horizon(), seed=3), ValueError),
-    (RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=3, record_sigma_star=True),
-     ValueError),
-], ids=["step-bound", "dgm-rule", "sigma-star"])
+], ids=["step-bound", "dgm-rule"])
 def test_every_check_comes_before_any_fork(canonical_problem, lanes, cfg, error):
     ok = dataclasses.replace(cfg, step=StepRule.constant(0.05), algorithm="dpg-rr")
     with pytest.raises(error):
-        run([ok, ok, cfg], dataclasses.replace(canonical_problem, x_star=None))
+        run([ok, ok, cfg], canonical_problem)
     assert lanes == []
-
-
-def test_an_unenforced_bound_warns_in_the_caller(canonical_problem, lanes):
-    relaxed = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(1e9), seed=3,
-                        enforce_step_bound=False)
-    ok = dataclasses.replace(relaxed, step=StepRule.constant(0.05))
-    with pytest.warns(StepBoundWarning):
-        # the relaxed run is the worker's, but its step is resolved here
-        run([ok, relaxed], canonical_problem)
-    assert len(lanes) == 1
-    assert_no_child_left()
 
 
 def test_lanes_need_a_spare_cpu_a_fork_and_one_thread(monkeypatch):
@@ -1096,6 +1077,37 @@ def test_lanes_need_a_spare_cpu_a_fork_and_one_thread(monkeypatch):
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
     monkeypatch.delattr(os, "fork")
     assert len(engine._lanes(cfgs, 64)) == 1
+
+
+@pytest.mark.parametrize("path", ["serial", "forked"])
+def test_a_shorter_horizon_gives_the_leading_epochs(canonical_problem, monkeypatch, path):
+    # an epoch depends only on the run's seed and step and on the epochs
+    # before it: a run to horizon h has the longer run's state after h
+    # epochs, and its rows at the epochs both record
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1 if path == "serial" else 3)
+    monkeypatch.setattr(engine, "_LANE_WORK", 1)
+    p = canonical_problem
+    cfgs = [RunConfig(algo, 9, StepRule.constant(gamma), seed=seed, cadence=2, record_v=True)
+            for algo, seed, gamma in (("dpg-rr", 1, 0.05), ("dpg-sg", 2, 0.2), ("dgm", 3, 0.1))]
+    traces = run(cfgs, p)
+    states = iterates(cfgs, p, traces)
+    for h in (0, 1, 4, 8):
+        shorter = run([dataclasses.replace(cfg, horizon=h) for cfg in cfgs], p)
+        assert_no_child_left()
+        for short, trace, state in zip(shorter, traces, states, strict=True):
+            _assert_same_states([short.x_final], [state[h]])
+            # the epochs both record lead both traces
+            k = len(np.intersect1d(short.epochs, trace.epochs))
+            assert k == h // 2 + 1
+            for name in COLUMNS:
+                got, want = getattr(short, name), getattr(trace, name)
+                if name in ("f_hat", "forward_deviation"):
+                    rows = k - 1  # these start at epoch 1
+                else:
+                    rows = k
+                assert (got is None) == (want is None), name
+                if got is not None:
+                    assert got[:rows].tobytes() == want[:rows].tobytes(), name
 
 
 # -- batch invariance on random problems ------------------------------------

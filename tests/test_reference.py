@@ -155,7 +155,8 @@ def _assert_solves_as_the_loop(features, labels, reg, kind, tol, max_iters):
     assert sol.converged == (mapping_norm <= tol)
 
 
-def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_config):
+def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_solution,
+                                               canonical_config):
     # the checked-in optimal value for the canonical problem must agree
     # with a from-scratch solve on this platform
     from dpgrr.config import problem_hash
@@ -164,8 +165,8 @@ def test_committed_fixture_matches_fresh_solve(canonical_problem, canonical_conf
         canonical_config.fixtures_path(), problem_hash(canonical_config),
         canonical_problem.features, canonical_problem.labels, 1e-10,
     )
-    assert f_star == pytest.approx(canonical_problem.f_star, abs=1e-8)
-    assert np.allclose(x_star, canonical_problem.x_star, atol=1e-6)
+    assert f_star == pytest.approx(canonical_solution.f_star, abs=1e-8)
+    assert np.allclose(x_star, canonical_solution.x_star, atol=1e-6)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -250,15 +251,15 @@ def test_self_consistency_two_tolerances(canonical_problem):
     assert a.f_star == pytest.approx(b.f_star, abs=1e-8)
 
 
-def test_full_objective_agrees_at_reference_point(canonical_problem):
+def test_full_objective_agrees_at_reference_point(canonical_problem, canonical_solution):
     got = full_objective(
         canonical_problem.features,
         canonical_problem.labels,
         canonical_problem.regularizer,
         canonical_problem.kind,
-        canonical_problem.x_star,
+        canonical_solution.x_star,
     )
-    assert got == pytest.approx(canonical_problem.f_star, abs=1e-9)
+    assert got == pytest.approx(canonical_solution.f_star, abs=1e-9)
 
 
 def test_no_convergence_returns_flagged_best_effort(canonical_problem):
@@ -294,13 +295,13 @@ def test_no_budget_returns_the_start_point_it_measured(max_iters):
     assert sol.x_star.tolist() == [0.0] and sol.mapping_norm == 2.0
 
 
-def test_optimality_floor_over_engine_iterates(canonical_problem):
+def test_optimality_floor_over_engine_iterates(canonical_problem, canonical_solution):
     [trace] = run(
         [RunConfig("dpg-rr", 60, StepRule.sqrt_horizon(), seed=3)], canonical_problem
     )
     assert len(trace.f_bar) == 61 and len(trace.f_hat) == 60
-    assert (trace.f_bar >= canonical_problem.f_star - 1e-9).all()
-    assert (trace.f_hat >= canonical_problem.f_star - 1e-9).all()
+    assert (trace.f_bar >= canonical_solution.f_star - 1e-9).all()
+    assert (trace.f_hat >= canonical_solution.f_star - 1e-9).all()
 
 
 # -- centralized reshuffled baseline ----------------------------------------
