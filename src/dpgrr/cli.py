@@ -13,6 +13,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -20,6 +21,8 @@ import math
 import sys
 from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -31,6 +34,7 @@ from .config import (
     load_config,
     problem_hash,
 )
+from .dataio import Partition
 from .engine import (
     ProblemBundle,
     RunConfig,
@@ -43,7 +47,7 @@ from .engine import (
 )
 from .metrics import shuffling_variance
 from .netgraph import validate_schedule
-from .objectives import gradient_bound, lipschitz_constant
+from .objectives import gradient_bound, lipschitz_constant, smooth_curvature
 from .reference import solve_centralized, store_fixture, usable_fixture
 
 CSV_HEADER = "epoch,F_bar,F_hat,subopt,D,max_consensus_dist,sigma_star_sq,V_t"
@@ -75,6 +79,42 @@ def write_metrics_csv(path: Path, trace: RunTrace, f_star: float | None = None,
         cells(trace.max_consensus_dist), repeat(sigma, rows), later(trace.forward_deviation),
     )
     path.write_text("\n".join([CSV_HEADER, *map(",".join, lines)]) + "\n")
+
+
+@contextlib.contextmanager
+def _staged(out_dir: Path, names: list[str]):
+    """Yield ``temp``, where ``temp(k)`` is a temporary path in ``out_dir``
+    for the file ``names[k]``; when the block succeeds, each is renamed
+    to its name.
+
+    ``out_dir`` is created, with its missing parents, on entry.  On any
+    failure or interrupt, every temporary file is removed, and so is each
+    directory made on entry, so a failed block leaves the filesystem as
+    it found it.  Only a failure or interrupt among the renames leaves
+    the files already renamed, and the directories that hold them.
+    """
+    made = []
+    missing = out_dir
+    while not missing.exists():
+        made.append(missing)
+        missing = missing.parent
+
+    def temp(k: int) -> Path:
+        # formed when used, in the lane that writes the file
+        return out_dir / f"{names[k]}.tmp"
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield temp
+        for k, name in enumerate(names):
+            temp(k).replace(out_dir / name)
+    except BaseException:
+        for k in range(len(names)):
+            temp(k).unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):  # it holds a renamed file
+                directory.rmdir()
+        raise
 
 
 def _csv_name(algo: str, seed: int, multi_seed: bool) -> str:
@@ -112,11 +152,35 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, lipschitz: float,
     return first
 
 
+def _build(cfg: ExperimentConfig) -> tuple[ProblemBundle, Partition | None, float]:
+    """The config's problem, its partition and its per-sample L.
+
+    Data whose squared sample norm or aggregate curvature L_f overflows
+    is a config error: an infinite L makes every 1/sqrt(T) step 0, and an
+    infinite L_f makes the F* solve's step 1/L_f 0.
+    """
+    problem, part = build_problem(cfg)
+    features, kind = problem.features, problem.kind
+    with np.errstate(over="ignore", invalid="ignore"):
+        lipschitz = lipschitz_constant(features, kind)
+        # L_f is lambda_max(A^T A) / (4 m) or / m, and lambda_max(A^T A) is
+        # at most 4 m n L, so L_f needs computing only near overflow
+        finite = lipschitz < math.inf and (
+            8.0 * problem.m * problem.n * lipschitz < sys.float_info.max
+            or smooth_curvature(features, kind) < math.inf
+        )
+    if not finite:
+        raise ConfigError(
+            "features too large: a squared sample norm or the curvature of the "
+            "smooth part overflows float64"
+        )
+    return problem, part, lipschitz
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    problem, _ = build_problem(cfg)
-    first = _validate(cfg, problem, lipschitz_constant(problem.features, problem.kind),
-                      sys.stdout)
+    problem, _, lipschitz = _build(cfg)
+    first = _validate(cfg, problem, lipschitz, sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
@@ -161,14 +225,13 @@ def cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     out_dir = Path(args.output) if args.output else Path(cfg.output_dir)
 
-    problem, part = build_problem(cfg)
+    problem, part, lipschitz = _build(cfg)
     if part is not None and part.dropped:
         print(
             f"note: dropped {part.dropped} of {part.m * part.n + part.dropped} "
             f"samples to give every agent exactly {part.n}",
             file=sys.stderr,
         )
-    lipschitz = lipschitz_constant(problem.features, problem.kind)
     first = _validate(cfg, problem, lipschitz, io.StringIO() if args.quiet else sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
@@ -196,26 +259,32 @@ def cmd_run(args) -> int:
         )
         for algo, seed in runs
     ]
-    try:
-        traces = run(run_cfgs, problem)
-    except (StepBoundViolation, FloatingPointError, ValueError, WorkerLost) as exc:
-        # one call runs the whole config, so a failed run leaves no CSV
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
     sigma_star_sq = None
     if cfg.diagnostics.record_sigma_star:
         sigma_star_sq = shuffling_variance(problem.features, problem.labels, problem.kind, x_star)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     multi_seed = len(cfg.seeds) > 1
+    names = [_csv_name(algo.name, seed, multi_seed) for algo, seed in runs]
+    try:
+        # one call runs the whole config, and its CSVs keep their names only
+        # once every run has succeeded, so a failed run leaves no CSV
+        with _staged(out_dir, names) as temp:
+
+            def finish(k: int, trace: RunTrace):
+                # in the process that ran the run: only the summary travels
+                write_metrics_csv(temp(k), trace, f_star, sigma_star_sq)
+                return len(trace.epochs), (trace.f_hat[-1] if len(trace.f_hat) else None)
+
+            summaries = run(run_cfgs, problem, finish)
+    except (StepBoundViolation, FloatingPointError, ValueError, WorkerLost) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+
     files = {}
-    for (algo, seed), trace in zip(runs, traces):
-        name = _csv_name(algo.name, seed, multi_seed)
-        write_metrics_csv(out_dir / name, trace, f_star, sigma_star_sq)
+    for (algo, seed), name, (rows, f_hat) in zip(runs, names, summaries):
         files[f"{algo.name}/seed{seed}"] = name
         if not args.quiet:
-            sub = f" subopt={trace.f_hat[-1] - f_star:.6g}" if len(trace.f_hat) else ""
-            print(f"{algo.name} seed={seed}: {len(trace.epochs)} rows{sub}")
+            sub = "" if f_hat is None else f" subopt={f_hat - f_star:.6g}"
+            print(f"{algo.name} seed={seed}: {rows} rows{sub}")
 
     manifest = {
         "version": __version__,
@@ -241,7 +310,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    problem, _ = build_problem(cfg)
+    problem, _, _ = _build(cfg)
     key = problem_hash(cfg)
     fixtures_path = cfg.fixtures_path()
     data = (problem.features, problem.labels)

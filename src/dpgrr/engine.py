@@ -65,10 +65,13 @@ more than one CPU is usable and each would get at least ``_LANE_WORK``
 run-epochs, it first cuts the runs into that many lanes of consecutive
 runs, one per CPU, and cuts each lane into its own batches.  The caller's
 process runs the first lane; every other lane runs in a worker made
-with ``os.fork``, which sends back its traces, or its failure, pickled
-over a pipe; a trace's columns travel as the arrays they are.  Every
-check and step resolution, with its error, happens before the fork,
-and the failure of the first failing run in order is the one raised.
+with ``os.fork``, which sends back its results, or its failure, pickled
+over a pipe.  A lane's results are its traces, whose columns travel as
+the arrays they are, unless the caller gives ``run`` a per-run
+callback: then the lane calls it on each trace as the trace's batch
+ends, and only the callback's results travel.  Every check and step
+resolution, with its error, happens before the fork, and the failure
+of the first failing run in order is the one raised.
 Workers are always reaped, and killed first when the caller's lane
 fails or is interrupted.  Since a run's trace does not depend on its
 batch, the lanes give the traces a single process gives;
@@ -84,8 +87,9 @@ import pickle
 import signal
 import threading
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -126,8 +130,8 @@ MAX_BATCH_BYTES = 1 << 20
 # forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
 # host a run-epoch that records its row took at least 52 us, so a lane
 # at this bound runs for at least about 100 ms; its fork costs the caller
-# about 0.5 ms and unpickling its traces about 0.1 us a row, together
-# under 1% of the lane.
+# about 0.5 ms and unpickling its traces, when no callback takes them in
+# the lane, about 0.1 us a row, together under 1% of the lane.
 _LANE_WORK = 2000
 
 # Bound on the buffered states and averages of recorded epochs that the
@@ -480,7 +484,8 @@ def run_epoch_dgm(
     return x_next
 
 
-def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
+def run(configs: Sequence[RunConfig], problem: ProblemBundle,
+        finish: Callable[[int, RunTrace], Any] | None = None) -> list:
     """Execute the configured runs for their shared horizon; one trace each, in order.
 
     The runs may differ in algorithm, seed and step; every other
@@ -490,6 +495,13 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     ``MAX_BATCH_BYTES`` of gathered samples; given the CPUs and the work,
     lanes of them advance at once in forked workers (see the module
     docstring).
+
+    With ``finish``, the process that ran run k calls ``finish(k, trace)``
+    as soon as the run's batch ends, and ``run`` returns what those calls
+    returned, in run order, instead of the traces; a worker sends back
+    only those results.  A finished run's work, such as writing its
+    output, thus happens in its lane, while the other lanes step.  A
+    failure of ``finish`` is the failure of its run.
 
     A non-finite iterate raises for the first failing run in the order
     given, the one a loop over the runs would stop on, naming its
@@ -515,11 +527,13 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
             raise ValueError(
                 "the subgradient baseline decays its own step; use a constant rule")
 
-    def run_lane(batches: list[tuple[int, int]]) -> list[RunTrace]:
-        traces = []
+    def run_lane(batches: list[tuple[int, int]]) -> list:
+        results = []
         for lo, hi in batches:
-            traces += _run_batch(configs[lo:hi], steps[lo:hi], problem)
-        return traces
+            traces = _run_batch(configs[lo:hi], steps[lo:hi], problem)
+            results += traces if finish is None else [
+                finish(k, trace) for k, trace in enumerate(traces, lo)]
+        return results
 
     lanes = _lanes(configs, max(1, MAX_BATCH_BYTES // problem.features.nbytes))
     workers = []
@@ -528,11 +542,11 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
             runs = [cfg for lo, hi in batches for cfg in configs[lo:hi]]
             workers.append(_Worker(", ".join(f"{c.algorithm} seed {c.seed}" for c in runs)))
             workers[-1].start(run_lane, batches)
-        traces = run_lane(lanes[0])
+        results = run_lane(lanes[0])
         for batches, worker in zip(lanes[1:], workers):
             # a lane that got no process runs here, in its turn
-            traces += run_lane(batches) if worker.pid is None else worker.result()
-        return traces
+            results += run_lane(batches) if worker.pid is None else worker.result()
+        return results
     finally:
         for worker in workers:
             worker.stop()
@@ -574,8 +588,8 @@ def _lanes(configs: list[RunConfig], size: int) -> list[list[tuple[int, int]]]:
 
 
 class _Worker:
-    """One lane run in a forked process, which sends back its traces, or its
-    failure, pickled over a pipe."""
+    """One lane run in a forked process, which sends back its results, or
+    its failure, pickled over a pipe."""
 
     def __init__(self, runs: str):
         self.runs = runs  # names the lane's runs if the process is lost
@@ -603,8 +617,8 @@ class _Worker:
         os.close(write)
         self.pipe = read
 
-    def result(self) -> list[RunTrace]:
-        """The lane's traces, once the worker has ended; raises its failure."""
+    def result(self) -> list:
+        """The lane's results, once the worker has ended; raises its failure."""
         with open(self.pipe, "rb") as pipe:
             self.pipe = None
             data = pipe.read()

@@ -1,3 +1,5 @@
+import os
+import signal
 from pathlib import Path
 
 import mpmath
@@ -19,6 +21,35 @@ CONFIGS = REPO / "configs"
 @pytest.fixture(scope="session")
 def configs_dir() -> Path:
     return CONFIGS
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Count the processes ``os.fork`` makes; yields the list of forks.
+    A test that waits on a worker for a minute fails instead of hanging."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    def expire(signum, frame):
+        raise TimeoutError("a lane test ran for a minute")
+
+    monkeypatch.setattr(os, "fork", counted)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield made
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import signal
 import sys
@@ -16,6 +17,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dpgrr.cli
 import dpgrr.config
+from conftest import assert_no_child_left
+from dpgrr import engine
 from dpgrr.cli import CSV_HEADER, main, write_metrics_csv
 from dpgrr.config import (
     ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
@@ -183,16 +186,124 @@ def test_run_rejects_invalid_config_before_running(tmp_path):
     assert not (tmp_path / "out").exists() or not list((tmp_path / "out").glob("*.csv"))
 
 
+RR = "  - {name: dpg-rr, step: {rule: constant, gamma: 0.5}}"
+OVERFLOWS = "  - {name: dpg-sg, step: {rule: constant, gamma: 1.0e308}}"
+
+
 def test_a_config_whose_later_run_fails_writes_no_csv(tmp_path, capsys):
     # the second algorithm's first step overflows; the first run is healthy
     cfg = write_toy(tmp_path, seeds="[1, 2]")
-    rr = "  - {name: dpg-rr, step: {rule: constant, gamma: 0.5}}"
-    cfg.write_text(cfg.read_text().replace(
-        rr, rr + "\n  - {name: dpg-sg, step: {rule: constant, gamma: 1.0e308}}"))
+    cfg.write_text(cfg.read_text().replace(RR, f"{RR}\n{OVERFLOWS}"))
     assert main(["run", "--config", str(cfg), "-q"]) == 1
     err = capsys.readouterr().err
     assert "run failed: non-finite iterate at run dpg-sg seed 1," in err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_interrupted_run_leaves_no_file(tmp_path, monkeypatch):
+    # interrupted as the second CSV is written, the first already on disk
+    written, write = [], dpgrr.cli.write_metrics_csv
+
+    def interrupted(path, *args):
+        if written:
+            raise KeyboardInterrupt
+        written.append(path)
+        write(path, *args)
+
+    monkeypatch.setattr(dpgrr.cli, "write_metrics_csv", interrupted)
+    cfg = write_toy(tmp_path, seeds="[1, 2]")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(cfg), "-q"])
+    assert len(written) == 1 and not (tmp_path / "out").exists()
+
+
+# -- runs in forked lanes -----------------------------------------------------
+
+
+@pytest.fixture()
+def two_lanes(monkeypatch, forks):
+    """Make ``run`` see two CPUs; yields the list of forks made."""
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    return forks
+
+
+def two_lane_toy(tmp_path: Path, first: str, second: str) -> Path:
+    """A toy config of two runs, each a lane's ``_LANE_WORK`` run-epochs."""
+    cfg = write_toy(tmp_path, T=engine._LANE_WORK, seeds="[1]")
+    cfg.write_text(cfg.read_text().replace(RR, f"{first}\n{second}"))
+    return cfg
+
+
+def test_a_failing_worker_lane_removes_the_callers_csv(tmp_path, capsys, monkeypatch,
+                                                      two_lanes):
+    # the caller writes its run's CSV before it reads the worker's failure
+    written, write = [], dpgrr.cli.write_metrics_csv
+
+    def recorded(path, *args):
+        written.append(path)
+        write(path, *args)
+
+    monkeypatch.setattr(dpgrr.cli, "write_metrics_csv", recorded)
+    cfg = two_lane_toy(tmp_path, RR, OVERFLOWS)
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out), "-q"]) == 1
+    assert "run failed: non-finite iterate at run dpg-sg seed 1," in capsys.readouterr().err
+    assert len(two_lanes) == 1
+    assert_no_child_left()
+    assert len(written) == 1 and written[0].parent == out
+    # every directory the call made is gone with the file
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_failing_caller_lane_removes_the_workers_csv(tmp_path, capsys, monkeypatch,
+                                                      two_lanes):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old.csv").write_text("kept\n")
+    caller, write, run_batch = os.getpid(), dpgrr.cli.write_metrics_csv, engine._run_batch
+
+    def writing(path, *args):
+        write(path, *args)
+        if os.getpid() != caller:
+            time.sleep(60)  # killed while it still writes its lane's files
+
+    def after_the_worker_wrote(*args):
+        if os.getpid() == caller:
+            while len(list(out.iterdir())) == 1:
+                time.sleep(0.01)
+        return run_batch(*args)
+
+    monkeypatch.setattr(dpgrr.cli, "write_metrics_csv", writing)
+    monkeypatch.setattr(engine, "_run_batch", after_the_worker_wrote)
+    cfg = two_lane_toy(tmp_path, OVERFLOWS, RR)
+    assert main(["run", "--config", str(cfg), "-q"]) == 1
+    assert "run failed: non-finite iterate at run dpg-sg seed 1," in capsys.readouterr().err
+    assert len(two_lanes) == 1
+    assert_no_child_left()
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+    assert (out / "old.csv").read_text() == "kept\n"
+
+
+def test_forked_lanes_write_the_one_process_outputs(tmp_path, capsys, monkeypatch,
+                                                   two_lanes):
+    cfg = write_synth(tmp_path, T=engine._LANE_WORK // 2,
+                      extra="diagnostics: {record_v: true, record_sigma_star: true}\n")
+    cfg.write_text(cfg.read_text().replace("seeds: [3]", "seeds: [3, 4, 5, 6]"))
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        outputs[cpus] = capsys.readouterr().out, {
+            p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(two_lanes) == 1
+    assert_no_child_left()
+    assert outputs[1] == outputs[2]
+    stdout, files = outputs[2]
+    assert sorted(files) == ["dpg_rr_seed3_metrics.csv", "dpg_rr_seed4_metrics.csv",
+                             "dpg_rr_seed5_metrics.csv", "dpg_rr_seed6_metrics.csv",
+                             "manifest.json"]
+    assert stdout.count(" rows subopt=") == 4
 
 
 def test_mixed_algorithms_write_the_csvs_of_each_alone(tmp_path):
@@ -257,6 +368,25 @@ def test_labels_only_rows_are_a_config_error(tmp_path, capsys):
         assert main([command, "--config", str(cfg)]) == 1, command
         assert capsys.readouterr().err == "config error: no features: every sample has d = 0\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", [
+    "1 1:1e200\n-1 1:1\n1 1:2\n-1 1:3\n",
+    # each squared norm is finite, their sum in A^T A is not
+    "1 1:1e154\n-1 1:1e154\n",
+], ids=["sample-norm", "curvature"])
+def test_data_whose_curvature_overflows_is_a_config_error(tmp_path, capsys, data):
+    # an infinite L or L_f would make the 1/sqrt(T) step or F*'s step 0
+    cfg = write_toy(tmp_path, data=data)
+    cfg.write_text(cfg.read_text().replace("m: 1", "m: 2").replace("- []", "- [[0, 1]]")
+                   .replace("least_squares", "logistic")
+                   .replace("{rule: constant, gamma: 0.5}", "{rule: sqrt_horizon}"))
+    for command in ("validate", "oracle", "run"):
+        assert main([command, "--config", str(cfg)]) == 1, command
+        assert capsys.readouterr() == ("", (
+            "config error: features too large: a squared sample norm or the "
+            "curvature of the smooth part overflows float64\n"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.libsvm", "toy.yaml"]
 
 
 def test_computed_f_star_provenance(tmp_path):

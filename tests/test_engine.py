@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import COLUMNS, assert_same_columns, iterates, packed
+from conftest import COLUMNS, assert_no_child_left, assert_same_columns, iterates, packed
 from dpgrr import engine
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
@@ -930,35 +930,12 @@ def test_a_trace_survives_pickling(canonical_problem):
 
 
 @pytest.fixture()
-def lanes(monkeypatch):
+def lanes(monkeypatch, forks):
     """Make ``run`` fork a worker per lane for any work, up to three lanes;
-    yields the list of forks made.  A test that waits on a worker for a
-    minute fails instead of hanging."""
+    yields the list of forks made."""
     monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
     monkeypatch.setattr(engine, "_LANE_WORK", 1)
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    def expire(signum, frame):
-        raise TimeoutError("a lane test ran for a minute")
-
-    monkeypatch.setattr(os, "fork", counted)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        yield forks
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return forks
 
 
 def test_lanes_give_the_serial_traces(canonical_problem, lanes):
@@ -968,6 +945,41 @@ def test_lanes_give_the_serial_traces(canonical_problem, lanes):
     assert len(lanes) == 2
     assert_no_child_left()
     _assert_each_run_is_alone(cfgs, canonical_problem, got)
+    assert_no_child_left()
+
+
+def test_finish_takes_each_trace_in_the_process_that_ran_it(canonical_problem, lanes):
+    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed, record_v=True)
+            for algo in ("dpg-rr", "dgm", "dpg-ig") for seed in (1, 2)]
+
+    def finish(k, trace):
+        return k, os.getpid(), trace
+
+    got = run(cfgs, canonical_problem, finish)
+    assert len(lanes) == 2
+    assert_no_child_left()
+    # the results come back in run order, one lane per process
+    assert [k for k, _, _ in got] == list(range(len(cfgs)))
+    pids = [pid for _, pid, _ in got]
+    assert pids[:2] == [os.getpid()] * 2 and len(set(pids)) == 3
+    for (_, _, trace), want in zip(got, run(cfgs, canonical_problem), strict=True):
+        _assert_same_trace(trace, want)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_a_failing_finish_is_its_runs_failure(canonical_problem, lanes, where):
+    caller = os.getpid()
+
+    def finish(k, trace):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise Injected(f"{where} run {k}")
+        return k
+
+    cfgs = [RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    with pytest.raises(Injected, match=f"{where} run {0 if where == 'caller' else 1}"):
+        run(cfgs, canonical_problem, finish)
+    assert len(lanes) == 2
     assert_no_child_left()
 
 
