@@ -14,8 +14,9 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from dpgrr.config import build_problem, load_config  # noqa: E402
-from dpgrr.engine import RunConfig, StepRule, run  # noqa: E402
+from dpgrr.config import StepRule, build_problem, load_config  # noqa: E402
+from dpgrr.engine import RunConfig, run  # noqa: E402
+from dpgrr.objectives import lipschitz_constant  # noqa: E402
 from dpgrr.reference import solve_centralized  # noqa: E402
 
 
@@ -26,12 +27,12 @@ def main() -> int:
         problem.features, problem.labels, problem.regularizer, problem.kind
     )
     print(f"F* = {sol.f_star:.10f} ({sol.iterations} solver iterations)")
+    lipschitz = lipschitz_constant(problem.features, problem.kind)
     print(f"{'T':>6} {'median subopt':>15} {'max consensus dist':>20}")
     for horizon in (100, 200, 400, 800, 1600):
-        cfgs = [
-            RunConfig("dpg-rr", horizon, StepRule.sqrt_horizon(), seed=seed, cadence=horizon)
-            for seed in range(1, 6)
-        ]
+        step = StepRule.sqrt_horizon().resolve(lipschitz, problem.n, horizon)
+        cfgs = [RunConfig("dpg-rr", horizon, step, seed=seed, cadence=horizon)
+                for seed in range(1, 6)]
         traces = run(cfgs, problem)
         med = float(np.median([trace.f_hat[-1] - sol.f_star for trace in traces]))
         dist = float(np.median([trace.max_consensus_dist[-1] for trace in traces]))

@@ -8,22 +8,19 @@ matrices, and apply one proximal step per epoch.
 
 __version__ = "0.1.0"
 
+from .config import StepRule, step_scale_bound  # noqa: F401
 from .engine import (  # noqa: F401
     ALGORITHMS,
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,
     RunTrace,
-    StepBoundViolation,
-    StepRule,
     run,
-    step_scale_bound,
 )
 from .netgraph import (  # noqa: F401
     GraphSchedule,
     MixingMatrix,
     StepsMode,
-    consensus_weights_for_epoch,
     metropolis_weights,
     validate_schedule,
 )

@@ -2,7 +2,9 @@
 
 Subcommands
     run       execute every configured algorithm/seed, write CSV metrics
-              and a manifest into the output directory
+              and a manifest into the output directory; each algorithm's
+              step rule is resolved here, once, to the step the engine
+              takes
     validate  check the mixing matrices, connectivity windows, and step
               bounds; exit 0 only if everything passes
     oracle    solve the centralized problem to high accuracy and record
@@ -33,18 +35,10 @@ from .config import (
     config_hash,
     load_config,
     problem_hash,
-)
-from .dataio import Partition
-from .engine import (
-    ProblemBundle,
-    RunConfig,
-    RunTrace,
-    StepBoundViolation,
-    StepRule,
-    WorkerLost,
-    run,
     step_scale_bound,
 )
+from .dataio import Partition
+from .engine import ProblemBundle, RunConfig, RunTrace, WorkerLost, run
 from .metrics import shuffling_variance
 from .netgraph import validate_schedule
 from .objectives import gradient_bound, lipschitz_constant, smooth_curvature
@@ -88,10 +82,11 @@ def _staged(out_dir: Path, names: list[str]):
     to its name.
 
     ``out_dir`` is created, with its missing parents, on entry.  On any
-    failure or interrupt, every temporary file is removed, and so is each
-    directory made on entry, so a failed block leaves the filesystem as
-    it found it.  Only a failure or interrupt among the renames leaves
-    the files already renamed, and the directories that hold them.
+    failure or interrupt, making ``out_dir`` included, every temporary
+    file is removed, and so is each directory made on entry, so a failed
+    block leaves the filesystem as it found it.  Only a failure or
+    interrupt among the renames leaves the files already renamed, and
+    the directories that hold them.
     """
     made = []
     missing = out_dir
@@ -103,14 +98,15 @@ def _staged(out_dir: Path, names: list[str]):
         # formed when used, in the lane that writes the file
         return out_dir / f"{names[k]}.tmp"
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         yield temp
         for k, name in enumerate(names):
             temp(k).replace(out_dir / name)
     except BaseException:
-        for k in range(len(names)):
-            temp(k).unlink(missing_ok=True)
+        if out_dir.is_dir():  # a path under one never made cannot be unlinked
+            for k in range(len(names)):
+                temp(k).unlink(missing_ok=True)
         for directory in made:
             with contextlib.suppress(OSError):  # it holds a renamed file
                 directory.rmdir()
@@ -126,9 +122,10 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, lipschitz: float,
               out) -> str | None:
     """Print validation results; return the first violated assumption, if any.
 
-    A step scale above its bound is a violation only while
-    ``enforce_step_bound`` holds; otherwise it is reported as a warning.
-    A rule that has no step is always a violation.
+    The one place that decides whether a step rule is admissible: a step
+    scale above its bound is a violation only while ``enforce_step_bound``
+    holds; otherwise it is reported as a warning.  A rule that has no
+    step is always a violation.
     """
     report = validate_schedule(problem.schedule)
     print(report.render(), file=out)
@@ -239,34 +236,34 @@ def cmd_run(args) -> int:
 
     f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(cfg, problem)
 
-    def step(rule: StepRule) -> StepRule:
-        # a bound that `_validate` waived: the engine takes the step as given
-        if cfg.horizon and rule.bound_violation(lipschitz, problem.n):
-            return StepRule.constant(rule.resolve(lipschitz, problem.n, cfg.horizon))
-        return rule
-
+    # `_validate` has passed every rule, or waived its bound; a horizon-0
+    # run takes no step, so any admissible one gives its bytes
+    steps = {algo.name: algo.step.resolve(lipschitz, problem.n, max(cfg.horizon, 1))
+             for algo in cfg.algorithms}
     runs = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
-    run_cfgs = [
-        RunConfig(
-            algorithm=algo.name,
-            horizon=cfg.horizon,
-            step=step(algo.step),
-            steps_mode=cfg.graph.steps_mode,
-            seed=seed,
-            cadence=cfg.snapshot_cadence,
-            record_v=cfg.diagnostics.record_v,
-            x0=cfg.x0,
-        )
-        for algo, seed in runs
-    ]
     sigma_star_sq = None
     if cfg.diagnostics.record_sigma_star:
         sigma_star_sq = shuffling_variance(problem.features, problem.labels, problem.kind, x_star)
     multi_seed = len(cfg.seeds) > 1
     names = [_csv_name(algo.name, seed, multi_seed) for algo, seed in runs]
     try:
+        # a step that underflows to 0 is a failed run, not a traceback
+        run_cfgs = [
+            RunConfig(
+                algorithm=algo.name,
+                horizon=cfg.horizon,
+                step=steps[algo.name],
+                steps_mode=cfg.graph.steps_mode,
+                seed=seed,
+                cadence=cfg.snapshot_cadence,
+                record_v=cfg.diagnostics.record_v,
+                x0=cfg.x0,
+            )
+            for algo, seed in runs
+        ]
         # one call runs the whole config, and its CSVs keep their names only
-        # once every run has succeeded, so a failed run leaves no CSV
+        # once every run has succeeded, so a failed run, or an output
+        # directory or file that cannot be written, leaves no CSV
         with _staged(out_dir, names) as temp:
 
             def finish(k: int, trace: RunTrace):
@@ -275,7 +272,7 @@ def cmd_run(args) -> int:
                 return len(trace.epochs), (trace.f_hat[-1] if len(trace.f_hat) else None)
 
             summaries = run(run_cfgs, problem, finish)
-    except (StepBoundViolation, FloatingPointError, ValueError, WorkerLost) as exc:
+    except (FloatingPointError, ValueError, OSError, WorkerLost) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,10 @@ meaningful edit does.  Each mapping's keys are listed once, in a field
 table (``_Field``/``_Table``) that drives reading, unknown-key rejection
 and the canonical form alike, so the loader and the hash cannot drift
 apart.  Error messages name the dotted path of the offending key.
+
+An algorithm's step is a ``StepRule``, constant or gamma = M / sqrt(T)
+with M at most ``step_scale_bound``; ``dpgrr run`` resolves it to the
+step size the engine takes.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ from typing import Any, Callable, NamedTuple
 import yaml
 
 from .dataio import parse_libsvm, partition, synthesize_classification, Partition
-from .engine import ALGORITHMS, ProblemBundle, StepRule
+from .engine import ALGORITHMS, ProblemBundle
 from .netgraph import GraphSchedule, StepsMode, metropolis_weights
 from .objectives import SmoothLossKind
 from .proxops import RegKind, Regularizer
 
 __all__ = [
     "ConfigError",
+    "StepRule",
+    "step_scale_bound",
     "SyntheticSpec",
     "LibsvmSpec",
     "GraphSpec",
@@ -70,6 +76,65 @@ class GraphSpec:
     eta: float
     window: int
     steps_mode: StepsMode
+
+
+def step_scale_bound(lipschitz: float, n: int) -> float:
+    """Largest admissible scale M of the gamma = M / sqrt(T) rule; infinite
+    when every sample is zero (L = 0)."""
+    return math.sqrt(6.0) / (6.0 * lipschitz * n) if lipschitz else math.inf
+
+
+@dataclass(frozen=True)
+class StepRule:
+    """Either a constant step size or gamma = scale / sqrt(T)."""
+
+    rule: str  # "constant" | "sqrt_horizon"
+    gamma: float | None = None
+    scale: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.rule not in ("constant", "sqrt_horizon"):
+            raise ValueError(f"unknown step rule {self.rule!r}")
+        if self.rule == "constant" and not (
+            self.gamma is not None and 0.0 < self.gamma < math.inf
+        ):
+            raise ValueError(f"constant rule needs a finite gamma > 0, got {self.gamma}")
+        if self.rule == "sqrt_horizon" and self.scale is not None and not (
+            0.0 < self.scale < math.inf
+        ):
+            raise ValueError(f"sqrt_horizon scale must be finite and > 0, got {self.scale}")
+
+    @classmethod
+    def constant(cls, gamma: float) -> "StepRule":
+        return cls("constant", gamma=float(gamma))
+
+    @classmethod
+    def sqrt_horizon(cls, scale: float | None = None) -> "StepRule":
+        return cls("sqrt_horizon", scale=None if scale is None else float(scale))
+
+    def bound_violation(self, lipschitz: float, n: int) -> str | None:
+        """Why the rule's scale is inadmissible, or None if it is admissible.
+
+        A rule without a scale takes the bound, so it has no step when the
+        bound is infinite.
+        """
+        if self.rule != "sqrt_horizon":
+            return None
+        bound = step_scale_bound(lipschitz, n)
+        if self.scale is None:
+            return None if bound < math.inf else "needs a scale: L = 0 leaves no bound"
+        if self.scale > bound * (1.0 + 1e-12):
+            return f"step scale {self.scale:g} exceeds admissible bound {bound:g}"
+        return None
+
+    def resolve(self, lipschitz: float, n: int, horizon: int) -> float:
+        """Concrete step size for a run of ``horizon`` epochs; checks no bound."""
+        if self.rule == "constant":
+            return self.gamma
+        if horizon < 1:
+            raise ValueError("sqrt_horizon rule needs horizon >= 1")
+        scale = step_scale_bound(lipschitz, n) if self.scale is None else self.scale
+        return scale / math.sqrt(horizon)
 
 
 @dataclass(frozen=True)

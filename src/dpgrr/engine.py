@@ -69,9 +69,9 @@ with ``os.fork``, which sends back its results, or its failure, pickled
 over a pipe.  A lane's results are its traces, whose columns travel as
 the arrays they are, unless the caller gives ``run`` a per-run
 callback: then the lane calls it on each trace as the trace's batch
-ends, and only the callback's results travel.  Every check and step
-resolution, with its error, happens before the fork, and the failure
-of the first failing run in order is the one raised.
+ends, and only the callback's results travel.  The runs' shared fields
+are checked before the fork, and the failure of the first failing run
+in order is the one raised.
 Workers are always reaped, and killed first when the caller's lane
 fails or is interrupted.  Since a run's trace does not depend on its
 batch, the lanes give the traces a single process gives;
@@ -103,9 +103,6 @@ from .sampling import Mode, fill_indices
 __all__ = [
     "ALGORITHMS",
     "NonFiniteIterate",
-    "StepBoundViolation",
-    "step_scale_bound",
-    "StepRule",
     "ProblemBundle",
     "RunConfig",
     "RunTrace",
@@ -170,70 +167,6 @@ class NonFiniteIterate(FloatingPointError):
 
 class WorkerLost(RuntimeError):
     """A worker process ended without sending back its lane's result."""
-
-
-class StepBoundViolation(ValueError):
-    """The 1/sqrt(T) rule's scale exceeds its admissible bound, or the rule
-    has no scale where L = 0 leaves the bound infinite."""
-
-
-def step_scale_bound(lipschitz: float, n: int) -> float:
-    """Largest admissible scale M of the gamma = M / sqrt(T) rule; infinite
-    when every sample is zero (L = 0)."""
-    return math.sqrt(6.0) / (6.0 * lipschitz * n) if lipschitz else math.inf
-
-
-@dataclass(frozen=True)
-class StepRule:
-    """Either a constant step size or gamma = scale / sqrt(T)."""
-
-    rule: str  # "constant" | "sqrt_horizon"
-    gamma: float | None = None
-    scale: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.rule not in ("constant", "sqrt_horizon"):
-            raise ValueError(f"unknown step rule {self.rule!r}")
-        if self.rule == "constant" and not (
-            self.gamma is not None and 0.0 < self.gamma < math.inf
-        ):
-            raise ValueError(f"constant rule needs a finite gamma > 0, got {self.gamma}")
-        if self.rule == "sqrt_horizon" and self.scale is not None and not (
-            0.0 < self.scale < math.inf
-        ):
-            raise ValueError(f"sqrt_horizon scale must be finite and > 0, got {self.scale}")
-
-    @classmethod
-    def constant(cls, gamma: float) -> "StepRule":
-        return cls("constant", gamma=float(gamma))
-
-    @classmethod
-    def sqrt_horizon(cls, scale: float | None = None) -> "StepRule":
-        return cls("sqrt_horizon", scale=None if scale is None else float(scale))
-
-    def bound_violation(self, lipschitz: float, n: int) -> str | None:
-        """Why the rule's scale is inadmissible, or None if it is admissible.
-
-        A rule without a scale takes the bound, so it has no step when the
-        bound is infinite.
-        """
-        if self.rule != "sqrt_horizon":
-            return None
-        bound = step_scale_bound(lipschitz, n)
-        if self.scale is None:
-            return None if bound < math.inf else "needs a scale: L = 0 leaves no bound"
-        if self.scale > bound * (1.0 + 1e-12):
-            return f"step scale {self.scale:g} exceeds admissible bound {bound:g}"
-        return None
-
-    def resolve(self, lipschitz: float, n: int, horizon: int) -> float:
-        """Concrete step size for a run of ``horizon`` epochs; checks no bound."""
-        if self.rule == "constant":
-            return self.gamma
-        if horizon < 1:
-            raise ValueError("sqrt_horizon rule needs horizon >= 1")
-        scale = step_scale_bound(lipschitz, n) if self.scale is None else self.scale
-        return scale / math.sqrt(horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +240,16 @@ class ProblemBundle:
 class RunConfig:
     """Algorithm selection and run-shaping knobs.
 
-    ``cadence=None`` records every epoch up to 2000 epochs and about 2000
-    evenly spaced rows beyond that.  dgm mixes once per epoch, whatever
-    ``steps_mode``.
+    ``step`` is the run's step size gamma, finite and > 0, taken as given:
+    the step rule and its bound are the configuration's (``config.StepRule``).
+    dgm takes ``step / sqrt(t + 1)`` at epoch t and mixes once per epoch,
+    whatever ``steps_mode``.  ``cadence=None`` records every epoch up to
+    2000 epochs and about 2000 evenly spaced rows beyond that.
     """
 
     algorithm: str
     horizon: int
-    step: StepRule
+    step: float
     steps_mode: StepsMode = field(default_factory=StepsMode.growing)
     seed: int = 0
     cadence: int | None = None
@@ -324,6 +259,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm.lower() not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if self.cadence is not None and self.cadence < 1:
@@ -348,7 +285,6 @@ class RunTrace:
     disagreement: np.ndarray
     max_consensus_dist: np.ndarray
     forward_deviation: np.ndarray | None
-    gamma: float | None
     x_final: np.ndarray
 
 
@@ -516,21 +452,11 @@ def run(configs: Sequence[RunConfig], problem: ProblemBundle,
                 raise ValueError(f"runs in one call must share {name}")
     if not configs:
         return []
-    lipschitz = objectives.lipschitz_constant(problem.features, problem.kind)
-    steps = []
-    for cfg in configs:
-        # a run of horizon 0 takes no step, so its rule is not checked
-        if cfg.horizon and (violation := cfg.step.bound_violation(lipschitz, problem.n)):
-            raise StepBoundViolation(violation)
-        steps.append(cfg.step.resolve(lipschitz, problem.n, cfg.horizon) if cfg.horizon else None)
-        if _is_dgm(cfg) and cfg.step.rule != "constant":
-            raise ValueError(
-                "the subgradient baseline decays its own step; use a constant rule")
 
     def run_lane(batches: list[tuple[int, int]]) -> list:
         results = []
         for lo, hi in batches:
-            traces = _run_batch(configs[lo:hi], steps[lo:hi], problem)
+            traces = _run_batch(configs[lo:hi], problem)
             results += traces if finish is None else [
                 finish(k, trace) for k, trace in enumerate(traces, lo)]
         return results
@@ -667,19 +593,19 @@ def _serve(run_lane, batches, pipe: int):
         os._exit(status)
 
 
-def _batch_step(steps: list[float]):
+def _batch_step(configs: list[RunConfig]):
     """The step of a batch's runs: one float when they all share it, else
     the ``(S, 1, 1)`` array of each run's step.  Either gives the same
     products; a float skips broadcasting in every step."""
+    steps = [cfg.step for cfg in configs]
     if len(set(steps)) == 1:
         return steps[0]
     return np.array(steps).reshape(-1, 1, 1)
 
 
-def _run_batch(configs: list[RunConfig], steps: list[float | None],
-               problem: ProblemBundle) -> list[RunTrace]:
+def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     """``run`` for runs of one epoch body whose samples fit one gathered
-    block, with their resolved ``steps`` (None at horizon 0)."""
+    block."""
     first = configs[0]
     dgm = _is_dgm(first)
     horizon = first.horizon
@@ -744,7 +670,7 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None],
             filled += len(pending)
             pending.clear()
 
-    gamma = _batch_step(steps)
+    gamma = _batch_step(configs)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
     # bytes one recorded epoch buffers: its state, x_bar and x_hat, and
@@ -786,8 +712,8 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None],
                 if exc.run == 0:
                     raise failure from None
                 pending.clear()
-                configs, x, steps = configs[:exc.run], x[:exc.run], steps[:exc.run]
-                gamma = _batch_step(steps)
+                configs, x = configs[:exc.run], x[:exc.run]
+                gamma = _batch_step(configs)
                 x_hat_sum, perm = x_hat_sum[:exc.run], perm[:exc.run]
                 draws = [d for d in draws if d[0] < exc.run]
         x = x_next
@@ -804,6 +730,6 @@ def _run_batch(configs: list[RunConfig], steps: list[float | None],
         raise failure
     return [
         RunTrace(epochs, f_bar[s], f_hat[s], disagreement[s], max_dist[s],
-                 None if v_values is None else v_values[s], gamma=steps[s], x_final=x[s])
+                 None if v_values is None else v_values[s], x_final=x[s])
         for s in range(len(configs))
     ]

@@ -11,8 +11,7 @@ A run of ``count`` steps is split, by the set bits of ``count``, into
 memoized blocks of ``2**k`` steps, earliest first (``epoch_blocks``).
 There is one chain rule over them, ``mix``: apply each block in turn.
 The engine mixes its states through an epoch's blocks without forming
-the ``(m, m)`` product; ``consensus_weights_for_epoch`` is the first
-block mixed through the rest, so the weights and the mixing agree.
+the ``(m, m)`` product.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "GraphSchedule",
     "StepsMode",
     "epoch_blocks",
-    "consensus_weights_for_epoch",
     "mix",
     "WindowCheck",
     "ValidationReport",
@@ -213,10 +211,6 @@ class GraphSchedule:
                 phase = (phase + (1 << k)) % self.period
         return out
 
-    def transition_product(self, start: int, count: int) -> np.ndarray:
-        """Product of ``count`` matrices from step ``start``, latest on the left."""
-        return _product(self.blocks(start, count))
-
     def _block(self, phase: int, k: int) -> np.ndarray:
         """Product of the ``2**k`` matrices from ``phase``, memoized."""
         cached = self._products.get((phase, k))
@@ -244,12 +238,6 @@ def mix(blocks: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _product(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The blocks' product: the first block mixed through the rest."""
-    first, *rest = blocks
-    return mix(rest, first)
-
-
 def epoch_blocks(
     schedule: GraphSchedule, t: int, steps_mode: StepsMode
 ) -> list[np.ndarray]:
@@ -263,20 +251,6 @@ def epoch_blocks(
         raise ValueError("epoch must be >= 0")
     start = steps_mode.steps_before_epoch(t)
     return schedule.blocks(start, steps_mode.factors_for_epoch(t))
-
-
-def consensus_weights_for_epoch(
-    schedule: GraphSchedule, t: int, steps_mode: StepsMode
-) -> np.ndarray:
-    """Mixing coefficients for epoch ``t``: the product of its ``epoch_blocks``.
-
-    Pure function of (schedule, t, mode), so any epoch can be replayed.
-    It is the same fold as mixing through the blocks, started at the
-    first block instead of a state.  The result may be a memoized block
-    that callers must not write; a one-factor product is the matrix's own
-    ``weights``.
-    """
-    return _product(epoch_blocks(schedule, t, steps_mode))
 
 
 def _union_connected(edge_sets: list[set[tuple[int, int]]], m: int) -> bool:

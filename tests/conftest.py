@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from dpgrr import engine
-from dpgrr.config import build_problem, load_config
+from dpgrr.config import StepRule, build_problem, load_config
 from dpgrr.engine import ProblemBundle, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
-from dpgrr.objectives import SmoothLossKind
+from dpgrr.objectives import SmoothLossKind, lipschitz_constant
 from dpgrr.proxops import Regularizer
 from dpgrr.reference import solve_centralized
 
@@ -127,7 +127,7 @@ def iterates(cfgs, problem, traces):
 
     Runs ``cfgs`` once more, in this process, keeping each batch's state
     that enters epoch 0 and every state an epoch returns.  That run must
-    give ``traces`` bit for bit: every column, the step and the final state.
+    give ``traces`` bit for bit: every column and the final state.
     """
     batches = []
 
@@ -147,11 +147,16 @@ def iterates(cfgs, problem, traces):
         reruns = run(cfgs, problem)
     for rerun, trace in zip(reruns, traces, strict=True):
         assert_same_columns(rerun, trace)
-        assert rerun.gamma == trace.gamma
         assert rerun.x_final.tobytes() == trace.x_final.tobytes()
     if not batches:  # horizon 0: the final state is the only one
         return [trace.x_final[None] for trace in traces]
     return [states for batch in batches for states in np.stack(batch, axis=1)]
+
+
+def sqrt_step(p: ProblemBundle, T: int) -> float:
+    """The step ``dpgrr run`` gives a scale-less ``sqrt_horizon`` rule on
+    ``p`` at horizon ``T``: the largest admissible one."""
+    return StepRule.sqrt_horizon().resolve(lipschitz_constant(p.features, p.kind), p.n, T)
 
 
 def packed(*agents):

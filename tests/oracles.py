@@ -4,8 +4,9 @@ None of them uses ``dpgrr.engine``: the scalar loss and gradient of one
 sample, the unsigned gradient of the packed smooth part, the one-agent
 reshuffled proximal gradient baseline, the one-run index draw, the
 exhaustive or Monte Carlo prefix-average statistics, the proximal
-objective gap, and the sparse-text writer that ``parse_libsvm`` reads
-back.
+objective gap, the sparse-text writer that ``parse_libsvm`` reads
+back, and the ``(m, m)`` product of a run of schedule matrices, which
+the engine never forms.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from dpgrr.netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
 from dpgrr.objectives import DimensionMismatch, SmoothLossKind, loss_derivative
 from dpgrr.proxops import NonPositiveStep, Regularizer, prox
 from dpgrr.sampling import Mode, fill_indices
@@ -199,3 +201,26 @@ def format_libsvm(features: np.ndarray, labels: np.ndarray) -> str:
         feats = " ".join(f"{i + 1}:{a[i]:.17g}" for i in np.flatnonzero(a))
         lines.append(f"{label:.17g} {feats}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def product(blocks) -> np.ndarray:
+    """The blocks' product: the first block mixed through the rest, so it
+    is the same fold as mixing a state through them."""
+    first, *rest = blocks
+    return mix(rest, first)
+
+
+def transition_product(schedule: GraphSchedule, start: int, count: int) -> np.ndarray:
+    """Product of ``count`` matrices from step ``start``, latest on the left."""
+    return product(schedule.blocks(start, count))
+
+
+def consensus_weights_for_epoch(
+    schedule: GraphSchedule, t: int, steps_mode: StepsMode
+) -> np.ndarray:
+    """Mixing coefficients for epoch ``t``: the product of its ``epoch_blocks``.
+
+    The result may be a memoized block that callers must not write; a
+    one-factor product is the matrix's own ``weights``.
+    """
+    return product(epoch_blocks(schedule, t, steps_mode))

@@ -7,21 +7,22 @@ import time
 
 import numpy as np
 
-from conftest import CONFIGS, golden_section_prox_1d, iterates
+from conftest import CONFIGS, golden_section_prox_1d, iterates, sqrt_step
 from dpgrr.cli import main as cli_main
 from dpgrr.config import build_problem, load_config
 from dpgrr.dataio import synthesize_classification
-from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
-from dpgrr.netgraph import (
-    GraphSchedule,
-    StepsMode,
-    consensus_weights_for_epoch,
-    metropolis_weights,
-)
+from dpgrr.engine import ProblemBundle, RunConfig, run
+from dpgrr.netgraph import GraphSchedule, StepsMode, metropolis_weights
 from dpgrr.objectives import SmoothLossKind
 from dpgrr.proxops import Regularizer, prox
 from dpgrr.reference import solve_centralized
-from oracles import centralized_prox_rr, prefix_average_stats, sample_value_grad
+from oracles import (
+    centralized_prox_rr,
+    consensus_weights_for_epoch,
+    prefix_average_stats,
+    sample_value_grad,
+    transition_product,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -115,7 +116,7 @@ def test_criterion_3_mixing_algebra():
     for m in range(2, 11):
         edges = {(i, (i + 1) % m) for i in range(m)} if m > 2 else {(0, 1)}
         ring = GraphSchedule((metropolis_weights(edges, m, 0.01),), 1)
-        product = ring.transition_product(0, 200)
+        product = transition_product(ring, 0, 200)
         worst_gap = max(worst_gap, float(np.abs(product - 1.0 / m).max()))
     ok = worst_sum <= 1e-10 and worst_gap <= 1e-6
     report(
@@ -167,7 +168,7 @@ def _traces(problem, horizon, step, runs):
 def test_criterion_5_consensus(canonical_problem):
     t0 = time.perf_counter()
     traces = {
-        T: _traces(canonical_problem, T, StepRule.sqrt_horizon(), [("dpg-rr", 42)])[0]
+        T: _traces(canonical_problem, T, sqrt_step(canonical_problem, T), [("dpg-rr", 42)])[0]
         for T in (100, 1600)
     }
     elapsed = time.perf_counter() - t0
@@ -187,7 +188,7 @@ def test_criterion_5_consensus(canonical_problem):
 def test_criterion_6_rate(canonical_problem, canonical_solution):
     medians = {}
     for T in (100, 1600):
-        traces = _traces(canonical_problem, T, StepRule.sqrt_horizon(),
+        traces = _traces(canonical_problem, T, sqrt_step(canonical_problem, T),
                          [("dpg-rr", seed) for seed in range(1, 11)])
         finals = [trace.f_hat[-1] - canonical_solution.f_star for trace in traces]
         assert all(f > -1e-9 for f in finals)
@@ -210,7 +211,7 @@ def test_criterion_7_sampler_ordering():
     )
     assert sol.converged
     algos = ("dpg-rr", "dpg-sg", "dpg-ig")
-    traces = _traces(problem, cfg.horizon, StepRule.constant(0.3),
+    traces = _traces(problem, cfg.horizon, 0.3,
                      [(algo, seed) for algo in algos for seed in cfg.seeds])
     finals = {
         algo: [trace.f_hat[-1] - sol.f_star
@@ -245,7 +246,7 @@ def test_criterion_8_oracle_equivalence():
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
     )
-    cfg = RunConfig("dpg-rr", 50, StepRule.constant(0.1), seed=77)
+    cfg = RunConfig("dpg-rr", 50, 0.1, seed=77)
     [states] = iterates([cfg], problem, run([cfg], problem))
     oracle = centralized_prox_rr(
         features[0], labels[0], SmoothLossKind.LOGISTIC, reg, gamma=0.1,

@@ -17,15 +17,16 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dpgrr.cli
 import dpgrr.config
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, sqrt_step
 from dpgrr import engine
 from dpgrr.cli import CSV_HEADER, main, write_metrics_csv
 from dpgrr.config import (
-    ConfigError, build_problem, canonical_dict, config_hash, load_config, problem_hash,
+    ConfigError, StepRule, build_problem, canonical_dict, config_hash, load_config,
+    problem_hash, step_scale_bound,
 )
-from dpgrr.engine import RunConfig, StepRule, run
+from dpgrr.engine import RunConfig, run
 from dpgrr.metrics import shuffling_variance
-from dpgrr.objectives import smooth_curvature
+from dpgrr.objectives import lipschitz_constant, smooth_curvature
 from dpgrr.reference import ReferenceSolution, solve_centralized
 
 TOY_DATA = "3 1:1\n"
@@ -306,6 +307,33 @@ def test_forked_lanes_write_the_one_process_outputs(tmp_path, capsys, monkeypatc
     assert stdout.count(" rows subopt=") == 4
 
 
+@pytest.mark.parametrize("where", ["mkdir", "caller", "worker"])
+def test_an_output_that_cannot_be_written_is_one_failed_line(tmp_path, capsys, monkeypatch,
+                                                             two_lanes, where):
+    # the output directory cannot be made under a regular file, or one
+    # lane's CSV write fails; nothing the call made is left behind
+    caller, write = os.getpid(), dpgrr.cli.write_metrics_csv
+
+    def failing(path, *args):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise PermissionError(13, "Permission denied", str(path))
+        write(path, *args)
+
+    if where != "mkdir":
+        monkeypatch.setattr(dpgrr.cli, "write_metrics_csv", failing)
+    cfg = two_lane_toy(tmp_path, RR, RR.replace("dpg-rr", "dpg-sg"))
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / ("file" if where == "mkdir" else "new") / "out"
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--config", str(cfg), "--output", str(out), "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1, err
+    assert len(two_lanes) == (0 if where == "mkdir" else 1)
+    assert_no_child_left()
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_mixed_algorithms_write_the_csvs_of_each_alone(tmp_path):
     algos = ["  - {name: dpg-rr, step: {rule: constant, gamma: 0.3}}",
              "  - {name: dgm, step: {rule: constant, gamma: 0.2}}",
@@ -360,6 +388,63 @@ def test_all_zero_features_run_or_fail_in_one_line(tmp_path, capsys, step, statu
     assert (tmp_path / "out" / "manifest.json").exists() == (status == 0)
     if status == 0:
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["L"] == 0.0
+
+
+def test_sqrt_rule_uses_bound_by_default(canonical_problem):
+    p = canonical_problem
+    lip = lipschitz_constant(p.features, p.kind)
+    rule = StepRule.sqrt_horizon()
+    assert rule.bound_violation(lip, p.n) is None
+    want = step_scale_bound(lip, p.n) / math.sqrt(100)
+    assert rule.resolve(lip, p.n, 100) == pytest.approx(want, rel=1e-15)
+
+
+def test_step_bound_enforced(canonical_problem):
+    p = canonical_problem
+    lip = lipschitz_constant(p.features, p.kind)
+    too_big = 2.0 * step_scale_bound(lip, p.n)
+    rule = StepRule.sqrt_horizon(too_big)
+    assert "exceeds admissible bound" in rule.bound_violation(lip, p.n)
+    # the step that a waived bound gives
+    assert rule.resolve(lip, p.n, 5) == too_big / math.sqrt(5)
+
+
+def test_all_zero_features_leave_the_bound_infinite(toy_ls_problem):
+    # L = 0: any scale is admissible, and a rule without one has no step
+    zero = dataclasses.replace(toy_ls_problem, features=np.zeros((1, 1, 1)))
+    lip = lipschitz_constant(zero.features, zero.kind)
+    assert step_scale_bound(lip, zero.n) == math.inf
+    assert StepRule.sqrt_horizon(4.0).bound_violation(lip, zero.n) is None
+    assert StepRule.sqrt_horizon(4.0).resolve(lip, zero.n, 4) == 2.0
+    assert StepRule.sqrt_horizon().bound_violation(lip, zero.n) == (
+        "needs a scale: L = 0 leaves no bound")
+
+
+@pytest.mark.parametrize("T, scale, extra", [
+    (4, "", ""),
+    # a horizon-0 run takes no step; it is given the step of T = 1
+    (0, "", ""),
+    (4, ", scale: 1.0e6", "enforce_step_bound: false\n"),
+], ids=["bound", "no-epochs", "waived"])
+def test_run_gives_each_algorithm_its_resolved_step(tmp_path, monkeypatch, T, scale, extra):
+    cfg = write_synth(tmp_path, T=T, scale=scale, extra=extra)
+    rr = "  - {name: dpg-rr, step: {rule: sqrt_horizon" + scale + "}}"
+    cfg.write_text(cfg.read_text().replace("seeds: [3]", "seeds: [3, 4]").replace(
+        rr, rr + "\n  - {name: dgm, step: {rule: constant, gamma: 0.2}}"))
+    taken = []
+
+    def recorded(cfgs, problem, finish):
+        taken.extend(cfgs)
+        return run(cfgs, problem, finish)
+
+    monkeypatch.setattr(dpgrr.cli, "run", recorded)
+    assert main(["run", "--config", str(cfg), "-q"]) == 0
+    loaded = load_config(cfg)
+    problem, _ = build_problem(loaded)
+    lip = lipschitz_constant(problem.features, problem.kind)
+    step = loaded.algorithms[0].step.resolve(lip, problem.n, max(T, 1))
+    assert [(c.algorithm, c.seed, c.step) for c in taken] == [
+        ("dpg-rr", 3, step), ("dpg-rr", 4, step), ("dgm", 3, 0.2), ("dgm", 4, 0.2)]
 
 
 def test_labels_only_rows_are_a_config_error(tmp_path, capsys):
@@ -566,9 +651,9 @@ def test_column_writer_writes_the_row_by_row_bytes(
     sigma = shuffling_variance(problem.features, problem.labels, problem.kind,
                                canonical_solution.x_star) if record_sigma_star else None
     shared = dict(horizon=5, record_v=record_v)
-    traces = run([RunConfig(name, step=StepRule.sqrt_horizon(), **shared)
+    traces = run([RunConfig(name, step=sqrt_step(problem, 5), **shared)
                   for name in ("dpg-rr", "dpg-sg")], problem)
-    traces += run([RunConfig("dgm", step=StepRule.constant(0.05), **shared)], problem)
+    traces += run([RunConfig("dgm", step=0.05, **shared)], problem)
     for trace, dgm in zip(traces, (False, False, True)):
         # f_hat, subopt and V_t start at epoch 1, so the first row has none
         assert trace.epochs.tolist() == [0, 1, 2, 3, 4, 5] and len(trace.f_hat) == 5

@@ -10,40 +10,32 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import COLUMNS, assert_no_child_left, assert_same_columns, iterates, packed
+from conftest import (
+    COLUMNS, assert_no_child_left, assert_same_columns, iterates, packed, sqrt_step,
+)
 from dpgrr import engine
+from dpgrr.config import StepRule
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
     NonFiniteIterate,
     ProblemBundle,
     RunConfig,
-    StepBoundViolation,
-    StepRule,
     WorkerLost,
     run,
     run_epoch_dpgrr,
-    step_scale_bound,
 )
-from dpgrr.netgraph import (
-    GraphSchedule,
-    MixingMatrix,
-    StepsMode,
-    consensus_weights_for_epoch,
-    metropolis_weights,
-    mix,
-)
+from dpgrr.netgraph import GraphSchedule, MixingMatrix, StepsMode, metropolis_weights, mix
 from dpgrr import objectives
 from dpgrr.objectives import (
     DimensionMismatch,
     EmptyData,
     SmoothLossKind,
     full_objective,
-    lipschitz_constant,
 )
 from dpgrr.proxops import Regularizer, prox, subgradient
 from dpgrr.reference import solve_centralized
 from dpgrr.sampling import Mode
-from oracles import epoch_indices, sample_value_grad
+from oracles import consensus_weights_for_epoch, epoch_indices, sample_value_grad
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -60,25 +52,23 @@ def two_agent_problem(reg=None, labels=(1.0, 3.0)):
 
 
 def test_single_agent_single_epoch_gradient_step(toy_ls_problem):
-    cfg = RunConfig("dpg-rr", 1, StepRule.constant(0.5))
+    cfg = RunConfig("dpg-rr", 1, 0.5)
     [trace] = run([cfg], toy_ls_problem)
     assert trace.x_final.shape == (1, 1)
     assert trace.x_final[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_tiny_step_changes_almost_nothing(toy_ls_problem):
-    cfg = RunConfig("dpg-rr", 3, StepRule.constant(1e-300))
+    cfg = RunConfig("dpg-rr", 3, 1e-300)
     [trace] = run([cfg], toy_ls_problem)
     assert abs(trace.x_final[0, 0]) < 1e-290
 
 
-def test_zero_step_rejected():
-    with pytest.raises(ValueError):
-        StepRule.constant(0.0)
-
-
-@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_non_finite_step_rejected(value):
+    # a step, and a rule's gamma or scale, must be finite and > 0
+    with pytest.raises(ValueError, match="step must be finite and > 0"):
+        RunConfig("dpg-rr", 1, value)
     with pytest.raises(ValueError, match="finite"):
         StepRule.constant(value)
     with pytest.raises(ValueError, match="finite"):
@@ -86,7 +76,7 @@ def test_non_finite_step_rejected(value):
 
 
 def test_t_zero_records_only_initial_row(toy_ls_problem):
-    [trace] = run([RunConfig("dpg-rr", 0, StepRule.constant(0.1))], toy_ls_problem)
+    [trace] = run([RunConfig("dpg-rr", 0, 0.1)], toy_ls_problem)
     assert trace.epochs.tolist() == [0]
     assert trace.f_hat.size == 0
     assert trace.disagreement.tolist() == [0.0] and trace.max_consensus_dist.tolist() == [0.0]
@@ -96,7 +86,7 @@ def test_two_agents_complete_graph_matches_hand_average():
     # one sample each, zero penalty, one communication step per epoch: the
     # network average follows x <- (1 - gamma) x + gamma * mean(labels)
     problem = two_agent_problem()
-    cfg = RunConfig("dpg-rr", 2, StepRule.constant(0.25), steps_mode=StepsMode.fixed(1))
+    cfg = RunConfig("dpg-rr", 2, 0.25, steps_mode=StepsMode.fixed(1))
     [trace] = run([cfg], problem)
     x = 0.0
     for _ in range(2):
@@ -128,7 +118,7 @@ def test_identical_agents_stay_identical():
 
 
 def test_determinism_bit_identical(canonical_problem):
-    cfg = RunConfig("dpg-rr", 40, StepRule.sqrt_horizon(), seed=11)
+    cfg = RunConfig("dpg-rr", 40, sqrt_step(canonical_problem, 40), seed=11)
     [a] = run([cfg], canonical_problem)
     [b] = run([cfg], canonical_problem)
     assert_same_columns(a, b)
@@ -140,7 +130,7 @@ def test_average_iterate_identities(canonical_problem):
     # F_bar is F at each iterate's agent average, F_hat at the running mean
     # of the averages since epoch 1, both with their bits
     p = canonical_problem
-    cfg = RunConfig("dpg-rr", 30, StepRule.sqrt_horizon(), seed=4)
+    cfg = RunConfig("dpg-rr", 30, sqrt_step(p, 30), seed=4)
     [trace] = run([cfg], p)
     [states] = iterates([cfg], p, [trace])
     accum = np.zeros(p.dim)
@@ -155,7 +145,7 @@ def test_average_iterate_identities(canonical_problem):
 
 
 def test_rows_recomputable_from_iterates(canonical_problem):
-    cfg = RunConfig("dpg-rr", 25, StepRule.sqrt_horizon(), seed=6)
+    cfg = RunConfig("dpg-rr", 25, sqrt_step(canonical_problem, 25), seed=6)
     [trace] = run([cfg], canonical_problem)
     [states] = iterates([cfg], canonical_problem, [trace])
     for epoch, value in zip(trace.epochs.tolist(), trace.f_bar.tolist(), strict=True):
@@ -175,7 +165,7 @@ def test_samplers_share_the_engine_path():
     # proximal algorithms must produce bit-identical traces
     problem = two_agent_problem(reg=Regularizer.l1(0.05))
     traces = [
-        run([RunConfig(algo, 10, StepRule.constant(0.2), seed=5)], problem)[0]
+        run([RunConfig(algo, 10, 0.2, seed=5)], problem)[0]
         for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
     ]
     for other in traces[1:]:
@@ -184,7 +174,7 @@ def test_samplers_share_the_engine_path():
 
 
 def test_cadence_controls_recording(canonical_problem):
-    cfg = RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=1, cadence=4)
+    cfg = RunConfig("dpg-rr", 10, sqrt_step(canonical_problem, 10), seed=1, cadence=4)
     [trace] = run([cfg], canonical_problem)
     assert trace.epochs.dtype == np.int64 and trace.epochs.tolist() == [0, 4, 8, 10]
     # f_hat starts at epoch 1; the rest have every epoch
@@ -195,40 +185,6 @@ def test_cadence_controls_recording(canonical_problem):
     assert trace.forward_deviation is None
 
 
-def test_sqrt_rule_uses_bound_by_default(canonical_problem):
-    lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
-    cfg = RunConfig("dpg-rr", 100, StepRule.sqrt_horizon(), seed=1, cadence=100)
-    [trace] = run([cfg], canonical_problem)
-    want = step_scale_bound(lip, canonical_problem.n) / math.sqrt(100)
-    assert trace.gamma == pytest.approx(want, rel=1e-15)
-
-
-def test_step_bound_enforced(canonical_problem):
-    lip = lipschitz_constant(canonical_problem.features, canonical_problem.kind)
-    too_big = 2.0 * step_scale_bound(lip, canonical_problem.n)
-    rule = StepRule.sqrt_horizon(too_big)
-    cfg = RunConfig("dpg-rr", 5, rule, seed=1)
-    with pytest.raises(StepBoundViolation, match="exceeds admissible bound"):
-        run([cfg], canonical_problem)
-    # at horizon 0 no step is taken, so the rule is not checked
-    run([dataclasses.replace(cfg, horizon=0)], canonical_problem)
-    # the step a waived bound gives, taken as a constant
-    gamma = rule.resolve(lip, canonical_problem.n, 5)
-    assert gamma == too_big / math.sqrt(5)
-    [trace] = run([dataclasses.replace(cfg, step=StepRule.constant(gamma))], canonical_problem)
-    assert trace.gamma == gamma
-
-
-def test_all_zero_features_leave_the_bound_infinite(toy_ls_problem):
-    # L = 0: any scale is admissible, and a rule without one has no step
-    zero = dataclasses.replace(toy_ls_problem, features=np.zeros((1, 1, 1)))
-    assert step_scale_bound(lipschitz_constant(zero.features, zero.kind), zero.n) == math.inf
-    [trace] = run([RunConfig("dpg-rr", 4, StepRule.sqrt_horizon(4.0))], zero)
-    assert trace.gamma == 2.0
-    with pytest.raises(StepBoundViolation, match="needs a scale: L = 0 leaves no bound"):
-        run([RunConfig("dpg-rr", 2, StepRule.sqrt_horizon())], zero)
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_iterate_reports_context():
     problem = ProblemBundle(
@@ -237,7 +193,7 @@ def test_nonfinite_iterate_reports_context():
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
     )
-    cfg = RunConfig("dpg-rr", 1, StepRule.constant(1e200), x0=1.0)
+    cfg = RunConfig("dpg-rr", 1, 1e200, x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
         run([cfg], problem)
     assert err.value.agent == 0
@@ -256,7 +212,7 @@ def test_nonfinite_report_follows_serial_agent_order():
         regularizer=Regularizer.zero(),
         schedule=GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1),
     )
-    cfg = RunConfig("dpg-rr", 1, StepRule.constant(1e200), x0=1.0)
+    cfg = RunConfig("dpg-rr", 1, 1e200, x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
         run([cfg], problem)
     assert (err.value.agent, err.value.epoch) == (0, 0)
@@ -397,20 +353,20 @@ def test_dgm_reports_phase_mix_and_step():
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
-        RunConfig("dpg-xx", 1, StepRule.constant(0.1))
+        RunConfig("dpg-xx", 1, 0.1)
 
 
 # -- subgradient baseline ----------------------------------------------------
 
 
 def test_dgm_single_agent_first_step(toy_ls_problem):
-    [trace] = run([RunConfig("dgm", 1, StepRule.constant(0.5))], toy_ls_problem)
+    [trace] = run([RunConfig("dgm", 1, 0.5)], toy_ls_problem)
     # gamma_0 = 0.5 / sqrt(1); gradient at 0 is -1
     assert trace.x_final[0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dgm_steps_decay_like_inverse_sqrt(toy_ls_problem):
-    [trace] = run([RunConfig("dgm", 3, StepRule.constant(0.5))], toy_ls_problem)
+    [trace] = run([RunConfig("dgm", 3, 0.5)], toy_ls_problem)
     x = 0.0
     for t in range(3):
         gamma_t = 0.5 / math.sqrt(t + 1.0)
@@ -426,7 +382,7 @@ def test_dgm_identity_mixing_keeps_agents_independent():
         regularizer=Regularizer.l1(0.01),
         schedule=GraphSchedule((identity,), 1),
     )
-    [trace] = run([RunConfig("dgm", 4, StepRule.constant(0.3))], problem)
+    [trace] = run([RunConfig("dgm", 4, 0.3)], problem)
     for j, label in enumerate((1.0, 5.0)):
         x = np.zeros(1)
         for t in range(4):
@@ -434,11 +390,6 @@ def test_dgm_identity_mixing_keeps_agents_independent():
             g = (x[0] - label) * 1.0 + subgradient(Regularizer.l1(0.01), x)[0]
             x = x - gamma_t * g
         assert trace.x_final[j, 0] == pytest.approx(x[0], abs=1e-14)
-
-
-def test_dgm_requires_constant_rule(toy_ls_problem):
-    with pytest.raises(ValueError):
-        run([RunConfig("dgm", 2, StepRule.sqrt_horizon())], toy_ls_problem)
 
 
 def test_dgm_slower_than_reshuffling_on_seeded_problem():
@@ -450,8 +401,8 @@ def test_dgm_slower_than_reshuffling_on_seeded_problem():
     )
     sol = solve_centralized(features, labels, reg, LOG, tol=1e-10)
     problem = ProblemBundle(features, labels, kind=LOG, regularizer=reg, schedule=schedule)
-    [rr] = run([RunConfig("dpg-rr", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
-    [dgm] = run([RunConfig("dgm", 200, StepRule.constant(0.1), seed=1, cadence=200)], problem)
+    [rr] = run([RunConfig("dpg-rr", 200, 0.1, seed=1, cadence=200)], problem)
+    [dgm] = run([RunConfig("dgm", 200, 0.1, seed=1, cadence=200)], problem)
     assert dgm.f_hat[-1] > rr.f_hat[-1] > sol.f_star - 1e-9
 
 
@@ -459,12 +410,12 @@ def test_run_config_takes_exactly_the_uint64_seeds(toy_ls_problem):
     # a seed keys the Philox index streams: both ends of [0, 2**64) run,
     # and the seeds just outside are rejected before anything is recorded
     for seed in (0, 2**64 - 1):
-        [trace] = run([RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)],
+        [trace] = run([RunConfig("dpg-rr", 2, 0.5, seed=seed)],
                       toy_ls_problem)
         assert len(trace.epochs) == 3
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
-            RunConfig("dpg-rr", 2, StepRule.constant(0.5), seed=seed)
+            RunConfig("dpg-rr", 2, 0.5, seed=seed)
 
 
 def test_bundle_checks_and_owns_its_arrays(toy_ls_problem):
@@ -533,7 +484,7 @@ def test_bundle_rejects_non_stochastic_mixing_rows():
 
 
 def test_forward_deviation_recorded(canonical_problem):
-    cfg = RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(), seed=2, record_v=True)
+    cfg = RunConfig("dpg-rr", 5, sqrt_step(canonical_problem, 5), seed=2, record_v=True)
     [trace] = run([cfg], canonical_problem)
     # one value per epoch after epoch 0, whose row has no inner pass
     assert trace.epochs.tolist() == [0, 1, 2, 3, 4, 5]
@@ -546,7 +497,7 @@ def test_forward_deviation_shrinks_with_step(canonical_problem):
     # inner drift scales with the step size: halving gamma should cut the
     # typical deviation by well over 2x (it scales quadratically)
     def median_v(gamma):
-        cfg = RunConfig("dpg-rr", 40, StepRule.constant(gamma), seed=3, record_v=True)
+        cfg = RunConfig("dpg-rr", 40, gamma, seed=3, record_v=True)
         [trace] = run([cfg], canonical_problem)
         return float(np.median(trace.forward_deviation))
 
@@ -561,7 +512,7 @@ _MODES = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 def serial_reference(cfg, problem):
     """Per-agent, per-sample loop over lists of vectors: epoch -> (snapshot, V_t)."""
     m, n, kind, reg = problem.m, problem.n, problem.kind, problem.regularizer
-    gamma = cfg.step.gamma
+    gamma = cfg.step
     xs = [np.full(problem.dim, cfg.x0) for _ in range(m)]
     out = {0: (np.stack(xs), None)}
     for t in range(cfg.horizon):
@@ -605,12 +556,11 @@ def serial_reference(cfg, problem):
 ], ids=["dpg-rr", "dpg-sg", "dpg-ig", "dgm", "dgm-fixed-2", "batch-mixed"])
 def test_engine_matches_serial_reference(canonical_problem, runs, steps_mode):
     p = canonical_problem
-    cfgs = [RunConfig(algo, 12, StepRule.constant(gamma), steps_mode=steps_mode, seed=seed,
+    cfgs = [RunConfig(algo, 12, gamma, steps_mode=steps_mode, seed=seed,
                       record_v=True) for algo, seed, gamma in runs]
     traces = run(cfgs, p)
     assert len(traces) == len(cfgs)
     for cfg, trace, states in zip(cfgs, traces, iterates(cfgs, p, traces)):
-        assert trace.gamma == cfg.step.gamma
         _check_against_serial_reference(p, cfg, trace, states)
 
 
@@ -656,15 +606,14 @@ def _assert_same_states(got, want):
 
 
 def _assert_same_trace(got, want):
-    """The same columns, step and final state, arrays by their bytes."""
+    """The same columns and final state, arrays by their bytes."""
     assert_same_columns(got, want)
-    assert got.gamma == want.gamma
     _assert_same_states([got.x_final], [want.x_final])
 
 
 def _assert_each_run_is_alone(cfgs, problem, traces):
     """``traces`` of ``cfgs`` run in one call against each run alone: the
-    same columns, step and state after every epoch."""
+    same columns and state after every epoch."""
     states = iterates(cfgs, problem, traces)
     for cfg, trace, got in zip(cfgs, traces, states, strict=True):
         alone = run([cfg], problem)
@@ -673,7 +622,7 @@ def _assert_each_run_is_alone(cfgs, problem, traces):
 
 
 def test_batched_run_equals_its_solo_run(canonical_problem):
-    steps = (StepRule.sqrt_horizon(), StepRule.constant(0.05))
+    steps = (sqrt_step(canonical_problem, 30), 0.05)
     cfgs = [
         RunConfig(algo, 30, steps[k % 2], seed=seed, cadence=4, record_v=True)
         for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
@@ -683,13 +632,13 @@ def test_batched_run_equals_its_solo_run(canonical_problem):
 
 
 def test_batched_dgm_runs_equal_their_solo_runs(canonical_problem):
-    cfgs = [RunConfig("dgm", 25, StepRule.constant(gamma), seed=seed)
+    cfgs = [RunConfig("dgm", 25, gamma, seed=seed)
             for seed, gamma in ((3, 0.05), (8, 0.2))]
     _assert_each_run_is_alone(cfgs, canonical_problem, run(cfgs, canonical_problem))
 
 
 def test_runs_past_the_batch_cap_advance_in_later_batches(canonical_problem, monkeypatch):
-    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed)
+    cfgs = [RunConfig(algo, 6, 0.05, seed=seed)
             for algo in ("dpg-rr", "dpg-sg") for seed in (1, 2, 3)]
     whole = run(cfgs, canonical_problem)
     want = iterates(cfgs, canonical_problem, whole)
@@ -714,7 +663,7 @@ def overflow_problem():
     )
 
 
-LATE = RunConfig("dpg-sg", 20, StepRule.constant(1e10), seed=2, x0=1.0)
+LATE = RunConfig("dpg-sg", 20, 1e10, seed=2, x0=1.0)
 
 
 def _failure(err):
@@ -725,7 +674,7 @@ def _failure(err):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_batch_reports_the_first_failing_run_in_order():
     problem, late = overflow_problem(), LATE
-    early = RunConfig("dpg-rr", 20, StepRule.constant(1e200), seed=1, x0=1.0)
+    early = RunConfig("dpg-rr", 20, 1e200, seed=1, x0=1.0)
     with pytest.raises(NonFiniteIterate) as err:
         run([late, early], problem)
     e = err.value
@@ -759,12 +708,12 @@ def reset_problem():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("problem, healthy, late, want", [
-    (overflow_problem, RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0),
+    (overflow_problem, RunConfig("dpg-rr", 20, 0.01, seed=1, x0=1.0),
      LATE, ("dpg-sg seed 2", 1, 14, 1, "inner")),
     # runs that share one step advance with it as one float, before the
     # cut and after it
-    (reset_problem, RunConfig("dpg-ig", 20, StepRule.constant(0.25), seed=2, x0=1.0),
-     RunConfig("dpg-sg", 20, StepRule.constant(0.25), seed=6, x0=1.0),
+    (reset_problem, RunConfig("dpg-ig", 20, 0.25, seed=2, x0=1.0),
+     RunConfig("dpg-sg", 20, 0.25, seed=6, x0=1.0),
      ("dpg-sg seed 6", 0, 6, 1, "inner")),
 ], ids=["own-steps", "shared-step"])
 def test_a_run_failing_behind_a_healthy_one_reports_as_alone(problem, healthy, late, want):
@@ -801,7 +750,7 @@ def test_no_row_is_evaluated_once_a_later_run_has_failed(monkeypatch):
 
     monkeypatch.setattr(engine.objectives, "full_objective", counted)
     monkeypatch.setattr(engine, "run_epoch_dpgrr", watched)
-    healthy = RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=1, x0=1.0)
+    healthy = RunConfig("dpg-rr", 20, 0.01, seed=1, x0=1.0)
     with pytest.raises(NonFiniteIterate):
         run([healthy, LATE], overflow_problem())
     assert events.count("cut") == 1
@@ -809,21 +758,23 @@ def test_no_row_is_evaluated_once_a_later_run_has_failed(monkeypatch):
     assert events[0] == "record"  # the initial row, before any epoch
 
 
+# each case's runs of a problem
 _CHUNKED = {
-    "samplers": [RunConfig(algo, 13, StepRule.constant(0.05), seed=seed, record_v=True)
-                 for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)],
-    "off_cadence": [RunConfig("dpg-rr", 10, StepRule.sqrt_horizon(), seed=seed, cadence=3)
-                    for seed in (4, 5)],
-    "dgm": [RunConfig("dgm", 10, StepRule.constant(gamma), seed=seed)
-            for seed, gamma in ((3, 0.05), (8, 0.2))],
-    "no_epochs": [RunConfig("dpg-rr", 0, StepRule.constant(0.05), seed=1)],
+    "samplers": lambda p: [RunConfig(algo, 13, 0.05, seed=seed, record_v=True)
+                           for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)],
+    "off_cadence": lambda p: [RunConfig("dpg-rr", 10, sqrt_step(p, 10), seed=seed, cadence=3)
+                              for seed in (4, 5)],
+    "dgm": lambda p: [RunConfig("dgm", 10, gamma, seed=seed)
+                      for seed, gamma in ((3, 0.05), (8, 0.2))],
+    "no_epochs": lambda p: [RunConfig("dpg-rr", 0, 0.05, seed=1)],
 }
 
 
 @pytest.mark.parametrize("rows", [1, 3, 10**6])
 @pytest.mark.parametrize("case", sorted(_CHUNKED))
 def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch, case, rows):
-    cfgs, p = _CHUNKED[case], canonical_problem
+    p = canonical_problem
+    cfgs = _CHUNKED[case](p)
     want = run(cfgs, p)
     want_states = iterates(cfgs, p, want)
     # every buffered byte of one recorded epoch of the batch
@@ -856,7 +807,7 @@ def test_a_recorded_row_holds_a_few_floats():
     problem = ProblemBundle(
         features, labels, LOG, Regularizer.l1(0.01),
         GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1))
-    cfgs = [RunConfig(algo, 2000, StepRule.constant(0.1), seed=seed, cadence=1)
+    cfgs = [RunConfig(algo, 2000, 0.1, seed=seed, cadence=1)
             for seed, algo in enumerate(("dpg-rr", "dpg-sg", "dpg-ig", "dpg-rr"))]
     run([dataclasses.replace(cfgs[0], horizon=2)], problem)  # the engine's own caches
     started = not tracemalloc.is_tracing()
@@ -881,7 +832,7 @@ def test_a_recorded_row_holds_a_few_floats():
     ("record_v", True),
 ])
 def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
-    base = RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=1)
+    base = RunConfig("dpg-rr", 5, 0.05, seed=1)
     other = dataclasses.replace(base, seed=2, **{field: value})
     with pytest.raises(ValueError, match=f"runs in one call must share {field}"):
         run([base, other], canonical_problem)
@@ -890,7 +841,7 @@ def test_batch_runs_must_share_their_shape(canonical_problem, field, value):
 def test_a_mixed_list_equals_its_groups_run_apart(canonical_problem):
     # each stretch of one epoch body is its own batch, in the order given
     p = canonical_problem
-    cfgs = [RunConfig(algo, 7, StepRule.constant(gamma), seed=seed)
+    cfgs = [RunConfig(algo, 7, gamma, seed=seed)
             for algo, gamma, seed in (("dgm", 0.2, 1), ("dpg-rr", 0.05, 2), ("dpg-sg", 0.3, 3),
                                       ("dgm", 0.05, 4), ("dgm", 0.3, 5), ("dpg-ig", 0.05, 6))]
     groups = [cfgs[:1], cfgs[1:3], cfgs[3:5], cfgs[5:]]
@@ -915,7 +866,7 @@ def test_nonfinite_iterate_survives_pickling():
 def test_a_trace_survives_pickling(canonical_problem):
     # with every optional column filled, and without
     for extra in ({}, {"record_v": True}):
-        [trace] = run([RunConfig("dpg-rr", 6, StepRule.constant(0.05), seed=4, **extra)],
+        [trace] = run([RunConfig("dpg-rr", 6, 0.05, seed=4, **extra)],
                       canonical_problem)
         back = pickle.loads(pickle.dumps(trace))
         # every column comes back with its dtype, shape and bytes
@@ -939,7 +890,7 @@ def lanes(monkeypatch, forks):
 
 
 def test_lanes_give_the_serial_traces(canonical_problem, lanes):
-    cfgs = [RunConfig(algo, 8, StepRule.constant(0.05), seed=seed, record_v=True)
+    cfgs = [RunConfig(algo, 8, 0.05, seed=seed, record_v=True)
             for algo in ("dpg-rr", "dpg-sg", "dpg-ig") for seed in (1, 2)]
     got = run(cfgs, canonical_problem)
     assert len(lanes) == 2
@@ -949,7 +900,7 @@ def test_lanes_give_the_serial_traces(canonical_problem, lanes):
 
 
 def test_finish_takes_each_trace_in_the_process_that_ran_it(canonical_problem, lanes):
-    cfgs = [RunConfig(algo, 6, StepRule.constant(0.05), seed=seed, record_v=True)
+    cfgs = [RunConfig(algo, 6, 0.05, seed=seed, record_v=True)
             for algo in ("dpg-rr", "dgm", "dpg-ig") for seed in (1, 2)]
 
     def finish(k, trace):
@@ -976,7 +927,7 @@ def test_a_failing_finish_is_its_runs_failure(canonical_problem, lanes, where):
             raise Injected(f"{where} run {k}")
         return k
 
-    cfgs = [RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    cfgs = [RunConfig("dpg-rr", 5, 0.05, seed=seed) for seed in (1, 2, 3)]
     with pytest.raises(Injected, match=f"{where} run {0 if where == 'caller' else 1}"):
         run(cfgs, canonical_problem, finish)
     assert len(lanes) == 2
@@ -989,7 +940,7 @@ def test_a_lane_that_gets_no_process_runs_in_the_caller(canonical_problem, lanes
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_process)
-    cfgs = [RunConfig("dpg-rr", 4, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    cfgs = [RunConfig("dpg-rr", 4, 0.05, seed=seed) for seed in (1, 2, 3)]
     for cfg, trace in zip(cfgs, run(cfgs, canonical_problem), strict=True):
         _assert_same_trace(trace, run([cfg], canonical_problem)[0])
 
@@ -998,7 +949,7 @@ def test_a_lane_that_gets_no_process_runs_in_the_caller(canonical_problem, lanes
 @pytest.mark.parametrize("failing", [0, 2], ids=["caller-lane", "worker-lane"])
 def test_a_failing_lane_reports_as_alone_and_leaves_no_worker(lanes, failing):
     problem = overflow_problem()
-    cfgs = [RunConfig("dpg-rr", 20, StepRule.constant(0.01), seed=seed, x0=1.0)
+    cfgs = [RunConfig("dpg-rr", 20, 0.01, seed=seed, x0=1.0)
             for seed in (1, 2, 3)]
     cfgs[failing] = LATE
     with pytest.raises(NonFiniteIterate) as err:
@@ -1025,7 +976,7 @@ def test_an_exception_in_a_lane_reaches_the_caller(canonical_problem, lanes, mon
         return run_batch(*args)
 
     monkeypatch.setattr(engine, "_run_batch", failing)
-    cfgs = [RunConfig("dpg-rr", 5, StepRule.constant(0.05), seed=seed) for seed in (1, 2, 3)]
+    cfgs = [RunConfig("dpg-rr", 5, 0.05, seed=seed) for seed in (1, 2, 3)]
     with pytest.raises(Injected, match=where):
         run(cfgs, canonical_problem)
     assert len(lanes) == 2
@@ -1046,7 +997,7 @@ def test_a_lost_worker_is_an_error_naming_its_runs(canonical_problem, lanes, mon
         return run_batch(*args)
 
     monkeypatch.setattr(engine, "_run_batch", lost)
-    cfgs = [RunConfig(algo, 5, StepRule.constant(0.05), seed=seed)
+    cfgs = [RunConfig(algo, 5, 0.05, seed=seed)
             for algo, seed in (("dpg-rr", 1), ("dpg-sg", 2), ("dpg-ig", 3), ("dpg-rr", 4))]
     with pytest.raises(WorkerLost) as err:
         run(cfgs, canonical_problem)
@@ -1055,19 +1006,15 @@ def test_a_lost_worker_is_an_error_naming_its_runs(canonical_problem, lanes, mon
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cfg, error", [
-    (RunConfig("dpg-rr", 5, StepRule.sqrt_horizon(1e9), seed=3), StepBoundViolation),
-    (RunConfig("dgm", 5, StepRule.sqrt_horizon(), seed=3), ValueError),
-], ids=["step-bound", "dgm-rule"])
-def test_every_check_comes_before_any_fork(canonical_problem, lanes, cfg, error):
-    ok = dataclasses.replace(cfg, step=StepRule.constant(0.05), algorithm="dpg-rr")
-    with pytest.raises(error):
-        run([ok, ok, cfg], canonical_problem)
+def test_every_check_comes_before_any_fork(canonical_problem, lanes):
+    ok = RunConfig("dpg-rr", 5, 0.05, seed=3)
+    with pytest.raises(ValueError, match="runs in one call must share horizon"):
+        run([ok, ok, dataclasses.replace(ok, horizon=6)], canonical_problem)
     assert lanes == []
 
 
 def test_lanes_need_a_spare_cpu_a_fork_and_one_thread(monkeypatch):
-    cfgs = [RunConfig(algo, 2000, StepRule.constant(0.05), seed=s)
+    cfgs = [RunConfig(algo, 2000, 0.05, seed=s)
             for s, algo in enumerate(("dpg-rr", "dpg-sg", "dgm", "dgm"))]
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
     # a lane per CPU, of consecutive runs, the first the shorter; each lane
@@ -1099,7 +1046,7 @@ def test_a_shorter_horizon_gives_the_leading_epochs(canonical_problem, monkeypat
     monkeypatch.setattr(engine, "_cpu_count", lambda: 1 if path == "serial" else 3)
     monkeypatch.setattr(engine, "_LANE_WORK", 1)
     p = canonical_problem
-    cfgs = [RunConfig(algo, 9, StepRule.constant(gamma), seed=seed, cadence=2, record_v=True)
+    cfgs = [RunConfig(algo, 9, gamma, seed=seed, cadence=2, record_v=True)
             for algo, seed, gamma in (("dpg-rr", 1, 0.05), ("dpg-sg", 2, 0.2), ("dgm", 3, 0.1))]
     traces = run(cfgs, p)
     states = iterates(cfgs, p, traces)
@@ -1151,7 +1098,7 @@ def random_runs(draw):
                  record_v=draw(st.booleans()), x0=draw(st.sampled_from([0.0, 1.0])))
     cfgs = [
         RunConfig(draw(st.sampled_from(engine.ALGORITHMS)),
-                  step=StepRule.constant(draw(gammas) if shared is None else shared),
+                  step=draw(gammas) if shared is None else shared,
                   seed=draw(st.integers(0, 5)), **shape)
         for _ in range(draw(st.integers(2, 5)))
     ]

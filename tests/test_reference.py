@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import iterates, packed
+from conftest import iterates, packed, sqrt_step
 from dpgrr.dataio import synthesize_classification
-from dpgrr.engine import ProblemBundle, RunConfig, StepRule, run
+from dpgrr.engine import ProblemBundle, RunConfig, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import (
     SmoothLossKind,
@@ -297,7 +297,7 @@ def test_no_budget_returns_the_start_point_it_measured(max_iters):
 
 def test_optimality_floor_over_engine_iterates(canonical_problem, canonical_solution):
     [trace] = run(
-        [RunConfig("dpg-rr", 60, StepRule.sqrt_horizon(), seed=3)], canonical_problem
+        [RunConfig("dpg-rr", 60, sqrt_step(canonical_problem, 60), seed=3)], canonical_problem
     )
     assert len(trace.f_bar) == 61 and len(trace.f_hat) == 60
     assert (trace.f_bar >= canonical_solution.f_star - 1e-9).all()
@@ -338,7 +338,7 @@ def test_prox_rr_matches_single_agent_engine():
         regularizer=reg,
         schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1),
     )
-    cfg = RunConfig("dpg-rr", 50, StepRule.constant(0.1), seed=21)
+    cfg = RunConfig("dpg-rr", 50, 0.1, seed=21)
     [states] = iterates([cfg], problem, run([cfg], problem))
     oracle = centralized_prox_rr(
         features[0], labels[0], LOG, reg, gamma=0.1, horizon=50, seed=21
