@@ -84,9 +84,9 @@ def _staged(out_dir: Path, names: list[str]):
     ``out_dir`` is created, with its missing parents, on entry.  On any
     failure or interrupt, making ``out_dir`` included, every temporary
     file is removed, and so is each directory made on entry, so a failed
-    block leaves the filesystem as it found it.  Only a failure or
-    interrupt among the renames leaves the files already renamed, and
-    the directories that hold them.
+    block leaves the filesystem as it found it.  A failure among the
+    renames also removes the files already renamed, so the last name is
+    on disk only with all the others; the files they replaced are lost.
     """
     made = []
     missing = out_dir
@@ -98,15 +98,17 @@ def _staged(out_dir: Path, names: list[str]):
         # formed when used, in the lane that writes the file
         return out_dir / f"{names[k]}.tmp"
 
+    renamed = 0
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         yield temp
         for k, name in enumerate(names):
             temp(k).replace(out_dir / name)
+            renamed += 1
     except BaseException:
         if out_dir.is_dir():  # a path under one never made cannot be unlinked
-            for k in range(len(names)):
-                temp(k).unlink(missing_ok=True)
+            for k, name in enumerate(names):
+                (out_dir / name if k < renamed else temp(k)).unlink(missing_ok=True)
         for directory in made:
             with contextlib.suppress(OSError):  # it holds a renamed file
                 directory.rmdir()
@@ -119,13 +121,15 @@ def _csv_name(algo: str, seed: int, multi_seed: bool) -> str:
 
 
 def _validate(cfg: ExperimentConfig, problem: ProblemBundle, lipschitz: float,
-              out) -> str | None:
-    """Print validation results; return the first violated assumption, if any.
+              out) -> tuple[str | None, dict[str, float]]:
+    """Print validation results; return the first violated assumption, if
+    any, and the step each admissible algorithm takes.
 
-    The one place that decides whether a step rule is admissible: a step
-    scale above its bound is a violation only while ``enforce_step_bound``
-    holds; otherwise it is reported as a warning.  A rule that has no
-    step is always a violation.
+    The one place that decides whether a step rule is admissible, and
+    the one place that resolves it: a step scale above its bound is a
+    violation only while ``enforce_step_bound`` holds; otherwise it is
+    reported as a warning.  A rule that has no step, or whose step at
+    the last epoch is not finite and > 0, is always a violation.
     """
     report = validate_schedule(problem.schedule)
     print(report.render(), file=out)
@@ -135,18 +139,27 @@ def _validate(cfg: ExperimentConfig, problem: ProblemBundle, lipschitz: float,
         f"{step_scale_bound(lipschitz, problem.n):.6g}",
         file=out,
     )
+    steps = {}
     for algo in cfg.algorithms:
         violation = algo.step.bound_violation(lipschitz, problem.n)
+        if violation is not None and not cfg.enforce_step_bound and algo.step.scale is not None:
+            print(f"warning: step-size bound: {algo.name} {violation}", file=sys.stderr)
+            violation = None
         if violation is None:
-            continue
+            # a horizon-0 run takes no step, so any admissible one gives its bytes
+            horizon = max(cfg.horizon, 1)
+            step = algo.step.resolve(lipschitz, problem.n, horizon)
+            # dgm takes step / sqrt(t + 1) at epoch t, the least at the last
+            last = step / math.sqrt(horizon) if algo.name == "dgm" else step
+            if 0.0 < last and step < math.inf:
+                steps[algo.name] = step
+                continue
+            violation = f"takes step {last!r} at its last epoch, not a finite step > 0"
         message = f"step-size bound: {algo.name} {violation}"
-        if not cfg.enforce_step_bound and algo.step.scale is not None:
-            print(f"warning: {message}", file=sys.stderr)
-            continue
         print(message, file=out)
         if first is None:
             first = message
-    return first
+    return first, steps
 
 
 def _build(cfg: ExperimentConfig) -> tuple[ProblemBundle, Partition | None, float]:
@@ -177,7 +190,7 @@ def _build(cfg: ExperimentConfig) -> tuple[ProblemBundle, Partition | None, floa
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     problem, _, lipschitz = _build(cfg)
-    first = _validate(cfg, problem, lipschitz, sys.stdout)
+    first, _ = _validate(cfg, problem, lipschitz, sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
@@ -229,42 +242,39 @@ def cmd_run(args) -> int:
             f"samples to give every agent exactly {part.n}",
             file=sys.stderr,
         )
-    first = _validate(cfg, problem, lipschitz, io.StringIO() if args.quiet else sys.stdout)
+    first, steps = _validate(cfg, problem, lipschitz,
+                             io.StringIO() if args.quiet else sys.stdout)
     if first is not None:
         print(f"FAIL: {first}", file=sys.stderr)
         return 1
 
     f_star, x_star, f_star_source, f_star_oracle = _resolve_f_star(cfg, problem)
 
-    # `_validate` has passed every rule, or waived its bound; a horizon-0
-    # run takes no step, so any admissible one gives its bytes
-    steps = {algo.name: algo.step.resolve(lipschitz, problem.n, max(cfg.horizon, 1))
-             for algo in cfg.algorithms}
     runs = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
+    run_cfgs = [
+        RunConfig(
+            algorithm=algo.name,
+            horizon=cfg.horizon,
+            step=steps[algo.name],
+            steps_mode=cfg.graph.steps_mode,
+            seed=seed,
+            cadence=cfg.snapshot_cadence,
+            record_v=cfg.diagnostics.record_v,
+            x0=cfg.x0,
+        )
+        for algo, seed in runs
+    ]
     sigma_star_sq = None
     if cfg.diagnostics.record_sigma_star:
         sigma_star_sq = shuffling_variance(problem.features, problem.labels, problem.kind, x_star)
     multi_seed = len(cfg.seeds) > 1
     names = [_csv_name(algo.name, seed, multi_seed) for algo, seed in runs]
     try:
-        # a step that underflows to 0 is a failed run, not a traceback
-        run_cfgs = [
-            RunConfig(
-                algorithm=algo.name,
-                horizon=cfg.horizon,
-                step=steps[algo.name],
-                steps_mode=cfg.graph.steps_mode,
-                seed=seed,
-                cadence=cfg.snapshot_cadence,
-                record_v=cfg.diagnostics.record_v,
-                x0=cfg.x0,
-            )
-            for algo, seed in runs
-        ]
-        # one call runs the whole config, and its CSVs keep their names only
-        # once every run has succeeded, so a failed run, or an output
-        # directory or file that cannot be written, leaves no CSV
-        with _staged(out_dir, names) as temp:
+        # one call runs the whole config; its files keep their names only
+        # once every run has succeeded and the manifest is written, and the
+        # manifest's is taken last, so a failed run, or an output directory
+        # or file that cannot be written, leaves no CSV and no manifest
+        with _staged(out_dir, [*names, "manifest.json"]) as temp:
 
             def finish(k: int, trace: RunTrace):
                 # in the process that ran the run: only the summary travels
@@ -272,36 +282,34 @@ def cmd_run(args) -> int:
                 return len(trace.epochs), (trace.f_hat[-1] if len(trace.f_hat) else None)
 
             summaries = run(run_cfgs, problem, finish)
+            files = {f"{algo.name}/seed{seed}": name for (algo, seed), name in zip(runs, names)}
+            manifest = {
+                "version": __version__,
+                "config_hash": config_hash(cfg),
+                "problem_hash": problem_hash(cfg),
+                "config": canonical_dict(cfg),
+                "L": lipschitz,
+                "G_f": gradient_bound(
+                    problem.features, problem.labels, problem.kind, cfg.least_squares_radius
+                ),
+                "G_phi": problem.regularizer.subgradient_bound(
+                    problem.dim, cfg.least_squares_radius
+                ),
+                "F_star": f_star,
+                "F_star_source": f_star_source,
+                "F_star_oracle": f_star_oracle,
+                "dropped_samples": 0 if part is None else part.dropped,
+                "files": files,
+            }
+            temp(len(names)).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     except (FloatingPointError, ValueError, OSError, WorkerLost) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
-    files = {}
-    for (algo, seed), name, (rows, f_hat) in zip(runs, names, summaries):
-        files[f"{algo.name}/seed{seed}"] = name
-        if not args.quiet:
+    if not args.quiet:
+        for (algo, seed), (rows, f_hat) in zip(runs, summaries):
             sub = "" if f_hat is None else f" subopt={f_hat - f_star:.6g}"
             print(f"{algo.name} seed={seed}: {rows} rows{sub}")
-
-    manifest = {
-        "version": __version__,
-        "config_hash": config_hash(cfg),
-        "problem_hash": problem_hash(cfg),
-        "config": canonical_dict(cfg),
-        "L": lipschitz,
-        "G_f": gradient_bound(
-            problem.features, problem.labels, problem.kind, cfg.least_squares_radius
-        ),
-        "G_phi": problem.regularizer.subgradient_bound(problem.dim, cfg.least_squares_radius),
-        "F_star": f_star,
-        "F_star_source": f_star_source,
-        "F_star_oracle": f_star_oracle,
-        "dropped_samples": 0 if part is None else part.dropped,
-        "files": files,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
     return 0
 
 

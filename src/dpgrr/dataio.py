@@ -159,10 +159,12 @@ def synthesize_classification(
     # the generator's order, so the block holds the per-sample draws
     draws = rng.normal(size=(m * n, d + noisy))
     gs = draws[:, :d]
-    # one dot per row: a batched norm or matvec would sum in another order
-    norms = np.sqrt([g.dot(g) for g in gs])
+    # each row's own dot, all rows in one stacked 1 x d @ d x 1 matmul,
+    # which numpy hands row by row to that same dot: a batched norm,
+    # einsum or matvec would sum in another order
+    norms = np.sqrt((gs[:, None, :] @ gs[:, :, None])[:, 0, 0])
     features = gs / np.maximum(1.0, norms)[:, None]
-    margins = np.array([a @ hidden for a in features])
+    margins = (features[:, None, :] @ hidden[:, None])[:, 0, 0]
     if noisy:
         margins += (1.0 / separation) * draws[:, d]
     labels = np.where(margins >= 0.0, 1.0, -1.0)

@@ -603,6 +603,10 @@ def _batch_step(configs: list[RunConfig]):
     return np.array(steps).reshape(-1, 1, 1)
 
 
+# finite iterates whose agent average or recorded value overflows record
+# inf or nan, as the float64 arithmetic gives it, and warn of nothing; a
+# non-finite iterate is found and raised by the epoch functions
+@np.errstate(over="ignore", invalid="ignore")
 def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrace]:
     """``run`` for runs of one epoch body whose samples fit one gathered
     block."""

@@ -88,6 +88,13 @@ class MixingMatrix:
             out.append("symmetry: matrix is not symmetric")
         if w.min() < 0.0:
             out.append("nonnegativity: negative weight present")
+        return out + self._eta_issues()
+
+    def _eta_issues(self) -> list[str]:
+        """The ``eta bound`` lines of ``issues``, the only checks that
+        ``metropolis_weights`` needs."""
+        w = self.weights
+        out = []
         if np.diag(w).min() < self.eta:
             out.append("eta bound: a diagonal entry is below eta")
         off = w[~np.eye(self.size, dtype=bool)]
@@ -124,7 +131,7 @@ def metropolis_weights(edges, m: int, eta: float) -> MixingMatrix:
     # each row's sum is its off-diagonal weights' alone, as the diagonal is 0
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     matrix = MixingMatrix(w, eta)
-    bad = [issue for issue in matrix.issues() if issue.startswith("eta bound")]
+    bad = matrix._eta_issues()
     if bad:
         raise EtaViolation("; ".join(bad))
     return matrix

@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against.
 
 None of them uses ``dpgrr.engine``: the scalar loss and gradient of one
-sample, the unsigned gradient of the packed smooth part, the one-agent
+sample, the unsigned gradient of the packed smooth part, the per-row
+loops of the sample norms and of the synthetic problem, the one-agent
 reshuffled proximal gradient baseline, the one-run index draw, the
 exhaustive or Monte Carlo prefix-average statistics, the proximal
 objective gap, the sparse-text writer that ``parse_libsvm`` reads
@@ -73,6 +74,30 @@ def packed_smooth_grad(
     coef = loss_derivative(kind, flat @ x, labels.reshape(-1))
     return flat.T @ (coef / features.shape[0])
 
+
+def sample_norms(features: np.ndarray) -> np.ndarray:
+    """Each sample's ``sqrt(v.dot(v))`` over its nonzeros ``v``, one row at a time."""
+    rows = features.reshape(-1, features.shape[-1])
+    return np.sqrt([v.dot(v) for v in (a[a != 0.0] for a in rows)])
+
+
+def synthesized_classification(
+    m: int, n: int, d: int, separation: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``dataio.synthesize_classification`` with one ``dot`` per row for
+    each norm and each margin."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=d)
+    noisy = separation != np.inf
+    draws = rng.normal(size=(m * n, d + noisy))
+    gs = draws[:, :d]
+    norms = np.sqrt([g.dot(g) for g in gs])
+    features = gs / np.maximum(1.0, norms)[:, None]
+    margins = np.array([a @ hidden for a in features])
+    if noisy:
+        margins += (1.0 / separation) * draws[:, d]
+    labels = np.where(margins >= 0.0, 1.0, -1.0)
+    return features.reshape(m, n, d), labels.reshape(m, n)
 
 def centralized_prox_rr(
     features: np.ndarray,

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
@@ -334,6 +335,42 @@ def test_an_output_that_cannot_be_written_is_one_failed_line(tmp_path, capsys, m
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+def test_a_manifest_that_cannot_be_written_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                          two_lanes, cpus):
+    # the disk fills partway through the manifest, after every CSV is written
+    monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+    cfg = two_lane_toy(tmp_path, RR, RR.replace("dpg-rr", "dpg-sg"))
+    write_text = Path.write_text
+
+    def full_disk(path, data, *args, **kwargs):
+        if path.name != "manifest.json.tmp":
+            return write_text(path, data, *args, **kwargs)
+        write_text(path, data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out), "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: [Errno 28] ") and err.count("\n") == 1, err
+    assert len(two_lanes) == cpus - 1
+    assert_no_child_left()
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_manifest_name_held_by_a_directory_is_one_failed_line(tmp_path, capsys):
+    # its rename fails after the CSV's, which is then removed too
+    cfg = tmp_path / "toy.yaml"
+    cfg.write_text(yaml.safe_dump(_shipped_raw("toy_least_squares")))
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--output", str(out), "-q"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1, err
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert not any((out / "manifest.json").iterdir())
+
 def test_mixed_algorithms_write_the_csvs_of_each_alone(tmp_path):
     algos = ["  - {name: dpg-rr, step: {rule: constant, gamma: 0.3}}",
              "  - {name: dgm, step: {rule: constant, gamma: 0.2}}",
@@ -446,6 +483,26 @@ def test_run_gives_each_algorithm_its_resolved_step(tmp_path, monkeypatch, T, sc
     assert [(c.algorithm, c.seed, c.step) for c in taken] == [
         ("dpg-rr", 3, step), ("dpg-rr", 4, step), ("dgm", 3, 0.2), ("dgm", 4, 0.2)]
 
+
+def test_a_step_that_underflows_to_zero_fails_validate_and_run(tmp_path, capsys,
+                                                               monkeypatch):
+    # the scale is finite, > 0 and under its bound, but 5e-324 / sqrt(4) is 0
+    raw = _shipped_raw("synthetic_consensus")
+    raw["algorithms"][0]["step"] = {"rule": "sqrt_horizon", "scale": 5e-324}
+    raw["T"] = 4
+    raw["fixtures"] = str(tmp_path / "empty.json")
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    failure = ("FAIL: step-size bound: dpg-rr takes step 0.0 at its last epoch, "
+               "not a finite step > 0\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == failure
+    solved = []
+    monkeypatch.setattr(dpgrr.cli, "solve_centralized", lambda *args, **kw: solved.append(1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--output", str(out), "-q"]) == 1
+    assert capsys.readouterr().err == failure
+    assert solved == [] and not out.exists()
 
 def test_labels_only_rows_are_a_config_error(tmp_path, capsys):
     cfg = write_toy(tmp_path, data="3\n")
@@ -1145,11 +1202,30 @@ def _shipped_raw(name: str) -> dict:
     return raw
 
 
+# subnormal and near-max floats
+EXTREMES = [5e-324, 1e-310, 1e308, sys.float_info.max]
+
+
 @st.composite
 def config_mutations(draw):
-    """A shipped config, a key at any depth, and a drop, rename or new value."""
+    """A shipped config, a key at any depth, and a drop, rename or new value;
+    or a numeric extreme for a step's scale or gamma, eta, lam or the
+    synthetic separation."""
     name = draw(st.sampled_from(sorted(SHIPPED_HASHES)))
-    where = draw(st.sampled_from(list(_key_paths(_shipped_raw(name)))))
+    raw = _shipped_raw(name)
+    if draw(st.integers(0, 3)) == 0:
+        value = draw(st.sampled_from(EXTREMES))
+        step = ("algorithms", draw(st.integers(0, len(raw["algorithms"]) - 1)), "step")
+        return name, *draw(st.sampled_from([
+            (step, {"rule": "sqrt_horizon", "scale": value}),
+            (step, {"rule": "constant", "gamma": value}),
+            (("graph", "eta"), value),
+            # a9a_subset's near-separable rows leave F* unreachable at a
+            # subnormal lam: its best-effort solve takes about 16 s
+            *[(("regularizer", "lam"), value)] * (name != "a9a_subset" or value > 1.0),
+            *[(("dataset", "synthetic", "separation"), value)] * ("synthetic" in raw["dataset"]),
+        ]))
+    where = draw(st.sampled_from(list(_key_paths(raw))))
     renamable = isinstance(where[-1], str)
     change = draw(st.sampled_from(["drop", *(["rename"] * renamable), *RETYPES]))
     return name, where, change
@@ -1160,6 +1236,12 @@ def config_mutations(draw):
 @given(mutation=config_mutations())
 @example(mutation=("synthetic_consensus", ("dataset", "synthetic", "separation"), 0))
 @example(mutation=("a9a_subset", ("regularizer", "lam"), math.inf))
+@example(mutation=("synthetic_consensus", ("algorithms", 0, "step"),
+                   {"rule": "sqrt_horizon", "scale": 5e-324}))
+@example(mutation=("sampler_comparison", ("algorithms", 1, "step"),
+                   {"rule": "constant", "gamma": 1e308}))
+@example(mutation=("a9a_subset", ("algorithms", 1, "step"),
+                   {"rule": "constant", "gamma": 5e-324}))
 def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, capsys, mutation):
     name, where, change = mutation
     raw = _shipped_raw(name)
@@ -1174,9 +1256,9 @@ def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, capsys, m
         node[where[-1]] = change
     # a short run of the mutated config; its data are the shipped ones, so
     # an unchanged problem finds its F* in the committed store, which `run`
-    # only reads
-    if type(raw.get("T")) is int and raw["T"] > 3:
-        raw["T"] = 3
+    # only reads; at T = 4 a step scale of 5e-324 gives the step 0
+    if type(raw.get("T")) is int and raw["T"] > 4:
+        raw["T"] = 4
     if "fixtures" not in raw:
         raw["fixtures"] = str(CONFIGS / "fixtures" / "oracle.json")
     path = tmp_path / "mutated.yaml"
@@ -1188,7 +1270,8 @@ def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, capsys, m
     else:
         # a loaded config's hash input and manifest entry are strict JSON
         json.dumps(canonical_dict(cfg), allow_nan=False)
-    assert main(["validate", "--config", str(path)]) in (0, 1)
+    validated = main(["validate", "--config", str(path)])
+    assert validated in (0, 1)
     capsys.readouterr()
     status = main(["run", "--config", str(path), "--output", str(tmp_path / "out"), "-q"])
     # a failure is one line, and only a failure has one
@@ -1197,6 +1280,9 @@ def test_a_mutated_shipped_config_loads_or_is_a_config_error(tmp_path, capsys, m
                 if line.startswith(("config error:", "run failed:", "FAIL:"))]
     assert status in (0, 1)
     assert len(failures) == (status == 1), err
+    # what validate passes fails only on an iterate or on I/O
+    assert not (validated == 0 and status) or re.match(
+        r"run failed: (non-finite iterate |\[Errno \d+\] )", failures[0]), err
 
 
 def test_bench_workload_configs_load(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from dpgrr.dataio import (
     partition,
     synthesize_classification,
 )
-from oracles import format_libsvm
+from oracles import format_libsvm, synthesized_classification
 
 
 def test_parse_basic_line():
@@ -130,6 +130,13 @@ def test_synthesized_arrays_are_pinned(shape):
     blob = features.tobytes() + labels.tobytes()
     assert hashlib.sha256(blob).hexdigest() == SYNTHESIZED_DIGESTS[shape]
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 20, 33, 123, 300])
+@pytest.mark.parametrize("separation", [0.5, np.inf])
+def test_synthesized_arrays_are_the_per_row_loops_bit_for_bit(d, separation):
+    got = synthesize_classification(3, 7, d, separation=separation, seed=d)
+    want = synthesized_classification(3, 7, d, separation, seed=d)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 def test_roundtrip_preserves_samples():
     rng = np.random.default_rng(0)

@@ -138,6 +138,19 @@ def test_eta_violation_error_type_exists():
     assert issubclass(EtaViolation, ValueError)
 
 
+def test_metropolis_weights_make_only_the_eta_checks(monkeypatch):
+    # the schedule's validation makes the other checks; at eta = 1/m a
+    # diagonal entry of this graph rounds below eta
+    def unchecked(matrix):
+        raise AssertionError("metropolis_weights ran every matrix check")
+
+    monkeypatch.setattr(MixingMatrix, "issues", unchecked)
+    assert ring_matrix(5).size == 5
+    edges = [(0, 2), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    with pytest.raises(EtaViolation, match=r"^eta bound: a diagonal entry is below eta$"):
+        metropolis_weights(edges, 5, 0.2)
+
+
 # -- schedule validation -----------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from conftest import packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.objectives import (
     DimensionMismatch,
+    _sample_norms,
     SmoothLossKind,
     full_objective,
     gradient_bound,
@@ -19,7 +20,7 @@ from dpgrr.objectives import (
     softplus,
 )
 from dpgrr.proxops import Regularizer
-from oracles import packed_smooth_grad, sample_value_grad
+from oracles import packed_smooth_grad, sample_norms, sample_value_grad
 from test_engine import MARGINS
 
 LOG = SmoothLossKind.LOGISTIC
@@ -298,6 +299,22 @@ def test_constants_equal_per_sample_forms_bit_for_bit(d, sparse):
         want = max(r * (r * radius + abs(rows[k][1])) for r, k in zip(norms, group))
         assert gradient_bound(features, labels, LS, radius) == want
 
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 20, 33, 123, 300])
+@pytest.mark.parametrize("rows", ["dense", "sparse", "zero-rows", "negative-zeros"])
+def test_sample_norms_are_the_per_row_loop_bit_for_bit(d, rows):
+    # the stacked matmul over rows grouped by their count of nonzeros sums
+    # each row's nonzeros as that row's own dot does
+    rng = np.random.default_rng(d)
+    features = rng.normal(scale=3.0, size=(3, 20, d))
+    if rows == "sparse":
+        # 30% zeros, each negative entry's a -0.0
+        features *= rng.random(features.shape) >= 0.3
+    elif rows == "zero-rows":
+        features[:, ::3] = 0.0
+    elif rows == "negative-zeros":
+        features[rng.random(features.shape) < 0.3] = -0.0
+    assert _sample_norms(features).tobytes() == sample_norms(features).tobytes()
 
 def test_softplus_is_within_two_ulp_of_logaddexp():
     rng = np.random.default_rng(21)
