@@ -99,6 +99,7 @@ def synthesized_classification(
     labels = np.where(margins >= 0.0, 1.0, -1.0)
     return features.reshape(m, n, d), labels.reshape(m, n)
 
+
 def centralized_prox_rr(
     features: np.ndarray,
     labels: np.ndarray,

@@ -138,6 +138,7 @@ def test_synthesized_arrays_are_the_per_row_loops_bit_for_bit(d, separation):
     want = synthesized_classification(3, 7, d, separation, seed=d)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
+
 def test_roundtrip_preserves_samples():
     rng = np.random.default_rng(0)
     features = np.zeros((25, 50))

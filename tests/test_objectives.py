@@ -9,8 +9,8 @@ from conftest import packed
 from dpgrr.dataio import synthesize_classification
 from dpgrr.objectives import (
     DimensionMismatch,
-    _sample_norms,
     SmoothLossKind,
+    _sample_norms,
     full_objective,
     gradient_bound,
     lipschitz_constant,
@@ -308,13 +308,14 @@ def test_sample_norms_are_the_per_row_loop_bit_for_bit(d, rows):
     rng = np.random.default_rng(d)
     features = rng.normal(scale=3.0, size=(3, 20, d))
     if rows == "sparse":
-        # 30% zeros, each negative entry's a -0.0
+        # 30% zeros, a -0.0 where the zeroed entry was negative
         features *= rng.random(features.shape) >= 0.3
     elif rows == "zero-rows":
         features[:, ::3] = 0.0
     elif rows == "negative-zeros":
         features[rng.random(features.shape) < 0.3] = -0.0
     assert _sample_norms(features).tobytes() == sample_norms(features).tobytes()
+
 
 def test_softplus_is_within_two_ulp_of_logaddexp():
     rng = np.random.default_rng(21)
