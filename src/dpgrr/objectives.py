@@ -185,9 +185,13 @@ def smooth_curvature(features: np.ndarray, kind: SmoothLossKind) -> float:
     for least squares, over the flat ``(m n, d)`` features ``A``: the
     Hessian is ``A^T D A / m`` with every diagonal weight in ``D`` at most
     1/4 (logistic) or exactly 1.  Never above ``n * lipschitz_constant``.
+    ``lambda_max`` is taken from the smaller Gram matrix, which has the
+    same top eigenvalue: ``A A^T`` when there are fewer samples than
+    features (40 x 40 rather than 123 x 123 on a9a_subset), else ``A^T A``.
     """
     flat = features.reshape(-1, features.shape[-1])
-    top = float(np.linalg.eigvalsh(flat.T @ flat)[-1])
+    gram = flat @ flat.T if flat.shape[0] < flat.shape[1] else flat.T @ flat
+    top = float(np.linalg.eigvalsh(gram)[-1])
     m = features.shape[0]
     if kind is SmoothLossKind.LOGISTIC:
         return top / (4.0 * m)

@@ -3,10 +3,11 @@
 The solver is full-batch accelerated proximal gradient (FISTA) with
 gradient-based adaptive restart, a fixed step and a gradient-mapping
 stopping rule, finished by Newton steps on the sign pattern it settles
-on: it evaluates gradients and, in a finish, Hessians, never the loss,
-and it is independent of the distributed engine so it can certify
-optimal values the engine is judged against.  It is not monotone in the
-objective; the certificate is the mapping norm at the returned point.
+on: FISTA evaluates gradients only, a finish also Hessians and the
+objective at each Newton point, and the solver is independent of the
+distributed engine so it can certify optimal values the engine is
+judged against.  It is not monotone in the objective; the certificate is
+the mapping norm at the returned point.
 Logistic gradients and Hessians are taken on rows signed once per solve,
 whose every term has the bits of the unsigned ``a (-y sigma(-y z) / m)``
 and ``a a^T sigma (1 - sigma) / m``, so iteration counts and F* bits are
@@ -42,7 +43,9 @@ class ReferenceSolution:
     """Certified (or best-effort) minimizer of the aggregate objective.
 
     ``x_star`` is the last point the solver kept, FISTA's extrapolated
-    point or a Newton point that lowered the mapping norm, and
+    point or a Newton point, projected onto its face for L1, that lowered
+    the mapping norm and kept the objective at most its value where the
+    finish started, and
     ``mapping_norm`` is the norm of the proximal-gradient mapping measured
     there, taken at ``step``, the fixed step the solver took.  A Newton
     point that was not kept is never returned.  ``iterations`` counts
@@ -64,8 +67,6 @@ class ReferenceSolution:
 # Newton finish tries it; a pattern a finish failed on must hold twice as
 # long as it had before it is tried again
 _NEWTON_HOLD = 3
-# Newton steps one finish may take
-_NEWTON_STEPS = 8
 
 
 def solve_centralized(
@@ -99,17 +100,24 @@ def solve_centralized(
 
     Once the sign pattern of ``forward`` has held for ``_NEWTON_HOLD``
     iterations, a Newton finish takes it for the solution's (Lee, Sun &
-    Saunders, SIAM J. Optim. 2014).  From ``y`` it takes up to
-    ``_NEWTON_STEPS`` Newton steps on the smooth function the objective
-    is on that face: over the pattern's nonzero coordinates (all of them
-    for the ZERO penalty), the others held at 0, with the Hessian
-    ``A^T D A / m`` of the smooth part on them (plus ``lam I`` for
-    squared L2), solved by ``np.linalg.solve``.  A step is kept while it
-    keeps the pattern and lowers the mapping norm, measured at its point,
-    and the solve returns as soon as that norm is at most ``tol``.
-    Otherwise, or when the Hessian is singular, FISTA resumes from ``y``,
-    and the pattern that failed must hold twice as long as it had before
-    it is tried again.  Every Newton step counts as an iteration.
+    Saunders, SIAM J. Optim. 2014).  From ``y`` it takes Newton steps on
+    the smooth function the objective is on that face: over the pattern's
+    nonzero coordinates (all of them for the ZERO penalty), the others
+    held at 0, with the Hessian ``A^T D A / m`` of the smooth part on them
+    (plus ``lam I`` for squared L2), solved by ``np.linalg.solve``.  An L1
+    face with more coordinates than there are samples has a singular
+    Hessian; its step is the least-norm solution, taken through the
+    smaller Gram matrix ``A A^T`` of the face's columns.  On an L1 face a
+    step that moves a coordinate across zero sets it to 0 (the orthant
+    projection of Andrew & Gao, ICML 2007), and the next step takes the
+    face of ``forward``'s signs at the point kept; for ZERO and squared L2
+    a step that changes the pattern ends the finish.  A step is kept while
+    it lowers the mapping norm, measured at its point, and keeps the
+    objective at most its value at ``y``, and the solve returns as soon as
+    that norm is at most ``tol``.  Otherwise, or when the system is
+    singular, FISTA resumes from ``y``, and the pattern that failed must
+    hold twice as long as it had before it is tried again.  Every Newton
+    step counts as an iteration.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
@@ -118,6 +126,7 @@ def solve_centralized(
     m = features.shape[0]
     flat = features.reshape(-1, features.shape[-1])
     logistic = kind is SmoothLossKind.LOGISTIC
+    l1 = reg.kind is RegKind.L1
     if logistic:
         # rows signed once: with labels +-1 each term of (-y a) @ x, of
         # (-y a)^T @ (sigma / m) and of the Hessian (-y a)^T @ ((-y a) w)
@@ -145,24 +154,34 @@ def solve_centralized(
 
     def newton_step(point, sigma, grad, signs):
         # Newton's step from point for the objective on the face of signs
-        # (every coordinate for ZERO), or None if its Hessian is singular
+        # (every coordinate for ZERO), or None if its system is singular
         if reg.kind is RegKind.ZERO:
             face = np.arange(point.size)
         else:
             face = np.flatnonzero(signs)
         block = rows[:, face]
-        if logistic:
-            hessian = block.T @ (block * (sigma * (1.0 - sigma) / m)[:, None])
-        else:
-            hessian = block.T @ (block / m)
+        weights = sigma * (1.0 - sigma) / m if logistic else 1.0 / m
         slope = grad[face]
-        if reg.kind is RegKind.L1:
+        if l1:
             slope = slope + reg.lam * signs[face]
-        elif reg.kind is RegKind.SQUARED_L2:
-            hessian[np.diag_indices_from(hessian)] += reg.lam
-            slope = slope + reg.lam * point[face]
         try:
-            delta = np.linalg.solve(hessian, slope)
+            if l1 and face.size > len(rows):
+                # an L1 face wider than the samples: the Hessian B^T W B has
+                # rank at most the sample count, and its least-norm solution
+                # B^T G^-1 W^-1 G^-1 B slope goes through the smaller Gram
+                # matrix G = B B^T
+                gram = block @ block.T
+                inner = np.linalg.solve(gram, block @ slope) / weights
+                delta = block.T @ np.linalg.solve(gram, inner)
+            else:
+                if logistic:
+                    hessian = block.T @ (block * weights[:, None])
+                else:
+                    hessian = block.T @ (block / m)
+                if reg.kind is RegKind.SQUARED_L2:
+                    hessian[np.diag_indices_from(hessian)] += reg.lam
+                    slope = slope + reg.lam * point[face]
+                delta = np.linalg.solve(hessian, slope)
         except np.linalg.LinAlgError:
             return None
         newton = np.zeros_like(point)
@@ -177,22 +196,37 @@ def solve_centralized(
     signs, x_star = np.sign(forward), y
     while x_star_norm > tol and iterations < max_iters:
         if held >= _NEWTON_HOLD and (held >= retry or not (signs == failed).all()):
-            # a Newton finish from y; a near-singular Hessian may give a
-            # step that overflows, whose NaN or inf mapping norm is not kept
-            point_sigma, point_grad = sigma, grad
+            # a Newton finish from y; a near-singular system may give a
+            # step that overflows, whose NaN or inf mapping norm is not
+            # kept, or one so long that the gradient underflows and the
+            # penalty's shift rounds away, whose mapping norm measures 0
+            # but whose objective is above y's; the test is against y, not
+            # the last point kept, whose objective a last step may exceed
+            # by a rounding
+            point_sigma, point_grad, face_signs = sigma, grad, signs
+            value = full_objective(features, labels, reg, kind, x_star)
             with np.errstate(all="ignore"):
-                for _ in range(_NEWTON_STEPS):
-                    if iterations >= max_iters:
-                        break
-                    newton = newton_step(x_star, point_sigma, point_grad, signs)
+                while iterations < max_iters:
+                    newton = newton_step(x_star, point_sigma, point_grad, face_signs)
                     if newton is None:
                         break
                     iterations += 1
-                    newton_sigma, newton_grad, _, _, newton_norm = measure(newton)
-                    if not (newton_norm < x_star_norm and (np.sign(newton) == signs).all()):
+                    moved = np.sign(newton) != face_signs
+                    if l1:
+                        # the orthant projection: a face coordinate that
+                        # crossed zero is set to 0
+                        newton[moved] = 0.0
+                    elif moved.any():
+                        break
+                    newton_sigma, newton_grad, newton_forward, _, newton_norm = measure(newton)
+                    if not newton_norm < x_star_norm:
+                        break
+                    if not full_objective(features, labels, reg, kind, newton) <= value:
                         break
                     x_star, x_star_norm = newton, newton_norm
                     point_sigma, point_grad = newton_sigma, newton_grad
+                    if l1:
+                        face_signs = np.sign(newton_forward)
                     if x_star_norm <= tol:
                         break
             if x_star_norm <= tol or iterations >= max_iters:

@@ -221,6 +221,20 @@ def test_least_squares_curvature_is_the_top_hessian_eigenvalue(seed):
     assert smooth_curvature(features, LS) == pytest.approx(top, rel=1e-10, abs=1e-14)
 
 
+@pytest.mark.parametrize(("m", "n", "d"), [(2, 3, 20), (4, 5, 3)], ids=["wide", "tall"])
+def test_curvature_takes_the_top_eigenvalue_of_the_smaller_gram_matrix(monkeypatch, m, n, d):
+    # A A^T and A^T A share their nonzero eigenvalues
+    features = np.random.default_rng(d).normal(size=(m, n, d))
+    flat = features.reshape(-1, d)
+    top = np.linalg.eigvalsh(flat.T @ flat)[-1]
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: orders.append(len(a)) or eigvalsh(a))
+    assert smooth_curvature(features, LS) == pytest.approx(top / m, rel=1e-13)
+    assert smooth_curvature(features, LOG) == pytest.approx(top / (4.0 * m), rel=1e-13)
+    assert orders == [min(m * n, d)] * 2
+
+
 @pytest.mark.parametrize("kind", [LOG, LS])
 @pytest.mark.parametrize("seed", range(6))
 def test_curvature_is_at_most_n_times_the_per_sample_constant(kind, seed):

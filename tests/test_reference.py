@@ -101,18 +101,28 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
         a = features[:, face]
         if kind is LOG:
             p = sigmoid(-(labels * (features @ x)))
-            hessian = a.T @ (a * (p * (1.0 - p) / m)[:, None])
+            weights = p * (1.0 - p) / m
         else:
-            hessian = a.T @ (a / m)
+            weights = 1.0 / m
         slope = grad[face]
         if reg.kind is RegKind.L1:
             slope = slope + reg.lam * signs[face]
-        elif reg.kind is RegKind.SQUARED_L2:
-            for i in range(face.size):
-                hessian[i, i] += reg.lam
-            slope = slope + reg.lam * x[face]
+        if reg.kind is RegKind.L1 and face.size > len(features):
+            # the least-norm solution a^T G^-1 W^-1 G^-1 a slope, G = a a^T
+            gram = a @ a.T
+            delta = a.T @ np.linalg.solve(gram, np.linalg.solve(gram, a @ slope) / weights)
+        else:
+            if kind is LOG:
+                hessian = a.T @ (a * weights[:, None])
+            else:
+                hessian = a.T @ (a / m)
+            if reg.kind is RegKind.SQUARED_L2:
+                for i in range(face.size):
+                    hessian[i, i] += reg.lam
+                slope = slope + reg.lam * x[face]
+            delta = np.linalg.solve(hessian, slope)
         newton = np.zeros(dim)
-        newton[face] = x[face] - np.linalg.solve(hessian, slope)
+        newton[face] = x[face] - delta
         return newton
 
     # accelerated proximal gradient with gradient restart, spelled out,
@@ -135,20 +145,33 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
         if held >= 3 and (
             held >= retry or failed is None or not np.array_equal(signs, failed)
         ):
-            point_grad = grad
+            # the finish takes Newton steps while each lowers the mapping
+            # norm and keeps the objective at most its value at y; on an L1
+            # face a coordinate that crosses zero is set to 0, and the next
+            # step takes the face of forward's signs at the point kept
+            point_grad, face_signs = grad, signs
+            value = value_grad(best)[0] + reg.value(best)
             with np.errstate(all="ignore"):
-                for _ in range(8):
-                    if iterations == max_iters:
-                        break
+                while iterations < max_iters:
                     try:
-                        newton = newton_step(best, point_grad, signs)
+                        newton = newton_step(best, point_grad, face_signs)
                     except np.linalg.LinAlgError:
                         break
                     iterations += 1
-                    newton_grad, _, newton_norm = mapping(newton)
-                    if not newton_norm < best_norm or not np.array_equal(np.sign(newton), signs):
+                    crossed = np.sign(newton) != face_signs
+                    if reg.kind is RegKind.L1:
+                        newton = np.where(crossed, 0.0, newton)
+                    elif crossed.any():
                         break
-                    best, best_norm, point_grad = newton, newton_norm, newton_grad
+                    newton_grad, newton_forward, newton_norm = mapping(newton)
+                    if not newton_norm < best_norm:
+                        break
+                    if not value_grad(newton)[0] + reg.value(newton) <= value:
+                        break
+                    best, best_norm = newton, newton_norm
+                    point_grad = newton_grad
+                    if reg.kind is RegKind.L1:
+                        face_signs = np.sign(newton_forward)
                     if best_norm <= tol:
                         break
             if best_norm <= tol or iterations == max_iters:
@@ -183,9 +206,13 @@ def test_solver_matches_value_and_gradient_loop_bit_for_bit(kind, reg):
     unseen[..., 2] = 0.0  # a feature no sample has: its gradient sums are zeros
     signed_zero = features.copy()
     signed_zero[0, :, 1] = -0.0
-    for data in (features, unseen, signed_zero):
+    # one agent's 4 samples over the 6 features: an L1 face may be wider
+    # than the samples
+    problems = [(data, labels) for data in (features, unseen, signed_zero)]
+    problems.append((features[:1], labels[:1]))
+    for data, data_labels in problems:
         for tol, max_iters in ((1e-9, 12_000), (1e-14, 300)):
-            _assert_solves_as_the_loop(data, labels, reg, kind, tol, max_iters)
+            _assert_solves_as_the_loop(data, data_labels, reg, kind, tol, max_iters)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -343,8 +370,9 @@ def test_no_convergence_returns_flagged_best_effort(canonical_problem, monkeypat
 
 
 @pytest.mark.parametrize(
-    # iterations of the FISTA solve alone: 816 and 301
-    ("name", "most"), [("a9a_subset", 300), ("sampler_comparison", 30)],
+    # iterations of the FISTA solve alone: 816 and 301; with a Newton finish
+    # that ended at a sign crossing, 155 and 11
+    ("name", "most"), [("a9a_subset", 100), ("sampler_comparison", 30)],
 )
 def test_newton_finish_certifies_shipped_problems_in_few_iterations(configs_dir, name, most):
     from dpgrr.cli import ORACLE_TOL
@@ -355,6 +383,68 @@ def test_newton_finish_certifies_shipped_problems_in_few_iterations(configs_dir,
         problem.features, problem.labels, problem.regularizer, problem.kind, tol=ORACLE_TOL
     )
     assert sol.converged and sol.iterations <= most
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324])
+def test_a9a_subset_without_a_penalty_is_certified(configs_dir, lam):
+    # 40 samples over 120 seen features: every L1 face of forward's signs is
+    # wider than the samples, and with no penalty the rows are separable, so
+    # F* is 0, approached as the margins grow; the best-effort FISTA solve
+    # spent its whole budget of 500000 iterations here
+    from dpgrr.cli import ORACLE_TOL
+    from dpgrr.config import build_problem, load_config
+
+    problem, _ = build_problem(load_config(configs_dir / "a9a_subset.yaml"))
+    sol = solve_centralized(
+        problem.features, problem.labels, Regularizer.l1(lam), problem.kind, tol=ORACLE_TOL
+    )
+    assert sol.converged and sol.iterations <= 100
+    assert 0.0 < sol.f_star < 1e-9
+
+
+def test_a_newton_step_across_zero_is_projected_onto_the_face():
+    # least squares under 2 |x|_1, solved by x* = (0, -1.2, 0) with F* = 2.9:
+    # after 3 FISTA iterations forward's pattern (0, -, +) has held, and
+    # Newton's step on that face takes the third coordinate across zero; the
+    # finish sets it to 0 and keeps the point, and one more step, on the
+    # face (0, -, 0) of forward there, is exact
+    data = packed([([0.0, 0.0, 3.0], 0.0), ([-2.0, 2.0, 1.0], -3.0), ([-3.0, -1.0, 3.0], 2.0)])
+    reg = Regularizer.l1(2.0)
+    fista = solve_centralized(*data, reg, LS, tol=1e-12, max_iters=3)
+    y = fista.x_star
+    grad = packed_smooth_grad(*data, LS, y)
+    assert np.sign(prox(reg, fista.step, y - fista.step * grad)).tolist() == [0.0, -1.0, 1.0]
+    a = data[0][0][:, 1:]
+    newton = y[1:] - np.linalg.solve(a.T @ a, grad[1:] + 2.0 * np.array([-1.0, 1.0]))
+    assert newton[0] < 0.0 and newton[1] < 0.0 < y[2]
+
+    projected = solve_centralized(*data, reg, LS, tol=1e-12, max_iters=4)
+    assert projected.x_star[0] == 0.0 and projected.x_star[2] == 0.0
+    assert projected.x_star[1] == pytest.approx(newton[0], rel=1e-12)
+    assert projected.mapping_norm < fista.mapping_norm
+    sol = solve_centralized(*data, reg, LS, tol=1e-12)
+    assert sol.converged and sol.iterations == 5
+    assert sol.x_star.tolist() == pytest.approx([0.0, -1.2, 0.0], abs=1e-15)
+    assert sol.f_star == pytest.approx(2.9, rel=1e-15)
+
+
+def test_a_newton_point_above_the_objective_at_y_is_not_kept(monkeypatch):
+    # logistic under 0.01 |x|_1, solved by x* = (0, 0, -4.595): the second
+    # and third samples have opposite rows and one label, and the first
+    # Newton step, on the face (-, +, -), goes out so far along x1 = -x2
+    # that the first sample's sigmoid underflows, the other two cancel, and
+    # the penalty's shift rounds away; the mapping norm there measures 0,
+    # but the objective is about 2.4e12
+    import dpgrr.reference as reference
+
+    data = packed([([0.0, 1.0, -1.0], 1.0), ([1.0, 1.0, 0.0], -1.0), ([-1.0, -1.0, 0.0], -1.0)])
+    reg = Regularizer.l1(0.01)
+    sol = solve_centralized(*data, reg, LOG, tol=1e-10)
+    monkeypatch.setattr(reference, "_NEWTON_HOLD", math.inf)
+    fista = solve_centralized(*data, reg, LOG, tol=1e-10)
+    assert sol.converged and fista.converged
+    assert sol.f_star == pytest.approx(fista.f_star, rel=1e-12)
+    assert sol.x_star == pytest.approx(fista.x_star, abs=1e-7)
 
 
 def test_a_singular_hessian_leaves_the_solve_to_fista(monkeypatch):
@@ -377,7 +467,7 @@ def test_a_singular_hessian_leaves_the_solve_to_fista(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refusing)
     sol = solve_centralized(*data, Regularizer.zero(), LS, tol=1e-12)
     assert refused
-    monkeypatch.setattr(reference, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(reference, "_NEWTON_HOLD", math.inf)
     fista = solve_centralized(*data, Regularizer.zero(), LS, tol=1e-12)
     assert sol.converged and sol.mapping_norm <= 1e-12
     assert sol.x_star.tobytes() == fista.x_star.tobytes()
