@@ -44,9 +44,13 @@ more are buffered; the earlier runs only keep stepping.
 A logistic step reads only the sample's signed row ``y * a``, which the
 problem keeps once: labels are exactly +-1, so ``y <a, x> = <y a, x>`` and
 ``-y sigma(-y z) a = -sigma(-u) (y a)`` hold bit for bit, and no label is
-gathered or multiplied per step.  ``sigma(-u)`` is ``objectives.sigmoid``,
-the package's one vectorized sigmoid, for the inner step and dgm alike.
-Least squares steps on rows and labels.
+gathered or multiplied per step.  The inner step forms ``gamma sigma(-u)``
+as ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
+calls: within 3 ulp of ``gamma * objectives.sigmoid(-u)`` wherever
+``exp(u)`` is finite, and exactly 0 past its overflow (u > 709.78),
+where the two-branch form gives a subnormal.  dgm's gradient, which
+moves its state's bits through the sign of exact zeros, keeps
+``objectives.sigmoid``.  Least squares steps on rows and labels.
 
 Each epoch tests its phase-1 output and its next state for finiteness,
 one whole-array test each.  That covers the mixed state too: mixing a
@@ -125,10 +129,12 @@ MAX_BATCH_BYTES = 1 << 20
 
 # Run-epochs (runs times horizon) each lane must carry before ``run``
 # forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
-# host a run-epoch that records its row took at least 52 us, so a lane
-# at this bound runs for at least about 100 ms; its fork costs the caller
-# about 0.5 ms and unpickling its traces, when no callback takes them in
-# the lane, about 0.1 us a row, together under 1% of the lane.
+# host a run-epoch that records its row took at least 31 us, so a lane
+# at this bound runs for at least about 62 ms; its fork costs the caller
+# 0.3-0.8 ms and unpickling its traces, when no callback takes them in
+# the lane, under 0.05 us a row, together about 1% of the lane.  Each of
+# ``a9a_dgm``'s two runs is exactly this bound, so a higher one would
+# leave its dgm run to the caller's lane.
 _LANE_WORK = 2000
 
 # Bound on the buffered states and averages of recorded epochs that the
@@ -300,8 +306,13 @@ def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """
     u = np.einsum("...d,...d->...", a, x)
     if y is None:
-        # gamma * (c * a), not (gamma * c) * a: the grouping keeps the bits
-        x += gamma * (objectives.sigmoid(-u)[..., None] * a)
+        # gamma * sigma(-u) = gamma / (1 + exp(u)), formed in u's buffer;
+        # past exp's overflow the coefficient is exactly 0
+        c = u[..., None]
+        np.exp(c, out=c)
+        c += 1.0
+        np.divide(gamma, c, out=c)
+        x += c * a
     else:
         x -= gamma * (objectives.loss_derivative(kind, u, y)[..., None] * a)
 

@@ -8,8 +8,10 @@ Note the 1/m scaling: the inner sums over an agent's samples are *not*
 averaged.  Everything downstream (engine, reference solver, metrics)
 relies on this exact scaling, so it lives in one place here.
 
-``sigmoid`` is the one vectorized sigmoid: ``loss_derivative``, the
-engine's logistic inner step and its dgm gradient all call it.
+``sigmoid`` is the exact two-branch sigmoid: ``loss_derivative``, the
+engine's dgm gradient and the reference solver all call it.  The
+engine's logistic inner step alone forms ``gamma / (1 + exp(u))`` in
+its margin's buffer, within 3 ulp of it (see ``engine``).
 ``softplus`` is the one vectorized softplus: the logistic value of
 ``full_objective``, and so every recorded F and the reference F*, takes
 it.
@@ -51,7 +53,10 @@ class SmoothLossKind(enum.Enum):
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-v))`` elementwise, the package's one vectorized sigmoid.
+    """``1 / (1 + exp(-v))`` elementwise, in the exact two-branch form.
+
+    ``loss_derivative``, dgm's gradient and the reference solver take it;
+    the engine's inner step takes the cheaper one-branch form instead.
 
     The two branches of the scalar sigmoid in one pass: with ``e = exp(-|v|)``,
     which never overflows, the numerator is 1 for ``v >= 0`` and ``e``

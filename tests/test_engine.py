@@ -254,23 +254,70 @@ def test_sigmoid_has_the_bits_of_the_two_branch_form():
 
 
 @pytest.mark.parametrize("gamma", [0.5, np.array([0.5, 3.0]).reshape(2, 1, 1)])
-def test_fused_logistic_step_matches_the_loss_derivative_form(gamma):
-    # the step on signed rows y * a against the label form
-    # x -= gamma * (loss_derivative(z, y) * a), with z = <a, x>
+def test_fused_logistic_step_is_gamma_over_one_plus_exp_of_the_margin(gamma):
+    # the step on signed rows y * a against the label form spelled out:
+    # x + gamma / (1 + exp(u)) * (y a), with u = y <a, x>
     rng = np.random.default_rng(0)
     margins = np.array(MARGINS).reshape(2, 5, 1)
     cases = [(margins, np.ones_like(margins))]  # <a, x> is the margin itself
     for scale in (1.0, 1e3):
         cases.append((rng.normal(size=(2, 5, 7)) * scale, rng.normal(size=(2, 5, 7))))
-    for x, a in cases:
-        for y in (np.ones(x.shape[:2]), -np.ones(x.shape[:2]),
-                  rng.choice([-1.0, 1.0], size=x.shape[:2])):
-            want = x.copy()
-            z = np.einsum("...d,...d->...", a, want)
-            want -= gamma * (objectives.loss_derivative(LOG, z, y)[..., None] * a)
-            got = x.copy()
-            engine._inner_step(LOG, gamma, got, y[..., None] * a, None)
-            assert np.array_equal(_bits(got), _bits(want))
+    with np.errstate(over="ignore"):  # exp(u) overflows to inf past 709.78
+        for x, a in cases:
+            for y in (np.ones(x.shape[:2]), -np.ones(x.shape[:2]),
+                      rng.choice([-1.0, 1.0], size=x.shape[:2])):
+                u = y * np.einsum("...d,...d->...", a, x)
+                want = x + gamma / (1.0 + np.exp(u))[..., None] * (y[..., None] * a)
+                got = x.copy()
+                engine._inner_step(LOG, gamma, got, y[..., None] * a, None)
+                assert np.array_equal(_bits(got), _bits(want))
+
+        # the coefficient gamma sigma(-u) read off a zero coordinate whose
+        # row entry is 1: x = (u, 0) and a = (1, 1) step the 0 to it
+        past = [709.79, 745.0, 1e308, math.inf]
+        u = np.concatenate([MARGINS, past, rng.normal(size=20000) * 40.0,
+                            rng.uniform(-745.0, 709.78, size=20000)])
+        x = np.stack([u.reshape(2, -1), np.zeros((2, len(u) // 2))], axis=-1)
+        got = x.copy()
+        engine._inner_step(LOG, gamma, got, np.ones_like(x), None)
+        coef, u = got[..., 1], x[..., 0]
+        gammas = np.broadcast_to(gamma, x.shape)[..., 0]
+        want = gammas * objectives.sigmoid(-u)
+        finite = np.isfinite(np.exp(u))
+    # within 4 units in the last place of the two-branch form
+    ulps = np.abs(coef - want) / np.spacing(np.abs(want))
+    assert ulps[finite].max() <= 4.0
+    # exactly 0 past exp's overflow, where the two-branch form is subnormal
+    assert np.isin(past, u[~finite]).all() and (u[~finite] > 709.78).all()
+    assert (coef[~finite] == 0.0).all()
+    for edge in (-745.0, -1e308):
+        assert np.array_equal(coef[u == edge], gammas[u == edge])
+
+
+def test_a_margin_past_exp_overflow_leaves_the_state_finite():
+    # agent 0's first sample has margin 1000 x >= 1000 as x only grows:
+    # exp(u) overflows every epoch inside the engine, and that sample's
+    # step is exactly 0 while the other moves x by a finite step
+    problem = ProblemBundle(
+        *packed([([1000.0], 1.0), ([0.5], 1.0)], [([0.2], -1.0), ([0.5], 1.0)]),
+        kind=LOG,
+        regularizer=Regularizer.zero(),
+        schedule=GraphSchedule((metropolis_weights(set(), 2, 0.5),), 1),
+    )
+    cfgs = [RunConfig(alg, 6, 0.5, seed=3, x0=1.0) for alg in ("dpg-rr", "dpg-sg", "dpg-ig")]
+    for trace in run(cfgs, problem):
+        assert np.isfinite(trace.x_final).all() and trace.x_final[0, 0] >= 1.0
+        assert np.isfinite(trace.f_bar).all()
+    # the overflowing sample alone leaves its agent's state where it was
+    alone = ProblemBundle(*packed([([1000.0], 1.0)]), kind=LOG,
+                          regularizer=Regularizer.zero(),
+                          schedule=GraphSchedule((metropolis_weights(set(), 1, 1.0),), 1))
+    trace = run([RunConfig("dpg-rr", 3, 0.5, x0=1.0)], alone)[0]
+    assert trace.x_final.tolist() == [[1.0]]
+    # and so does one epoch called outside ``run``'s own errstate
+    x_next, _ = run_epoch_dpgrr(np.ones((1, 1, 1)), alone, 0.5, [],
+                                np.zeros((1, 1, 1), dtype=np.int64), 0)
+    assert x_next.tolist() == [[[1.0]]]
 
 
 @pytest.mark.parametrize("reg", [Regularizer.zero(), Regularizer.l1(0.1),
