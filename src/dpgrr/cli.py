@@ -7,9 +7,10 @@ Subcommands
               takes
     validate  check the mixing matrices, connectivity windows, and step
               bounds; exit 0 only if everything passes
-    oracle    solve the centralized problem to high accuracy and record
-              the certified optimal value in the fixtures store;
-              ``--refresh`` re-solves and replaces a stored value
+    oracle    solve the centralized problem at ``ORACLE_TOL``, the
+              tolerance ``run`` demands, and record the certified optimal
+              value in the fixtures store; ``--refresh`` re-solves and
+              replaces a stored value
 """
 
 from __future__ import annotations
@@ -320,34 +321,24 @@ def cmd_oracle(args) -> int:
     fixtures_path = cfg.fixtures_path()
     data = (problem.features, problem.labels)
     # a refresh reads no entry, so it also repairs a malformed one
-    if not args.refresh and usable_fixture(fixtures_path, key, *data, args.tol):
-        print(f"fixture {key[:16]} already solved at tol {args.tol:g}")
+    if not args.refresh and usable_fixture(fixtures_path, key, *data, ORACLE_TOL):
+        print(f"fixture {key[:16]} already solved at tol {ORACLE_TOL:g}")
         return 0
-    solution = solve_centralized(*data, problem.regularizer, problem.kind, tol=args.tol)
+    solution = solve_centralized(*data, problem.regularizer, problem.kind, tol=ORACLE_TOL)
     print(
         f"F* = {solution.f_star!r} (mapping norm {solution.mapping_norm:.3g}, "
         f"{solution.iterations} iterations)"
     )
     if not solution.converged:
         print(
-            f"warning: tolerance {args.tol:g} not reached; best-effort value "
+            f"warning: tolerance {ORACLE_TOL:g} not reached; best-effort value "
             "NOT stored",
             file=sys.stderr,
         )
         return 1
-    store_fixture(fixtures_path, key, solution, args.tol, *data)
+    store_fixture(fixtures_path, key, solution, ORACLE_TOL, *data)
     print(f"stored fixture {key[:16]} in {fixtures_path}")
     return 0
-
-
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, not {text!r}")
-    return tol
 
 
 def main(argv=None) -> int:
@@ -371,7 +362,6 @@ def main(argv=None) -> int:
 
     p_orc = sub.add_parser("oracle", help="precompute the certified optimal value")
     p_orc.add_argument("--config", required=True)
-    p_orc.add_argument("--tol", type=_tolerance, default=ORACLE_TOL)
     p_orc.add_argument("--refresh", action="store_true",
                        help="re-solve and overwrite a stored fixture (only if converged)")
     p_orc.set_defaults(func=cmd_oracle)

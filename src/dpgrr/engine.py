@@ -41,16 +41,15 @@ Once a run behind the first has failed, ``run`` will raise that failure
 and discard the batch's traces, so the pending rows are dropped and no
 more are buffered; the earlier runs only keep stepping.
 
-A logistic step reads only the sample's signed row ``y * a``, which the
-problem keeps once: labels are exactly +-1, so ``y <a, x> = <y a, x>`` and
-``-y sigma(-y z) a = -sigma(-u) (y a)`` hold bit for bit, and no label is
-gathered or multiplied per step.  The inner step forms ``gamma sigma(-u)``
+Every step reads the problem's ``objectives.margin_rows``, kept once: a
+logistic sample is its signed row ``y a`` alone, so no label is gathered
+or multiplied per step.  The logistic inner step forms ``gamma sigma(-u)``
 as ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
-calls: within 3 ulp of ``gamma * objectives.sigmoid(-u)`` wherever
+calls: within 3 ulp of ``-gamma * objectives.margin_slope`` wherever
 ``exp(u)`` is finite, and exactly 0 past its overflow (u > 709.78),
 where the two-branch form gives a subnormal.  dgm's gradient, which
-moves its state's bits through the sign of exact zeros, keeps
-``objectives.sigmoid``.  Least squares steps on rows and labels.
+moves its state's bits through the sign of exact zeros, and the least
+squares step take ``objectives.margin_slope`` itself.
 
 Each epoch tests its phase-1 output and its next state for finiteness,
 one whole-array test each.  That covers the mixed state too: mixing a
@@ -182,11 +181,10 @@ class ProblemBundle:
     ``features`` ``(m, n, d)`` and ``labels`` ``(m, n)`` hold agent j's i-th
     sample at ``[j, i]``.  The bundle keeps checked read-only copies of
     them, never freezing the caller's arrays.  Logistic labels must be
-    exactly -1 or +1; for logistic problems ``signed`` is the read-only
-    ``labels[..., None] * features``, the rows the engine steps on (None
-    for least squares).  Its schedule's matrices, and
-    so all their products, are nonnegative with unit row sums.  Compares
-    by identity.
+    exactly -1 or +1.  ``rows`` and ``targets`` are the read-only
+    ``objectives.margin_rows`` of them, the rows the engine steps on.
+    Its schedule's matrices, and so all their products, are nonnegative
+    with unit row sums.  Compares by identity.
     """
 
     features: np.ndarray
@@ -194,7 +192,8 @@ class ProblemBundle:
     kind: SmoothLossKind
     regularizer: Regularizer
     schedule: GraphSchedule
-    signed: np.ndarray | None = field(init=False, default=None, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    targets: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=float)
@@ -210,16 +209,16 @@ class ProblemBundle:
             raise EmptyData("no features: every sample has d = 0")
         if not (np.isfinite(features).all() and np.isfinite(labels).all()):
             raise ValueError("problem data contains non-finite values")
-        if self.kind is SmoothLossKind.LOGISTIC:
-            if not (np.abs(labels) == 1.0).all():
-                raise ValueError("logistic labels must be -1 or +1")
-            signed = labels[..., None] * features
-            signed.setflags(write=False)
-            object.__setattr__(self, "signed", signed)
+        if self.kind is SmoothLossKind.LOGISTIC and not (np.abs(labels) == 1.0).all():
+            raise ValueError("logistic labels must be -1 or +1")
         features.setflags(write=False)
         labels.setflags(write=False)
+        rows, targets = objectives.margin_rows(features, labels, self.kind)
+        rows.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "targets", targets)
         if self.schedule.m != self.m:
             raise ValueError(
                 f"schedule is over {self.schedule.m} agents, data over {self.m}"
@@ -301,8 +300,8 @@ def default_cadence(horizon: int) -> int:
 def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """One gradient step of every row of ``x`` on its sample, in place.
 
-    A logistic sample is its signed row ``a`` alone (``y`` is None); a
-    least-squares sample is its row ``a`` and target ``y``.
+    A sample is its ``margin_rows`` row ``a`` and target ``y``, None for
+    a logistic sample.
     """
     u = np.einsum("...d,...d->...", a, x)
     if y is None:
@@ -314,7 +313,7 @@ def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
         np.divide(gamma, c, out=c)
         x += c * a
     else:
-        x -= gamma * (objectives.loss_derivative(kind, u, y)[..., None] * a)
+        x -= gamma * (objectives.margin_slope(kind, u, y)[..., None] * a)
 
 
 def _first_bad_step(kind: SmoothLossKind, gamma: float, x, a, y) -> int | None:
@@ -367,11 +366,8 @@ def run_epoch_dpgrr(
     # step i's samples of all runs are one contiguous (S, m, d) block,
     # taken from the flat (m n, d) rows: agent j's sample k is row j n + k
     order = perm.transpose(2, 0, 1) + np.arange(0, m * n, n)
-    if problem.signed is not None:
-        a, y = problem.signed.reshape(m * n, -1).take(order, axis=0), None
-    else:
-        a = problem.features.reshape(m * n, -1).take(order, axis=0)
-        y = problem.labels.reshape(-1).take(order)
+    a = problem.rows.reshape(m * n, -1).take(order, axis=0)
+    y = None if problem.targets is None else problem.targets.reshape(-1).take(order)
     inner = x.copy()
     inner_sum = np.empty((x.shape[0], n, x.shape[2])) if record_inner else None
     with np.errstate(all="ignore"):
@@ -410,19 +406,10 @@ def run_epoch_dgm(
     check_step(gamma_t, "epoch")
     with np.errstate(all="ignore"):
         mixed = mix(blocks, x)
-        if problem.signed is not None:
-            rows = problem.signed
-            # -sigma(-u) times the signed row is each term's old product
-            # -y sigma(-y z) times the row, so the sums keep their bits
-            coef = -objectives.sigmoid(-np.einsum("jnd,sjd->sjn", rows, mixed))
-        else:
-            rows = problem.features
-            coef = objectives.loss_derivative(
-                problem.kind, np.einsum("jnd,sjd->sjn", rows, mixed), problem.labels
-            )
-        grad = subgradient(problem.regularizer, mixed) + np.einsum(
-            "sjn,jnd->sjd", coef, rows
-        )
+        rows = problem.rows
+        coef = objectives.margin_slope(
+            problem.kind, np.einsum("jnd,sjd->sjn", rows, mixed), problem.targets)
+        grad = subgradient(problem.regularizer, mixed) + np.einsum("sjn,jnd->sjd", coef, rows)
         x_next = mixed - gamma_t * grad
     if not np.isfinite(x_next).all():
         bad = _bad_rows(mixed, x_next)

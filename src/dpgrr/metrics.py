@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objectives import DimensionMismatch, SmoothLossKind, loss_derivative
+from .objectives import DimensionMismatch, SmoothLossKind, margin_rows, margin_slope
 from .proxops import sequential_sum
 
 __all__ = [
@@ -67,8 +67,9 @@ def shuffling_variance(
     averages.
     """
     x_star = np.asarray(x_star, dtype=float)
-    coef = loss_derivative(kind, features @ x_star, labels)
-    per_index = (coef[:, :, None] * features).sum(axis=0) / features.shape[0]
+    rows, targets = margin_rows(features, labels, kind)
+    slopes = margin_slope(kind, rows @ x_star, targets)
+    per_index = (slopes[:, :, None] * rows).sum(axis=0) / features.shape[0]
     centered = per_index - per_index.mean(axis=0)
     return float(np.mean(np.sum(centered * centered, axis=1)))
 

@@ -8,10 +8,13 @@ Note the 1/m scaling: the inner sums over an agent's samples are *not*
 averaged.  Everything downstream (engine, reference solver, metrics)
 relies on this exact scaling, so it lives in one place here.
 
-``sigmoid`` is the exact two-branch sigmoid: ``loss_derivative``, the
-engine's dgm gradient and the reference solver all call it.  The
-engine's logistic inner step alone forms ``gamma / (1 + exp(u))`` in
-its margin's buffer, within 3 ulp of it (see ``engine``).
+``margin_rows`` and ``margin_slope`` are the one place a loss family is
+written in margin space: a sample's margin is ``u = <row, x>`` and its
+gradient is its slope in ``u`` times its row.  A logistic row is ``y a``,
+whose margin and gradient, with labels exactly +-1, have the bits of
+``y <a, x>`` and ``-y sigma(-y z) a``.  The engine's logistic inner step
+alone forms ``gamma / (1 + exp(u))`` in its margin's buffer, within
+3 ulp of ``-gamma`` times the slope (see ``engine``).
 ``softplus`` is the one vectorized softplus: the logistic value of
 ``full_objective``, and so every recorded F and the reference F*, takes
 it.
@@ -29,7 +32,8 @@ __all__ = [
     "DimensionMismatch",
     "EmptyData",
     "SmoothLossKind",
-    "loss_derivative",
+    "margin_rows",
+    "margin_slope",
     "sigmoid",
     "softplus",
     "full_objective",
@@ -55,8 +59,8 @@ class SmoothLossKind(enum.Enum):
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-v))`` elementwise, in the exact two-branch form.
 
-    ``loss_derivative``, dgm's gradient and the reference solver take it;
-    the engine's inner step takes the cheaper one-branch form instead.
+    ``margin_slope`` takes it; the engine's inner step takes the cheaper
+    one-branch form instead.
 
     The two branches of the scalar sigmoid in one pass: with ``e = exp(-|v|)``,
     which never overflows, the numerator is 1 for ``v >= 0`` and ``e``
@@ -91,16 +95,30 @@ def softplus(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def loss_derivative(
-    kind: SmoothLossKind, z: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Derivative of each sample's loss in its inner product ``z = <a, x>``.
+def margin_rows(
+    features: np.ndarray, labels: np.ndarray, kind: SmoothLossKind
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(rows, targets)`` of the ``(..., d)`` features and ``(...)`` labels.
 
-    A sample's gradient is this coefficient times its feature vector.
+    Logistic: the signed rows ``y a`` and no targets (labels must be
+    exactly +-1).  Least squares: the features themselves and the labels.
     """
     if kind is SmoothLossKind.LOGISTIC:
-        return -labels * sigmoid(-(labels * z))
-    return z - labels
+        return labels[..., None] * features, None
+    return features, labels
+
+
+def margin_slope(
+    kind: SmoothLossKind, u: np.ndarray, targets: np.ndarray | None
+) -> np.ndarray:
+    """Slope of each sample's loss in its margin ``u = <row, x>``.
+
+    ``-sigmoid(-u)`` for logistic, ``u - targets`` for least squares, on
+    ``margin_rows``; a sample's gradient is this slope times its row.
+    """
+    if kind is SmoothLossKind.LOGISTIC:
+        return -sigmoid(-u)
+    return u - targets
 
 
 def _flat(features: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

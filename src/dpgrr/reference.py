@@ -8,10 +8,8 @@ objective at each Newton point, and the solver is independent of the
 distributed engine so it can certify optimal values the engine is
 judged against.  It is not monotone in the objective; the certificate is
 the mapping norm at the returned point.
-Logistic gradients and Hessians are taken on rows signed once per solve,
-whose every term has the bits of the unsigned ``a (-y sigma(-y z) / m)``
-and ``a a^T sigma (1 - sigma) / m``, so iteration counts and F* bits are
-those of the unsigned form.
+Gradients and Hessians are taken on ``objectives.margin_rows``, formed
+once per solve, and ``objectives.margin_slope``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .objectives import SmoothLossKind, full_objective, sigmoid, smooth_curvature
+from .objectives import SmoothLossKind, full_objective, margin_rows, margin_slope, smooth_curvature
 from .proxops import Regularizer, RegKind, prox
 
 __all__ = [
@@ -127,32 +125,20 @@ def solve_centralized(
     flat = features.reshape(-1, features.shape[-1])
     logistic = kind is SmoothLossKind.LOGISTIC
     l1 = reg.kind is RegKind.L1
-    if logistic:
-        # rows signed once: with labels +-1 each term of (-y a) @ x, of
-        # (-y a)^T @ (sigma / m) and of the Hessian (-y a)^T @ ((-y a) w)
-        # has the bits of the unsigned form's term in -(y (a @ x)), in
-        # a^T @ (-y sigma(-y z) / m) and in a^T @ (a w), so every sum, and
-        # the iteration count, is unchanged
-        rows = -(labels.reshape(-1, 1) * flat)
-    else:
-        rows, labels = flat, labels.reshape(-1)
+    rows, targets = margin_rows(flat, labels.reshape(-1), kind)
     rows_t = rows.T
 
     def measure(point):
-        # the logistic sigmoids (None for least squares), the gradient,
-        # forward, point - forward and the mapping norm, all at point
-        if logistic:
-            sigma = sigmoid(rows @ point)
-            grad = rows_t @ (sigma / m)
-        else:
-            sigma = None
-            grad = rows_t @ ((rows @ point - labels) / m)
+        # the loss slopes, the gradient, forward, point - forward and the
+        # mapping norm, all at point
+        slopes = margin_slope(kind, rows @ point, targets)
+        grad = rows_t @ (slopes / m)
         forward = prox(reg, step, point - step * grad)
         # sqrt(back . back) has the bits of the 1-D np.linalg.norm
         back = point - forward
-        return sigma, grad, forward, back, math.sqrt(back.dot(back)) / step
+        return slopes, grad, forward, back, math.sqrt(back.dot(back)) / step
 
-    def newton_step(point, sigma, grad, signs):
+    def newton_step(point, slopes, grad, signs):
         # Newton's step from point for the objective on the face of signs
         # (every coordinate for ZERO), or None if its system is singular
         if reg.kind is RegKind.ZERO:
@@ -160,7 +146,8 @@ def solve_centralized(
         else:
             face = np.flatnonzero(signs)
         block = rows[:, face]
-        weights = sigma * (1.0 - sigma) / m if logistic else 1.0 / m
+        # a logistic slope is -sigma: the weight is sigma (1 - sigma) / m
+        weights = -slopes * (1.0 + slopes) / m if logistic else 1.0 / m
         slope = grad[face]
         if l1:
             slope = slope + reg.lam * signs[face]
@@ -192,7 +179,7 @@ def solve_centralized(
     theta = 1.0
     iterations, held = 0, 0
     failed, retry = None, 0  # the last pattern a finish failed on, and when to retry it
-    sigma, grad, forward, back, x_star_norm = measure(y)
+    slopes, grad, forward, back, x_star_norm = measure(y)
     signs, x_star = np.sign(forward), y
     while x_star_norm > tol and iterations < max_iters:
         if held >= _NEWTON_HOLD and (held >= retry or not (signs == failed).all()):
@@ -203,11 +190,11 @@ def solve_centralized(
             # but whose objective is above y's; the test is against y, not
             # the last point kept, whose objective a last step may exceed
             # by a rounding
-            point_sigma, point_grad, face_signs = sigma, grad, signs
+            point_slopes, point_grad, face_signs = slopes, grad, signs
             value = full_objective(features, labels, reg, kind, x_star)
             with np.errstate(all="ignore"):
                 while iterations < max_iters:
-                    newton = newton_step(x_star, point_sigma, point_grad, face_signs)
+                    newton = newton_step(x_star, point_slopes, point_grad, face_signs)
                     if newton is None:
                         break
                     iterations += 1
@@ -218,13 +205,13 @@ def solve_centralized(
                         newton[moved] = 0.0
                     elif moved.any():
                         break
-                    newton_sigma, newton_grad, newton_forward, _, newton_norm = measure(newton)
+                    newton_slopes, newton_grad, newton_forward, _, newton_norm = measure(newton)
                     if not newton_norm < x_star_norm:
                         break
                     if not full_objective(features, labels, reg, kind, newton) <= value:
                         break
                     x_star, x_star_norm = newton, newton_norm
-                    point_sigma, point_grad = newton_sigma, newton_grad
+                    point_slopes, point_grad = newton_slopes, newton_grad
                     if l1:
                         face_signs = np.sign(newton_forward)
                     if x_star_norm <= tol:
@@ -238,7 +225,7 @@ def solve_centralized(
         theta, previous = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)), theta
         x, y = forward, forward + ((previous - 1.0) / theta) * ahead
         iterations += 1
-        sigma, grad, forward, back, x_star_norm = measure(y)
+        slopes, grad, forward, back, x_star_norm = measure(y)
         pattern = np.sign(forward)
         held = held + 1 if (pattern == signs).all() else 0
         signs, x_star = pattern, y
@@ -263,16 +250,19 @@ def solve_centralized(
 def _load_fixtures(path: Path | str) -> dict:
     """The store at ``path``, empty if there is none.
 
-    A store that is not a JSON object is a ``ConfigError`` naming the file.
+    A store that cannot be read, or is not a JSON object, is a
+    ``ConfigError`` naming the file.
     """
     path = Path(path)
     if not path.exists():
         return {}
-    with path.open() as fh:
-        try:
+    try:
+        with path.open() as fh:
             fixtures = json.load(fh)
-        except ValueError as exc:  # not JSON, or not even text
-            raise ConfigError(f"fixtures store {path} is not valid JSON: {exc}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"fixtures store {path} cannot be read: {exc}") from None
+    except ValueError as exc:  # not JSON, or not even text
+        raise ConfigError(f"fixtures store {path} is not valid JSON: {exc}") from None
     if not isinstance(fixtures, dict):
         raise ConfigError(f"fixtures store {path} is not a JSON object")
     return fixtures
@@ -346,6 +336,7 @@ def store_fixture(
     """Record ``solution``, solved at ``tol`` on these packed arrays, under
     ``key``, replacing any entry there.  The store is written beside itself,
     then moved into place, so an interrupted store leaves the old file whole.
+    A store that cannot be written is a ``ConfigError`` naming the file.
     """
     path = Path(path)
     fixtures = _load_fixtures(path)
@@ -357,12 +348,16 @@ def store_fixture(
         "tol": tol,
         "x_star": solution.x_star.tolist(),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with staged.open("w") as fh:
-            json.dump(fixtures, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(staged, path)
-    finally:
-        staged.unlink(missing_ok=True)
+        # under a regular file this raises before any staged file is made
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with staged.open("w") as fh:
+                json.dump(fixtures, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(staged, path)
+        finally:
+            staged.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"fixtures store {path} cannot be written: {exc}") from None

@@ -1,13 +1,13 @@
 """Reference oracles the tests check the package against.
 
 None of them uses ``dpgrr.engine``: the scalar loss and gradient of one
-sample, the unsigned gradient of the packed smooth part, the per-row
-loops of the sample norms and of the synthetic problem, the one-agent
-reshuffled proximal gradient baseline, the one-run index draw, the
-exhaustive or Monte Carlo prefix-average statistics, the proximal
-objective gap, the sparse-text writer that ``parse_libsvm`` reads
-back, and the ``(m, m)`` product of a run of schedule matrices, which
-the engine never forms.
+sample, the unsigned loss derivative and gradient of the packed smooth
+part, the per-row loops of the sample norms and of the synthetic
+problem, the one-agent reshuffled proximal gradient baseline, the
+one-run index draw, the exhaustive or Monte Carlo prefix-average
+statistics, the proximal objective gap, the sparse-text writer that
+``parse_libsvm`` reads back, and the ``(m, m)`` product of a run of
+schedule matrices, which the engine never forms.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from dpgrr.netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
-from dpgrr.objectives import DimensionMismatch, SmoothLossKind, loss_derivative
+from dpgrr.objectives import DimensionMismatch, SmoothLossKind, sigmoid
 from dpgrr.proxops import NonPositiveStep, Regularizer, prox
 from dpgrr.sampling import Mode, fill_indices
 
@@ -33,6 +33,21 @@ def _sigmoid(u: float) -> float:
         return 1.0 / (1.0 + math.exp(-u))
     e = math.exp(u)
     return e / (1.0 + e)
+
+
+def loss_derivative(
+    kind: SmoothLossKind, z: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Derivative of each sample's loss in its unsigned inner product ``z = <a, x>``.
+
+    ``-y sigmoid(-y z)`` for logistic, ``z - y`` for least squares: the
+    label form whose bits ``objectives.margin_slope`` on the signed rows
+    ``y a`` reproduces.  A sample's gradient is this coefficient times
+    its feature vector.
+    """
+    if kind is SmoothLossKind.LOGISTIC:
+        return -labels * sigmoid(-(labels * z))
+    return z - labels
 
 
 def sample_value_grad(

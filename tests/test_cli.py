@@ -28,7 +28,7 @@ from dpgrr.config import (
 from dpgrr.engine import RunConfig, run
 from dpgrr.metrics import shuffling_variance
 from dpgrr.objectives import lipschitz_constant, smooth_curvature
-from dpgrr.reference import ReferenceSolution, solve_centralized
+from dpgrr.reference import ReferenceSolution, solve_centralized, store_fixture
 
 TOY_DATA = "3 1:1\n"
 
@@ -606,17 +606,6 @@ def test_oracle_refresh_replaces_a_stale_fixture(tmp_path, monkeypatch, capsys):
     assert json.loads(store.read_text())[key]["x_star"] == fresh_x_star
 
 
-def test_oracle_two_tolerances_agree(tmp_path):
-    cfg8 = write_synth(tmp_path, name="c8.yaml", extra="fixtures: f8.json\n")
-    cfg12 = write_synth(tmp_path, name="c12.yaml", extra="fixtures: f12.json\n")
-    assert main(["oracle", "--config", str(cfg8), "--tol", "1e-8"]) == 0
-    assert main(["oracle", "--config", str(cfg12), "--tol", "1e-12"]) == 0
-    key = problem_hash(load_config(cfg8))
-    f8 = json.loads((tmp_path / "f8.json").read_text())[key]["f_star"]
-    f12 = json.loads((tmp_path / "f12.json").read_text())[key]["f_star"]
-    assert abs(f8 - f12) <= 1e-8
-
-
 def test_run_uses_fixture_when_available(tmp_path, capsys):
     cfg = write_synth(tmp_path)
     assert main(["oracle", "--config", str(cfg)]) == 0
@@ -782,6 +771,28 @@ def test_a_corrupt_fixtures_store_is_a_config_error(tmp_path, capsys, command, s
     assert err.startswith(f"config error: fixtures store {path} is not ")
     assert err.count("\n") == 1
     assert path.read_text() == store and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, store, fault", [
+    ("run", "directory", "cannot be read"),
+    ("oracle", "directory", "cannot be read"),
+    ("oracle", "under-a-file", "cannot be written"),
+], ids=["run-directory", "oracle-directory", "oracle-under-a-file"])
+def test_a_store_that_cannot_be_read_or_written_is_a_config_error(
+        tmp_path, capsys, command, store, fault):
+    cfg = write_synth(tmp_path)
+    path = tmp_path / "fixtures" / "oracle.json"
+    if store == "directory":
+        path.mkdir(parents=True)
+    else:
+        path.parent.write_text("a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: fixtures store {path} {fault}: ")
+    assert err.count("\n") == 1
+    # no output, and no staged store, is left behind
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 _DIGEST = '"data_sha256": "' + "0" * 64 + '"'
@@ -959,10 +970,12 @@ def test_loose_fixture_counts_as_absent(tmp_path):
     fresh_out = tmp_path / "fresh"
     assert main(["run", "--config", str(cfg), "--output", str(fresh_out), "-q"]) == 0
     fresh = json.loads((fresh_out / "manifest.json").read_text())
-    assert main(["oracle", "--config", str(cfg), "--tol", "1e-2"]) == 0
-    key = problem_hash(load_config(cfg))
-    loose = json.loads((tmp_path / "fixtures" / "oracle.json").read_text())[key]
-    assert loose["f_star"] != fresh["F_star"]
+    config = load_config(cfg)
+    problem, _ = build_problem(config)
+    data = (problem.features, problem.labels)
+    loose = solve_centralized(*data, problem.regularizer, problem.kind, tol=1e-2)
+    store_fixture(config.fixtures_path(), problem_hash(config), loose, 1e-2, *data)
+    assert loose.f_star != fresh["F_star"]
     assert main(["run", "--config", str(cfg), "-q"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["F_star_source"] == "computed(tol=1e-10)"
@@ -1323,14 +1336,8 @@ def test_squared_l2_manifest_bounds_g_phi_on_the_radius(tmp_path, template, pena
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_oracle_tolerance_must_be_finite_and_positive(tmp_path, capsys, tol):
-    cfg = write_toy(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--config", str(cfg), "--tol", tol])
-    assert exc.value.code != 0
-    assert "--tol" in capsys.readouterr().err
-    assert not (tmp_path / "fixtures").exists()
-    problem, _ = build_problem(load_config(cfg))
+def test_oracle_tolerance_must_be_finite_and_positive(tmp_path, tol):
+    problem, _ = build_problem(load_config(write_toy(tmp_path)))
     with pytest.raises(ValueError, match="tolerance"):
         solve_centralized(
             problem.features, problem.labels, problem.regularizer, problem.kind,

@@ -35,7 +35,7 @@ from dpgrr.objectives import (
 from dpgrr.proxops import Regularizer, prox, subgradient
 from dpgrr.reference import solve_centralized
 from dpgrr.sampling import Mode
-from oracles import consensus_weights_for_epoch, epoch_indices, sample_value_grad
+from oracles import consensus_weights_for_epoch, epoch_indices, loss_derivative, sample_value_grad
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -343,7 +343,7 @@ def test_dgm_gradient_on_signed_rows_matches_the_loss_derivative_form(reg):
         with np.errstate(all="ignore"):
             mixed = mix(blocks, state)
             z = np.einsum("jnd,sjd->sjn", p.features, mixed)
-            coef = objectives.loss_derivative(LOG, z, p.labels)
+            coef = loss_derivative(LOG, z, p.labels)
             grad = subgradient(reg, mixed) + np.einsum("sjn,jnd->sjd", coef, p.features)
             want = mixed - g * grad
         got = engine.run_epoch_dgm(state, p, g, blocks, 0)
@@ -500,16 +500,18 @@ def test_logistic_labels_are_plus_or_minus_one():
     schedule = GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1)
     p = ProblemBundle(features, labels, LOG, Regularizer.zero(), schedule)
     # the engine steps on the signed rows, kept once and read-only
-    assert np.array_equal(p.signed, labels[..., None] * features)
+    assert np.array_equal(p.rows, labels[..., None] * features) and p.targets is None
     with pytest.raises(ValueError):
-        p.signed[0, 0, 0] = 5.0
+        p.rows[0, 0, 0] = 5.0
     for bad in (0.0, 2.0, -0.5):
         other = labels.copy()
         other[1, 2] = bad
         with pytest.raises(ValueError, match="logistic labels must be -1 or \\+1"):
             ProblemBundle(features, other, LOG, Regularizer.zero(), schedule)
-        # least squares takes any finite target and keeps no signed rows
-        assert ProblemBundle(features, other, LS, Regularizer.zero(), schedule).signed is None
+        # least squares takes any finite target and steps on the features
+        # and labels themselves
+        ls = ProblemBundle(features, other, LS, Regularizer.zero(), schedule)
+        assert ls.rows is ls.features and ls.targets is ls.labels
 
 
 def test_bundle_rejects_non_stochastic_mixing_rows():

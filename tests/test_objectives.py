@@ -14,13 +14,13 @@ from dpgrr.objectives import (
     full_objective,
     gradient_bound,
     lipschitz_constant,
-    loss_derivative,
+    margin_slope,
     packed_smooth_value,
     smooth_curvature,
     softplus,
 )
 from dpgrr.proxops import Regularizer
-from oracles import packed_smooth_grad, sample_norms, sample_value_grad
+from oracles import loss_derivative, packed_smooth_grad, sample_norms, sample_value_grad
 from test_engine import MARGINS
 
 LOG = SmoothLossKind.LOGISTIC
@@ -124,14 +124,16 @@ def test_stacked_objective_and_penalty_equal_one_point_at_a_time(m, kind, reg):
 
 def test_loss_derivative_matches_scalar_form_at_extreme_margins():
     # the vectorized logistic derivative must neither overflow nor lose
-    # the tails that the scalar two-branch sigmoid keeps
+    # the tails that the scalar two-branch sigmoid keeps; ``margin_slope``
+    # takes the signed margins y z, and its slope times y is the derivative
     margins = np.array([40.0, -40.0, 700.0, -700.0, 745.0, -745.0])
     for label in (1.0, -1.0):
         labels = np.full(margins.size, label)
-        got = loss_derivative(LOG, label * margins, labels)
-        for z, coef in zip(label * margins, got):
-            _, grad = sample_value_grad(LOG, [1.0], label, np.array([z]))
-            assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
+        for got in (loss_derivative(LOG, label * margins, labels),
+                    label * margin_slope(LOG, margins, None)):
+            for z, coef in zip(label * margins, got):
+                _, grad = sample_value_grad(LOG, [1.0], label, np.array([z]))
+                assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
 
 
 def central_difference(kind, a, label, x, h=1e-6):
