@@ -43,7 +43,11 @@ more are buffered; the earlier runs only keep stepping.
 
 Every step reads the problem's ``objectives.margin_rows``, kept once: a
 logistic sample is its signed row ``y a`` alone, so no label is gathered
-or multiplied per step.  The logistic inner step forms ``gamma sigma(-u)``
+or multiplied per step.  An inner step's margin ``u = <row, x>`` is one
+``np.vecdot``, a BLAS dot per row, so a row's margin has the bits it
+gets alone, whatever the batch; a row wider than ``_DOT_SPAN`` sums its
+spans' dots, so no dot is split across BLAS threads and the CPU count
+never shows in the bits.  The logistic inner step forms ``gamma sigma(-u)``
 as ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
 calls: within 3 ulp of ``-gamma * objectives.margin_slope`` wherever
 ``exp(u)`` is finite, and exactly 0 past its overflow (u > 709.78),
@@ -139,6 +143,12 @@ _LANE_WORK = 2000
 # Bound on the buffered states and averages of recorded epochs that the
 # engine evaluates together; each chunk costs one call per row quantity.
 MAX_RECORD_BYTES = 1 << 16
+
+# Longest span of a row one margin dot takes.  OpenBLAS splits a ddot of
+# more than 10000 elements across its threads, which gives bits that
+# depend on the thread count, and so on the CPUs; a wider row's margin is
+# the sum of its spans' dots, in order.
+_DOT_SPAN = 8192
 
 # RunConfig fields that every run of one ``run`` call must share
 _SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v")
@@ -303,7 +313,12 @@ def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     A sample is its ``margin_rows`` row ``a`` and target ``y``, None for
     a logistic sample.
     """
-    u = np.einsum("...d,...d->...", a, x)
+    if a.shape[-1] <= _DOT_SPAN:
+        u = np.vecdot(a, x)
+    else:
+        u = np.vecdot(a[..., :_DOT_SPAN], x[..., :_DOT_SPAN])
+        for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
+            u += np.vecdot(a[..., lo:lo + _DOT_SPAN], x[..., lo:lo + _DOT_SPAN])
     if y is None:
         # gamma * sigma(-u) = gamma / (1 + exp(u)), formed in u's buffer;
         # past exp's overflow the coefficient is exactly 0

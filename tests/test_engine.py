@@ -3,8 +3,11 @@ import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from conftest import (
     COLUMNS, assert_no_child_left, assert_same_columns, iterates, packed, sqrt_step,
 )
 from dpgrr import engine
-from dpgrr.config import StepRule
+from dpgrr.config import StepRule, build_problem, load_config
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import (
     NonFiniteIterate,
@@ -266,7 +269,7 @@ def test_fused_logistic_step_is_gamma_over_one_plus_exp_of_the_margin(gamma):
         for x, a in cases:
             for y in (np.ones(x.shape[:2]), -np.ones(x.shape[:2]),
                       rng.choice([-1.0, 1.0], size=x.shape[:2])):
-                u = y * np.einsum("...d,...d->...", a, x)
+                u = y * np.vecdot(a, x)
                 want = x + gamma / (1.0 + np.exp(u))[..., None] * (y[..., None] * a)
                 got = x.copy()
                 engine._inner_step(LOG, gamma, got, y[..., None] * a, None)
@@ -686,6 +689,72 @@ def test_batched_dgm_runs_equal_their_solo_runs(canonical_problem):
     _assert_each_run_is_alone(cfgs, canonical_problem, run(cfgs, canonical_problem))
 
 
+# OpenBLAS's ddot kernel takes a row in vector blocks of 16 and then a
+# scalar tail: at the canonical d = 10 every entry is in the tail
+@pytest.fixture(scope="module", params=["a9a_subset", "least_squares_d37"])
+def wide_problem(request, configs_dir):
+    """A problem whose margin dots run through the vector blocks: the
+    shipped ``a9a_subset`` (logistic, d = 123) or least squares on d = 37."""
+    if request.param == "a9a_subset":
+        return build_problem(load_config(configs_dir / "a9a_subset.yaml"))[0]
+    features, labels = synthesize_classification(m=3, n=5, d=37, separation=1.0, seed=4)
+    schedule = GraphSchedule((metropolis_weights({(0, 1), (1, 2)}, 3, 0.2),), 1)
+    return ProblemBundle(features, labels, LS, Regularizer.l1(0.01), schedule)
+
+
+def test_batched_runs_on_wide_rows_equal_their_solo_runs(wide_problem):
+    p = wide_problem
+    steps = (sqrt_step(p, 20), 0.05)
+    cfgs = [RunConfig(algo, 20, steps[k % 2], seed=seed, cadence=3, record_v=True)
+            for algo in ("dpg-rr", "dpg-sg", "dpg-ig")
+            for k, seed in enumerate((5, 6, 7, 8))]
+    _assert_each_run_is_alone(cfgs, p, run(cfgs, p))
+
+
+@pytest.mark.parametrize("d", [1, 10, 16, 17, 123, 10001])
+@pytest.mark.parametrize("kind", [LOG, LS])
+def test_a_row_steps_alone_with_the_bits_it_has_in_its_batch(kind, d):
+    # the batch steps (S, m, d) rows, the failure replay one (1, d) row;
+    # d = 10001 sums the dots of two spans
+    rng = np.random.default_rng(d)
+    x, a = rng.normal(size=(2, 3, 4, d))
+    y = None if kind is LOG else rng.normal(size=(3, 4))
+    gamma = np.array([0.1, 0.5, 2.0]).reshape(3, 1, 1)
+    batch = x.copy()
+    engine._inner_step(kind, gamma, batch, a, y)
+    for s, j in np.ndindex(3, 4):
+        row = x[s, j][None].copy()
+        engine._inner_step(kind, gamma[s, 0, 0], row, a[s, j][None],
+                           None if y is None else y[s, j][None])
+        assert np.array_equal(_bits(row[0]), _bits(batch[s, j]))
+
+
+def test_a_wide_margin_has_the_same_bits_on_any_blas_thread_count():
+    # OpenBLAS splits a ddot of more than 10000 elements across its
+    # threads; the inner step never hands it one, so one thread and two
+    # give the same step
+    script = """if True:
+        import hashlib
+        import numpy as np
+        from dpgrr import engine
+        from dpgrr.objectives import SmoothLossKind
+        rng = np.random.default_rng(0)
+        for kind, d in ((SmoothLossKind.LOGISTIC, 10001), (SmoothLossKind.LEAST_SQUARES, 40000)):
+            x, a = rng.normal(size=(2, 2, 3, d)) * 0.01
+            engine._inner_step(kind, 0.5, x, a, None if kind is SmoothLossKind.LOGISTIC
+                               else rng.normal(size=(2, 3)))
+            print(hashlib.sha256(x.tobytes()).hexdigest())
+    """
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k},
+                          ).stdout for k in ("1", "2")]
+    assert len(out[0].split()) == 2
+    assert out[0] == out[1]
+
+
 def test_runs_past_the_batch_cap_advance_in_later_batches(canonical_problem, monkeypatch):
     cfgs = [RunConfig(algo, 6, 0.05, seed=seed)
             for algo in ("dpg-rr", "dpg-sg") for seed in (1, 2, 3)]
@@ -740,6 +809,31 @@ def test_batch_reports_the_first_failing_run_in_order():
     e = err.value
     assert (e.run, e.agent, e.epoch, e.inner_step, e.phase) == (
         "dpg-rr seed 1", 0, 0, 1, "inner")
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("d", [16, 17, 123])
+def test_a_wide_row_that_overflows_names_the_same_step_batched_or_alone(d):
+    # least-squares steps of 100 on unit rows overflow each run at an
+    # inner step of an epoch between 50 and 130, after a long history of
+    # steps; the replay steps a (1, d) row where the batch stepped
+    # (S, m, d) rows, and must find that same step
+    features, labels = synthesize_classification(m=3, n=4, d=d, separation=1.0, seed=d)
+    problem = ProblemBundle(
+        features, labels, LS, Regularizer.l1(0.01),
+        GraphSchedule((metropolis_weights({(0, 1), (1, 2)}, 3, 0.2),), 1))
+    healthy = RunConfig("dpg-rr", 150, 1e-3, seed=1)
+    cfgs = [healthy] + [RunConfig(algo, 150, 100.0, seed=seed)
+                        for algo, seed in (("dpg-sg", 2), ("dpg-rr", 3), ("dpg-ig", 4))]
+    solo = [_outcome([cfg], problem)[1] for cfg in cfgs]
+    assert solo[0] is None and None not in solo[1:]
+    for failure in solo[1:]:
+        _, _, epoch, step, phase, _ = failure
+        assert (phase, epoch > 0, step is not None) == ("inner", True, True)
+    # each failing run behind the healthy one, and all of them together
+    for k in (1, 2, 3):
+        assert _outcome([healthy, cfgs[k]], problem)[1] == solo[k]
+    assert _outcome(cfgs, problem)[1] == solo[1]
 
 
 def reset_problem():
