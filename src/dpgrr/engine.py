@@ -17,29 +17,41 @@ the proximal algorithms has three barrier-separated phases:
 
 The three samplers (reshuffling / with-replacement / fixed-order) share
 this single code path and differ only in the ``(m, n)`` index block drawn
-for each run and epoch, so they advance in one batch.  A batch keeps one
-``(S, m, n)`` index buffer and a table of each run's (row, sampler, seed):
-every epoch ``sampling.fill_indices`` redraws the rows of the reshuffled
-and with-replacement runs, and the fixed order's rows are filled once.
-Each epoch gathers its samples with one ``take`` on the flat ``(m n, d)``
-rows.
+for each run and epoch, so they advance in one batch.
 The subgradient baseline replaces the whole epoch body: one single-matrix
 mixing step followed by one full local subgradient step with a decaying
 step size; its runs batch among themselves.
 
 Every batched operation is elementwise or reduces each run's rows in the
 order a single run does, so a run's trace does not depend on its batch.
-Recorded epochs are buffered and evaluated in chunks: once the buffered
-states and averages reach ``MAX_RECORD_BYTES``, and once at the end of
-the horizon, each row quantity is one call over the ``(R, S, ...)`` stack
-of the R pending epochs, with reductions whose per-row bits do not depend
+A batch advances a chunk of E epochs at a time, E the fewest epochs
+whose states and averages, recorded, reach ``MAX_RECORD_BYTES``, or the
+whole horizon if that is shorter.  It keeps
+an ``(E, S, m, n)`` index buffer and a table of each run's (row,
+sampler, seed): once a chunk, ``sampling.fill_indices`` redraws the
+rows of the reshuffled and with-replacement runs for all E epochs, under
+one lock and with one stable argsort, each block with the bits of its
+epoch's own draw, and the chunk's flat sample orders are one array
+operation; the fixed order's rows are filled once.  Where the chunk's
+index blocks would pass ``MAX_BATCH_BYTES``, as with many samples and
+few features, they are drawn for fewer epochs at a time.  Each epoch
+gathers its samples with one ``take`` on the flat ``(m n, d)`` rows and
+puts its next state in its block of one ``(E, S, m, d)`` state buffer.
+At the chunk's end, x_bar is one sum over the buffer's agent axis, and
+x_hat one cumsum along its epoch axis behind the sum carried from the
+chunks before, which adds in the order a running ``+=`` does.  The
+chunk's recorded epochs then wait, as views of the buffers when every
+epoch is recorded and as copies when the cadence skips some, until E of
+them are pending or the horizon ends, which is always a chunk's end:
+then each row quantity is one call over the ``(R, S, ...)`` stack of
+the R pending epochs, with reductions whose per-row bits do not depend
 on the stack, written into the chunk's slice of the batch's float
-columns, allocated once.  The budget is small because the row reductions
-make several chunk-sized temporaries, which would otherwise raise peak
-memory.
+columns, allocated once.  The budget is small because the row
+reductions make several chunk-sized temporaries, which would otherwise
+raise peak memory.
 Once a run behind the first has failed, ``run`` will raise that failure
 and discard the batch's traces, so the pending rows are dropped and no
-more are buffered; the earlier runs only keep stepping.
+more are kept; the earlier runs only keep stepping.
 
 Every step reads the problem's ``objectives.margin_rows``, kept once: a
 logistic sample is its signed row ``y a`` alone, so no label is gathered
@@ -47,8 +59,10 @@ or multiplied per step.  An inner step's margin ``u = <row, x>`` is one
 ``np.vecdot``, a BLAS dot per row, so a row's margin has the bits it
 gets alone, whatever the batch; a row wider than ``_DOT_SPAN`` sums its
 spans' dots, so no dot is split across BLAS threads and the CPU count
-never shows in the bits.  The logistic inner step forms ``gamma sigma(-u)``
-as ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
+never shows in the bits.  dgm's margins, one ``einsum``, sum a wide row
+by the same spans, so ``einsum`` never cuts a row at its buffer's end.
+The logistic inner step forms ``gamma sigma(-u)`` as
+``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
 calls: within 3 ulp of ``-gamma * objectives.margin_slope`` wherever
 ``exp(u)`` is finite, and exactly 0 past its overflow (u > 709.78),
 where the two-branch form gives a subnormal.  dgm's gradient, which
@@ -132,10 +146,10 @@ MAX_BATCH_BYTES = 1 << 20
 
 # Run-epochs (runs times horizon) each lane must carry before ``run``
 # forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
-# host a run-epoch that records its row took at least 31 us, so a lane
-# at this bound runs for at least about 62 ms; its fork costs the caller
+# host a run-epoch that records its row took at least 27 us, so a lane
+# at this bound runs for at least about 54 ms; its fork costs the caller
 # 0.3-0.8 ms and unpickling its traces, when no callback takes them in
-# the lane, under 0.05 us a row, together about 1% of the lane.  Each of
+# the lane, under 0.05 us a row, together about 1.5% of the lane.  Each of
 # ``a9a_dgm``'s two runs is exactly this bound, so a higher one would
 # leave its dgm run to the caller's lane.
 _LANE_WORK = 2000
@@ -146,8 +160,9 @@ MAX_RECORD_BYTES = 1 << 16
 
 # Longest span of a row one margin dot takes.  OpenBLAS splits a ddot of
 # more than 10000 elements across its threads, which gives bits that
-# depend on the thread count, and so on the CPUs; a wider row's margin is
-# the sum of its spans' dots, in order.
+# depend on the thread count, and so on the CPUs, and einsum sums a row
+# longer than its 8192-element buffer in pieces that depend on the
+# batch; a wider row's margin is the sum of its spans' dots, in order.
 _DOT_SPAN = 8192
 
 # RunConfig fields that every run of one ``run`` call must share
@@ -307,18 +322,24 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
+def _margins(dot, a, x):
+    """``dot(a, x)``, which sums products over the rows' last axis; a row
+    wider than ``_DOT_SPAN`` sums its spans' margins, in order."""
+    if a.shape[-1] <= _DOT_SPAN:
+        return dot(a, x)
+    u = dot(a[..., :_DOT_SPAN], x[..., :_DOT_SPAN])
+    for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
+        u += dot(a[..., lo:lo + _DOT_SPAN], x[..., lo:lo + _DOT_SPAN])
+    return u
+
+
 def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """One gradient step of every row of ``x`` on its sample, in place.
 
     A sample is its ``margin_rows`` row ``a`` and target ``y``, None for
     a logistic sample.
     """
-    if a.shape[-1] <= _DOT_SPAN:
-        u = np.vecdot(a, x)
-    else:
-        u = np.vecdot(a[..., :_DOT_SPAN], x[..., :_DOT_SPAN])
-        for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
-            u += np.vecdot(a[..., lo:lo + _DOT_SPAN], x[..., lo:lo + _DOT_SPAN])
+    u = _margins(np.vecdot, a, x)
     if y is None:
         # gamma * sigma(-u) = gamma / (1 + exp(u)), formed in u's buffer;
         # past exp's overflow the coefficient is exactly 0
@@ -359,18 +380,18 @@ def run_epoch_dpgrr(
     problem: ProblemBundle,
     gamma,
     blocks: Sequence[np.ndarray],
-    perm: np.ndarray,
+    order: np.ndarray,
     t: int,
     record_inner: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One proximal epoch of S runs' agents from the ``(S, m, d)`` state ``x``.
 
     ``gamma`` is one step or an ``(S, 1, 1)`` array of each run's step.
-    Row ``perm[s, j]`` of the ``(S, m, n)`` block is the order in which
-    agent j of run s visits its samples; a ``(1, 1, n)`` block is one order
-    for every agent.  ``blocks`` are the epoch's ``netgraph.epoch_blocks``:
-    phase 2 mixes through their product by applying each to the state in
-    turn.  Returns the next state and, if recorded, the ``(S, n, d)``
+    ``order[i, s, j]`` is the sample agent j of run s visits at step i, as
+    its row ``j n + k`` of the flat ``(m n, d)`` rows; an ``(n, 1, m)``
+    order is one for every run.  ``blocks`` are the epoch's
+    ``netgraph.epoch_blocks``: phase 2 mixes through their product by
+    applying each to the state in turn.  Returns the next state and, if recorded, the ``(S, n, d)``
     network averages of the n inner iterates.  Phase 2 reads every agent's
     phase-1 output, exactly as a barrier-synchronized parallel execution
     would.  A non-finite iterate raises for the first failing run, with
@@ -378,9 +399,7 @@ def run_epoch_dpgrr(
     """
     check_step(gamma, "epoch")
     m, n, kind = problem.m, problem.n, problem.kind
-    # step i's samples of all runs are one contiguous (S, m, d) block,
-    # taken from the flat (m n, d) rows: agent j's sample k is row j n + k
-    order = perm.transpose(2, 0, 1) + np.arange(0, m * n, n)
+    # step i's samples of all runs are one contiguous (S, m, d) block
     a = problem.rows.reshape(m * n, -1).take(order, axis=0)
     y = None if problem.targets is None else problem.targets.reshape(-1).take(order)
     inner = x.copy()
@@ -422,8 +441,8 @@ def run_epoch_dgm(
     with np.errstate(all="ignore"):
         mixed = mix(blocks, x)
         rows = problem.rows
-        coef = objectives.margin_slope(
-            problem.kind, np.einsum("jnd,sjd->sjn", rows, mixed), problem.targets)
+        u = _margins(lambda a, b: np.einsum("jnd,sjd->sjn", a, b), rows, mixed)
+        coef = objectives.margin_slope(problem.kind, u, problem.targets)
         grad = subgradient(problem.regularizer, mixed) + np.einsum("sjn,jnd->sjd", coef, rows)
         x_next = mixed - gamma_t * grad
     if not np.isfinite(x_next).all():
@@ -635,6 +654,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     designated = problem.schedule.matrices[0].weights
     designated_edges = metrics_mod.consensus_edges(designated)
     steps_mode = StepsMode.fixed(1) if dgm else first.steps_mode
+    record_v = first.record_v and not dgm
 
     x = np.full((len(configs), m, dim), float(first.x0))
     # epoch 0, every cadence-th epoch and the last: one entry of each column
@@ -645,7 +665,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     f_bar, disagreement, max_dist = (np.empty((len(configs), len(epochs))) for _ in range(3))
     # the running average and the inner pass start at epoch 1
     f_hat = np.empty((len(configs), len(epochs) - 1))
-    v_values = np.empty_like(f_hat) if first.record_v and not dgm else None
+    v_values = np.empty_like(f_hat) if record_v else None
 
     def record(row: int, states: np.ndarray, x_bars: np.ndarray, x_hats: np.ndarray | None,
                inner_avgs: np.ndarray | None) -> None:
@@ -674,55 +694,53 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     # sum / m has the bits of mean(axis=1) and skips its dispatch
     record(0, x[None], (x.sum(axis=1) / m)[None], None, None)
 
-    # recorded epochs not yet evaluated, the column entries from ``filled``
-    # on: (state, x_bar, x_hat, inner_avgs), none of them an array that a
-    # later epoch changes
-    pending: list[tuple] = []
-    filled = 1
-
-    def flush() -> None:
-        nonlocal filled
-        if pending:
-            record(filled, *(None if p[0] is None else np.stack(p) for p in zip(*pending)))
-            filled += len(pending)
-            pending.clear()
-
     gamma = _batch_step(configs)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
     # bytes one recorded epoch buffers: its state, x_bar and x_hat, and
     # with record_v its (S, n, d) inner averages; a chunk is the fewest
-    # epochs that reach the budget
-    row_bytes = x.itemsize * len(configs) * (
-        (m + 2) * dim + (n * dim if first.record_v and not dgm else 0))
-    chunk = -(-MAX_RECORD_BYTES // row_bytes)
-    # each run's (row, sampler, seed) fills its row of one (S, m, n) index
-    # buffer; dpg-ig visits every epoch in the order it draws at epoch 0,
-    # so its rows are filled once
+    # epochs that reach the budget, or the whole horizon
+    row_bytes = x.itemsize * len(configs) * ((m + 2) * dim + (n * dim if record_v else 0))
+    chunk = min(horizon, -(-MAX_RECORD_BYTES // row_bytes))
+    # each epoch of a chunk puts its next state, and with record_v its
+    # inner averages, in the chunk's block of these buffers
+    states = np.empty((chunk, len(configs), m, dim))
+    inner = np.empty((chunk, len(configs), n, dim)) if record_v else None
+    # each run's (row, sampler, seed) fills its row of an (E, S, m, n)
+    # index buffer, one block per epoch, drawn a chunk at a time, or the
+    # fewest epochs whose blocks reach MAX_BATCH_BYTES if that is fewer,
+    # as with many samples and few features; dpg-ig visits every epoch in
+    # the order it draws at epoch 0, so its rows are filled once
     draws = [] if dgm else [(s, _SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed)
                             for s, cfg in enumerate(configs)]
-    perm = np.empty((len(draws), m, n), dtype=np.int64)
+    drawn = min(chunk, -(-MAX_BATCH_BYTES // (8 * len(configs) * m * n)))
+    perm = np.empty((drawn, len(draws), m, n), dtype=np.int64)
     fill_indices(perm, [d for d in draws if d[1] is Mode.IG], 0)
     draws = [d for d in draws if d[1] is not Mode.IG]
+    # recorded epochs not yet evaluated, the column entries from ``filled``
+    # on, as pieces of (states, x_bars, x_hats, inner_avgs)
+    pending: list[tuple] = []
+    filled = 1
     for t in range(horizon):
-        inner_avgs = None
+        if not dgm and t % drawn == 0:
+            fill_indices(perm[:horizon - t], draws, t)
+            # each step's flat sample rows of every run and agent: agent
+            # j's sample k is row j n + k
+            orders = perm[:horizon - t].transpose(0, 3, 1, 2) + np.arange(0, m * n, n)
         blocks = epoch_blocks(problem.schedule, t, steps_mode)
-        if not dgm:
-            fill_indices(perm, draws, t)
         while True:
             try:
                 if dgm:
-                    x_next = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), blocks, t)
+                    x = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), blocks, t)
                 else:
-                    x_next, inner_avgs = run_epoch_dpgrr(
-                        x, problem, gamma, blocks, perm, t, record_inner=first.record_v
-                    )
+                    x, inner_avgs = run_epoch_dpgrr(
+                        x, problem, gamma, blocks, orders[t % drawn], t, record_inner=record_v)
                 break
             except NonFiniteIterate as exc:
                 # runs after the failing one no longer matter; earlier runs
                 # go on, since one of them may still fail first in order,
                 # but ``failure`` is raised at the end either way, so no
-                # row of the batch is evaluated any more
+                # row of the batch is kept or evaluated any more
                 cfg = configs[exc.run]
                 failure = NonFiniteIterate(exc.agent, exc.epoch, exc.inner_step, exc.phase,
                                            run=f"{cfg.algorithm} seed {cfg.seed}")
@@ -731,17 +749,39 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                 pending.clear()
                 configs, x = configs[:exc.run], x[:exc.run]
                 gamma = _batch_step(configs)
-                x_hat_sum, perm = x_hat_sum[:exc.run], perm[:exc.run]
-                draws = [d for d in draws if d[0] < exc.run]
-        x = x_next
-        x_bar = x.sum(axis=1) / m
-        x_hat_sum += x_bar
-        epoch = t + 1
-        if failure is None and (epoch % cadence == 0 or epoch == horizon):
-            pending.append((x, x_bar, x_hat_sum / epoch, inner_avgs))
-            if len(pending) == chunk:
-                flush()
-    flush()
+                if not dgm:
+                    perm, orders = perm[:, :exc.run], orders[:, :, :exc.run]
+                    draws = [d for d in draws if d[0] < exc.run]
+        if failure is not None:
+            continue
+        e = t % chunk
+        states[e] = x
+        if inner is not None:
+            inner[e] = inner_avgs
+        if e < chunk - 1 and t < horizon - 1:
+            continue
+        # the chunk's epochs t0 + 1 to t + 1: their averages, and the
+        # running sums of x_bar in the order a running += adds them
+        t0 = t - e
+        x_bars = states[:e + 1].sum(axis=2) / m
+        sums = np.cumsum(np.concatenate([x_hat_sum[None], x_bars]), axis=0)
+        x_hat_sum = sums[-1]
+        # the column entries of the recorded epochs among them; a chunk
+        # whose every epoch is recorded ends where the entries are
+        # evaluated, so it keeps views of the buffers that the next chunk
+        # refills, and any other chunk copies its recorded rows
+        lo, hi = np.searchsorted(epochs, (t0, t + 1), side="right")
+        if lo == hi:
+            continue
+        ends = epochs[lo:hi]
+        rows = slice(None) if len(ends) == e + 1 else ends - (t0 + 1)
+        pending.append((states[:e + 1][rows], x_bars[rows], sums[1:][rows] / ends[:, None, None],
+                        None if inner is None else inner[:e + 1][rows]))
+        if (hi - 1) % chunk == 0 or hi == len(epochs):
+            record(filled, *(p[0] if len(p) == 1 or p[0] is None else np.concatenate(p)
+                             for p in zip(*pending)))
+            filled = hi
+            pending.clear()
 
     if failure is not None:
         raise failure

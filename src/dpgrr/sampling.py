@@ -5,7 +5,7 @@ one Philox generator keyed by ``(seed, 0)`` at counter ``(0, 0, 0, t)``,
 drawn as an ``(m, n)`` block whose row j is agent j's order.  Any epoch
 can be replayed without generating its predecessors, and no draw
 depends on an earlier one.  ``fill_indices`` draws the blocks of many
-runs into one ``(S, m, n)`` buffer.
+runs over a stretch of epochs into one ``(E, S, m, n)`` buffer.
 """
 
 from __future__ import annotations
@@ -46,32 +46,35 @@ _STATE = {
 _DRAW_LOCK = threading.Lock()
 
 
-def fill_indices(out: np.ndarray, draws, t: int) -> None:
-    """Write epoch ``t``'s index block of each ``(row, mode, seed)`` into ``out[row]``.
+def fill_indices(out: np.ndarray, draws, t0: int) -> None:
+    """Write the index blocks of epochs ``t0`` to ``t0 + E - 1`` of each
+    ``(row, mode, seed)`` into ``out[:, row]``.
 
-    ``out`` is an ``(S, m, n)`` int64 buffer whose row ``out[row]`` is the
-    ``(m, n)`` block of one run.  RR sorts an ``(m, n)`` block of uniforms
+    ``out`` is an ``(E, S, m, n)`` int64 buffer whose block ``out[e, row]``
+    is the ``(m, n)`` block of one run at epoch ``t0 + e``, with the bits
+    of that epoch's own draw.  RR sorts an ``(m, n)`` block of uniforms
     row by row (stable argsort), SG draws an ``(m, n)`` block of integers
     in ``[0, n)``, and IG reuses the RR block of epoch 0.  The RR and IG
-    uniforms of all draws fill one block, sorted in one call: a stable
-    argsort along the last axis sorts every row on its own.  Both blocks
-    fill in row-major order, so row j is the same for every ``m > j``.
+    uniforms of all draws and epochs fill one block, sorted in one call: a
+    stable argsort along the last axis sorts every row on its own.  Both
+    blocks fill in row-major order, so row j is the same for every ``m > j``.
     """
-    if t < 0:
+    if t0 < 0:
         raise ValueError("epoch must be >= 0")
-    m, n = out.shape[1:]
+    epochs, _, m, n = out.shape
     shuffled = [row for row, mode, _ in draws if mode is not Mode.SG]
-    uniforms = np.empty((len(shuffled), m, n))
-    k = 0
+    uniforms = np.empty((epochs, len(shuffled), m, n))
     with _DRAW_LOCK:
-        for row, mode, seed in draws:
-            _COUNTER[3] = 0 if mode is Mode.IG else t
-            _KEY[0] = seed
-            _BIT_GENERATOR.state = _STATE
-            if mode is Mode.SG:
-                out[row] = _GENERATOR.integers(0, n, size=(m, n), dtype=np.int64)
-            else:
-                _GENERATOR.random(out=uniforms[k])
-                k += 1
+        for e in range(epochs):
+            k = 0
+            for row, mode, seed in draws:
+                _COUNTER[3] = 0 if mode is Mode.IG else t0 + e
+                _KEY[0] = seed
+                _BIT_GENERATOR.state = _STATE
+                if mode is Mode.SG:
+                    out[e, row] = _GENERATOR.integers(0, n, size=(m, n), dtype=np.int64)
+                else:
+                    _GENERATOR.random(out=uniforms[e, k])
+                    k += 1
     if shuffled:
-        out[shuffled] = np.argsort(uniforms, axis=-1, kind="stable")
+        out[:, shuffled] = np.argsort(uniforms, axis=-1, kind="stable")

@@ -155,11 +155,11 @@ def centralized_prox_rr(
 def epoch_indices(mode: Mode, seed: int, t: int, m: int, n: int) -> np.ndarray:
     """The ``(m, n)`` sample indices the m agents visit in epoch ``t``.
 
-    The one-run case of ``fill_indices``.
+    The one-run, one-epoch case of ``fill_indices``.
     """
-    out = np.empty((1, m, n), dtype=np.int64)
+    out = np.empty((1, 1, m, n), dtype=np.int64)
     fill_indices(out, ((0, mode, seed),), t)
-    return out[0]
+    return out[0, 0]
 
 
 class BadK(ValueError):

@@ -54,6 +54,12 @@ def two_agent_problem(reg=None, labels=(1.0, 3.0)):
     )
 
 
+def flat_order(perm, m, n):
+    """``run_epoch_dpgrr``'s order of an ``(S, m, n)`` index block: step
+    i's rows of the flat ``(m n, d)`` samples, agent j's sample k at j n + k."""
+    return perm.transpose(2, 0, 1) + np.arange(0, m * n, n)
+
+
 def test_single_agent_single_epoch_gradient_step(toy_ls_problem):
     cfg = RunConfig("dpg-rr", 1, 0.5)
     [trace] = run([cfg], toy_ls_problem)
@@ -116,7 +122,7 @@ def test_identical_agents_stay_identical():
     x = np.zeros((1, 2, problem.dim))
     for t in range(20):
         perm = epoch_indices(Mode.RR, 3, t, 1, problem.n)
-        x, _ = run_epoch_dpgrr(x, problem, 0.1, [weights], perm[None], t)
+        x, _ = run_epoch_dpgrr(x, problem, 0.1, [weights], flat_order(perm[None], 2, problem.n), t)
         assert np.array_equal(x[0, 0], x[0, 1])
 
 
@@ -319,7 +325,7 @@ def test_a_margin_past_exp_overflow_leaves_the_state_finite():
     assert trace.x_final.tolist() == [[1.0]]
     # and so does one epoch called outside ``run``'s own errstate
     x_next, _ = run_epoch_dpgrr(np.ones((1, 1, 1)), alone, 0.5, [],
-                                np.zeros((1, 1, 1), dtype=np.int64), 0)
+                                flat_order(np.zeros((1, 1, 1), dtype=np.int64), 1, 1), 0)
     assert x_next.tolist() == [[[1.0]]]
 
 
@@ -369,15 +375,15 @@ def test_a_block_that_overflows_reports_phase_mix(kind):
     schedule = GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1)
     problem = ProblemBundle(features, labels, kind, Regularizer.l1(0.1), schedule)
     overflow = np.array([[1e10, 0.0], [0.0, 1.0]])
-    perm = np.array([[[0, 1], [1, 0]]] * 2)
+    order = flat_order(np.array([[[0, 1], [1, 0]]] * 2), 2, 2)
     x = np.full((2, 2, 1), 1e300)
     x[0] = 1.0  # run 0 mixes finitely, run 1 overflows
-    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], perm, 4) == (
+    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], order, 4) == (
         1, 0, 4, None, "mix")
     # both runs fail; the first is reported, with its own lowest bad agent
     x[0, 1] = -1e300
     overflow[1] = [0.0, 1e10]
-    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], perm, 4) == (
+    assert _crafted_failure(run_epoch_dpgrr, x, problem, 1e-3, [overflow], order, 4) == (
         0, 1, 4, None, "mix")
 
 
@@ -711,6 +717,17 @@ def test_batched_runs_on_wide_rows_equal_their_solo_runs(wide_problem):
     _assert_each_run_is_alone(cfgs, p, run(cfgs, p))
 
 
+@pytest.mark.parametrize("kind", [LOG, LS])
+def test_batched_dgm_runs_on_rows_wider_than_a_span_equal_their_solo_runs(kind):
+    # d = 9000 is past einsum's 8192-element buffer, in whose pieces a
+    # single margin over the whole row was summed differently in a batch
+    features, labels = synthesize_classification(m=2, n=3, d=9000, separation=1.0, seed=5)
+    problem = ProblemBundle(features, labels, kind, Regularizer.l1(0.01),
+                            GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.3),), 1))
+    cfgs = [RunConfig("dgm", 20, 0.5, seed=seed) for seed in (1, 2, 3)]
+    _assert_each_run_is_alone(cfgs, problem, run(cfgs, problem))
+
+
 @pytest.mark.parametrize("d", [1, 10, 16, 17, 123, 10001])
 @pytest.mark.parametrize("kind", [LOG, LS])
 def test_a_row_steps_alone_with_the_bits_it_has_in_its_batch(kind, d):
@@ -910,7 +927,15 @@ _CHUNKED = {
     "dgm": lambda p: [RunConfig("dgm", 10, gamma, seed=seed)
                       for seed, gamma in ((3, 0.05), (8, 0.2))],
     "no_epochs": lambda p: [RunConfig("dpg-rr", 0, 0.05, seed=1)],
+    # at 3 rows a chunk, the last chunk holds epochs 10 and 11, both recorded
+    "partial_last": lambda p: [RunConfig(algo, 11, 0.05, seed=seed, cadence=2, record_v=True)
+                               for algo, seed in (("dpg-rr", 1), ("dpg-sg", 2))],
 }
+
+
+def _row_bytes(cfgs, p):
+    """Every buffered byte of one recorded epoch of the batch ``cfgs``."""
+    return 8 * len(cfgs) * (p.m * p.dim + 2 * p.dim + (p.n * p.dim if cfgs[0].record_v else 0))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 10**6])
@@ -920,10 +945,7 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
     cfgs = _CHUNKED[case](p)
     want = run(cfgs, p)
     want_states = iterates(cfgs, p, want)
-    # every buffered byte of one recorded epoch of the batch
-    row_bytes = 8 * len(cfgs) * (p.m * p.dim + 2 * p.dim
-                                 + (p.n * p.dim if cfgs[0].record_v else 0))
-    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * row_bytes)
+    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * _row_bytes(cfgs, p))
     calls = []
     full_objective = engine.objectives.full_objective
 
@@ -940,6 +962,51 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
     assert calls == [1] + [
         min(rows, recorded - lo) for lo in range(0, recorded, rows)]
     _assert_same_states(iterates(cfgs, p, got), want_states)
+
+
+def test_index_blocks_drawn_for_fewer_epochs_than_a_chunk_change_no_trace(
+        canonical_problem, monkeypatch):
+    # one 13-epoch chunk, but the batch's index blocks reach
+    # MAX_BATCH_BYTES after d = 10 epochs: they are drawn for 10 and 3
+    p = canonical_problem
+    cfgs = _CHUNKED["samplers"](p)
+    want = run(cfgs, p)
+    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", 10**6 * _row_bytes(cfgs, p))
+    monkeypatch.setattr(engine, "MAX_BATCH_BYTES", len(cfgs) * p.features.nbytes)
+    drawn = []
+    fill_indices = engine.fill_indices
+
+    def counted(out, draws, t0):
+        drawn.append((t0, len(out)))
+        return fill_indices(out, draws, t0)
+
+    monkeypatch.setattr(engine, "fill_indices", counted)
+    got = run(cfgs, p)
+    for a, b in zip(got, want, strict=True):
+        _assert_same_trace(a, b)
+    # the fixed order's rows, then the other rows twice
+    assert drawn == [(0, 10), (0, 10), (10, 3)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("rows", [1, 3, 10**6])
+@pytest.mark.parametrize("problem, healthy, late, want", [
+    # epochs 4 and 7 are the middle ones of 3-epoch chunks
+    (reset_problem, RunConfig("dpg-ig", 20, 0.25, seed=2, x0=1.0),
+     RunConfig("dpg-sg", 20, 0.5, seed=4, x0=1.0), ("dpg-sg seed 4", 0, 4, 1, "inner")),
+    (overflow_problem, RunConfig("dgm", 20, 0.01, seed=1, x0=1.0),
+     RunConfig("dgm", 20, 1e40, seed=2, x0=1.0), ("dgm seed 2", 0, 7, None, "step")),
+], ids=["proximal", "dgm"])
+def test_a_failure_inside_a_chunk_is_named_the_same_at_any_chunk_length(
+        monkeypatch, rows, problem, healthy, late, want):
+    p = problem()
+    assert _outcome([healthy], p)[1] is None
+    failures = []
+    for cfgs in ([late], [healthy, late]):
+        monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * _row_bytes(cfgs, p))
+        failures.append(_outcome(cfgs, p)[1])
+    assert failures[0] == failures[1]
+    assert failures[0][:5] == want
 
 
 def test_a_recorded_row_holds_a_few_floats():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpgrr.sampling import Mode
+from dpgrr.sampling import Mode, fill_indices
 from oracles import BadK, epoch_indices, prefix_average_stats
 
 
@@ -77,6 +77,21 @@ def test_interleaved_draws_match_a_fresh_generator():
         m, n = int(picks.integers(1, 8)), int(picks.integers(1, 14))
         block = epoch_indices(mode, seed, t, m, n)
         assert np.array_equal(block, _fresh_block(mode, seed, t, m, n)), (mode, seed, t, m, n)
+
+
+@pytest.mark.parametrize("t0", [1, 37, 2**40])
+def test_a_stretch_of_epochs_gives_each_epoch_its_own_draw(t0):
+    # RR, SG and IG rows drawn for 6 epochs at once; row 4 is no run's
+    # and keeps what it held
+    draws = [(0, Mode.RR, 5), (1, Mode.SG, 5), (2, Mode.IG, 8), (3, Mode.SG, 2**64 - 1),
+             (5, Mode.RR, 0)]
+    out = np.full((6, 6, 3, 7), -1, dtype=np.int64)
+    fill_indices(out, draws, t0)
+    for e in range(6):
+        for row, mode, seed in draws:
+            assert np.array_equal(out[e, row], epoch_indices(mode, seed, t0 + e, 3, 7))
+            assert np.array_equal(out[e, row], _fresh_block(mode, seed, t0 + e, 3, 7))
+    assert (out[:, 4] == -1).all()
 
 
 def test_threads_sharing_the_generator_draw_their_own_blocks():
