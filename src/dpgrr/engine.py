@@ -63,11 +63,12 @@ never shows in the bits.  dgm's margins, one ``einsum``, sum a wide row
 by the same spans, so ``einsum`` never cuts a row at its buffer's end.
 The logistic inner step forms ``gamma sigma(-u)`` as
 ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
-calls: within 3 ulp of ``-gamma * objectives.margin_slope`` wherever
-``exp(u)`` is finite, and exactly 0 past its overflow (u > 709.78),
-where the two-branch form gives a subnormal.  dgm's gradient, which
-moves its state's bits through the sign of exact zeros, and the least
-squares step take ``objectives.margin_slope`` itself.
+calls: ``objectives.margin_slope``'s formula with ``gamma`` in its
+numerator.  It is within 1 ulp of ``-gamma * margin_slope`` where that
+slope is a normal float (u < 708.39), and, like it, exactly 0 past
+exp's overflow (u > 709.78); in between the slope is subnormal, and
+``gamma`` times its rounding can add a few ulp.  dgm's gradient and the
+least squares step take ``objectives.margin_slope`` itself.
 
 Each epoch tests its phase-1 output and its next state for finiteness,
 one whole-array test each.  That covers the mixed state too: mixing a

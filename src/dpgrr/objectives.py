@@ -12,9 +12,9 @@ relies on this exact scaling, so it lives in one place here.
 written in margin space: a sample's margin is ``u = <row, x>`` and its
 gradient is its slope in ``u`` times its row.  A logistic row is ``y a``,
 whose margin and gradient, with labels exactly +-1, have the bits of
-``y <a, x>`` and ``-y sigma(-y z) a``.  The engine's logistic inner step
-alone forms ``gamma / (1 + exp(u))`` in its margin's buffer, within
-3 ulp of ``-gamma`` times the slope (see ``engine``).
+``y <a, x>`` and ``-y sigma(-y z) a``.  The logistic slope has one
+formula, ``-1 / (1 + exp(u))``; the engine's inner step forms
+``gamma`` times it in its margin's buffer (see ``engine``).
 ``softplus`` is the one vectorized softplus: the logistic value of
 ``full_objective``, and so every recorded F and the reference F*, takes
 it.
@@ -34,7 +34,6 @@ __all__ = [
     "SmoothLossKind",
     "margin_rows",
     "margin_slope",
-    "sigmoid",
     "softplus",
     "full_objective",
     "lipschitz_constant",
@@ -54,23 +53,6 @@ class EmptyData(ValueError):
 class SmoothLossKind(enum.Enum):
     LOGISTIC = "logistic"
     LEAST_SQUARES = "least_squares"
-
-
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-v))`` elementwise, in the exact two-branch form.
-
-    ``margin_slope`` takes it; the engine's inner step takes the cheaper
-    one-branch form instead.
-
-    The two branches of the scalar sigmoid in one pass: with ``e = exp(-|v|)``,
-    which never overflows, the numerator is 1 for ``v >= 0`` and ``e``
-    below.  ``max(e, heaviside(v, 1))`` picks it without ``np.where``: the
-    step is 1 from ``v = -0.0`` on, where ``e <= 1``, and 0 below, where
-    ``e >= 0``; a NaN stays NaN.  It has the bits of
-    ``where(v >= 0, 1, e) / (1 + e)`` everywhere, infinities included.
-    """
-    e = np.exp(-np.abs(v))
-    return np.maximum(e, np.heaviside(v, 1.0)) / (1.0 + e)
 
 
 def softplus(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -113,11 +95,14 @@ def margin_slope(
 ) -> np.ndarray:
     """Slope of each sample's loss in its margin ``u = <row, x>``.
 
-    ``-sigmoid(-u)`` for logistic, ``u - targets`` for least squares, on
-    ``margin_rows``; a sample's gradient is this slope times its row.
+    ``-sigma(-u)`` for logistic, as ``-1 / (1 + exp(u))``: exactly 0 past
+    exp's overflow (u > 709.78), and -1 below its underflow; ``u - targets``
+    for least squares.  Taken on ``margin_rows``, a sample's gradient is
+    this slope times its row.
     """
     if kind is SmoothLossKind.LOGISTIC:
-        return -sigmoid(-u)
+        with np.errstate(over="ignore"):  # exp(u) is inf, and the slope 0
+            return -1.0 / (1.0 + np.exp(u))
     return u - targets
 
 

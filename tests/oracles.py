@@ -1,13 +1,13 @@
 """Reference oracles the tests check the package against.
 
 None of them uses ``dpgrr.engine``: the scalar loss and gradient of one
-sample, the unsigned loss derivative and gradient of the packed smooth
-part, the per-row loops of the sample norms and of the synthetic
-problem, the one-agent reshuffled proximal gradient baseline, the
-one-run index draw, the exhaustive or Monte Carlo prefix-average
-statistics, the proximal objective gap, the sparse-text writer that
-``parse_libsvm`` reads back, and the ``(m, m)`` product of a run of
-schedule matrices, which the engine never forms.
+sample, the one-branch vectorized sigmoid, the unsigned loss derivative
+and gradient of the packed smooth part, the per-row loops of the sample
+norms and of the synthetic problem, the one-agent reshuffled proximal
+gradient baseline, the one-run index draw, the exhaustive or Monte Carlo
+prefix-average statistics, the proximal objective gap, the sparse-text
+writer that ``parse_libsvm`` reads back, and the ``(m, m)`` product of a
+run of schedule matrices, which the engine never forms.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from dpgrr.netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
-from dpgrr.objectives import DimensionMismatch, SmoothLossKind, sigmoid
+from dpgrr.objectives import DimensionMismatch, SmoothLossKind
 from dpgrr.proxops import NonPositiveStep, Regularizer, prox
 from dpgrr.sampling import Mode, fill_indices
 
@@ -33,6 +33,13 @@ def _sigmoid(u: float) -> float:
         return 1.0 / (1.0 + math.exp(-u))
     e = math.exp(u)
     return e / (1.0 + e)
+
+
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-v))`` elementwise, in one branch: 0 where ``exp(-v)``
+    overflows, 1 where it underflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-v))
 
 
 def loss_derivative(

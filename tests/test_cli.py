@@ -731,7 +731,7 @@ def test_a_fixture_solved_on_other_data_is_solved_again(configs_dir, tmp_path, c
     assert main(run_args) == 0
     manifest = json.loads(manifest_path.read_text())
     assert manifest["F_star_source"] == f"fixture:{key[:16]}"
-    assert manifest["F_star"] == 2.2136791850812325
+    assert manifest["F_star"] == 2.213679185081232
     assert "note: fixture" not in capsys.readouterr().err
 
     # the first label flipped: same key, other data

@@ -228,38 +228,13 @@ def test_nonfinite_report_follows_serial_agent_order():
     assert (err.value.phase, err.value.inner_step) == ("inner", 1)
 
 
-# margins where the two sigmoid branches meet, where exp underflows, and
-# where the margin itself is near the largest float
+# margins at +-0, where exp underflows or overflows, and where the margin
+# itself is near the largest float
 MARGINS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308]
 
 
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
-
-
-def _where_sigmoid(v):
-    """The two-branch sigmoid, ``where(v >= 0, 1, e) / (1 + e)``."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0, e) / (1.0 + e)
-
-
-def _where_sigmoid_of_minus(u):
-    """``sigma(-u)`` in two-branch form: ``where(u <= 0, 1, e) / (1 + e)``."""
-    e = np.exp(-np.abs(u))
-    return np.where(u <= 0.0, 1.0, e) / (1.0 + e)
-
-
-def test_sigmoid_has_the_bits_of_the_two_branch_form():
-    rng = np.random.default_rng(20)
-    values = np.concatenate([
-        MARGINS, [math.inf, -math.inf, math.nan, 5e-324, -5e-324],
-        rng.normal(size=20000), rng.normal(size=20000) * 40.0,
-        rng.standard_cauchy(size=20000), rng.uniform(-746.0, 746.0, size=20000),
-    ])
-    with np.errstate(all="ignore"):
-        assert np.array_equal(_bits(objectives.sigmoid(values)), _bits(_where_sigmoid(values)))
-        assert np.array_equal(_bits(objectives.sigmoid(-values)),
-                              _bits(_where_sigmoid_of_minus(values)))
 
 
 @pytest.mark.parametrize("gamma", [0.5, np.array([0.5, 3.0]).reshape(2, 1, 1)])
@@ -291,14 +266,17 @@ def test_fused_logistic_step_is_gamma_over_one_plus_exp_of_the_margin(gamma):
         engine._inner_step(LOG, gamma, got, np.ones_like(x), None)
         coef, u = got[..., 1], x[..., 0]
         gammas = np.broadcast_to(gamma, x.shape)[..., 0]
-        want = gammas * objectives.sigmoid(-u)
+        want = -gammas * objectives.margin_slope(LOG, u, None)
         finite = np.isfinite(np.exp(u))
-    # within 4 units in the last place of the two-branch form
+    # within 1 unit in the last place of -gamma times the slope; where the
+    # slope is subnormal (u > 708.39), gamma times its rounding adds to
+    # that, and these two gammas keep the sum within 1
     ulps = np.abs(coef - want) / np.spacing(np.abs(want))
-    assert ulps[finite].max() <= 4.0
-    # exactly 0 past exp's overflow, where the two-branch form is subnormal
+    assert ulps[finite].max() <= 1.0
+    # and equal to it past exp's overflow, where both are 0
     assert np.isin(past, u[~finite]).all() and (u[~finite] > 709.78).all()
     assert (coef[~finite] == 0.0).all()
+    assert np.array_equal(_bits(coef[~finite]), _bits(want[~finite]))
     for edge in (-745.0, -1e308):
         assert np.array_equal(coef[u == edge], gammas[u == edge])
 

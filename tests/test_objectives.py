@@ -123,17 +123,25 @@ def test_stacked_objective_and_penalty_equal_one_point_at_a_time(m, kind, reg):
 
 
 def test_loss_derivative_matches_scalar_form_at_extreme_margins():
-    # the vectorized logistic derivative must neither overflow nor lose
-    # the tails that the scalar two-branch sigmoid keeps; ``margin_slope``
-    # takes the signed margins y z, and its slope times y is the derivative
-    margins = np.array([40.0, -40.0, 700.0, -700.0, 745.0, -745.0])
-    for label in (1.0, -1.0):
-        labels = np.full(margins.size, label)
-        for got in (loss_derivative(LOG, label * margins, labels),
-                    label * margin_slope(LOG, margins, None)):
-            for z, coef in zip(label * margins, got):
-                _, grad = sample_value_grad(LOG, [1.0], label, np.array([z]))
-                assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
+    # the vectorized logistic derivative must neither overflow, nor warn,
+    # nor lose the tails that the scalar two-branch sigmoid keeps;
+    # ``margin_slope`` takes the signed margins y z, and its slope times y
+    # is the derivative.  Past exp's overflow (u > 709.78) it is exactly 0,
+    # where the scalar form is below the smallest normal float
+    margins = np.array([40.0, -40.0, 700.0, -700.0, 745.0, -745.0, 709.79, 1e308, math.inf])
+    past = margins > 709.78
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in (1.0, -1.0):
+            labels = np.full(margins.size, label)
+            for got in (loss_derivative(LOG, label * margins, labels),
+                        label * margin_slope(LOG, margins, None)):
+                for z, coef, beyond in zip(label * margins, got, past):
+                    _, grad = sample_value_grad(LOG, [1.0], label, np.array([z]))
+                    if beyond:
+                        assert coef == 0.0 and abs(grad[0]) < np.finfo(float).tiny
+                    else:
+                        assert coef == pytest.approx(grad[0], rel=1e-14, abs=1e-320)
 
 
 def central_difference(kind, a, label, x, h=1e-6):

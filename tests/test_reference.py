@@ -11,10 +11,10 @@ from conftest import iterates, packed, sqrt_step
 from dpgrr.dataio import synthesize_classification
 from dpgrr.engine import ProblemBundle, RunConfig, run
 from dpgrr.netgraph import GraphSchedule, metropolis_weights
-from dpgrr.objectives import SmoothLossKind, full_objective, sigmoid, smooth_curvature
+from dpgrr.objectives import SmoothLossKind, full_objective, smooth_curvature
 from dpgrr.proxops import Regularizer, RegKind, prox
 from dpgrr.reference import solve_centralized, store_fixture, usable_fixture
-from oracles import centralized_prox_rr, loss_derivative, packed_smooth_grad
+from oracles import centralized_prox_rr, loss_derivative, packed_smooth_grad, sigmoid
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
