@@ -57,10 +57,11 @@ Every step reads the problem's ``objectives.margin_rows``, kept once: a
 logistic sample is its signed row ``y a`` alone, so no label is gathered
 or multiplied per step.  An inner step's margin ``u = <row, x>`` is one
 ``np.vecdot``, a BLAS dot per row, so a row's margin has the bits it
-gets alone, whatever the batch; a row wider than ``_DOT_SPAN`` sums its
-spans' dots, so no dot is split across BLAS threads and the CPU count
-never shows in the bits.  dgm's margins, one ``einsum``, sum a wide row
-by the same spans, so ``einsum`` never cuts a row at its buffer's end.
+gets alone, whatever the batch; a row wider than ``proxops._DOT_SPAN``
+sums its spans' dots (``proxops.span_dot``, the span rule every recorded
+row sum takes too), so no dot is split across BLAS threads and the CPU
+count never shows in the bits.  dgm's margins, one ``einsum``, sum a wide
+row by the same spans, so ``einsum`` never cuts a row at its buffer's end.
 The logistic inner step forms ``gamma sigma(-u)`` as
 ``gamma / (1 + exp(u))`` in the margin's own buffer, in three numpy
 calls: ``objectives.margin_slope``'s formula with ``gamma`` in its
@@ -119,7 +120,7 @@ from . import metrics as metrics_mod
 from . import objectives
 from .netgraph import GraphSchedule, StepsMode, epoch_blocks, mix
 from .objectives import DimensionMismatch, EmptyData, SmoothLossKind
-from .proxops import Regularizer, check_step, prox, subgradient
+from .proxops import Regularizer, check_step, prox, span_dot, subgradient
 from .sampling import Mode, fill_indices
 
 __all__ = [
@@ -147,8 +148,8 @@ MAX_BATCH_BYTES = 1 << 20
 
 # Run-epochs (runs times horizon) each lane must carry before ``run``
 # forks workers for its lanes.  On the bench workloads of a shared 2-vCPU
-# host a run-epoch that records its row took at least 27 us, so a lane
-# at this bound runs for at least about 54 ms; its fork costs the caller
+# host a run-epoch that records its row took at least 26 us, so a lane
+# at this bound runs for at least about 52 ms; its fork costs the caller
 # 0.3-0.8 ms and unpickling its traces, when no callback takes them in
 # the lane, under 0.05 us a row, together about 1.5% of the lane.  Each of
 # ``a9a_dgm``'s two runs is exactly this bound, so a higher one would
@@ -158,13 +159,6 @@ _LANE_WORK = 2000
 # Bound on the buffered states and averages of recorded epochs that the
 # engine evaluates together; each chunk costs one call per row quantity.
 MAX_RECORD_BYTES = 1 << 16
-
-# Longest span of a row one margin dot takes.  OpenBLAS splits a ddot of
-# more than 10000 elements across its threads, which gives bits that
-# depend on the thread count, and so on the CPUs, and einsum sums a row
-# longer than its 8192-element buffer in pieces that depend on the
-# batch; a wider row's margin is the sum of its spans' dots, in order.
-_DOT_SPAN = 8192
 
 # RunConfig fields that every run of one ``run`` call must share
 _SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v")
@@ -323,24 +317,13 @@ def default_cadence(horizon: int) -> int:
     return 1 if horizon <= 2000 else math.ceil(horizon / 2000)
 
 
-def _margins(dot, a, x):
-    """``dot(a, x)``, which sums products over the rows' last axis; a row
-    wider than ``_DOT_SPAN`` sums its spans' margins, in order."""
-    if a.shape[-1] <= _DOT_SPAN:
-        return dot(a, x)
-    u = dot(a[..., :_DOT_SPAN], x[..., :_DOT_SPAN])
-    for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
-        u += dot(a[..., lo:lo + _DOT_SPAN], x[..., lo:lo + _DOT_SPAN])
-    return u
-
-
 def _inner_step(kind: SmoothLossKind, gamma, x, a, y) -> None:
     """One gradient step of every row of ``x`` on its sample, in place.
 
     A sample is its ``margin_rows`` row ``a`` and target ``y``, None for
     a logistic sample.
     """
-    u = _margins(np.vecdot, a, x)
+    u = span_dot(np.vecdot, a, x)
     if y is None:
         # gamma * sigma(-u) = gamma / (1 + exp(u)), formed in u's buffer;
         # past exp's overflow the coefficient is exactly 0
@@ -442,7 +425,7 @@ def run_epoch_dgm(
     with np.errstate(all="ignore"):
         mixed = mix(blocks, x)
         rows = problem.rows
-        u = _margins(lambda a, b: np.einsum("jnd,sjd->sjn", a, b), rows, mixed)
+        u = span_dot(lambda a, b: np.einsum("jnd,sjd->sjn", a, b), rows, mixed)
         coef = objectives.margin_slope(problem.kind, u, problem.targets)
         grad = subgradient(problem.regularizer, mixed) + np.einsum("sjn,jnd->sjd", coef, rows)
         x_next = mixed - gamma_t * grad

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .objectives import DimensionMismatch, SmoothLossKind, margin_rows, margin_slope
-from .proxops import sequential_sum
+from .proxops import row_sum
 
 __all__ = [
     "consensus_edges",
@@ -50,7 +50,7 @@ def consensus_quantity(xs, weights: np.ndarray, edges=None):
         raise DimensionMismatch(f"states {stacked.shape} vs {weights.shape} weights")
     i, j, w = consensus_edges(weights) if edges is None else edges
     diff = stacked[..., i, :] - stacked[..., j, :]
-    value = 0.5 * sequential_sum(w * np.einsum("...ed,...ed->...e", diff, diff))
+    value = 0.5 * row_sum(w * np.einsum("...ed,...ed->...e", diff, diff))
     return float(value) if stacked.ndim == 2 else value
 
 
@@ -84,5 +84,5 @@ def forward_deviation(inner_averages: np.ndarray, x_bar_next: np.ndarray):
     """
     inner = np.asarray(inner_averages, dtype=float)
     diff = inner - np.asarray(x_bar_next, dtype=float)[..., None, :]
-    value = sequential_sum(np.einsum("...nd,...nd->...n", diff, diff))
+    value = row_sum(np.einsum("...nd,...nd->...n", diff, diff))
     return float(value) if inner.ndim == 2 else value

@@ -26,7 +26,7 @@ import enum
 
 import numpy as np
 
-from .proxops import Regularizer, sequential_sum
+from .proxops import Regularizer, row_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -121,22 +121,23 @@ def packed_smooth_value(
 ):
     """Smooth part at each point of an ``(..., d)`` stack; a float for one point.
 
-    The margins are per-point ``einsum`` dot products and the losses are
-    summed in sample order (``sequential_sum``): a ``@`` or ``np.sum`` over
-    the stack would change a point's bits with the points stacked beside it.
-    A logistic point's losses are ``softplus`` of its negated margins,
-    both taken in place on the margin buffer.
+    A point's margins are one BLAS gemv, ``point @ flat.T``, and its losses
+    are summed by ``row_sum``: each point's bits are the ones it has alone.
+    One gemm over the whole stack, or ``np.sum``, would change a point's
+    bits with the points stacked beside it.  A logistic point's losses are
+    ``softplus`` of its negated margins, both taken in place on the margin
+    buffer.
     """
     flat, x = _flat(features, x)
     points = x.reshape(-1, flat.shape[1])
-    z, y, m = np.einsum("kd,sd->sk", flat, points), labels.reshape(-1), features.shape[0]
+    z, y, m = (points[:, None, :] @ flat.T)[:, 0], labels.reshape(-1), features.shape[0]
     if kind is SmoothLossKind.LOGISTIC:
         # (-y) z has the bits of -(y z); it and its softplus overwrite z
         np.multiply(-y, z, out=z)
-        value = sequential_sum(softplus(z, out=z)) / m
+        value = row_sum(softplus(z, out=z)) / m
     else:
         r = z - y
-        value = 0.5 * sequential_sum(r * r) / m
+        value = 0.5 * row_sum(r * r) / m
     return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
 
 

@@ -13,7 +13,8 @@ __all__ = [
     "RegKind",
     "Regularizer",
     "check_step",
-    "sequential_sum",
+    "row_sum",
+    "span_dot",
     "prox",
     "subgradient",
 ]
@@ -23,17 +24,41 @@ class NonPositiveStep(ValueError):
     """The step size of a proximal map must be strictly positive."""
 
 
-def sequential_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, strictly left to right; 0 over an empty axis.
+# Longest span of a row that one BLAS dot takes.  OpenBLAS splits a ddot
+# of more than 10000 elements across its threads, which gives bits that
+# depend on the thread count, and so on the CPUs, and einsum sums a row
+# longer than its 8192-element buffer in pieces that depend on the
+# batch; a wider row's dot is the sum of its spans' dots, in order.
+_DOT_SPAN = 8192
 
-    ``np.sum`` picks its summation order from the shape of the whole
-    array, so a row's sum could change with the rows stacked beside it.
-    A cumulative sum adds each row's terms in order, so every row of a
-    stack sums to the bits it has alone.
+
+def span_dot(dot, a, x):
+    """``dot(a, x)``, which sums products over the rows' last axis; a row
+    wider than ``_DOT_SPAN`` sums its spans' dots, in order.
+
+    The one span rule: the engine's margins and every recorded row sum
+    (``row_sum``) take it.
     """
-    if terms.shape[-1] == 0:
-        return np.zeros(terms.shape[:-1])
-    return np.cumsum(terms, axis=-1)[..., -1]
+    if a.shape[-1] <= _DOT_SPAN:
+        return dot(a, x)
+    u = dot(a[..., :_DOT_SPAN], x[..., :_DOT_SPAN])
+    for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
+        u += dot(a[..., lo:lo + _DOT_SPAN], x[..., lo:lo + _DOT_SPAN])
+    return u
+
+
+def row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis; 0 over an empty axis.
+
+    The one row-sum rule, which every recorded quantity reduces with: each
+    row, made contiguous, is one BLAS dot with a ones vector
+    (``np.vecdot``), in spans of at most ``_DOT_SPAN`` (``span_dot``), so
+    every row of a stack sums to the bits it has alone, on any BLAS thread
+    count.  ``np.sum`` picks its summation order from the shape of the
+    whole array, and a strided row takes another BLAS path, with other bits.
+    """
+    terms = np.ascontiguousarray(terms)
+    return span_dot(np.vecdot, terms, np.ones(terms.shape[-1]))
 
 
 class RegKind(enum.Enum):
@@ -82,9 +107,9 @@ class Regularizer:
         if self.kind is RegKind.ZERO:
             value = np.zeros(len(points))
         elif self.kind is RegKind.L1:
-            value = self.lam * sequential_sum(np.abs(points))
+            value = self.lam * row_sum(np.abs(points))
         else:
-            value = 0.5 * self.lam * np.einsum("sd,sd->s", points, points)
+            value = 0.5 * self.lam * span_dot(np.vecdot, points, points)
         return float(value[0]) if x.ndim == 1 else value.reshape(x.shape[:-1])
 
     def subgradient_bound(self, dim: int, radius: float = math.inf) -> float:

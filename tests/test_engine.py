@@ -724,6 +724,16 @@ def test_a_row_steps_alone_with_the_bits_it_has_in_its_batch(kind, d):
         assert np.array_equal(_bits(row[0]), _bits(batch[s, j]))
 
 
+def stdout_on_one_and_two_blas_threads(script: str) -> list[str]:
+    """The stdout of ``python -c script`` at ``OPENBLAS_NUM_THREADS`` 1 and 2."""
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k},
+                           ).stdout for k in ("1", "2")]
+
+
 def test_a_wide_margin_has_the_same_bits_on_any_blas_thread_count():
     # OpenBLAS splits a ddot of more than 10000 elements across its
     # threads; the inner step never hands it one, so one thread and two
@@ -740,12 +750,7 @@ def test_a_wide_margin_has_the_same_bits_on_any_blas_thread_count():
                                else rng.normal(size=(2, 3)))
             print(hashlib.sha256(x.tobytes()).hexdigest())
     """
-    src = str(Path(engine.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k},
-                          ).stdout for k in ("1", "2")]
+    out = stdout_on_one_and_two_blas_threads(script)
     assert len(out[0].split()) == 2
     assert out[0] == out[1]
 

@@ -21,7 +21,7 @@ from dpgrr.objectives import (
 )
 from dpgrr.proxops import Regularizer
 from oracles import loss_derivative, packed_smooth_grad, sample_norms, sample_value_grad
-from test_engine import MARGINS
+from test_engine import MARGINS, stdout_on_one_and_two_blas_threads
 
 LOG = SmoothLossKind.LOGISTIC
 LS = SmoothLossKind.LEAST_SQUARES
@@ -120,6 +120,60 @@ def test_stacked_objective_and_penalty_equal_one_point_at_a_time(m, kind, reg):
         assert reg.value(points[:size]).tolist() == penalty[:size]
     grid = full_objective(features, labels, reg, kind, points[:60].reshape(2, 30, 10))
     assert grid.shape == (2, 30) and grid.ravel().tolist() == objective[:60]
+
+
+@pytest.mark.parametrize("m, n, d", [(2, 4500, 3), (1, 5, 9000)],
+                         ids=["samples_past_a_span", "features_past_a_span"])
+@pytest.mark.parametrize("kind", [LOG, LS])
+def test_wide_stacks_give_each_point_its_bits_alone(m, n, d, kind):
+    # more samples than a span sum a point's losses span by span, and more
+    # features than a span sum the penalty so; the squared-L2 penalty's
+    # einsum once summed a point wider than its 8192-element buffer in
+    # pieces that depended on the stack
+    features, labels = synthesize_classification(m=m, n=n, d=d, separation=1.0, seed=3)
+    points = np.random.default_rng(d).normal(size=(7, d)) * 0.1
+    for reg in (Regularizer.l1(5e-4), Regularizer.squared_l2(0.1)):
+        objective = [full_objective(features, labels, reg, kind, x) for x in points]
+        penalty = [reg.value(x) for x in points]
+        for size in (2, 7):
+            assert full_objective(features, labels, reg, kind, points[:size]).tolist() == (
+                objective[:size]
+            )
+            assert reg.value(points[:size]).tolist() == penalty[:size]
+
+
+def test_recorded_values_have_the_same_bits_on_any_blas_thread_count():
+    # OpenBLAS threads a ddot of more than 10000 elements and a large
+    # gemv; the record's sums and penalty dots take spans of at most 8192,
+    # and a gemv keeps each margin whole, so one thread and two give the
+    # same values, with m n, d and the edges each past a span
+    script = """if True:
+        import hashlib
+        import numpy as np
+        from dpgrr.dataio import synthesize_classification
+        from dpgrr.metrics import consensus_quantity
+        from dpgrr.objectives import SmoothLossKind, full_objective
+        from dpgrr.proxops import Regularizer
+        rng = np.random.default_rng(0)
+        regs = (Regularizer.l1(0.01), Regularizer.squared_l2(0.1))
+        values = []
+        for m, n, d in ((4, 3000, 20), (1, 30, 9000)):
+            features, labels = synthesize_classification(m=m, n=n, d=d, separation=1.0, seed=1)
+            points = rng.normal(size=(3, d)) * 0.1
+            for kind in SmoothLossKind:
+                for reg in regs:
+                    values.append(full_objective(features, labels, reg, kind, points))
+        for reg in regs:
+            values.append(reg.value(rng.normal(size=(3, 20000))))
+        for m, d in ((110, 3), (3, 20000)):
+            weights = np.full((m, m), 1.0 / m)
+            values.append(consensus_quantity(rng.normal(size=(2, m, d)), weights))
+        for value in values:
+            print(hashlib.sha256(value.tobytes()).hexdigest())
+    """
+    out = stdout_on_one_and_two_blas_threads(script)
+    assert len(out[0].split()) == 12
+    assert out[0] == out[1]
 
 
 def test_loss_derivative_matches_scalar_form_at_extreme_margins():

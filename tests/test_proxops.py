@@ -6,10 +6,28 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import golden_section_prox_1d
-from dpgrr.proxops import NonPositiveStep, RegKind, Regularizer, prox, subgradient
+from dpgrr.proxops import NonPositiveStep, RegKind, Regularizer, prox, row_sum, subgradient
 from oracles import inexact_prox_error
 
 ALL_KINDS = [Regularizer.zero(), Regularizer.l1(1.0), Regularizer.squared_l2(0.7)]
+
+
+@pytest.mark.parametrize("width", [0, 1, 17, 8192, 8193, 20000])
+def test_a_row_sums_to_its_spans_dots_in_order_whatever_its_stack(width):
+    # each span of at most 8192 terms is one BLAS dot with ones; a row
+    # alone, in a stack, and in a strided stack (as einsum's F-ordered
+    # outputs are) all sum to those spans' dots added in order
+    terms = np.random.default_rng(width).normal(size=(5, 3, width))
+    want = []
+    for row in terms.reshape(15, width):
+        total = 0.0
+        for lo in range(0, width, 8192):
+            span = row[lo:lo + 8192]
+            total += float(np.dot(span, np.ones(len(span))))
+        want.append(total)
+    assert row_sum(terms).ravel().tolist() == want
+    assert row_sum(np.asfortranarray(terms)).ravel().tolist() == want
+    assert [float(row_sum(row)) for row in terms.reshape(15, width)] == want
 
 
 def numeric_prox_1d(reg: Regularizer, gamma: float, xi: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpgrr import sampling
 from dpgrr.sampling import Mode, fill_indices
 from oracles import BadK, epoch_indices, prefix_average_stats
 
@@ -92,6 +93,76 @@ def test_a_stretch_of_epochs_gives_each_epoch_its_own_draw(t0):
             assert np.array_equal(out[e, row], epoch_indices(mode, seed, t0 + e, 3, 7))
             assert np.array_equal(out[e, row], _fresh_block(mode, seed, t0 + e, 3, 7))
     assert (out[:, 4] == -1).all()
+
+
+SG_SEEDS = (0, 1, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 2000])
+@pytest.mark.parametrize("m", [1, 3, 4])
+@pytest.mark.parametrize("t0", [0, 5, 2**40])
+def test_sg_blocks_have_the_bits_of_integers(m, n, t0):
+    # SG blocks formed from raw words, alone and mixed with RR and IG
+    # draws; with m n odd the last word's high half goes unused
+    alone = [(k, Mode.SG, seed) for k, seed in enumerate(SG_SEEDS)]
+    mixed = [(0, Mode.RR, 3), (1, Mode.SG, 2**64 - 1), (2, Mode.IG, 4), (3, Mode.SG, 0),
+             (4, Mode.SG, 2**63 + 5), (5, Mode.RR, 2**64 - 1)]
+    for draws in (alone, mixed):
+        out = np.full((3, len(draws), m, n), -1, dtype=np.int64)
+        fill_indices(out, draws, t0)
+        for e in range(3):
+            for row, mode, seed in draws:
+                want = _fresh_block(mode, seed, t0 + e, m, n)
+                assert np.array_equal(out[e, row], want), (mode, seed, t0 + e)
+                assert np.array_equal(out[e, row], epoch_indices(mode, seed, t0 + e, m, n))
+
+
+class _RawWords:
+    """``sampling``'s Philox with every raw word passed through ``edit``."""
+
+    def __init__(self, bit_generator, edit):
+        self._bit_generator, self._edit = bit_generator, edit
+
+    @property
+    def state(self):
+        return self._bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._bit_generator.state = value
+
+    def random_raw(self, size):
+        return self._edit(self._bit_generator.random_raw(size))
+
+
+@pytest.mark.parametrize("n", [3, 7, 20, 2000])
+@pytest.mark.parametrize("word", [None, 0, -1], ids=["every_word", "first_word", "last_word"])
+def test_a_rejected_word_redraws_its_whole_block_through_integers(monkeypatch, n, word):
+    # a 32-bit word of 0 is below Lemire's bound 2**32 mod n whenever n is
+    # not a power of two, so numpy would draw again: the whole block must
+    # then be the one ``integers`` draws, not the raw block with the
+    # rejected index at 0
+    def edit(words):
+        if word is None:
+            words[:] = 0
+        else:  # the word's low half, the block's index 2 k
+            words[word] &= np.uint64(0xFFFFFFFF00000000)
+        return words
+
+    monkeypatch.setattr(sampling, "_BIT_GENERATOR", _RawWords(sampling._BIT_GENERATOR, edit))
+    draws = [(0, Mode.SG, 9), (1, Mode.RR, 9), (2, Mode.SG, 2**64 - 1)]
+    out = np.empty((2, 3, 3, n), dtype=np.int64)
+    fill_indices(out, draws, 11)
+    kept_raw_block_differs = False
+    for e in range(2):
+        for row, mode, seed in draws:
+            want = _fresh_block(mode, seed, 11 + e, 3, n)
+            assert np.array_equal(out[e, row], want)
+            if mode is Mode.SG:
+                index = 0 if word == 0 else 2 * ((3 * n - 1) // 2)
+                kept_raw_block_differs |= want.flat[index] != 0
+    # so a fill that kept the raw block would have failed above
+    assert kept_raw_block_differs
 
 
 def test_threads_sharing_the_generator_draw_their_own_blocks():
