@@ -97,6 +97,16 @@ def packed_smooth_grad(
     return flat.T @ (coef / features.shape[0])
 
 
+def span_sum(terms: np.ndarray) -> float:
+    """A row's sum as ``proxops.row_sum`` takes it: a BLAS dot with ones
+    over each span of at most 8192 terms, the spans added in order."""
+    total = 0.0
+    for lo in range(0, len(terms), 8192):
+        span = terms[lo:lo + 8192]
+        total += float(np.dot(span, np.ones(len(span))))
+    return total
+
+
 def sample_norms(features: np.ndarray) -> np.ndarray:
     """Each sample's ``sqrt(v.dot(v))`` over its nonzeros ``v``, one row at a time."""
     rows = features.reshape(-1, features.shape[-1])

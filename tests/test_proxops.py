@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import golden_section_prox_1d
 from dpgrr.proxops import NonPositiveStep, RegKind, Regularizer, prox, row_sum, subgradient
-from oracles import inexact_prox_error
+from oracles import inexact_prox_error, span_sum
 
 ALL_KINDS = [Regularizer.zero(), Regularizer.l1(1.0), Regularizer.squared_l2(0.7)]
 
@@ -18,13 +18,7 @@ def test_a_row_sums_to_its_spans_dots_in_order_whatever_its_stack(width):
     # alone, in a stack, and in a strided stack (as einsum's F-ordered
     # outputs are) all sum to those spans' dots added in order
     terms = np.random.default_rng(width).normal(size=(5, 3, width))
-    want = []
-    for row in terms.reshape(15, width):
-        total = 0.0
-        for lo in range(0, width, 8192):
-            span = row[lo:lo + 8192]
-            total += float(np.dot(span, np.ones(len(span))))
-        want.append(total)
+    want = [span_sum(row) for row in terms.reshape(15, width)]
     assert row_sum(terms).ravel().tolist() == want
     assert row_sum(np.asfortranarray(terms)).ravel().tolist() == want
     assert [float(row_sum(row)) for row in terms.reshape(15, width)] == want

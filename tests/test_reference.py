@@ -14,7 +14,7 @@ from dpgrr.netgraph import GraphSchedule, metropolis_weights
 from dpgrr.objectives import SmoothLossKind, full_objective, smooth_curvature
 from dpgrr.proxops import Regularizer, RegKind, prox
 from dpgrr.reference import solve_centralized, store_fixture, usable_fixture
-from oracles import centralized_prox_rr, loss_derivative, packed_smooth_grad, sigmoid
+from oracles import centralized_prox_rr, loss_derivative, packed_smooth_grad, sigmoid, span_sum
 
 LS = SmoothLossKind.LEAST_SQUARES
 LOG = SmoothLossKind.LOGISTIC
@@ -69,27 +69,18 @@ def _value_and_gradient_solve(agent_rows, labels, reg, kind, tol, max_iters):
     step = 1.0 / smooth_curvature(agent_rows, kind)
 
     def value_grad(x):
+        # one gemv, the margins ``full_objective`` takes for every point of
+        # a stack; the value takes the softplus form
+        # max(u, 0) + log1p(exp(-|u|)) and sums the losses as BLAS dots
+        # with ones over spans of at most 8192, in order, as it does
         z = features @ x
-        # the value takes the point's margins as one gemv, the softplus
-        # form max(u, 0) + log1p(exp(-|u|)), and sums the losses as BLAS
-        # dots with ones over spans of at most 8192, in order, as
-        # ``full_objective`` does for every point of a stack
-        margins = x @ features.T
-
-        def row_sum(terms):
-            total = 0.0
-            for lo in range(0, len(terms), 8192):
-                span = terms[lo:lo + 8192]
-                total += float(np.dot(span, np.ones(len(span))))
-            return total
-
         if kind is LOG:
-            u = -(labels * margins)
+            u = -(labels * z)
             losses = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-            value = row_sum(losses) / m
+            value = span_sum(losses) / m
         else:
-            r = margins - labels
-            value = 0.5 * row_sum(r * r) / m
+            r = z - labels
+            value = 0.5 * span_sum(r * r) / m
         return value, features.T @ (loss_derivative(kind, z, labels) / m)
 
     def mapping(x):
