@@ -13,6 +13,9 @@ writes below OUT:
   that does not exist, so that every F* is solved on the fly;
 - ``diagnostics/NAME/`` and its stdout, each config again with TREE's
   committed store and both diagnostics on;
+- ``cadence/NAME/`` and its stdout, as ``diagnostics/`` but recording
+  every 7th epoch (``snapshot_cadence: 7``), a cadence that divides no
+  shipped horizon, so that chunks skip epochs and end between records;
 - ``WORKLOAD/seedS/``, every bench workload at seeds 0 and 1, its config
   written by this checkout's ``bench/workloads.py`` whatever TREE is.
 
@@ -43,9 +46,11 @@ sys.path.insert(0, str(REPO))
 from bench.workloads import WORKLOADS, prepare  # noqa: E402
 
 
-def copy_config(config: Path, root: str, fixtures: str, diagnostics: bool = False) -> dict:
+def copy_config(config: Path, root: str, fixtures: str, diagnostics: bool = False,
+                cadence: int | None = None) -> dict:
     """The shipped ``config`` with its libsvm data read below ``root`` and
-    its store at ``fixtures``; with ``diagnostics``, both diagnostics on."""
+    its store at ``fixtures``; with ``diagnostics``, both diagnostics on,
+    and with ``cadence``, that ``snapshot_cadence``."""
     raw = yaml.safe_load(config.read_text())
     libsvm = raw["dataset"].get("libsvm")
     if libsvm is not None:
@@ -53,6 +58,8 @@ def copy_config(config: Path, root: str, fixtures: str, diagnostics: bool = Fals
     raw["fixtures"] = fixtures
     if diagnostics:
         raw["diagnostics"] = {"record_v": True, "record_sigma_star": True}
+    if cadence is not None:
+        raw["snapshot_cadence"] = cadence
     return raw
 
 
@@ -74,17 +81,20 @@ def write_outputs(tree: Path, out: Path, link: Path, work: Path) -> None:
              "--output", str(out / config.stem)], out / f"{config.stem}.stdout")
     run([str(tree / "scripts" / "rate_summary.py")], out / "rate_summary.stdout")
 
+    committed = f"{link}/configs/fixtures/oracle.json"
     copies = {
         # a store below the copies, where none is, or TREE's committed store
-        "empty_store": ("fixtures/oracle.json", False),
-        "diagnostics": (f"{link}/configs/fixtures/oracle.json", True),
+        "empty_store": ("fixtures/oracle.json", False, None),
+        "diagnostics": (committed, True, None),
+        "cadence": (committed, True, 7),
     }
-    for kind, (fixtures, diagnostics) in copies.items():
+    for kind, (fixtures, diagnostics, cadence) in copies.items():
         (work / kind).mkdir()
         (out / kind).mkdir()
         for config in configs:
             copy = work / kind / config.name
-            copy.write_text(json.dumps(copy_config(config, str(link), fixtures, diagnostics)))
+            copy.write_text(json.dumps(
+                copy_config(config, str(link), fixtures, diagnostics, cadence)))
             run(["-m", "dpgrr.cli", "run", "--config", str(copy),
                  "--output", str(out / kind / config.stem)], out / kind / f"{config.stem}.stdout")
     if (work / "empty_store" / "fixtures").exists():

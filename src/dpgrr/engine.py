@@ -24,34 +24,31 @@ step size; its runs batch among themselves.
 
 Every batched operation is elementwise or reduces each run's rows in the
 order a single run does, so a run's trace does not depend on its batch.
-A batch advances a chunk of E epochs at a time, E the fewest epochs
-whose states and averages, recorded, reach ``MAX_RECORD_BYTES``, or the
-whole horizon if that is shorter.  It keeps
-an ``(E, S, m, n)`` index buffer and a table of each run's (row,
-sampler, seed): once a chunk, ``sampling.fill_indices`` redraws the
+A batch advances a chunk of E epochs at a time: it draws, steps and
+records once per chunk.  Every epoch of a chunk holds or makes the same
+bytes, its states and averages, index blocks and sample orders and its
+recorded row's temporaries, and E is the fewest epochs whose bytes
+reach ``MAX_CHUNK_BYTES``, or the whole horizon if that is shorter.  A
+batch keeps an ``(E, S, m, n)`` index buffer and a table of each run's
+(row, sampler, seed): once a chunk, ``sampling.fill_indices`` redraws the
 rows of the reshuffled and with-replacement runs for all E epochs, under
 one lock and with one stable argsort, each block with the bits of its
 epoch's own draw, and the chunk's flat sample orders are one array
-operation; the fixed order's rows are filled once.  Where the chunk's
-index blocks would pass ``MAX_BATCH_BYTES``, as with many samples and
-few features, they are drawn for fewer epochs at a time.  Each epoch
-gathers its samples with one ``take`` on the flat ``(m n, d)`` rows and
-puts its next state in its block of one ``(E, S, m, d)`` state buffer.
-At the chunk's end, x_bar is one sum over the buffer's agent axis, and
+operation; the fixed order's rows are filled once.  Each epoch gathers
+its samples with one ``take`` on the flat ``(m n, d)`` rows and puts
+its next state in its block of one ``(E, S, m, d)`` state buffer.  At
+the chunk's end, x_bar is one sum over the buffer's agent axis, and
 x_hat one cumsum along its epoch axis behind the sum carried from the
 chunks before, which adds in the order a running ``+=`` does.  The
-chunk's recorded epochs then wait, as views of the buffers when every
-epoch is recorded and as copies when the cadence skips some, until E of
-them are pending or the horizon ends, which is always a chunk's end:
-then each row quantity is one call over the ``(R, S, ...)`` stack of
-the R pending epochs, with reductions whose per-row bits do not depend
-on the stack, written into the chunk's slice of the batch's float
-columns, allocated once.  The budget is small because the row
-reductions make several chunk-sized temporaries, which would otherwise
-raise peak memory.
+chunk's recorded epochs are then evaluated, before the next chunk
+refills the buffers: each row quantity is one call over the
+``(R, S, ...)`` stack of its R recorded epochs, views of the buffers
+when every epoch is recorded and copies when the cadence skips some,
+with reductions whose per-row bits do not depend on the stack, written
+into the chunk's slice of the batch's float columns, allocated once.
 Once a run behind the first has failed, ``run`` will raise that failure
-and discard the batch's traces, so the pending rows are dropped and no
-more are kept; the earlier runs only keep stepping.
+and discard the batch's traces, so no more states are kept and no more
+rows evaluated; the earlier runs only keep stepping.
 
 Every step reads the problem's ``objectives.margin_rows``, kept once: a
 logistic sample is its signed row ``y a`` alone, so no label is gathered
@@ -135,15 +132,16 @@ __all__ = [
     "run",
     "default_cadence",
     "MAX_BATCH_BYTES",
-    "MAX_RECORD_BYTES",
+    "MAX_CHUNK_BYTES",
 ]
 
 ALGORITHMS = ("dpg-rr", "dpg-sg", "dpg-ig", "dgm")
 
 _SAMPLER_FOR = {"dpg-rr": Mode.RR, "dpg-sg": Mode.SG, "dpg-ig": Mode.IG}
 
-# Bound on the ``(S, m, n, d)`` sample block one epoch gathers; ``run``
-# advances a longer list of runs in consecutive batches under it.
+# Bound on the ``(S, m, n, d)`` sample block one epoch gathers: ``run``
+# advances a longer list of runs in consecutive batches under it.  A
+# chunk's index blocks are under ``MAX_CHUNK_BYTES``.
 MAX_BATCH_BYTES = 1 << 20
 
 # Run-epochs (runs times horizon) each lane must carry before ``run``
@@ -156,9 +154,11 @@ MAX_BATCH_BYTES = 1 << 20
 # leave its dgm run to the caller's lane.
 _LANE_WORK = 2000
 
-# Bound on the buffered states and averages of recorded epochs that the
-# engine evaluates together; each chunk costs one call per row quantity.
-MAX_RECORD_BYTES = 1 << 16
+# Bound on what a batch's chunk of epochs holds and makes: its index
+# blocks, sample orders, states and averages, and the temporaries of its
+# recorded rows, which are evaluated together at the chunk's end, one
+# call per row quantity.
+MAX_CHUNK_BYTES = 1 << 19
 
 # RunConfig fields that every run of one ``run`` call must share
 _SHARED_FIELDS = ("horizon", "steps_mode", "cadence", "x0", "record_v")
@@ -653,7 +653,7 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
 
     def record(row: int, states: np.ndarray, x_bars: np.ndarray, x_hats: np.ndarray | None,
                inner_avgs: np.ndarray | None) -> None:
-        """Columns from entry ``row`` on, for each run still in the batch.
+        """Columns from entry ``row`` on, for every run of the batch.
 
         ``states`` ``(R, S, m, d)``, ``x_bars`` and ``x_hats`` ``(R, S, d)``
         and ``inner_avgs`` ``(R, S, n, d)`` stack the R epochs; each row
@@ -663,17 +663,17 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         points = x_bars if x_hats is None else np.concatenate([x_bars, x_hats], axis=1)
         # every quantity transposed to one column of R values per run
         objective = objectives.full_objective(features, labels, reg, kind, points).T
-        f_bar[:runs, span] = objective[:runs]
-        disagreement[:runs, span] = metrics_mod.consensus_quantity(
+        f_bar[:, span] = objective[:runs]
+        disagreement[:, span] = metrics_mod.consensus_quantity(
             states, designated, designated_edges).T
         diff = states - x_bars[..., None, :]
-        max_dist[:runs, span] = np.sqrt(
+        max_dist[:, span] = np.sqrt(
             np.einsum("...md,...md->...m", diff, diff)).max(axis=-1).T
         if x_hats is not None:
             later = slice(row - 1, row - 1 + len(states))
-            f_hat[:runs, later] = objective[runs:]
+            f_hat[:, later] = objective[runs:]
             if v_values is not None:
-                v_values[:runs, later] = metrics_mod.forward_deviation(inner_avgs, x_bars).T
+                v_values[:, later] = metrics_mod.forward_deviation(inner_avgs, x_bars).T
 
     # sum / m has the bits of mean(axis=1) and skips its dispatch
     record(0, x[None], (x.sum(axis=1) / m)[None], None, None)
@@ -681,32 +681,33 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
     gamma = _batch_step(configs)
     x_hat_sum = np.zeros((len(configs), dim))
     failure = None
-    # bytes one recorded epoch buffers: its state, x_bar and x_hat, and
-    # with record_v its (S, n, d) inner averages; a chunk is the fewest
-    # epochs that reach the budget, or the whole horizon
-    row_bytes = x.itemsize * len(configs) * ((m + 2) * dim + (n * dim if record_v else 0))
-    chunk = min(horizon, -(-MAX_RECORD_BYTES // row_bytes))
+    # floats one epoch of a chunk holds or makes, per run: its state, x_bar
+    # and x_hat; with record_v its inner averages and their differences
+    # from x_bar; on proximal runs its index block and sample order; and
+    # the record's temporaries, the two points' margins and softplus
+    # scratch, the designated edges' differences and the agents'
+    # differences from x_bar.  A chunk is the fewest epochs that reach
+    # the budget, or the whole horizon
+    floats = ((2 * m + 2 + len(designated_edges[0])) * dim + (2 * n * dim if record_v else 0)
+              + (4 if dgm else 6) * m * n)
+    row_bytes = x.itemsize * len(configs) * floats
+    chunk = min(horizon, -(-MAX_CHUNK_BYTES // row_bytes))
     # each epoch of a chunk puts its next state, and with record_v its
     # inner averages, in the chunk's block of these buffers
     states = np.empty((chunk, len(configs), m, dim))
     inner = np.empty((chunk, len(configs), n, dim)) if record_v else None
     # each run's (row, sampler, seed) fills its row of an (E, S, m, n)
-    # index buffer, one block per epoch, drawn a chunk at a time, or the
-    # fewest epochs whose blocks reach MAX_BATCH_BYTES if that is fewer,
-    # as with many samples and few features; dpg-ig visits every epoch in
-    # the order it draws at epoch 0, so its rows are filled once
+    # index buffer, one block per epoch, drawn once a chunk; dpg-ig
+    # visits every epoch in the order it draws at epoch 0, so its rows
+    # are filled once
     draws = [] if dgm else [(s, _SAMPLER_FOR[cfg.algorithm.lower()], cfg.seed)
                             for s, cfg in enumerate(configs)]
-    drawn = min(chunk, -(-MAX_BATCH_BYTES // (8 * len(configs) * m * n)))
-    perm = np.empty((drawn, len(draws), m, n), dtype=np.int64)
+    perm = np.empty((chunk, len(draws), m, n), dtype=np.int64)
     fill_indices(perm, [d for d in draws if d[1] is Mode.IG], 0)
     draws = [d for d in draws if d[1] is not Mode.IG]
-    # recorded epochs not yet evaluated, the column entries from ``filled``
-    # on, as pieces of (states, x_bars, x_hats, inner_avgs)
-    pending: list[tuple] = []
-    filled = 1
     for t in range(horizon):
-        if not dgm and t % drawn == 0:
+        e = t % chunk
+        if not dgm and e == 0:
             fill_indices(perm[:horizon - t], draws, t)
             # each step's flat sample rows of every run and agent: agent
             # j's sample k is row j n + k
@@ -718,19 +719,18 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                     x = run_epoch_dgm(x, problem, gamma / math.sqrt(t + 1.0), blocks, t)
                 else:
                     x, inner_avgs = run_epoch_dpgrr(
-                        x, problem, gamma, blocks, orders[t % drawn], t, record_inner=record_v)
+                        x, problem, gamma, blocks, orders[e], t, record_inner=record_v)
                 break
             except NonFiniteIterate as exc:
                 # runs after the failing one no longer matter; earlier runs
                 # go on, since one of them may still fail first in order,
                 # but ``failure`` is raised at the end either way, so no
-                # row of the batch is kept or evaluated any more
+                # state of the batch is kept and no row evaluated any more
                 cfg = configs[exc.run]
                 failure = NonFiniteIterate(exc.agent, exc.epoch, exc.inner_step, exc.phase,
                                            run=f"{cfg.algorithm} seed {cfg.seed}")
                 if exc.run == 0:
                     raise failure from None
-                pending.clear()
                 configs, x = configs[:exc.run], x[:exc.run]
                 gamma = _batch_step(configs)
                 if not dgm:
@@ -738,7 +738,6 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
                     draws = [d for d in draws if d[0] < exc.run]
         if failure is not None:
             continue
-        e = t % chunk
         states[e] = x
         if inner is not None:
             inner[e] = inner_avgs
@@ -750,22 +749,16 @@ def _run_batch(configs: list[RunConfig], problem: ProblemBundle) -> list[RunTrac
         x_bars = states[:e + 1].sum(axis=2) / m
         sums = np.cumsum(np.concatenate([x_hat_sum[None], x_bars]), axis=0)
         x_hat_sum = sums[-1]
-        # the column entries of the recorded epochs among them; a chunk
-        # whose every epoch is recorded ends where the entries are
-        # evaluated, so it keeps views of the buffers that the next chunk
-        # refills, and any other chunk copies its recorded rows
+        # the column entries of the recorded epochs among them, evaluated
+        # before the next chunk refills the buffers: views of them when
+        # every epoch is recorded, else copies of the recorded rows
         lo, hi = np.searchsorted(epochs, (t0, t + 1), side="right")
         if lo == hi:
             continue
         ends = epochs[lo:hi]
         rows = slice(None) if len(ends) == e + 1 else ends - (t0 + 1)
-        pending.append((states[:e + 1][rows], x_bars[rows], sums[1:][rows] / ends[:, None, None],
-                        None if inner is None else inner[:e + 1][rows]))
-        if (hi - 1) % chunk == 0 or hi == len(epochs):
-            record(filled, *(p[0] if len(p) == 1 or p[0] is None else np.concatenate(p)
-                             for p in zip(*pending)))
-            filled = hi
-            pending.clear()
+        record(lo, states[:e + 1][rows], x_bars[rows], sums[1:][rows] / ends[:, None, None],
+               None if inner is None else inner[:e + 1][rows])
 
     if failure is not None:
         raise failure

@@ -917,8 +917,14 @@ _CHUNKED = {
 
 
 def _row_bytes(cfgs, p):
-    """Every buffered byte of one recorded epoch of the batch ``cfgs``."""
-    return 8 * len(cfgs) * (p.m * p.dim + 2 * p.dim + (p.n * p.dim if cfgs[0].record_v else 0))
+    """Every byte one epoch of a chunk of the batch ``cfgs`` holds or makes."""
+    dgm = cfgs[0].algorithm == "dgm"
+    w = p.schedule.matrices[0].weights
+    edges = np.count_nonzero(w) - np.count_nonzero(np.diag(w))
+    floats = ((2 * p.m + 2 + edges) * p.dim
+              + (2 * p.n * p.dim if cfgs[0].record_v and not dgm else 0)
+              + (4 if dgm else 6) * p.m * p.n)
+    return 8 * len(cfgs) * floats
 
 
 @pytest.mark.parametrize("rows", [1, 3, 10**6])
@@ -928,47 +934,34 @@ def test_record_chunk_size_never_changes_a_trace(canonical_problem, monkeypatch,
     cfgs = _CHUNKED[case](p)
     want = run(cfgs, p)
     want_states = iterates(cfgs, p, want)
-    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * _row_bytes(cfgs, p))
-    calls = []
-    full_objective = engine.objectives.full_objective
+    monkeypatch.setattr(engine, "MAX_CHUNK_BYTES", rows * _row_bytes(cfgs, p))
+    calls, drawn = [], []
+    full_objective, fill_indices = engine.objectives.full_objective, engine.fill_indices
 
     def counted(*args):
-        calls.append(len(args[-1]))  # the chunk's epochs
+        calls.append(len(args[-1]))  # the chunk's recorded epochs
         return full_objective(*args)
 
-    monkeypatch.setattr(engine.objectives, "full_objective", counted)
-    got = run(cfgs, p)
-    for a, b in zip(got, want, strict=True):
-        _assert_same_trace(a, b)
-    # the initial row alone, then chunks of `rows` recorded epochs
-    recorded = len(want[0].epochs) - 1
-    assert calls == [1] + [
-        min(rows, recorded - lo) for lo in range(0, recorded, rows)]
-    _assert_same_states(iterates(cfgs, p, got), want_states)
-
-
-def test_index_blocks_drawn_for_fewer_epochs_than_a_chunk_change_no_trace(
-        canonical_problem, monkeypatch):
-    # one 13-epoch chunk, but the batch's index blocks reach
-    # MAX_BATCH_BYTES after d = 10 epochs: they are drawn for 10 and 3
-    p = canonical_problem
-    cfgs = _CHUNKED["samplers"](p)
-    want = run(cfgs, p)
-    monkeypatch.setattr(engine, "MAX_RECORD_BYTES", 10**6 * _row_bytes(cfgs, p))
-    monkeypatch.setattr(engine, "MAX_BATCH_BYTES", len(cfgs) * p.features.nbytes)
-    drawn = []
-    fill_indices = engine.fill_indices
-
-    def counted(out, draws, t0):
+    def filled(out, draws, t0):
         drawn.append((t0, len(out)))
         return fill_indices(out, draws, t0)
 
-    monkeypatch.setattr(engine, "fill_indices", counted)
+    monkeypatch.setattr(engine.objectives, "full_objective", counted)
+    monkeypatch.setattr(engine, "fill_indices", filled)
     got = run(cfgs, p)
     for a, b in zip(got, want, strict=True):
         _assert_same_trace(a, b)
-    # the fixed order's rows, then the other rows twice
-    assert drawn == [(0, 10), (0, 10), (10, 3)]
+    # chunks of `rows` epochs; the initial row alone, then one call per
+    # chunk that holds recorded epochs, with all of them
+    horizon, epochs = cfgs[0].horizon, want[0].epochs
+    chunks = [(lo, min(lo + rows, horizon)) for lo in range(0, horizon, rows)]
+    recorded = [int(np.count_nonzero((epochs > lo) & (epochs <= hi))) for lo, hi in chunks]
+    assert calls == [1] + [k for k in recorded if k]
+    # the fixed order's rows once, then every other row once a chunk
+    dgm = cfgs[0].algorithm == "dgm"
+    assert drawn == [(0, min(rows, horizon))] + (
+        [] if dgm else [(lo, hi - lo) for lo, hi in chunks])
+    _assert_same_states(iterates(cfgs, p, got), want_states)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -986,10 +979,36 @@ def test_a_failure_inside_a_chunk_is_named_the_same_at_any_chunk_length(
     assert _outcome([healthy], p)[1] is None
     failures = []
     for cfgs in ([late], [healthy, late]):
-        monkeypatch.setattr(engine, "MAX_RECORD_BYTES", rows * _row_bytes(cfgs, p))
+        monkeypatch.setattr(engine, "MAX_CHUNK_BYTES", rows * _row_bytes(cfgs, p))
         failures.append(_outcome(cfgs, p)[1])
     assert failures[0] == failures[1]
     assert failures[0][:5] == want
+
+
+@pytest.mark.parametrize("algorithm, record_v", [
+    ("dpg-rr", False), ("dpg-sg", False), ("dgm", False), ("dpg-rr", True)])
+def test_a_chunk_stays_within_its_budget(algorithm, record_v):
+    # many samples and few features: a chunk's index blocks, sample orders
+    # and record temporaries, m n floats an epoch each, outweigh its
+    # states; a count that left them out would make the whole horizon
+    # one chunk
+    features, labels = synthesize_classification(m=2, n=2000, d=2, separation=1.0, seed=0)
+    problem = ProblemBundle(
+        features, labels, LOG, Regularizer.l1(0.01),
+        GraphSchedule((metropolis_weights({(0, 1)}, 2, 0.5),), 1))
+    cfg = RunConfig(algorithm, 40, 1e-3, seed=1, cadence=1, record_v=record_v)
+    run([dataclasses.replace(cfg, horizon=1)], problem)  # the engine's own caches
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run([cfg], problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 2 * engine.MAX_CHUNK_BYTES
 
 
 def test_a_recorded_row_holds_a_few_floats():
@@ -1267,8 +1286,8 @@ def test_a_shorter_horizon_gives_the_leading_epochs(canonical_problem, monkeypat
 
 @st.composite
 def random_runs(draw):
-    """A small random problem and a list of runs for it, some of which
-    may overflow."""
+    """A small random problem, a list of runs for it, some of which may
+    overflow, and a chunk budget."""
     kind = draw(st.sampled_from([LS, LOG]))
     m, n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     value = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
@@ -1295,7 +1314,11 @@ def random_runs(draw):
                   seed=draw(st.integers(0, 5)), **shape)
         for _ in range(draw(st.integers(2, 5)))
     ]
-    return problem, cfgs
+    # an epoch of one run holds or makes 64 to 752 bytes: 1-epoch,
+    # few-epoch and whole-horizon chunks, of other lengths alone than in
+    # the batch
+    budget = draw(st.sampled_from([1, 600, 2000, 1 << 40]))
+    return problem, cfgs, budget
 
 
 def _outcome(cfgs, problem):
@@ -1311,9 +1334,10 @@ def _outcome(cfgs, problem):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=random_runs())
 def test_a_batch_gives_each_run_its_solo_trace(monkeypatch, path, case):
-    problem, cfgs = case
+    problem, cfgs, budget = case
     monkeypatch.setattr(engine, "_cpu_count", lambda: 1 if path == "serial" else 3)
     monkeypatch.setattr(engine, "_LANE_WORK", 1)
+    monkeypatch.setattr(engine, "MAX_CHUNK_BYTES", budget)
     solo = [_outcome([cfg], problem) for cfg in cfgs]
     traces, failure = _outcome(cfgs, problem)
     assert_no_child_left()

@@ -26,11 +26,13 @@ def test_a_copy_changes_only_its_data_path_store_and_diagnostics(copy_config, na
     shipped = yaml.safe_load((CONFIGS / name).read_text())
     shipped.pop("fixtures", None)
     libsvm = shipped["dataset"].get("libsvm")
-    for diagnostics in (False, True):
-        raw = copy_config(CONFIGS / name, "/link", "store.json", diagnostics)
+    for diagnostics, cadence in ((False, None), (True, None), (True, 7)):
+        raw = copy_config(CONFIGS / name, "/link", "store.json", diagnostics, cadence)
         assert raw.pop("fixtures") == "store.json"
         if diagnostics:
             assert raw.pop("diagnostics") == {"record_v": True, "record_sigma_star": True}
+        if cadence is not None:
+            assert raw.pop("snapshot_cadence") == cadence
         if libsvm is not None:
             copied = raw["dataset"]["libsvm"]
             assert copied["path"] == f"/link/configs/{libsvm['path']}"
